@@ -1,11 +1,14 @@
 """Closed-form one-iteration maps and the analysis built on them.
 
 The dispersion/pooling pass of the solver is an affine map ``x -> B x + c``.
-This module assembles that map two independent ways (a successive
-over-relaxation factorization along root-to-leaf paths, and a product of
-relaxed projections grouped by subnetworks), computes restricted operator
-norms and admissibility verdicts for the relaxation parameters, and builds
-the block iteration matrix of the DAG variant from its up-down paths.
+:func:`tree_affine` and the block map of :func:`dag_block_structure` take it
+from the solver's pass kernel, pushed over identity columns.  The paper's
+alternative forms stay as independent cross-checks of its lemmas: the
+successive over-relaxation factorization along dispersion paths, the product
+of relaxed projections grouped by subnetworks, and the up-down path sums of
+the DAG block matrix.  The module also computes restricted operator norms,
+admissibility verdicts for the relaxation parameters, fixed points and
+least-squares targets.
 
 Everything here is pure construction over immutable inputs and thread-safe.
 """
@@ -17,13 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ApplicabilityError,
-    DimensionError,
-    InvalidNetworkError,
-    NonContractionError,
-    PartitionError,
-)
+from .errors import ApplicabilityError, DimensionError, NonContractionError, PartitionError
 from .numerics import (
     as_vector,
     eigenvalues,
@@ -34,7 +31,14 @@ from .numerics import (
     spectral_radius,
     spectral_radius_on_span,
 )
-from .solver import LinearSystem, RelaxationAssignment, relaxed_q
+from .solver import (
+    LinearSystem,
+    RelaxationAssignment,
+    _Pass,
+    _require_valid_dag,
+    _require_valid_tree,
+    relaxed_q,
+)
 from .topology import (
     DagNetwork,
     DispersionPath,
@@ -45,27 +49,9 @@ from .topology import (
     enumerate_updown_paths,
     path_weight,
     resolve_groups,
-    validate_dag,
-    validate_tree,
 )
 
 ZERO_EIGENVALUE_CUT = 1e-12
-
-
-def _check_tree(sys: LinearSystem, net: TreeNetwork) -> None:
-    if sys.node_count != net.node_count:
-        raise DimensionError("system and network disagree on the node count")
-    violations = validate_tree(net)
-    if violations:
-        raise InvalidNetworkError("invalid tree network", violations)
-
-
-def _check_dag(sys: LinearSystem, net: DagNetwork) -> None:
-    if sys.node_count != net.node_count:
-        raise DimensionError("system and network disagree on the node count")
-    violations = validate_dag(net)
-    if violations:
-        raise InvalidNetworkError("invalid DAG network", violations)
 
 
 def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.ndarray:
@@ -143,19 +129,14 @@ def path_sor_factors(
 def tree_affine(
     sys: LinearSystem, net: TreeNetwork, relax: RelaxationAssignment
 ) -> AffineIteration:
-    """The dispersion/pooling pass as ``x -> B x + c``, leaf path by leaf path."""
-    _check_tree(sys, net)
-    d = sys.ambient_dim
-    b = np.eye(d, dtype=np.complex128)
-    c = np.zeros(d, dtype=np.complex128)
-    for leaf in net.leaves():
-        factors = path_sor_factors(sys, net.path_from_root(leaf), relax)
-        w = path_weight(net, net.root, leaf)
-        g = factors.A_path.conj().T @ np.linalg.solve(
-            factors.D + factors.Omega @ factors.L, factors.Omega
-        )
-        b -= w * (g @ factors.A_path)
-        c += w * (g @ factors.b_path)
+    """The dispersion/pooling pass as ``x -> B x + c``.
+
+    The pass kernel carries the columns ``[I | 0]`` through the tree, with
+    the right-hand side entering the last column only.  The paper's form,
+    the leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
+    """
+    _require_valid_tree(sys, net)
+    b, c = _Pass.tree(sys, net, relax).affine()
     return AffineIteration(B=b, c=c)
 
 
@@ -205,7 +186,7 @@ def build_p_omega(
     cover every leaf exactly once, otherwise the product form cannot equal
     the pooled iteration matrix.
     """
-    _check_tree(sys, net)
+    _require_valid_tree(sys, net)
     groups = resolve_groups(net, part)
     covered: list[int] = []
     for g in groups:
@@ -312,7 +293,7 @@ def check_admissibility(
     part: SubnetworkPartition,
     relax: RelaxationAssignment,
 ) -> AdmissibilityReport:
-    _check_tree(sys, net)
+    _require_valid_tree(sys, net)
     groups = resolve_groups(net, part)
     grouped = set().union(*(g.members for g in groups)) if groups else set()
     omega = relax.effective()
@@ -352,7 +333,7 @@ def weighted_ls_minimizer(
     Uses the unscaled relaxation profile, so the result is the scale-free
     target of the slowed-down iteration.
     """
-    _check_tree(sys, net)
+    _require_valid_tree(sys, net)
     d = sys.ambient_dim
     n = np.zeros((d, d), dtype=np.complex128)
     r = np.zeros(d, dtype=np.complex128)
@@ -440,18 +421,11 @@ def _ascending_affine(
     sys: LinearSystem, nodes: Sequence[int], omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear part and constant of the relaxed update chain along ``nodes``."""
-    lin = _chain_matrix_dag(sys, nodes, omega)
+    lin = _chain_matrix(sys, nodes, omega)
     const = np.zeros(sys.ambient_dim, dtype=np.complex128)
     for v in nodes:
         const = relaxed_q(const, sys.rows[v], sys.rhs[v], omega[v])
     return lin, const
-
-
-def _chain_matrix_dag(sys: LinearSystem, nodes: Sequence[int], omega: np.ndarray) -> np.ndarray:
-    out = np.eye(sys.ambient_dim, dtype=np.complex128)
-    for v in nodes:
-        out = relaxed_projection_matrix(sys, v, omega[v]) @ out
-    return out
 
 
 def dag_block_p(
@@ -464,7 +438,7 @@ def dag_block_p(
     the ascent.  The constant term stacks the same weights applied to the
     ascent chains evaluated at the origin.
     """
-    _check_dag(sys, net)
+    _require_valid_dag(sys, net)
     minimal = net.minimal_nodes
     s, n = len(minimal), sys.ambient_dim
     omega = relax.effective()
@@ -534,8 +508,9 @@ class BlockStructure:
 
     ``weights[i, j]`` is the mass with which minimal node i pools the chain
     of path j; every row sums to 1.  ``per_minimal[i]`` is the affine map of
-    block i over the stacked estimate, and ``aggregate`` the full block map;
-    the two are assembled through different routes and must agree.
+    block i over the stacked estimate, composed from the per-path SOR maps;
+    ``aggregate`` is the full block map from the pass kernel.  The two are
+    assembled through different routes and must agree.
     """
 
     paths: list[DispersionPath]
@@ -544,7 +519,6 @@ class BlockStructure:
     path_affines: list[AffineIteration]
     per_minimal: list[tuple[np.ndarray, np.ndarray]]
     aggregate: AffineIteration
-    averaging: np.ndarray
     minimal_nodes: tuple[int, ...]
     block_size: int
 
@@ -564,17 +538,17 @@ class BlockStructure:
 
         Block i evaluates ``sum_j w[i, j] S_j* (D_j + O_j L_j)^-1 O_j
         (b_j - S_j z_i)``: the pooled normal-equation residual of block i
-        against every dispersion path.
+        against every dispersion path.  Each term is the step that path j's
+        chain takes from ``z_i``, so it is read off the path's affine map.
         """
         out = []
         for i in range(self.s):
             z = as_vector(blocks[i])
             acc = np.zeros(self.block_size, dtype=np.complex128)
-            for j, f in enumerate(self.factors):
+            for j, it in enumerate(self.path_affines):
                 if self.weights[i, j] == 0.0:
                     continue
-                g = f.A_path.conj().T @ np.linalg.solve(f.D + f.Omega @ f.L, f.Omega)
-                acc += self.weights[i, j] * (g @ (f.b_path - f.A_path @ z))
+                acc += self.weights[i, j] * (it.apply(z) - z)
             out.append(acc)
         return out
 
@@ -587,17 +561,16 @@ def dag_block_structure(
 ) -> BlockStructure:
     """Assemble the per-path SOR factors and both forms of the block map.
 
-    The pooled form composes per-path affine maps with the pooled weights;
-    the aggregate form multiplies the stacked sparse factor matrices (the
-    source-arranged path stack, the block-diagonal SOR solves, the pooled
-    weight diagonal, and the block averaging matrix).  Both must agree with
-    each other and with the engine.
+    The pooled form composes the per-path SOR maps with the pooled weights.
+    The aggregate form runs the pass kernel once: each minimal node starts
+    from the identity on its own block of columns, so the pooled blocks are
+    the block rows of the map.  Both must agree with each other and with the
+    engine.
     """
-    _check_dag(sys, net)
+    _require_valid_dag(sys, net)
     minimal = net.minimal_nodes
     s, n = len(minimal), sys.ambient_dim
     paths, weights = enumerate_dispersion_paths(net)
-    p = len(paths)
     src_index = {m: i for i, m in enumerate(minimal)}
     factors = [path_sor_factors(sys, path.nodes, relax) for path in paths]
     path_affines = [f.affine() for f in factors]
@@ -615,41 +588,14 @@ def dag_block_structure(
             const += w * path_affines[j].c
         per_minimal.append((row, const))
 
-    # Independent aggregate route over the stacked factor matrices.
-    lens = [len(f.nodes) for f in factors]
-    total = sum(lens)
-    offsets = np.concatenate(([0], np.cumsum(lens)))
-    s_hat = np.zeros((total, n * s), dtype=np.complex128)  # path rows at source blocks
-    m_omega = np.zeros((total, total), dtype=np.complex128)  # blockdiag (D+OL)^-1 O
-    b_stack = np.zeros(total, dtype=np.complex128)
-    for j, f in enumerate(factors):
-        lo, hi = offsets[j], offsets[j + 1]
-        m = src_index[paths[j].source]
-        s_hat[lo:hi, m * n : (m + 1) * n] = f.A_path
-        m_omega[lo:hi, lo:hi] = np.linalg.solve(f.D + f.Omega @ f.L, f.Omega)
-        b_stack[lo:hi] = f.b_path
-    gather = np.zeros((n * s, total), dtype=np.complex128)  # row block i: w[i,j] S_j*
-    for i in range(s):
-        for j, f in enumerate(factors):
-            lo, hi = offsets[j], offsets[j + 1]
-            gather[i * n : (i + 1) * n, lo:hi] = weights[i, j] * f.A_path.conj().T
-    nu = np.zeros((s, s), dtype=float)
-    for i in range(s):
-        for j, path in enumerate(paths):
-            nu[i, src_index[path.source]] += weights[i, j]
-    averaging = np.kron(nu, np.eye(n))
-    correction = gather @ m_omega
-    aggregate = AffineIteration(
-        B=averaging - correction @ s_hat, c=correction @ b_stack
-    )
+    b, c = _Pass.dag(sys, net, relax).affine()
     return BlockStructure(
         paths=paths,
         weights=weights,
         factors=factors,
         path_affines=path_affines,
         per_minimal=per_minimal,
-        aggregate=aggregate,
-        averaging=averaging,
+        aggregate=AffineIteration(B=b, c=c),
         minimal_nodes=minimal,
         block_size=n,
     )

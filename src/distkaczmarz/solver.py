@@ -6,12 +6,17 @@ way down, then pools the leaf estimates back into a single weighted average.
 On a DAG every minimal node holds its own estimate; dispersion walks the
 nodes in topological order blending parent estimates with the dispersion
 weights before each update, and pooling walks back in reverse order blending
-successor estimates with the pooling weights.
+successor estimates with the pooling weights.  A tree runs as the DAG whose
+only minimal node is the root.
+
+Every pass goes through one kernel that carries a block of columns instead
+of a single vector: one column is the engine, identity columns give the
+closed-form affine map of :mod:`distkaczmarz.closedform`.
 
 A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  Pooling sums
-always accumulate in ascending node order so results are schedule
-independent.
+run in a fixed reverse-topological order, successors ascending, so results
+are schedule independent.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
 from .numerics import as_matrix, as_vector
-from .topology import DagNetwork, TreeNetwork, path_weight, topological_order, validate_dag, validate_tree
+from .topology import DagNetwork, TreeNetwork, topological_order, validate_dag, validate_tree
 
 DIVERGENCE_FACTOR = 1e12
 
@@ -184,6 +189,88 @@ def _require_valid_dag(sys: LinearSystem, net: DagNetwork) -> None:
         raise InvalidNetworkError("invalid DAG network", violations)
 
 
+class _Pass:
+    """One dispersion/pooling pass over a fixed system, network and relaxation.
+
+    The traversal is prepared once in O(V + E): ``order`` is topological,
+    ``up[v]`` pairs each predecessor of v with its dispersion weight,
+    ``down[v]`` each successor with its pooling weight, and ``sources``
+    lists the minimal nodes in ascending order.  A tree is the DAG whose
+    only minimal node is the root, with dispersion weight 1 and pooling
+    weight equal to the edge weight.
+    """
+
+    def __init__(self, sys: LinearSystem, relax: RelaxationAssignment, order, up, down, sources):
+        rows = sys.rows
+        self.order = order
+        self.up = up
+        self.down = down
+        self.sources = sources
+        self.dim = sys.ambient_dim
+        self.rhs = sys.rhs
+        self.cols = list(rows[:, :, None])  # a_v as a column
+        self.conj = list(rows.conj())  # a_v* as a row
+        self.gain = list(relax.effective() / np.einsum("ij,ij->i", rows.conj(), rows).real)
+
+    @classmethod
+    def tree(cls, sys: LinearSystem, net: TreeNetwork, relax: RelaxationAssignment) -> "_Pass":
+        nodes = range(net.node_count)
+        order = [net.root]
+        for v in order:  # breadth first: the list grows while it is walked
+            order.extend(net.children.get(v, ()))
+        up = [((net.parent[v], 1.0),) if v in net.parent else () for v in nodes]
+        down = [tuple((u, net.edge_weight[(v, u)]) for u in net.children.get(v, ())) for v in nodes]
+        return cls(sys, relax, order, up, down, (net.root,))
+
+    @classmethod
+    def dag(cls, sys: LinearSystem, net: DagNetwork, relax: RelaxationAssignment) -> "_Pass":
+        nodes = range(net.node_count)
+        up = [tuple((u, net.w_d[(u, v)]) for u in net.predecessors[v]) for v in nodes]
+        down = [tuple((u, net.w_p[(v, u)]) for u in net.successors[v]) for v in nodes]
+        return cls(sys, relax, topological_order(net), up, down, net.minimal_nodes)
+
+    def push(self, starts: Sequence[np.ndarray], t: np.ndarray) -> list[np.ndarray]:
+        """Carry one (d, m) block per minimal node through the pass.
+
+        Node v maps a block X to ``X + a_v (omega_v / |a_v|^2)(b_v t - a_v* X)``,
+        where the length-m row ``t`` says how much of the right-hand side each
+        column carries.  Dispersion blends predecessor blocks with the
+        dispersion weights before each update; pooling then walks the order
+        backwards and blends successor blocks with the pooling weights, so
+        sums run in a fixed reverse-topological order.  Returns the pooled
+        block of every minimal node.
+        """
+        up, down, cols, conj, gain = self.up, self.down, self.cols, self.conj, self.gain
+        bt = self.rhs[:, None] * t  # row v is b_v t
+        x: list = [None] * len(up)
+        for v, z in zip(self.sources, starts):
+            x[v] = z
+        for v in self.order:
+            z = sum(w * x[u] for u, w in up[v]) if up[v] else x[v]
+            x[v] = z + cols[v] * (gain[v] * (bt[v] - conj[v] @ z))
+        for v in reversed(self.order):
+            if down[v]:
+                x[v] = sum(w * x[u] for u, w in down[v])
+        return [x[m] for m in self.sources]
+
+    def vectors(self, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The pass on one estimate vector per minimal node."""
+        return [y[:, 0] for y in self.push([xv[:, None] for xv in xs], np.ones(1))]
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pass as ``x -> B x + c`` on the stacked minimal-node estimates.
+
+        Minimal node i starts from the identity on its own block of columns
+        and a zero constant column; ``t`` selects the constant column, so the
+        pooled blocks stack into ``[B | c]``.
+        """
+        d = self.dim
+        k = d * len(self.sources)
+        eye = np.eye(k + 1, dtype=np.complex128)
+        out = np.vstack(self.push([eye[i : i + d] for i in range(0, k, d)], eye[k]))
+        return np.ascontiguousarray(out[:, :k]), out[:, k].copy()
+
+
 def tree_iterate(
     sys: LinearSystem,
     net: TreeNetwork,
@@ -194,21 +281,7 @@ def tree_iterate(
     """One dispersion/pooling pass over a rooted tree."""
     if not validated:
         _require_valid_tree(sys, net)
-    xv = as_vector(x)
-    omega = relax.effective()
-    est: dict[int, np.ndarray] = {}
-    r = net.root
-    est[r] = kaczmarz_update(xv, sys.rows[r], sys.rhs[r], omega[r])
-    stack = list(reversed(net.children.get(r, ())))
-    while stack:
-        v = stack.pop()
-        u = net.parent[v]
-        est[v] = kaczmarz_update(est[u], sys.rows[v], sys.rhs[v], omega[v])
-        stack.extend(reversed(net.children.get(v, ())))
-    pooled = np.zeros_like(xv)
-    for leaf in net.leaves():  # ascending node order keeps sums schedule independent
-        pooled = pooled + path_weight(net, r, leaf) * est[leaf]
-    return pooled
+    return _Pass.tree(sys, net, relax).vectors([as_vector(x)])[0]
 
 
 def dag_iterate(
@@ -231,69 +304,27 @@ def dag_iterate(
     minimal = net.minimal_nodes
     if len(blocks) != len(minimal):
         raise DimensionError(f"expected {len(minimal)} estimate blocks, got {len(blocks)}")
-    omega = relax.effective()
-    order = topological_order(net)
-    x: dict[int, np.ndarray] = {}
-    start = {m: as_vector(b) for m, b in zip(minimal, blocks)}
-    for v in order:
-        ups = net.predecessors[v]
-        if not ups:
-            z = start[v]
-        else:
-            z = np.zeros(sys.ambient_dim, dtype=np.complex128)
-            for u in ups:
-                z = z + net.w_d[(u, v)] * x[u]
-        x[v] = kaczmarz_update(z, sys.rows[v], sys.rhs[v], omega[v])
-    y: dict[int, np.ndarray] = {}
-    for v in reversed(order):
-        downs = net.successors[v]
-        if not downs:
-            y[v] = x[v]
-        else:
-            acc = np.zeros(sys.ambient_dim, dtype=np.complex128)
-            for u in downs:
-                acc = acc + net.w_p[(v, u)] * y[u]
-            y[v] = acc
-    return [y[m] for m in minimal]
+    return _Pass.dag(sys, net, relax).vectors([as_vector(b) for b in blocks])
 
 
 # ---------------------------------------------------------------------------
 # Driver
 
 
-def _initial_state(sys: LinearSystem, net, config: SolverConfig):
-    if isinstance(net, TreeNetwork):
-        if config.initial_estimate is None:
-            return np.zeros(sys.ambient_dim, dtype=np.complex128)
-        return as_vector(config.initial_estimate)
-    minimal = net.minimal_nodes
-    init = config.initial_estimate
+def _initial_blocks(sys: LinearSystem, net, sources, init) -> list[np.ndarray]:
+    """One starting estimate per minimal node; a tree's only one is its root."""
     if init is None:
-        return [np.zeros(sys.ambient_dim, dtype=np.complex128) for _ in minimal]
+        return [np.zeros(sys.ambient_dim, dtype=np.complex128) for _ in sources]
     init = np.asarray(init, dtype=np.complex128)
-    if init.ndim == 1:
-        return [as_vector(init).copy() for _ in minimal]
-    if init.shape[0] != len(minimal):
+    if init.ndim == 1 or isinstance(net, TreeNetwork):  # a tree takes one vector only
+        return [as_vector(init).copy() for _ in sources]
+    if init.shape[0] != len(sources):
         raise DimensionError("one initial block per minimal node required")
     return [as_vector(row) for row in init]
 
 
-def _step_norm(new, old) -> float:
-    if isinstance(new, np.ndarray):
-        return float(np.linalg.norm(new - old))
-    return max(float(np.linalg.norm(a - b)) for a, b in zip(new, old))
-
-
-def _state_norm(state) -> float:
-    if isinstance(state, np.ndarray):
-        return float(np.linalg.norm(state))
-    return max(float(np.linalg.norm(b)) for b in state)
-
-
-def _residual(sys: LinearSystem, state) -> float:
-    if isinstance(state, np.ndarray):
-        return sys.residual_norm(state)
-    return max(sys.residual_norm(b) for b in state)
+def _max_norm(blocks) -> float:
+    return max(float(np.linalg.norm(b)) for b in blocks)
 
 
 def solve(
@@ -312,40 +343,42 @@ def solve(
     """
     if isinstance(net, TreeNetwork):
         _require_valid_tree(sys, net)
-        iterate = lambda s: tree_iterate(sys, net, relax, s, validated=True)
+        run = _Pass.tree(sys, net, relax)
+        public = lambda blocks: blocks[0]  # a tree reports its single estimate
     elif isinstance(net, DagNetwork):
         _require_valid_dag(sys, net)
-        iterate = lambda s: dag_iterate(sys, net, relax, s, validated=True)
+        run = _Pass.dag(sys, net, relax)
+        public = lambda blocks: blocks
     else:
         raise TypeError(f"unsupported network type {type(net)!r}")
-    state = _initial_state(sys, net, config)
-    bound = DIVERGENCE_FACTOR * (1.0 + _state_norm(state))
+    state = _initial_blocks(sys, net, run.sources, config.initial_estimate)
+    bound = DIVERGENCE_FACTOR * (1.0 + _max_norm(state))
     steps: list[float] = []
     residuals: list[float] = []
     converged = False
     used = 0
     for n in range(1, config.max_iterations + 1):
-        new_state = iterate(state)
-        norm = _state_norm(new_state)
+        new_state = run.vectors(state)
+        norm = _max_norm(new_state)
         if not np.isfinite(norm) or norm > bound:
             raise DivergenceError(
                 f"estimate norm {norm:.3e} exceeded the divergence bound at iteration {n}",
-                last_iterate=state,
+                last_iterate=public(state),
                 iteration=n,
             )
-        step = _step_norm(new_state, state)
+        step = _max_norm([new - old for new, old in zip(new_state, state)])
         state = new_state
         if n == 1 and step < config.step_tolerance:
             converged = True  # initial estimate was already stationary
             break
         steps.append(step)
-        residuals.append(_residual(sys, state))
+        residuals.append(max(sys.residual_norm(b) for b in state))
         used = n
         if step < config.step_tolerance:
             converged = True
             break
     return SolveReport(
-        final_estimates=state,
+        final_estimates=public(state),
         iterations_used=used,
         step_norms=steps,
         residual_norms=residuals,

@@ -345,7 +345,7 @@ def leaf_sibling_partition(net: TreeNetwork) -> SubnetworkPartition:
 # DAGs
 
 
-@dataclass
+@dataclass(frozen=True)
 class DagNetwork:
     """Directed acyclic network on cover edges with dispersion/pooling weights."""
 
@@ -555,31 +555,26 @@ def hasse_reduce(relation: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
         nodes.add(u)
         nodes.add(v)
     succ: dict[int, set[int]] = {v: set() for v in nodes}
+    indeg = dict.fromkeys(nodes, 0)
     for u, v in pairs:
         succ[u].add(v)
-    closure: dict[int, set[int]] = {}
-
-    def reach(u: int, trail: tuple[int, ...]) -> set[int]:
-        if u in trail:
-            raise CycleError(f"relation contains a cycle through {u}")
-        if u in closure:
-            return closure[u]
-        acc: set[int] = set()
+        indeg[v] += 1
+    order = [v for v in nodes if indeg[v] == 0]
+    for u in order:  # Kahn's algorithm, no recursion: the list grows while it is walked
         for v in succ[u]:
-            acc.add(v)
-            acc |= reach(v, trail + (u,))
-        closure[u] = acc
-        return acc
-
-    for u in nodes:
-        reach(u, ())
-        if u in closure[u]:
-            raise CycleError(f"relation contains a cycle through {u}")
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    if len(order) != len(nodes):
+        stuck = len(nodes) - len(order)
+        raise CycleError(f"relation contains a cycle; {stuck} nodes cannot be ordered")
+    # (u, v) is implied exactly when v lies above another successor of u
+    closure: dict[int, set[int]] = {}
     covers = set()
-    for u in nodes:
-        for v in closure[u]:
-            if not any(v in closure[w] for w in closure[u] if w != v):
-                covers.add((u, v))
+    for u in reversed(order):
+        implied = set().union(*(closure[w] for w in succ[u]))
+        closure[u] = succ[u] | implied
+        covers.update((u, v) for v in succ[u] - implied)
     return covers
 
 
@@ -612,39 +607,26 @@ class DispersionPath:
         return self.nodes[-1]
 
 
+def _chains(start: int, steps: Mapping[int, tuple[int, ...]], is_end) -> list[tuple[int, ...]]:
+    """All chains from ``start`` along ``steps`` that stop where ``is_end`` holds.
+
+    Depth first with an explicit stack, so chain length is not bounded by
+    the recursion limit; chains come out in lexicographic order.
+    """
+    chains: list[tuple[int, ...]] = []
+    stack = [(start,)]
+    while stack:
+        prefix = stack.pop()
+        if is_end(prefix[-1]):
+            chains.append(prefix)
+        else:
+            stack.extend(prefix + (v,) for v in reversed(steps[prefix[-1]]))
+    return chains
+
+
 def _ascending_chains(net: DagNetwork, start: int) -> list[tuple[int, ...]]:
     """All cover-edge chains from ``start`` up to maximal nodes, lexicographic."""
-    chains: list[tuple[int, ...]] = []
-
-    def walk(prefix: list[int]) -> None:
-        downs = net.successors[prefix[-1]]
-        if not downs:
-            chains.append(tuple(prefix))
-            return
-        for v in downs:
-            prefix.append(v)
-            walk(prefix)
-            prefix.pop()
-
-    walk([start])
-    return chains
-
-
-def _descending_chains(net: DagNetwork, start: int, target: int) -> list[tuple[int, ...]]:
-    """All cover-edge chains from ``start`` down to ``target``, lexicographic."""
-    chains: list[tuple[int, ...]] = []
-
-    def walk(prefix: list[int]) -> None:
-        if prefix[-1] == target:
-            chains.append(tuple(prefix))
-            return
-        for u in net.predecessors[prefix[-1]]:
-            prefix.append(u)
-            walk(prefix)
-            prefix.pop()
-
-    walk([start])
-    return chains
+    return _chains(start, net.successors, lambda v: not net.successors[v])
 
 
 def enumerate_updown_paths(net: DagNetwork, m1: int, m2: int) -> list[UpDownPath]:
@@ -665,7 +647,7 @@ def enumerate_updown_paths(net: DagNetwork, m1: int, m2: int) -> list[UpDownPath
         w_up = 1.0
         for a, b in zip(asc, asc[1:]):
             w_up *= net.w_d[(a, b)]
-        for desc in _descending_chains(net, peak, m2):
+        for desc in _chains(peak, net.predecessors, lambda v: v == m2):
             w_down = 1.0
             for a, b in zip(desc, desc[1:]):
                 w_down *= net.w_p[(b, a)]

@@ -79,6 +79,16 @@ class TestTreeAffine:
     def test_matches_engine(self, seed):
         net, system, relax = random_instance(seed, complex_entries=seed % 2 == 1)
         it = cf.tree_affine(system, net, relax)
+        # the paper's form: leaf-weighted sum of the path SOR maps
+        d = system.ambient_dim
+        sor_b = np.zeros((d, d), dtype=complex)
+        sor_c = np.zeros(d, dtype=complex)
+        for leaf in net.leaves():
+            path = cf.path_sor_factors(system, net.path_from_root(leaf), relax).affine()
+            w = tp.path_weight(net, net.root, leaf)
+            sor_b += w * path.B
+            sor_c += w * path.c
+        sor = cf.AffineIteration(B=sor_b, c=sor_c)
         rng = np.random.default_rng(seed + 3000)
         for _ in range(20):
             x = rng.standard_normal(system.ambient_dim) + 1j * rng.standard_normal(
@@ -87,6 +97,7 @@ class TestTreeAffine:
             want = sv.tree_iterate(system, net, relax, x)
             got = it.apply(x)
             assert np.linalg.norm(got - want) <= 1e-10 * (1.0 + np.linalg.norm(x))
+            assert np.linalg.norm(sor.apply(x) - want) <= 1e-10 * (1.0 + np.linalg.norm(x))
 
 
 class TestProductForm:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,14 @@ class TestHasseReduce:
         with pytest.raises(CycleError):
             tp.hasse_reduce({(1, 1)})
 
+    def test_deep_chain_without_recursion_limit(self):
+        n = 1500
+        chain = {(i, i + 1) for i in range(n - 1)}
+        skips = {(i, i + 2) for i in range(n - 2)}
+        assert tp.hasse_reduce(chain | skips) == chain
+        with pytest.raises(CycleError):
+            tp.hasse_reduce(chain | {(n - 1, 0)})
+
 
 def figure_dag():
     return tp.DagNetwork.from_cover_edges(
@@ -215,6 +225,13 @@ class TestDagNetwork:
     def test_cycle_rejected_at_construction(self):
         with pytest.raises(CycleError):
             tp.DagNetwork.from_cover_edges(2, [(0, 1), (1, 0)], uniform_weights=True)
+
+    def test_immutable(self):
+        net = figure_dag()
+        assert net.minimal_nodes == (0, 1)  # cached properties still work
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.node_count = 99
+        assert net.node_count == 6
 
 
 class TestTopologicalOrder:
@@ -330,6 +347,15 @@ class TestDispersionPaths:
         paths, w = tp.enumerate_dispersion_paths(net)
         assert [p.nodes for p in paths] == [(0, 1)]
         assert w[0, 0] == pytest.approx(1.0)
+
+    def test_deep_chain_without_recursion_limit(self):
+        n = 1500
+        net = tp.DagNetwork.from_cover_edges(n, [(i, i + 1) for i in range(n - 1)])
+        paths, w = tp.enumerate_dispersion_paths(net)
+        assert [p.nodes for p in paths] == [tuple(range(n))]
+        assert w.shape == (1, 1) and w[0, 0] == pytest.approx(1.0)
+        (updown,) = tp.enumerate_updown_paths(net, 0, 0)
+        assert updown.nodes == tuple(range(n)) + tuple(range(n - 2, -1, -1))
 
     def test_row_sums_and_support(self):
         rng = np.random.default_rng(23)
