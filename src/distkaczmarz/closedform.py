@@ -2,20 +2,22 @@
 
 The dispersion/pooling pass of the solver is an affine map ``x -> B x + c``.
 :func:`tree_affine` and the block map of :func:`dag_block_structure` take it
-from the solver's pass kernel, pushed over identity columns.  The paper's
-alternative forms stay as independent cross-checks of its lemmas: the
-successive over-relaxation factorization along dispersion paths, the product
-of relaxed projections grouped by subnetworks, and the up-down path sums of
-the DAG block matrix.  The module also computes restricted operator norms,
-admissibility verdicts for the relaxation parameters, fixed points and
-least-squares targets.
+from the solver's pass kernel, pushed over identity columns; the DAG
+stationarity conditions and least-squares targets, per-path sums in the
+paper, are kernel pushes and per-node path masses, so no analysis enumerates
+paths.  The paper's alternative forms stay as independent cross-checks of its
+lemmas: the successive over-relaxation factorization along dispersion paths,
+the product of relaxed projections grouped by subnetworks, and the up-down
+path sums of the DAG block matrix.  The module also computes restricted
+operator norms, admissibility verdicts for the relaxation parameters and
+fixed points.
 
 Everything here is pure construction over immutable inputs and thread-safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,11 +43,9 @@ from .solver import (
 )
 from .topology import (
     DagNetwork,
-    DispersionPath,
     ResolvedGroup,
     SubnetworkPartition,
     TreeNetwork,
-    enumerate_dispersion_paths,
     enumerate_updown_paths,
     path_weight,
     resolve_groups,
@@ -323,29 +323,32 @@ def check_admissibility(
 # Limits: fixed points and weighted least squares
 
 
+def _normal_equations(sys: LinearSystem, coeff, q) -> tuple[np.ndarray, np.ndarray]:
+    """Normal equations on the span of ``q``, one set per row of ``coeff``.
+
+    Row i weights node v's residual ``|b_v - a_v* x|^2`` by
+    ``coeff[i, v] / |a_v|^2``; returns the stacked ``(q* N_i q, q* r_i)``.
+    """
+    p = sys.system_matrix() @ q  # row v is a_v* q
+    k = coeff / np.einsum("ij,ij->i", sys.rows.conj(), sys.rows).real
+    return (p.conj().T * k[:, None, :]) @ p, (k * sys.rhs) @ p.conj()
+
+
 def weighted_ls_minimizer(
     sys: LinearSystem, net: TreeNetwork, relax: RelaxationAssignment
 ) -> np.ndarray:
     """Minimizer over the row space of the pooled weighted residual functional.
 
     Node v contributes ``omega_v * w(root, v) / |a_v|^2 * |b_v - a_v* x|^2``;
-    the total leaf weight below v telescopes to the root-to-v path weight.
-    Uses the unscaled relaxation profile, so the result is the scale-free
-    target of the slowed-down iteration.
+    the total leaf weight below v telescopes to the root-to-v path weight,
+    the tree's path mass.  Uses the unscaled relaxation profile, so the
+    result is the scale-free target of the slowed-down iteration.
     """
     _require_valid_tree(sys, net)
-    d = sys.ambient_dim
-    n = np.zeros((d, d), dtype=np.complex128)
-    r = np.zeros(d, dtype=np.complex128)
-    for v in range(net.node_count):
-        a = sys.rows[v]
-        coeff = relax.omega[v] * path_weight(net, net.root, v) / float(np.vdot(a, a).real)
-        n += coeff * np.outer(a, a.conj())
-        r += coeff * sys.rhs[v] * a
-    basis = row_space_basis(sys)
-    q = np.column_stack(basis)
-    eta = np.linalg.solve(q.conj().T @ n @ q, q.conj().T @ r)
-    return q @ eta
+    q = np.column_stack(row_space_basis(sys))
+    masses = _Pass.tree(sys, net, relax).masses()
+    (m,), (rhs,) = _normal_equations(sys, relax.omega * masses, q)
+    return q @ np.linalg.solve(m, rhs)
 
 
 def fixed_point(it: AffineIteration, row_space_basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -502,55 +505,45 @@ def sampled_block_norm_lower_bound(
     return best
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockStructure:
-    """Per-path factorization of the DAG iteration with pooled weights.
+    """The DAG iteration as a block map over the stacked minimal-node estimates.
 
-    ``weights[i, j]`` is the mass with which minimal node i pools the chain
-    of path j; every row sums to 1.  ``per_minimal[i]`` is the affine map of
-    block i over the stacked estimate, composed from the per-path SOR maps;
-    ``aggregate`` is the full block map from the pass kernel.  The two are
-    assembled through different routes and must agree.
+    ``aggregate`` is the block map from the pass kernel: block i is the
+    estimate that minimal node i pools.  The paper writes block i as
+    ``sum_j w[i, j] chain_j``, a pooled sum of per-path SOR maps; the kernel
+    carries that sum without enumerating the paths, and ``masses`` holds
+    the per-node totals of the pooled weights.
     """
 
-    paths: list[DispersionPath]
-    weights: np.ndarray
-    factors: list[PathSorFactors]
-    path_affines: list[AffineIteration]
-    per_minimal: list[tuple[np.ndarray, np.ndarray]]
     aggregate: AffineIteration
     minimal_nodes: tuple[int, ...]
     block_size: int
+    system: LinearSystem = field(repr=False)
+    kernel: _Pass = field(repr=False)
 
     @property
     def s(self) -> int:
         return len(self.minimal_nodes)
 
-    def split(self, stacked: np.ndarray) -> list[np.ndarray]:
-        n = self.block_size
-        return [stacked[i * n : (i + 1) * n] for i in range(self.s)]
-
-    def stack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([as_vector(b) for b in blocks])
+    @property
+    def masses(self) -> np.ndarray:
+        """``masses[i, v]``: sum of ``w[i, j]`` over the dispersion paths j through v."""
+        return self.kernel.masses()
 
     def condition_values(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Weighted stationarity conditions, one n-vector per minimal node.
 
         Block i evaluates ``sum_j w[i, j] S_j* (D_j + O_j L_j)^-1 O_j
         (b_j - S_j z_i)``: the pooled normal-equation residual of block i
-        against every dispersion path.  Each term is the step that path j's
-        chain takes from ``z_i``, so it is read off the path's affine map.
+        against every dispersion path.  Each term is the step ``chain_j(z_i)
+        - z_i`` and each row of w sums to 1, so one kernel push does it:
+        column i starts at ``z_i`` on every minimal node, and column i of
+        pooled block i, minus ``z_i``, is the condition value.
         """
-        out = []
-        for i in range(self.s):
-            z = as_vector(blocks[i])
-            acc = np.zeros(self.block_size, dtype=np.complex128)
-            for j, it in enumerate(self.path_affines):
-                if self.weights[i, j] == 0.0:
-                    continue
-                acc += self.weights[i, j] * (it.apply(z) - z)
-            out.append(acc)
-        return out
+        z = np.column_stack([as_vector(blocks[i]) for i in range(self.s)])
+        pooled = self.kernel.push([z] * self.s, np.ones(self.s))
+        return [pooled[i][:, i] - z[:, i] for i in range(self.s)]
 
     def condition_residual(self, blocks: Sequence[np.ndarray]) -> float:
         return float(np.linalg.norm(np.concatenate(self.condition_values(blocks))))
@@ -559,45 +552,21 @@ class BlockStructure:
 def dag_block_structure(
     sys: LinearSystem, net: DagNetwork, relax: RelaxationAssignment
 ) -> BlockStructure:
-    """Assemble the per-path SOR factors and both forms of the block map.
+    """The block map of the DAG iteration from one run of the pass kernel.
 
-    The pooled form composes the per-path SOR maps with the pooled weights.
-    The aggregate form runs the pass kernel once: each minimal node starts
-    from the identity on its own block of columns, so the pooled blocks are
-    the block rows of the map.  Both must agree with each other and with the
-    engine.
+    Each minimal node starts from the identity on its own block of columns,
+    so the pooled blocks are the block rows of the map.  The paper's form,
+    the pooled per-path SOR maps, equals it and stays a cross-check.
     """
     _require_valid_dag(sys, net)
-    minimal = net.minimal_nodes
-    s, n = len(minimal), sys.ambient_dim
-    paths, weights = enumerate_dispersion_paths(net)
-    src_index = {m: i for i, m in enumerate(minimal)}
-    factors = [path_sor_factors(sys, path.nodes, relax) for path in paths]
-    path_affines = [f.affine() for f in factors]
-
-    per_minimal: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(s):
-        row = np.zeros((n, n * s), dtype=np.complex128)
-        const = np.zeros(n, dtype=np.complex128)
-        for j, path in enumerate(paths):
-            w = weights[i, j]
-            if w == 0.0:
-                continue
-            m = src_index[path.source]
-            row[:, m * n : (m + 1) * n] += w * path_affines[j].B
-            const += w * path_affines[j].c
-        per_minimal.append((row, const))
-
-    b, c = _Pass.dag(sys, net, relax).affine()
+    kernel = _Pass.dag(sys, net, relax)
+    b, c = kernel.affine()
     return BlockStructure(
-        paths=paths,
-        weights=weights,
-        factors=factors,
-        path_affines=path_affines,
-        per_minimal=per_minimal,
         aggregate=AffineIteration(B=b, c=c),
-        minimal_nodes=minimal,
-        block_size=n,
+        minimal_nodes=net.minimal_nodes,
+        block_size=sys.ambient_dim,
+        system=sys,
+        kernel=kernel,
     )
 
 
@@ -630,8 +599,7 @@ def dag_fixed_point(
     eta = np.linalg.solve(
         np.eye(b_res.shape[0], dtype=np.complex128) - b_res, qs.conj().T @ bs.aggregate.c
     )
-    z = qs @ eta
-    blocks = bs.split(z)
+    blocks = np.split(qs @ eta, bs.s)
     return blocks, bs.condition_residual(blocks)
 
 
@@ -642,27 +610,13 @@ def dag_ls_minimizer(
 
     Block i minimizes ``sum_j w[i, j] <D_j^-1 C_j (b_j - S_j z), b_j - S_j z>``
     over the row space, where ``C_j`` carries the positive per-node profile
-    ``c`` along path j.  Singular normal matrices (paths that never pool into
-    block i) are solved in the minimal-norm sense.
+    ``c`` along path j.  Grouped by node, node v's residual carries weight
+    ``masses[i, v] c_v / |a_v|^2``.  Singular normal matrices (paths that
+    never pool into block i) are solved in the minimal-norm sense.
     """
     c = np.asarray(c, dtype=float)
     if np.any(c <= 0.0):
         raise ValueError("the per-node profile must be positive")
     q = np.column_stack([as_vector(v) for v in row_basis])
-    n = bs.block_size
-    out = []
-    for i in range(bs.s):
-        nmat = np.zeros((n, n), dtype=np.complex128)
-        rvec = np.zeros(n, dtype=np.complex128)
-        for j, f in enumerate(bs.factors):
-            w = bs.weights[i, j]
-            if w == 0.0:
-                continue
-            cdiag = np.diag(c[list(f.nodes)] / np.diag(f.D).real)
-            nmat += w * (f.A_path.conj().T @ cdiag @ f.A_path)
-            rvec += w * (f.A_path.conj().T @ (cdiag @ f.b_path))
-        m = q.conj().T @ nmat @ q
-        rhs = q.conj().T @ rvec
-        eta = np.linalg.lstsq(m, rhs, rcond=1e-12)[0]
-        out.append(q @ eta)
-    return out
+    m, rhs = _normal_equations(bs.system, bs.masses * c, q)
+    return [q @ np.linalg.lstsq(mi, ri, rcond=1e-12)[0] for mi, ri in zip(m, rhs)]

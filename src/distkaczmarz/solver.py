@@ -270,6 +270,27 @@ class _Pass:
         out = np.vstack(self.push([eye[i : i + d] for i in range(0, k, d)], eye[k]))
         return np.ascontiguousarray(out[:, :k]), out[:, k].copy()
 
+    def masses(self) -> np.ndarray:
+        """``masses[i, v]``: total weight with which minimal node i pools the chains through v.
+
+        Descent masses to each minimal node run forward along the pooling
+        weights; a maximal node keeps its own, every other node takes the
+        dispersion-weighted sum of its successors' (the ascent to any node
+        carries mass 1).  O(s (V + E)) without enumerating paths; on a tree
+        ``masses[0, v]`` is the root-to-v path weight.
+        """
+        s = len(self.sources)
+        mass = np.zeros((len(self.up), s))
+        mass[list(self.sources), range(s)] = 1.0
+        for u in self.order:  # descent masses
+            for v, w in self.down[u]:
+                mass[v] += w * mass[u]
+        mass *= np.array([not d for d in self.down])[:, None]  # kept at maximal nodes only
+        for u in reversed(self.order):
+            for v, w in self.up[u]:
+                mass[v] += w * mass[u]
+        return mass.T
+
 
 def tree_iterate(
     sys: LinearSystem,

@@ -18,9 +18,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import AncestryError, CycleError, InvalidNetworkError, PartitionError
+from .errors import AncestryError, ApplicabilityError, CycleError, InvalidNetworkError
+from .errors import PartitionError
 
 WEIGHT_SUM_TOL = 1e-12
+MAX_ENUMERATED_PATHS = 100_000  # path enumerations above this count refuse to start
 
 
 @dataclass(frozen=True)
@@ -125,16 +127,16 @@ def validate_tree(net: TreeNetwork) -> list[Violation]:
     if not (0 <= net.root < net.node_count):
         out.append(Violation("root", f"root {net.root} outside node range", (net.root,)))
         return out
+    reaches = {net.root: True}  # settled nodes: does the parent walk end at the root?
     for v in range(net.node_count):
-        if v == net.root:
-            continue
-        cursor, seen = v, set()
-        while cursor != net.root:
-            if cursor in seen or cursor not in net.parent:
-                out.append(Violation("connectivity", f"node {v} does not reach the root", (v,)))
-                break
-            seen.add(cursor)
-            cursor = net.parent[cursor]
+        walk, cursor = {}, v  # every node joins one walk only, so O(V) parent lookups
+        while cursor is not None and cursor not in reaches and cursor not in walk:
+            walk[cursor] = None
+            cursor = net.parent.get(cursor)
+        ok = reaches.get(cursor, False)  # no parent, or a cycle avoiding the root
+        reaches.update(dict.fromkeys(walk, ok))
+        if not ok:
+            out.append(Violation("connectivity", f"node {v} does not reach the root", (v,)))
     for (u, v), w in net.edge_weight.items():
         if not w > 0.0:
             out.append(Violation("weight", f"edge ({u}, {v}) has non-positive weight {w}", (u, v)))
@@ -462,7 +464,7 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
     """Check acyclicity, weak connectivity, cover-only edges and weight sums."""
     out: list[Violation] = []
     try:
-        topological_order(net)
+        order = topological_order(net)
     except CycleError:
         out.append(Violation("cycle", "edge set contains a cycle", ()))
         return out
@@ -483,9 +485,14 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
             out.append(
                 Violation("connectivity", f"nodes {missing} are disconnected", tuple(missing))
             )
+    reach = [0] * net.node_count  # bit v of reach[u]: v is reachable from u
+    for u in reversed(order):
+        reach[u] = 1 << u
+        for w in net.successors[u]:
+            reach[u] |= reach[w]
     for u, v in net.edges:
         for w in net.successors[u]:
-            if w != v and v in net.reachable_from(w):
+            if w != v and (reach[w] >> v) & 1:
                 out.append(
                     Violation(
                         "cover",
@@ -629,18 +636,37 @@ def _ascending_chains(net: DagNetwork, start: int) -> list[tuple[int, ...]]:
     return _chains(start, net.successors, lambda v: not net.successors[v])
 
 
+def _chain_counts(net: DagNetwork, starts: Iterable[int]) -> list[int]:
+    """Number of ascending chains from any node of ``starts`` to each node; O(V + E)."""
+    count = [0] * net.node_count
+    for m in starts:
+        count[m] = 1
+    for u in topological_order(net):
+        for v in net.successors[u]:
+            count[v] += count[u]
+    return count
+
+
+def _require_enumerable(count: int, what: str) -> None:
+    if count > MAX_ENUMERATED_PATHS:
+        raise ApplicabilityError(f"{count} {what} exceed the cap of {MAX_ENUMERATED_PATHS}")
+
+
 def enumerate_updown_paths(net: DagNetwork, m1: int, m2: int) -> list[UpDownPath]:
     """All up-down paths from minimal node ``m1`` to minimal node ``m2``.
 
     The weight of a path is the product of the dispersion weights along the
     ascent times the pooling weights along the descent.  Paths are ordered
-    lexicographically on their node sequences.
+    lexicographically on their node sequences.  The paths are counted first;
+    more than :data:`MAX_ENUMERATED_PATHS` raise :class:`ApplicabilityError`.
     """
     minimal = set(net.minimal_nodes)
     if m1 not in minimal:
         raise ValueError(f"node {m1} is not minimal")
     if m2 not in minimal:
         raise ValueError(f"node {m2} is not minimal")
+    up1, up2 = _chain_counts(net, [m1]), _chain_counts(net, [m2])
+    _require_enumerable(sum(up1[p] * up2[p] for p in net.maximal_nodes), "up-down paths")
     paths: list[UpDownPath] = []
     for asc in _ascending_chains(net, m1):
         peak = asc[-1]
@@ -695,21 +721,6 @@ def minimal_distance_diameter(net: DagNetwork) -> int:
     return diameter
 
 
-def descent_masses(net: DagNetwork, target: int) -> dict[int, float]:
-    """Total pooling-weight mass of all descents from each node down to ``target``.
-
-    ``mass[target] == 1``; other minimal nodes carry mass 0; for a non-minimal
-    node the mass splits over its in-edges with the pooling weights.
-    """
-    mass = {v: 0.0 for v in range(net.node_count)}
-    mass[target] = 1.0
-    for v in topological_order(net):
-        if not net.predecessors[v]:
-            continue
-        mass[v] = sum(net.w_p[(u, v)] * mass[u] for u in net.predecessors[v])
-    return mass
-
-
 def enumerate_dispersion_paths(net: DagNetwork):
     """All maximal ascending chains plus the pooled weight table.
 
@@ -718,8 +729,11 @@ def enumerate_dispersion_paths(net: DagNetwork):
     total product weight of every up-down traversal that ascends exactly along
     path j and then descends from its sink to minimal node i.  Row sums are 1
     and ``w[i, j] > 0`` exactly when a descent to minimal node i exists.
+    More than :data:`MAX_ENUMERATED_PATHS` paths raise :class:`ApplicabilityError`.
     """
     minimal = net.minimal_nodes
+    count = _chain_counts(net, minimal)
+    _require_enumerable(sum(count[p] for p in net.maximal_nodes), "dispersion paths")
     paths: list[DispersionPath] = []
     up_mass: list[float] = []
     for m in minimal:
@@ -729,9 +743,9 @@ def enumerate_dispersion_paths(net: DagNetwork):
                 w *= net.w_d[(a, b)]
             paths.append(DispersionPath(nodes=chain))
             up_mass.append(w)
-    masses = {m: descent_masses(net, m) for m in minimal}
-    w = np.zeros((len(minimal), len(paths)), dtype=float)
-    for i, m in enumerate(minimal):
-        for j, path in enumerate(paths):
-            w[i, j] = up_mass[j] * masses[m][path.sink]
-    return paths, w
+    descent = np.zeros((net.node_count, len(minimal)))  # pooling mass down to each minimal node
+    descent[list(minimal), range(len(minimal))] = 1.0
+    for v in topological_order(net):
+        for u in net.predecessors[v]:
+            descent[v] += net.w_p[(u, v)] * descent[u]
+    return paths, descent[[p.sink for p in paths]].T * up_mass

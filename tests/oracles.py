@@ -1,15 +1,20 @@
 """Independent brute-force oracles used to check the package's machinery.
 
 Everything here proceeds from first principles (exhaustive enumeration,
-direct linear algebra on stacked matrices) and deliberately avoids the code
-paths under test.
+direct linear algebra on stacked matrices, the paper's per-path forms) and
+deliberately avoids the code paths under test.  :func:`layered_dag` builds
+the wide networks whose path counts grow exponentially in the layer count.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+from distkaczmarz import closedform as cf
+from distkaczmarz import topology as tp
 
 
 def brute_updown_paths(node_count, edges, w_d, w_p, m1, m2, max_len=7):
@@ -117,3 +122,134 @@ def null_space_projector(matrix, tol=1e-10):
 
 def replicate(vector, copies):
     return np.concatenate([vector] * copies)
+
+
+def nodes_not_reaching_root(parent, root, node_count):
+    """Nodes whose parent walk misses the root; one fresh walk per node."""
+    out = []
+    for v in range(node_count):
+        cursor, seen = v, set()
+        while cursor != root:
+            if cursor in seen or cursor not in parent:
+                out.append(v)
+                break
+            seen.add(cursor)
+            cursor = parent[cursor]
+    return out
+
+
+def layered_dag(width, layers):
+    """Node i of each layer feeds nodes i and i + 1 (cyclically) of the next.
+
+    ``width * 2**(layers - 1)`` dispersion paths for width >= 2; uniform weights.
+    """
+    edges = [
+        (l * width + i, (l + 1) * width + (i + k) % width)
+        for l in range(layers - 1)
+        for i in range(width)
+        for k in (0, 1)
+    ]
+    return tp.DagNetwork.from_cover_edges(width * layers, edges, uniform_weights=True)
+
+
+def implied_edge_witnesses(net):
+    """``(u, v, w)`` per implied edge: the first successor ``w != v`` of u reaching v.
+
+    One reachability search per (edge, successor); quadratic, small graphs only.
+    """
+    found = []
+    for u, v in net.edges:
+        for w in net.successors[u]:
+            if w != v and v in net.reachable_from(w):
+                found.append((u, v, w))
+                break
+    return found
+
+
+@dataclass(frozen=True)
+class PathwiseBlocks:
+    """The DAG block map composed path by path, as the paper writes it.
+
+    ``weights[i, j]`` is the mass with which minimal node i pools the chain
+    of dispersion path j; ``per_minimal[i]`` is block i's affine map over the
+    stacked estimate, the pooled sum of the per-path SOR maps.
+    """
+
+    paths: list
+    weights: np.ndarray
+    factors: list
+    path_affines: list
+    per_minimal: list
+    minimal_nodes: tuple
+    block_size: int
+
+    def masses(self, node_count):
+        """Sum of ``weights[i, j]`` over the paths j through each node."""
+        out = np.zeros((len(self.minimal_nodes), node_count))
+        for j, path in enumerate(self.paths):
+            out[:, list(path.nodes)] += self.weights[:, j : j + 1]
+        return out
+
+    def condition_values(self, blocks):
+        """``sum_j w[i, j] (chain_j(z_i) - z_i)`` per minimal node i."""
+        out = []
+        for i, z in enumerate(blocks):
+            z = np.asarray(z, dtype=np.complex128)
+            acc = np.zeros(self.block_size, dtype=np.complex128)
+            for j, it in enumerate(self.path_affines):
+                if self.weights[i, j] != 0.0:
+                    acc += self.weights[i, j] * (it.apply(z) - z)
+            out.append(acc)
+        return out
+
+    def ls_minimizer(self, c, row_basis):
+        """Per-block minimizer of ``sum_j w[i, j] |D_j^-1/2 C_j^1/2 (b_j - S_j z)|^2``."""
+        c = np.asarray(c, dtype=float)
+        q = np.column_stack(row_basis)
+        n = self.block_size
+        out = []
+        for i in range(len(self.minimal_nodes)):
+            nmat = np.zeros((n, n), dtype=np.complex128)
+            rvec = np.zeros(n, dtype=np.complex128)
+            for j, f in enumerate(self.factors):
+                w = self.weights[i, j]
+                if w == 0.0:
+                    continue
+                cdiag = np.diag(c[list(f.nodes)] / np.diag(f.D).real)
+                nmat += w * (f.A_path.conj().T @ cdiag @ f.A_path)
+                rvec += w * (f.A_path.conj().T @ (cdiag @ f.b_path))
+            eta = np.linalg.lstsq(q.conj().T @ nmat @ q, q.conj().T @ rvec, rcond=1e-12)[0]
+            out.append(q @ eta)
+        return out
+
+    def ls_value(self, i, z):
+        """Block i's pooled functional ``sum_j w[i, j] <D_j^-1 r_j, r_j>`` at z."""
+        value = 0.0
+        for j, f in enumerate(self.factors):
+            if self.weights[i, j] != 0.0:
+                r = f.b_path - f.A_path @ z
+                value += self.weights[i, j] * float(np.real(np.vdot(r, r / np.diag(f.D).real)))
+        return value
+
+
+def pathwise_blocks(sys, net, relax):
+    """Enumerate every dispersion path and pool its SOR map per minimal node."""
+    minimal = net.minimal_nodes
+    s, n = len(minimal), sys.ambient_dim
+    paths, weights = tp.enumerate_dispersion_paths(net)
+    src_index = {m: i for i, m in enumerate(minimal)}
+    factors = [cf.path_sor_factors(sys, path.nodes, relax) for path in paths]
+    path_affines = [f.affine() for f in factors]
+    per_minimal = []
+    for i in range(s):
+        row = np.zeros((n, n * s), dtype=np.complex128)
+        const = np.zeros(n, dtype=np.complex128)
+        for j, path in enumerate(paths):
+            w = weights[i, j]
+            if w == 0.0:
+                continue
+            m = src_index[path.source]
+            row[:, m * n : (m + 1) * n] += w * path_affines[j].B
+            const += w * path_affines[j].c
+        per_minimal.append((row, const))
+    return PathwiseBlocks(paths, weights, factors, path_affines, per_minimal, minimal, n)

@@ -314,6 +314,22 @@ class TestWeightedLeastSquares:
         )
         assert got[0] == pytest.approx(0.75)
 
+    def test_path_masses_are_root_path_weights(self, monkeypatch):
+        net = ex.random_tree(63, max_nodes=14)
+        system = ex.random_tree_system(163, net, dim=4, consistent=False)
+        relax = sv.RelaxationAssignment.uniform(net.node_count, 1.0)
+        masses = sv._Pass.tree(system, net, relax).masses()
+        want = [tp.path_weight(net, net.root, v) for v in range(net.node_count)]
+        assert np.allclose(masses, [want], rtol=0.0, atol=1e-15)
+        before = cf.weighted_ls_minimizer(system, net, relax)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-node path_weight call")
+
+        monkeypatch.setattr(cf, "path_weight", refuse)
+        monkeypatch.setattr(tp, "path_weight", refuse)
+        assert np.array_equal(cf.weighted_ls_minimizer(system, net, relax), before)
+
     def test_local_minimality_of_functional(self):
         rng = np.random.default_rng(62)
         net = ex.random_tree(62)

@@ -1,5 +1,8 @@
 """Block-matrix machinery of the DAG iteration and its limit behavior."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.numerics import min_norm_solution, orthonormal_basis, orthonormal_complement
 
-from oracles import replicate
+from oracles import layered_dag, pathwise_blocks, replicate
 
 
 def stacked(blocks):
@@ -150,21 +153,24 @@ class TestBlockStructure:
         for seed in range(10):
             net = ex.random_dag(seed + 60)
             system = ex.random_dag_system(seed + 61, net, dim=3)
-            bs = cf.dag_block_structure(
-                system, net, sv.RelaxationAssignment.uniform(net.node_count, 1.0)
-            )
-            assert np.allclose(bs.weights.sum(axis=1), 1.0, atol=1e-12)
+            relax = sv.RelaxationAssignment.uniform(net.node_count, 1.0)
+            ref = pathwise_blocks(system, net, relax)
+            assert np.allclose(ref.weights.sum(axis=1), 1.0, atol=1e-12)
+            # every path starts at one minimal node, so the path-free masses
+            # on the minimal nodes carry each row sum
+            bs = cf.dag_block_structure(system, net, relax)
+            assert np.allclose(bs.masses[:, list(net.minimal_nodes)].sum(axis=1), 1.0, atol=1e-12)
 
     def test_weight_diag_commutes_with_sor_factor(self):
         net = asymmetric_dag()
         system = ex.random_dag_system(7, net, dim=3)
         relax = sv.RelaxationAssignment.uniform(4, 1.1)
-        bs = cf.dag_block_structure(system, net, relax)
+        ref = pathwise_blocks(system, net, relax)
         # blockwise: w[i, j] I commutes with (D_j + O_j L_j) exactly
-        for i in range(bs.s):
-            for j, f in enumerate(bs.factors):
+        for i in range(len(ref.minimal_nodes)):
+            for j, f in enumerate(ref.factors):
                 m = f.D + f.Omega @ f.L
-                w = bs.weights[i, j] * np.eye(m.shape[0])
+                w = ref.weights[i, j] * np.eye(m.shape[0])
                 assert np.allclose(w @ m, m @ w, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -174,12 +180,13 @@ class TestBlockStructure:
         rng = np.random.default_rng(seed + 82)
         relax = sv.RelaxationAssignment(rng.uniform(0.6, 1.4, net.node_count))
         bs = cf.dag_block_structure(system, net, relax)
+        ref = pathwise_blocks(system, net, relax)
         s = bs.s
         for _ in range(5):
             blocks = [rng.standard_normal(4) for _ in range(s)]
             x = stacked(blocks)
             engine = stacked(sv.dag_iterate(system, net, relax, blocks))
-            pooled = stacked([row @ x + c for row, c in bs.per_minimal])
+            pooled = stacked([row @ x + c for row, c in ref.per_minimal])
             aggregate = bs.aggregate.apply(x)
             assert np.linalg.norm(pooled - aggregate) <= 1e-11 * (1.0 + np.linalg.norm(x))
             assert np.linalg.norm(engine - aggregate) <= 1e-10 * (1.0 + np.linalg.norm(x))
@@ -192,6 +199,101 @@ class TestBlockStructure:
         it = cf.dag_block_p(system, net, relax)
         assert np.max(np.abs(bs.aggregate.B - it.B)) < 1e-11
         assert np.max(np.abs(bs.aggregate.c - it.c)) < 1e-11
+
+
+def varied_instance(seed):
+    """Single- and multi-sink DAGs with real, complex or rank-2 rows and random relaxation."""
+    rng = np.random.default_rng(seed)
+    net = ex.random_dag(seed, single_sink=seed % 2 == 0, max_nodes=10)
+    n = net.node_count
+    kind = seed % 3
+    if kind == 2:  # rank deficient: every row in one plane
+        rows = rng.standard_normal((n, 2)) @ rng.standard_normal((2, 4))
+    else:
+        rows = rng.standard_normal((n, 4)) + kind * 1j * rng.standard_normal((n, 4))
+    rhs = rng.standard_normal(n) + kind * 1j * rng.standard_normal(n)
+    relax = sv.RelaxationAssignment(rng.uniform(0.5, 1.5, n))
+    return net, sv.LinearSystem(rows=rows, rhs=rhs), relax, rng
+
+
+class TestPathFreeRoute:
+    """The kernel-based block structure against the paper's per-path forms."""
+
+    SEEDS = range(300, 348)
+
+    def test_block_map_and_masses_match_pathwise_oracle(self):
+        for seed in self.SEEDS:
+            net, system, relax, rng = varied_instance(seed)
+            bs = cf.dag_block_structure(system, net, relax)
+            ref = pathwise_blocks(system, net, relax)
+            assert np.max(np.abs(bs.masses - ref.masses(net.node_count))) <= 1e-12
+            x = rng.standard_normal(4 * bs.s) + 1j * rng.standard_normal(4 * bs.s)
+            pooled = stacked([row @ x + c for row, c in ref.per_minimal])
+            err = np.linalg.norm(bs.aggregate.apply(x) - pooled)
+            assert err <= 1e-11 * (1.0 + np.linalg.norm(x))
+
+    def test_condition_values_match_pathwise_oracle(self):
+        for seed in self.SEEDS:
+            net, system, relax, rng = varied_instance(seed)
+            bs = cf.dag_block_structure(system, net, relax)
+            ref = pathwise_blocks(system, net, relax)
+            blocks = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(bs.s)]
+            got = stacked(bs.condition_values(blocks))
+            want = stacked(ref.condition_values(blocks))
+            assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(stacked(blocks)))
+
+    def test_ls_minimizer_matches_pathwise_oracle(self):
+        for seed in self.SEEDS:
+            net, system, relax, rng = varied_instance(seed)
+            bs = cf.dag_block_structure(system, net, relax)
+            ref = pathwise_blocks(system, net, relax)
+            basis = cf.row_space_basis(system)
+            c = rng.uniform(0.5, 2.0, net.node_count)
+            got = stacked(cf.dag_ls_minimizer(bs, c, basis))
+            want = stacked(ref.ls_minimizer(c, basis))
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_analysis_never_enumerates_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the DAG analysis enumerated paths")
+
+        for module in (tp, cf):
+            for name in ("enumerate_dispersion_paths", "enumerate_updown_paths", "path_sor_factors"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        net, system, relax, _ = varied_instance(301)
+        basis = cf.row_space_basis(system)
+        bs = cf.dag_block_structure(system, net, relax)
+        assert cf.dag_restricted_rho(bs, basis) < 1.0
+        blocks, _ = cf.dag_fixed_point(bs, basis)
+        bs.condition_values(blocks)
+        cf.dag_ls_minimizer(bs, relax.omega, basis)
+
+    def test_layered_dag_with_a_billion_paths(self):
+        net = layered_dag(2, 30)  # 2 * 2**29 = 2**30 dispersion paths
+        n = net.node_count
+        rng = np.random.default_rng(30)
+        system = sv.LinearSystem(rows=rng.standard_normal((n, 4)), rhs=rng.standard_normal(n))
+        relax = sv.RelaxationAssignment(rng.uniform(0.5, 1.5, n))
+        start = time.perf_counter()
+        bs = cf.dag_block_structure(system, net, relax)
+        basis = cf.row_space_basis(system)
+        rho = cf.dag_restricted_rho(bs, basis)
+        blocks, resid = cf.dag_fixed_point(bs, basis)
+        ls = cf.dag_ls_minimizer(bs, relax.omega, basis)
+        assert time.perf_counter() - start < 1.0
+        assert rho < 1.0 and np.isfinite(resid) and len(ls) == bs.s == 2
+        assert np.allclose(bs.masses[:, list(net.minimal_nodes)].sum(axis=1), 1.0, atol=1e-12)
+        after = sv.dag_iterate(system, net, relax, blocks)
+        assert np.linalg.norm(stacked(after) - stacked(blocks)) <= 1e-9
+
+    def test_block_structure_is_frozen_and_path_free(self):
+        net, system, relax, _ = varied_instance(302)
+        bs = cf.dag_block_structure(system, net, relax)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bs.block_size = 1
+        names = {f.name for f in dataclasses.fields(bs)}
+        assert not names & {"paths", "weights", "factors", "path_affines", "per_minimal"}
 
 
 class TestDagLimits:
@@ -278,16 +380,9 @@ class TestDagLimits:
         relax = sv.RelaxationAssignment.uniform(net.node_count, 1.0)
         bs = cf.dag_block_structure(system, net, relax)
         blocks = cf.dag_ls_minimizer(bs, np.ones(net.node_count), cf.row_space_basis(system))
+        ref = pathwise_blocks(system, net, relax)
         for i, b in enumerate(blocks):
-            value = 0.0
-            for j, f in enumerate(bs.factors):
-                if bs.weights[i, j] == 0.0:
-                    continue
-                r = f.b_path - f.A_path @ b
-                value += bs.weights[i, j] * float(
-                    np.real(np.vdot(r, r / np.diag(f.D).real))
-                )
-            assert value <= 1e-16
+            assert ref.ls_value(i, b) <= 1e-16
 
     def test_single_node_ls_reduces_to_tree_form(self):
         a = np.array([[1.0, 2.0]])

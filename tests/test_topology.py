@@ -1,12 +1,29 @@
 import dataclasses
+import time
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+from distkaczmarz import closedform as cf
+from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
-from distkaczmarz.errors import AncestryError, CycleError, InvalidNetworkError, PartitionError
+from distkaczmarz.errors import (
+    AncestryError,
+    ApplicabilityError,
+    CycleError,
+    InvalidNetworkError,
+    PartitionError,
+)
 
-from oracles import brute_cover_pairs, brute_updown_paths, dfs_updown_paths
+from oracles import (
+    brute_cover_pairs,
+    brute_updown_paths,
+    dfs_updown_paths,
+    implied_edge_witnesses,
+    layered_dag,
+    nodes_not_reaching_root,
+)
 
 
 def seven_node_tree():
@@ -52,6 +69,50 @@ class TestTreeValidation:
         net = seven_node_tree()
         total = sum(tp.path_weight(net, 0, leaf) for leaf in net.leaves())
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_parent_lookups_linear_on_caterpillar(self):
+        # a spine of 1,500 nodes, each with one leaf: walking every node to
+        # the root would cost about a million parent lookups
+        n = 3000
+        edges = [(max(v - 2, 0), v) for v in range(1, n, 2)] + [(v - 1, v) for v in range(2, n, 2)]
+        net = tp.TreeNetwork.from_edges(n, 0, edges)
+        counted = dataclasses.replace(net, parent=CountingMapping(net.parent))
+        assert tp.validate_tree(counted) == []
+        assert counted.parent.lookups <= 2 * n
+
+    def test_broken_parent_maps_report_the_same_nodes(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            root = int(rng.integers(0, n))
+            parent = {
+                v: int(rng.integers(0, n + 2))  # ids past the range have no parent
+                for v in range(n)
+                if rng.uniform() < 0.85 and v != root
+            }
+            if n > 1 and rng.uniform() < 0.2:
+                parent[root] = int(rng.integers(0, n))  # a parent on the root is ignored
+            net = tp.TreeNetwork(n, root, parent, {}, {})
+            got = [v.where[0] for v in tp.validate_tree(net) if v.kind == "connectivity"]
+            assert got == nodes_not_reaching_root(parent, root, n)
+
+
+class CountingMapping(Mapping):
+    """Read-only mapping that counts its key lookups."""
+
+    def __init__(self, data):
+        self.data = dict(data)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return self.data[key]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
 
 
 class TestPathWeight:
@@ -214,6 +275,26 @@ class TestDagNetwork:
         )
         assert any(v.kind == "cover" for v in tp.validate_dag(net))
 
+    def test_injected_implied_edges_flagged_with_first_witness(self):
+        rng = np.random.default_rng(17)
+        flagged_total = 0
+        for _ in range(60):
+            n = int(rng.integers(3, 14))
+            perm = rng.permutation(n)  # node ids do not follow the order
+            pairs = {
+                (int(perm[a]), int(perm[b]))
+                for a in range(n)
+                for b in range(a + 1, n)
+                if rng.uniform() < 0.3
+            }
+            pairs |= {(int(perm[a]), int(perm[a + 1])) for a in range(n - 1)}  # connected
+            net = tp.DagNetwork.from_cover_edges(n, sorted(pairs), uniform_weights=True)
+            cover = [v.where for v in tp.validate_dag(net) if v.kind == "cover"]
+            assert {w[:2] for w in cover} == pairs - brute_cover_pairs(pairs)
+            assert cover == implied_edge_witnesses(net)
+            flagged_total += len(cover)
+        assert flagged_total > 100
+
     def test_disconnected_flagged(self):
         net = tp.DagNetwork.from_cover_edges(4, [(0, 1), (2, 3)], uniform_weights=True)
         assert any(v.kind == "connectivity" for v in tp.validate_dag(net))
@@ -333,6 +414,36 @@ class TestMinimalDistanceDiameter:
             uniform_weights=True,
         )
         assert tp.minimal_distance_diameter(net) == 2
+
+
+class TestPathCap:
+    def test_refuses_just_above_the_cap_before_enumerating(self):
+        net = layered_dag(25, 13)  # 25 * 2**12 = 102,400 dispersion paths
+        assert 25 * 2**12 > tp.MAX_ENUMERATED_PATHS > 25 * 2**11
+        system = sv.LinearSystem(rows=np.ones((net.node_count, 1)), rhs=np.zeros(net.node_count))
+        relax = sv.RelaxationAssignment.uniform(net.node_count, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(ApplicabilityError, match="102400 dispersion paths"):
+            tp.enumerate_dispersion_paths(net)
+        with pytest.raises(ApplicabilityError, match="up-down paths"):
+            tp.enumerate_updown_paths(net, 0, 0)
+        with pytest.raises(ApplicabilityError):
+            cf.dag_block_p(system, net, relax)
+        assert time.perf_counter() - start < 1.0
+
+    def test_counts_are_exact_at_the_boundary(self, monkeypatch):
+        net = layered_dag(3, 5)  # 3 * 2**4 = 48 dispersion paths
+        updown = len(tp.enumerate_updown_paths(net, 0, 0))
+        monkeypatch.setattr(tp, "MAX_ENUMERATED_PATHS", 48)
+        assert len(tp.enumerate_dispersion_paths(net)[0]) == 48
+        monkeypatch.setattr(tp, "MAX_ENUMERATED_PATHS", 47)
+        with pytest.raises(ApplicabilityError):
+            tp.enumerate_dispersion_paths(net)
+        monkeypatch.setattr(tp, "MAX_ENUMERATED_PATHS", updown)
+        assert len(tp.enumerate_updown_paths(net, 0, 0)) == updown
+        monkeypatch.setattr(tp, "MAX_ENUMERATED_PATHS", updown - 1)
+        with pytest.raises(ApplicabilityError):
+            tp.enumerate_updown_paths(net, 0, 0)
 
 
 class TestDispersionPaths:
