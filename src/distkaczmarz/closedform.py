@@ -10,7 +10,10 @@ lemmas: the successive over-relaxation factorization along dispersion paths,
 the product of relaxed projections grouped by subnetworks, and the up-down
 path sums of the DAG block matrix.  The module also computes restricted
 operator norms, admissibility verdicts for the relaxation parameters and
-fixed points.
+fixed points.  Every restriction to the row space (tree and DAG spectral
+radii, fixed points, least-squares targets) works on one checked column
+matrix of an orthonormal basis; the DAG's stacked row space is
+``kron(I_s, q)``.
 
 Everything here is pure construction over immutable inputs and thread-safe.
 """
@@ -24,12 +27,13 @@ import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NonContractionError, PartitionError
 from .numerics import (
+    _checked_columns,
     as_vector,
     eigenvalues,
     gram,
     orthonormal_basis,
     operator_norm_on_span,
-    restrict_to_span,
+    read_only_copy,
     spectral_radius,
     spectral_radius_on_span,
 )
@@ -62,9 +66,9 @@ def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.nda
     return np.eye(d, dtype=np.complex128) - (omega / nrm2) * np.outer(a, a.conj())
 
 
-def row_space_basis(sys: LinearSystem, tol: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormal basis of the span of the equation vectors a_v."""
-    return orthonormal_basis(list(sys.rows), tol=tol)
+def row_space_basis(sys: LinearSystem) -> list[np.ndarray]:
+    """Orthonormal basis of the span of the equation vectors a_v (one SVD)."""
+    return orthonormal_basis(sys.rows)
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,10 @@ class AffineIteration:
 
     B: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "B", read_only_copy(self.B))
+        object.__setattr__(self, "c", read_only_copy(self.c))
 
     def apply(self, x) -> np.ndarray:
         return self.B @ as_vector(x) + self.c
@@ -345,10 +353,22 @@ def weighted_ls_minimizer(
     result is the scale-free target of the slowed-down iteration.
     """
     _require_valid_tree(sys, net)
-    q = np.column_stack(row_space_basis(sys))
+    q = _checked_columns(row_space_basis(sys), sys.ambient_dim)
     masses = _Pass.tree(sys, net, relax).masses()
     (m,), (rhs,) = _normal_equations(sys, relax.omega * masses, q)
     return q @ np.linalg.solve(m, rhs)
+
+
+def _fixed_point_on(it: AffineIteration, q: np.ndarray) -> np.ndarray:
+    """Fixed point of ``it`` on the span of the orthonormal columns of ``q``."""
+    if not q.shape[1]:
+        return np.zeros(q.shape[0], dtype=np.complex128)
+    b_res = q.conj().T @ it.B @ q
+    rho = spectral_radius(b_res)
+    if rho >= 1.0:
+        raise NonContractionError(f"restricted spectral radius {rho:.6f} >= 1")
+    eta = np.linalg.solve(np.eye(q.shape[1], dtype=np.complex128) - b_res, q.conj().T @ it.c)
+    return q @ eta
 
 
 def fixed_point(it: AffineIteration, row_space_basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -357,16 +377,7 @@ def fixed_point(it: AffineIteration, row_space_basis: Sequence[np.ndarray]) -> n
     Requires the restricted spectral radius to be below 1; otherwise the
     iteration does not contract there and no limit exists.
     """
-    basis = [as_vector(v) for v in row_space_basis]
-    if not basis:
-        return np.zeros(it.B.shape[0], dtype=np.complex128)
-    b_res = restrict_to_span(it.B, basis)
-    rho = spectral_radius(b_res)
-    if rho >= 1.0:
-        raise NonContractionError(f"restricted spectral radius {rho:.6f} >= 1")
-    q = np.column_stack(basis)
-    eta = np.linalg.solve(np.eye(len(basis), dtype=np.complex128) - b_res, q.conj().T @ it.c)
-    return q @ eta
+    return _fixed_point_on(it, _checked_columns(row_space_basis, it.B.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -392,9 +403,8 @@ def eigen_dichotomy_check(
     """Verify every eigenvalue is 1 (on the null space) or strictly inside the disc."""
     vals, vecs = np.linalg.eig(it.B)
     mat = sys.system_matrix()
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * (svals[0] if svals.size else 1.0)))
-    nullity = sys.ambient_dim - rank
+    basis = row_space_basis(sys)
+    nullity = sys.ambient_dim - len(basis)
     unit = np.abs(vals - 1.0) <= unit_tol
     in_null = True
     for k in np.nonzero(unit)[0]:
@@ -403,7 +413,7 @@ def eigen_dichotomy_check(
             in_null = False
     others = np.abs(vals[~unit])
     max_other = float(np.max(others)) if others.size else 0.0
-    rho_res = spectral_radius_on_span(it.B, row_space_basis(sys))
+    rho_res = spectral_radius_on_span(it.B, basis)
     holds = bool(int(np.sum(unit)) == nullity and in_null and max_other < 1.0)
     return DichotomyReport(
         unit_count=int(np.sum(unit)),
@@ -570,14 +580,14 @@ def dag_block_structure(
     )
 
 
-def _block_basis(basis: Sequence[np.ndarray], s: int) -> np.ndarray:
-    q = np.column_stack([as_vector(v) for v in basis])
-    return np.kron(np.eye(s), q)
+def _block_columns(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> np.ndarray:
+    """The stacked row space as ``kron(I_s, q)``, orthonormal because ``q`` is checked."""
+    return np.kron(np.eye(bs.s), _checked_columns(row_basis, bs.block_size))
 
 
 def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> float:
     """Spectral radius of the block map restricted to the stacked row space."""
-    qs = _block_basis(row_basis, bs.s)
+    qs = _block_columns(bs, row_basis)
     return spectral_radius(qs.conj().T @ bs.aggregate.B @ qs)
 
 
@@ -591,15 +601,7 @@ def dag_fixed_point(
     :class:`NonContractionError` when the restricted block map does not
     contract.
     """
-    qs = _block_basis(row_basis, bs.s)
-    b_res = qs.conj().T @ bs.aggregate.B @ qs
-    rho = spectral_radius(b_res)
-    if rho >= 1.0:
-        raise NonContractionError(f"restricted block spectral radius {rho:.6f} >= 1")
-    eta = np.linalg.solve(
-        np.eye(b_res.shape[0], dtype=np.complex128) - b_res, qs.conj().T @ bs.aggregate.c
-    )
-    blocks = np.split(qs @ eta, bs.s)
+    blocks = np.split(_fixed_point_on(bs.aggregate, _block_columns(bs, row_basis)), bs.s)
     return blocks, bs.condition_residual(blocks)
 
 
@@ -617,6 +619,6 @@ def dag_ls_minimizer(
     c = np.asarray(c, dtype=float)
     if np.any(c <= 0.0):
         raise ValueError("the per-node profile must be positive")
-    q = np.column_stack([as_vector(v) for v in row_basis])
+    q = _checked_columns(row_basis, bs.block_size)
     m, rhs = _normal_equations(bs.system, bs.masses * c, q)
     return [q @ np.linalg.lstsq(mi, ri, rcond=1e-12)[0] for mi, ri in zip(m, rhs)]

@@ -25,6 +25,7 @@ from .topology import (
     DagNetwork,
     SubnetworkPartition,
     TreeNetwork,
+    hasse_reduce,
     leaf_sibling_partition,
     validate_dag,
 )
@@ -168,43 +169,27 @@ def random_dag(
             preds = rng.choice(v, size=min(v, int(rng.integers(1, 3))), replace=False)
             for u in preds:
                 edges.add((int(u), v))
-        # keep cover pairs only: drop edges implied through another node
-        succ = {v: {b for a, b in edges if a == v} for v in range(n)}
-
-        def reachable(a, skip):
-            seen, stack = set(), [a]
-            while stack:
-                u = stack.pop()
-                for w in succ[u]:
-                    if (u, w) == skip:
-                        continue
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return seen
-
-        edges = {(u, v) for (u, v) in edges if v not in reachable(u, (u, v))}
+        edges = hasse_reduce(edges)  # keep cover pairs only
         if single_sink:
-            succ = {v: {b for a, b in edges if a == v} for v in range(n)}
-            sinks = [v for v in range(n) if not succ[v]]
-            for v in sinks:
-                edges.add((v, n))
+            edges |= {(v, n) for v in set(range(n)) - {u for u, _ in edges}}
             n += 1
-        weighted = []
-        preds_of = {v: [u for u, w in edges if w == v] for v in range(n)}
-        succs_of = {v: [w for u, w in edges if u == v] for v in range(n)}
+        preds_of: dict[int, list[int]] = {v: [] for v in range(n)}
+        succs_of: dict[int, list[int]] = {v: [] for v in range(n)}
+        for u, v in sorted(edges):  # both lists come out ascending
+            preds_of[v].append(u)
+            succs_of[u].append(v)
         wd = {}
         wp = {}
         for v in range(n):
             if preds_of[v]:
                 raw = rng.uniform(0.2, 1.0, size=len(preds_of[v]))
                 raw /= raw.sum()
-                for u, w in zip(sorted(preds_of[v]), raw):
+                for u, w in zip(preds_of[v], raw):
                     wd[(u, v)] = float(w)
             if succs_of[v]:
                 raw = rng.uniform(0.2, 1.0, size=len(succs_of[v]))
                 raw /= raw.sum()
-                for u, w in zip(sorted(succs_of[v]), raw):
+                for u, w in zip(succs_of[v], raw):
                     wp[(v, u)] = float(w)
         weighted = [(u, v, wd[(u, v)], wp[(u, v)]) for u, v in sorted(edges)]
         net = DagNetwork.from_cover_edges(n, weighted)

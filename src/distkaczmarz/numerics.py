@@ -1,9 +1,16 @@
 """Dense complex linear algebra shared by the solvers and their analysis.
 
 Vectors are 1-d ``numpy`` arrays, matrices 2-d arrays; everything is
-promoted to ``complex128``.  The inner product conjugates its *second*
-argument, so ``inner(x, a) == a* x`` matches the row-action convention
-``S_v x = a_v* x`` used by the solvers.
+promoted to ``complex128``.  The solvers read node v's equation as the
+row action ``S_v x = a_v* x``.
+
+Subspaces come from one SVD of the stacked vectors: :func:`orthonormal_basis`
+and :func:`orthonormal_complement` split the rows of ``Vh`` at the numerical
+rank, the number of singular values above ``DEFAULT_ORTHO_TOL`` times the
+largest.  Every restriction to a subspace, here and in
+:mod:`distkaczmarz.closedform`, stacks the orthonormal basis once into a
+``(d, r)`` column matrix with :func:`_checked_columns`, which checks
+``q* q = I`` within the same tolerance.
 
 All functions are pure and safe to call concurrently.
 """
@@ -17,6 +24,8 @@ import numpy as np
 from .errors import DimensionError, NumericalFailureError, PreconditionError
 
 DEFAULT_RANK_TOL = 1e-10
+# Relative singular-value cut of the SVD bases, and the bound on |q* q - I|
+# that a basis passed to a restriction must meet.
 DEFAULT_ORTHO_TOL = 1e-10
 
 
@@ -29,6 +38,13 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def read_only_copy(a) -> np.ndarray:
+    """A copy of ``a`` that cannot be written, for immutable value objects."""
+    out = np.array(a)
+    out.flags.writeable = False
+    return out
+
+
 def as_matrix(m, square: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
@@ -38,11 +54,6 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def inner(x, y) -> complex:
-    """Inner product that conjugates the second argument."""
-    return complex(np.vdot(np.asarray(y, dtype=np.complex128), np.asarray(x, dtype=np.complex128)))
 
 
 @dataclass(frozen=True)
@@ -113,84 +124,68 @@ def min_norm_solution(a, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return mat.conj().T @ (u @ coeff)
 
 
-def orthonormal_basis(vectors, tol: float = DEFAULT_ORTHO_TOL) -> list[np.ndarray]:
-    """Orthonormal spanning set of ``span(vectors)`` via modified Gram-Schmidt.
+def _stack(vectors, dim: int | None = None) -> np.ndarray:
+    """The vectors as the rows of one matrix; an empty family gives ``(0, dim)``."""
+    m = as_matrix(vectors) if len(vectors) else np.zeros((0, dim or 0), dtype=np.complex128)
+    if dim is not None and m.shape[1] != dim:
+        raise DimensionError(f"vectors have length {m.shape[1]}, expected {dim}")
+    return m
 
-    Vectors whose residual after orthogonalization falls below ``tol`` times
-    the largest input norm are dropped.  A second orthogonalization pass
-    keeps pairwise inner products within ~1e-14 of the Kronecker delta.
+
+def _svd_rows(vectors, dim: int | None = None) -> tuple[np.ndarray, int]:
+    """``Vh`` of one SVD of the stacked vectors, and their numerical rank.
+
+    The rank counts the singular values above ``DEFAULT_ORTHO_TOL`` times
+    the largest; the first ``rank`` rows of ``Vh`` span the vectors.  Given
+    ``dim``, ``Vh`` is square and its remaining rows span the complement.
     """
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        return []
-    scale = max(float(np.linalg.norm(v)) for v in vecs)
-    if scale == 0.0:
-        return []
-    basis: list[np.ndarray] = []
-    for v in vecs:
-        r = v.copy()
-        for _ in range(2):  # re-orthogonalize for numerical safety
-            for q in basis:
-                r = r - np.vdot(q, r) * q
-        norm = float(np.linalg.norm(r))
-        if norm > tol * scale:
-            basis.append(r / norm)
-    return basis
+    _, s, vh = np.linalg.svd(_stack(vectors, dim), full_matrices=dim is not None)
+    return vh, int(np.count_nonzero(s > DEFAULT_ORTHO_TOL * s.max(initial=0.0)))
 
 
-def orthonormal_complement(vectors, dim: int, tol: float = DEFAULT_ORTHO_TOL) -> list[np.ndarray]:
+def orthonormal_basis(vectors) -> list[np.ndarray]:
+    """Orthonormal basis of ``span(vectors)``: the leading rows of ``Vh`` of their SVD.
+
+    ``vectors`` is a list of equal-length vectors or a 2-d array of rows.
+    """
+    vh, rank = _svd_rows(vectors)
+    return list(vh[:rank])
+
+
+def orthonormal_complement(vectors, dim: int) -> list[np.ndarray]:
     """Orthonormal basis of the orthogonal complement of ``span(vectors)`` in C^dim."""
-    base = orthonormal_basis(vectors, tol=tol)
-    complement: list[np.ndarray] = []
-    for i in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[i] = 1.0
-        r = e
-        for _ in range(2):
-            for q in base:
-                r = r - np.vdot(q, r) * q
-            for q in complement:
-                r = r - np.vdot(q, r) * q
-        norm = float(np.linalg.norm(r))
-        if norm > tol:
-            complement.append(r / norm)
-    return complement
+    vh, rank = _svd_rows(vectors, dim)
+    return list(vh[rank:])
 
 
-def _check_orthonormal(basis: list[np.ndarray], tol: float = 1e-10) -> None:
-    g = gram(basis)
-    if float(np.max(np.abs(g - np.eye(len(basis))))) > tol:
+def _checked_columns(basis, dim: int) -> np.ndarray:
+    """An orthonormal basis of a subspace of C^dim as the columns of a ``(dim, r)`` matrix.
+
+    Raises :class:`DimensionError` when the vectors do not have length
+    ``dim`` and :class:`PreconditionError` when ``q* q`` is not the identity
+    within ``DEFAULT_ORTHO_TOL``.
+    """
+    q = _stack(basis, dim).T
+    if np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) > DEFAULT_ORTHO_TOL:
         raise PreconditionError("basis is not orthonormal within tolerance")
+    return q
 
 
 def operator_norm_on_span(m, basis) -> float:
     """Largest value of ``|m x|`` over unit vectors x in the span of an orthonormal basis."""
     a = as_matrix(m, square=True)
-    vecs = [as_vector(v) for v in basis]
-    if not vecs:
-        return 0.0
-    for v in vecs:
-        if v.shape[0] != a.shape[1]:
-            raise DimensionError("basis dimension does not match the matrix")
-    _check_orthonormal(vecs)
-    q = np.column_stack(vecs)
-    return float(np.linalg.norm(a @ q, 2))
+    q = _checked_columns(basis, a.shape[1])
+    return float(np.linalg.norm(a @ q, 2)) if q.size else 0.0
 
 
 def restrict_to_span(m, basis) -> np.ndarray:
     """Matrix of ``m`` in the coordinates of an orthonormal basis of an invariant subspace."""
     a = as_matrix(m, square=True)
-    vecs = [as_vector(v) for v in basis]
-    if not vecs:
-        return np.zeros((0, 0), dtype=np.complex128)
-    _check_orthonormal(vecs)
-    q = np.column_stack(vecs)
+    q = _checked_columns(basis, a.shape[1])
     return q.conj().T @ a @ q
 
 
 def spectral_radius_on_span(m, basis) -> float:
     """Spectral radius of ``m`` restricted to the span of an orthonormal basis."""
-    vecs = list(basis)
-    if not vecs:
-        return 0.0
-    return spectral_radius(restrict_to_span(m, vecs))
+    restricted = restrict_to_span(m, basis)
+    return spectral_radius(restricted) if restricted.size else 0.0

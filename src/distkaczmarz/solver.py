@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, read_only_copy
 from .topology import DagNetwork, TreeNetwork, topological_order, validate_dag, validate_tree
 
 DIVERGENCE_FACTOR = 1e12
@@ -39,6 +39,7 @@ class LinearSystem:
 
     ``rows[v]`` stores the vector a_v whose conjugate transpose is row v of
     the system matrix, so for real data the rows coincide with the matrix.
+    ``rows`` and ``rhs`` are read-only copies of the caller's arrays.
     """
 
     rows: np.ndarray
@@ -55,8 +56,8 @@ class LinearSystem:
         if np.any(norms == 0.0):
             bad = int(np.argmin(norms))
             raise DegenerateEquationError(f"row {bad} has zero norm")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "rows", read_only_copy(rows))
+        object.__setattr__(self, "rhs", read_only_copy(rhs))
 
     @property
     def node_count(self) -> int:

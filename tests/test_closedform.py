@@ -67,6 +67,16 @@ class TestTreeAffine:
         assert np.allclose(it.B, np.diag([0.0, 1.0]))
         assert np.allclose(it.c, [3.0, 0.0])
 
+    def test_affine_iteration_keeps_read_only_copies(self):
+        b, c = np.eye(2, dtype=complex), np.ones(2, dtype=complex)
+        it = cf.AffineIteration(B=b, c=c)
+        b[0, 0] = 7.0
+        assert it.B[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            it.B[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            it.c[0] = 7.0
+
     def test_zero_relaxation_gives_identity(self):
         rng = np.random.default_rng(52)
         net = ex.random_tree(52)
@@ -379,6 +389,11 @@ class TestFixedPoint:
             system, net, relax, sv.SolverConfig(max_iterations=2000, step_tolerance=1e-14)
         )
         assert np.allclose(fp, report.final_estimates, atol=1e-8)
+
+    def test_empty_basis_gives_zeros(self):
+        it = cf.AffineIteration(B=0.5 * np.eye(3), c=np.ones(3))
+        out = cf.fixed_point(it, [])
+        assert out.shape == (3,) and np.all(out == 0.0)
 
     def test_non_contraction_raises(self):
         system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))

@@ -292,6 +292,8 @@ class TestPathFreeRoute:
         bs = cf.dag_block_structure(system, net, relax)
         with pytest.raises(dataclasses.FrozenInstanceError):
             bs.block_size = 1
+        with pytest.raises(ValueError):
+            bs.aggregate.B[0, 0] = 7.0
         names = {f.name for f in dataclasses.fields(bs)}
         assert not names & {"paths", "weights", "factors", "path_affines", "per_minimal"}
 

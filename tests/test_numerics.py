@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from distkaczmarz import closedform as cf
+from distkaczmarz import experiments as ex
 from distkaczmarz import numerics as nm
+from distkaczmarz import solver as sv
 from distkaczmarz.errors import DimensionError, PreconditionError
 
 from oracles import lstsq_min_norm, null_space_basis
@@ -180,6 +183,80 @@ class TestOrthonormalBasis:
         assert len(comp) == 1
         assert np.allclose(np.abs(comp[0]), [0.0, 0.0, 1.0])
 
+    @staticmethod
+    def rank_deficient(seed, k, d, r):
+        """k complex vectors in C^d spanning an r-dimensional subspace."""
+        rng = np.random.default_rng(seed)
+        mix = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+        span = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+        return mix @ span
+
+    @pytest.mark.parametrize("k, d, r", [(6, 7, 3), (9, 4, 2), (3, 5, 1), (5, 5, 5)])
+    def test_complex_rank_deficient(self, k, d, r):
+        vecs = self.rank_deficient(k + d + r, k, d, r)
+        svals = np.linalg.svd(vecs, compute_uv=False)
+        basis = nm.orthonormal_basis(list(vecs))
+        assert len(basis) == int(np.sum(svals > 1e-10 * svals[0])) == r
+        q = np.column_stack(basis)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(r))) < 1e-12
+        for v in vecs:
+            assert np.linalg.norm(v - q @ (q.conj().T @ v)) <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("k, d, r", [(6, 7, 3), (9, 4, 2), (3, 5, 1), (5, 5, 5)])
+    def test_complement_completes_the_basis(self, k, d, r):
+        vecs = list(self.rank_deficient(k * d * r, k, d, r))
+        basis = nm.orthonormal_basis(vecs)
+        comp = nm.orthonormal_complement(vecs, d)
+        assert len(basis) + len(comp) == d
+        q = np.column_stack(basis + comp)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(d))) < 1e-12
+
+    def test_array_and_list_of_rows_agree(self):
+        vecs = self.rank_deficient(5, 6, 4, 3)
+        from_array = nm.orthonormal_basis(vecs)
+        from_list = nm.orthonormal_basis(list(vecs))
+        assert len(from_array) == len(from_list) == 3
+        assert np.allclose(np.array(from_array), np.array(from_list), rtol=0.0, atol=1e-14)
+        assert np.allclose(
+            np.array(nm.orthonormal_complement(vecs, 4)),
+            np.array(nm.orthonormal_complement(list(vecs), 4)),
+            rtol=0.0,
+            atol=1e-14,
+        )
+
+    def test_complement_of_nothing_is_everything(self):
+        comp = nm.orthonormal_complement([], 3)
+        assert np.allclose(np.column_stack(comp), np.eye(3))
+
+    def test_complement_rejects_wrong_length(self):
+        with pytest.raises(DimensionError):
+            nm.orthonormal_complement([np.ones(2)], 3)
+
+
+def _figure_dag_blocks():
+    net = ex.figure_dag()
+    system = ex.random_dag_system(1, net, dim=2)
+    return cf.dag_block_structure(system, net, sv.RelaxationAssignment.uniform(net.node_count, 1.0))
+
+
+def _dag_ls(basis):
+    bs = _figure_dag_blocks()
+    return cf.dag_ls_minimizer(bs, np.ones(bs.system.node_count), basis)
+
+
+# Every route that restricts a map on C^2 to the span of a caller's basis.
+RESTRICTIONS = {
+    "operator_norm_on_span": lambda basis: nm.operator_norm_on_span(np.eye(2), basis),
+    "restrict_to_span": lambda basis: nm.restrict_to_span(np.eye(2), basis),
+    "spectral_radius_on_span": lambda basis: nm.spectral_radius_on_span(np.eye(2), basis),
+    "fixed_point": lambda basis: cf.fixed_point(
+        cf.AffineIteration(B=0.5 * np.eye(2), c=np.ones(2)), basis
+    ),
+    "dag_restricted_rho": lambda basis: cf.dag_restricted_rho(_figure_dag_blocks(), basis),
+    "dag_fixed_point": lambda basis: cf.dag_fixed_point(_figure_dag_blocks(), basis),
+    "dag_ls_minimizer": _dag_ls,
+}
+
 
 class TestOperatorNormOnSpan:
     def test_zero_matrix(self):
@@ -202,8 +279,16 @@ class TestOperatorNormOnSpan:
         assert nm.operator_norm_on_span(m, basis) == pytest.approx(sigma, abs=1e-9)
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(PreconditionError):
-            nm.operator_norm_on_span(np.eye(2), [np.array([1.0, 1.0])])
+        for restrict in RESTRICTIONS.values():
+            with pytest.raises(PreconditionError):
+                restrict([np.array([1.0, 1.0])])
+            with pytest.raises(PreconditionError):
+                restrict(np.array([[0.6, 0.8], [0.8, 0.6]]))
+
+    def test_rejects_wrong_length(self):
+        for restrict in RESTRICTIONS.values():
+            with pytest.raises(DimensionError):
+                restrict([np.array([1.0, 0.0, 0.0])])
 
     def test_empty_basis(self):
         assert nm.operator_norm_on_span(np.eye(2), []) == 0.0

@@ -32,6 +32,18 @@ class TestLinearSystem:
         x = np.array([1.0, 0.0])
         assert system.system_matrix() @ x == pytest.approx(np.vdot(rows[0], x))
 
+    def test_keeps_read_only_copies(self):
+        rows = np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0]])
+        rhs = np.array([1.0 + 0.0j, 2.0])
+        system = sv.LinearSystem(rows=rows, rhs=rhs)
+        rows[0, 0] = 5.0
+        rhs[1] = 7.0
+        assert system.rows[0, 0] == 1.0 + 1.0j and system.rhs[1] == 2.0
+        with pytest.raises(ValueError):
+            system.rows[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            system.rhs[0] = 5.0
+
 
 class TestSingleUpdates:
     def test_point_on_hyperplane_fixed(self):
