@@ -41,8 +41,7 @@ from .solver import (
     LinearSystem,
     RelaxationAssignment,
     _Pass,
-    _require_valid_dag,
-    _require_valid_tree,
+    _require_valid,
     relaxed_q,
 )
 from .topology import (
@@ -143,7 +142,7 @@ def tree_affine(
     the right-hand side entering the last column only.  The paper's form,
     the leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
     """
-    _require_valid_tree(sys, net)
+    _require_valid(sys, net)
     b, c = _Pass.tree(sys, net, relax).affine()
     return AffineIteration(B=b, c=c)
 
@@ -194,12 +193,12 @@ def build_p_omega(
     cover every leaf exactly once, otherwise the product form cannot equal
     the pooled iteration matrix.
     """
-    _require_valid_tree(sys, net)
+    _require_valid(sys, net)
     groups = resolve_groups(net, part)
     covered: list[int] = []
     for g in groups:
         covered.extend(g.leaves)
-    if sorted(covered) != sorted(net.leaves()):
+    if sorted(covered) != [v for v in net.leaves() if v != net.root]:  # the root joins no group
         raise PartitionError("groups must cover every leaf exactly once")
     omega = relax.effective()
     if not groups:  # single-node tree: the root is the only leaf
@@ -301,7 +300,7 @@ def check_admissibility(
     part: SubnetworkPartition,
     relax: RelaxationAssignment,
 ) -> AdmissibilityReport:
-    _require_valid_tree(sys, net)
+    _require_valid(sys, net)
     groups = resolve_groups(net, part)
     grouped = set().union(*(g.members for g in groups)) if groups else set()
     omega = relax.effective()
@@ -352,7 +351,7 @@ def weighted_ls_minimizer(
     the tree's path mass.  Uses the unscaled relaxation profile, so the
     result is the scale-free target of the slowed-down iteration.
     """
-    _require_valid_tree(sys, net)
+    _require_valid(sys, net)
     q = _checked_columns(row_space_basis(sys), sys.ambient_dim)
     masses = _Pass.tree(sys, net, relax).masses()
     (m,), (rhs,) = _normal_equations(sys, relax.omega * masses, q)
@@ -451,7 +450,7 @@ def dag_block_p(
     the ascent.  The constant term stacks the same weights applied to the
     ascent chains evaluated at the origin.
     """
-    _require_valid_dag(sys, net)
+    _require_valid(sys, net)
     minimal = net.minimal_nodes
     s, n = len(minimal), sys.ambient_dim
     omega = relax.effective()
@@ -568,7 +567,7 @@ def dag_block_structure(
     so the pooled blocks are the block rows of the map.  The paper's form,
     the pooled per-path SOR maps, equals it and stays a cross-check.
     """
-    _require_valid_dag(sys, net)
+    _require_valid(sys, net)
     kernel = _Pass.dag(sys, net, relax)
     b, c = kernel.affine()
     return BlockStructure(

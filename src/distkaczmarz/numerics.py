@@ -7,7 +7,8 @@ row action ``S_v x = a_v* x``.
 Subspaces come from one SVD of the stacked vectors: :func:`orthonormal_basis`
 and :func:`orthonormal_complement` split the rows of ``Vh`` at the numerical
 rank, the number of singular values above ``DEFAULT_ORTHO_TOL`` times the
-largest.  Every restriction to a subspace, here and in
+largest, and :func:`min_norm_solution` inverts the SVD up to that rank.
+Every restriction to a subspace, here and in
 :mod:`distkaczmarz.closedform`, stacks the orthonormal basis once into a
 ``(d, r)`` column matrix with :func:`_checked_columns`, which checks
 ``q* q = I`` within the same tolerance.
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionError, NumericalFailureError, PreconditionError
 
-DEFAULT_RANK_TOL = 1e-10
 # Relative singular-value cut of the SVD bases, and the bound on |q* q - I|
 # that a basis passed to a restriction must meet.
 DEFAULT_ORTHO_TOL = 1e-10
@@ -99,12 +99,12 @@ def gram(vectors) -> np.ndarray:
     return m @ m.conj().T
 
 
-def min_norm_solution(a, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def min_norm_solution(a, b) -> np.ndarray:
     """Least-squares solution of ``a x = b`` with minimal Euclidean norm.
 
-    Computed from the Hermitian eigendecomposition of ``a a*``; eigenvalues
-    below ``rank_tol`` times the largest are treated as zero.  The result
-    lies in the row space of ``a``; a zero matrix yields the zero vector.
+    ``V_r S_r^-1 U_r* b`` from the SVD ``a = U S V*`` cut at the same
+    numerical rank as :func:`orthonormal_basis`, so the result lies in that
+    basis's span; a zero matrix yields the zero vector.
     """
     mat = as_matrix(a)
     rhs = as_vector(b)
@@ -112,16 +112,8 @@ def min_norm_solution(a, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         raise DimensionError(
             f"matrix has {mat.shape[0]} rows but right-hand side has {rhs.shape[0]} entries"
         )
-    g = mat @ mat.conj().T
-    vals, vecs = np.linalg.eigh(g)
-    if vals.size == 0 or vals[-1] <= 0.0:
-        return np.zeros(mat.shape[1], dtype=np.complex128)
-    keep = vals > rank_tol * vals[-1]
-    if not np.any(keep):
-        return np.zeros(mat.shape[1], dtype=np.complex128)
-    u = vecs[:, keep]
-    coeff = (u.conj().T @ rhs) / vals[keep]
-    return mat.conj().T @ (u @ coeff)
+    u, s, vh, rank = _svd_rows(mat, mat.shape[1])
+    return vh[:rank].conj().T @ ((u[:, :rank].conj().T @ rhs) / s[:rank])
 
 
 def _stack(vectors, dim: int | None = None) -> np.ndarray:
@@ -132,15 +124,15 @@ def _stack(vectors, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def _svd_rows(vectors, dim: int | None = None) -> tuple[np.ndarray, int]:
-    """``Vh`` of one SVD of the stacked vectors, and their numerical rank.
+def _svd_rows(vectors, dim: int | None = None):
+    """One SVD ``u, s, vh`` of the stacked vectors, and their numerical rank.
 
     The rank counts the singular values above ``DEFAULT_ORTHO_TOL`` times
     the largest; the first ``rank`` rows of ``Vh`` span the vectors.  Given
     ``dim``, ``Vh`` is square and its remaining rows span the complement.
     """
-    _, s, vh = np.linalg.svd(_stack(vectors, dim), full_matrices=dim is not None)
-    return vh, int(np.count_nonzero(s > DEFAULT_ORTHO_TOL * s.max(initial=0.0)))
+    u, s, vh = np.linalg.svd(_stack(vectors, dim), full_matrices=dim is not None)
+    return u, s, vh, int(np.count_nonzero(s > DEFAULT_ORTHO_TOL * s.max(initial=0.0)))
 
 
 def orthonormal_basis(vectors) -> list[np.ndarray]:
@@ -148,13 +140,13 @@ def orthonormal_basis(vectors) -> list[np.ndarray]:
 
     ``vectors`` is a list of equal-length vectors or a 2-d array of rows.
     """
-    vh, rank = _svd_rows(vectors)
+    _, _, vh, rank = _svd_rows(vectors)
     return list(vh[:rank])
 
 
 def orthonormal_complement(vectors, dim: int) -> list[np.ndarray]:
     """Orthonormal basis of the orthogonal complement of ``span(vectors)`` in C^dim."""
-    vh, rank = _svd_rows(vectors, dim)
+    _, _, vh, rank = _svd_rows(vectors, dim)
     return list(vh[rank:])
 
 

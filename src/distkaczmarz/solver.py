@@ -77,7 +77,10 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class RelaxationAssignment:
-    """Per-node relaxation parameters plus a uniform scale in (0, 1]."""
+    """Per-node relaxation parameters plus a uniform scale in (0, 1].
+
+    ``omega`` is a read-only copy of the caller's array.
+    """
 
     omega: np.ndarray
     scale: float = 1.0
@@ -90,7 +93,7 @@ class RelaxationAssignment:
             raise ValueError("relaxation parameters must be finite and nonnegative")
         if not (0.0 < self.scale <= 1.0):
             raise ValueError("scale must lie in (0, 1]")
-        object.__setattr__(self, "omega", om)
+        object.__setattr__(self, "omega", read_only_copy(om))
 
     @classmethod
     def uniform(cls, node_count: int, value: float = 1.0, scale: float = 1.0):
@@ -174,20 +177,16 @@ def relaxed_q(x, a, b, omega: float) -> np.ndarray:
 # Network iterations
 
 
-def _require_valid_tree(sys: LinearSystem, net: TreeNetwork) -> None:
+def _require_valid(sys: LinearSystem, net) -> None:
+    """Raise unless ``net`` is a valid tree or DAG with one node per equation."""
+    if not isinstance(net, (TreeNetwork, DagNetwork)):
+        raise TypeError(f"unsupported network type {type(net)!r}")
     if sys.node_count != net.node_count:
         raise DimensionError("system and network disagree on the node count")
-    violations = validate_tree(net)
+    tree = isinstance(net, TreeNetwork)
+    violations = validate_tree(net) if tree else validate_dag(net)
     if violations:
-        raise InvalidNetworkError("invalid tree network", violations)
-
-
-def _require_valid_dag(sys: LinearSystem, net: DagNetwork) -> None:
-    if sys.node_count != net.node_count:
-        raise DimensionError("system and network disagree on the node count")
-    violations = validate_dag(net)
-    if violations:
-        raise InvalidNetworkError("invalid DAG network", violations)
+        raise InvalidNetworkError(f"invalid {'tree' if tree else 'DAG'} network", violations)
 
 
 class _Pass:
@@ -302,7 +301,7 @@ def tree_iterate(
 ) -> np.ndarray:
     """One dispersion/pooling pass over a rooted tree."""
     if not validated:
-        _require_valid_tree(sys, net)
+        _require_valid(sys, net)
     return _Pass.tree(sys, net, relax).vectors([as_vector(x)])[0]
 
 
@@ -322,7 +321,7 @@ def dag_iterate(
     second update.
     """
     if not validated:
-        _require_valid_dag(sys, net)
+        _require_valid(sys, net)
     minimal = net.minimal_nodes
     if len(blocks) != len(minimal):
         raise DimensionError(f"expected {len(minimal)} estimate blocks, got {len(blocks)}")
@@ -333,12 +332,12 @@ def dag_iterate(
 # Driver
 
 
-def _initial_blocks(sys: LinearSystem, net, sources, init) -> list[np.ndarray]:
+def _initial_blocks(sys: LinearSystem, tree: bool, sources, init) -> list[np.ndarray]:
     """One starting estimate per minimal node; a tree's only one is its root."""
     if init is None:
         return [np.zeros(sys.ambient_dim, dtype=np.complex128) for _ in sources]
     init = np.asarray(init, dtype=np.complex128)
-    if init.ndim == 1 or isinstance(net, TreeNetwork):  # a tree takes one vector only
+    if init.ndim == 1 or tree:  # a tree takes one vector only
         return [as_vector(init).copy() for _ in sources]
     if init.shape[0] != len(sources):
         raise DimensionError("one initial block per minimal node required")
@@ -363,17 +362,11 @@ def solve(
     ``1e12 * (1 + initial norm)`` (or turn non-finite) abort with
     :class:`DivergenceError` carrying the last finite iterate.
     """
-    if isinstance(net, TreeNetwork):
-        _require_valid_tree(sys, net)
-        run = _Pass.tree(sys, net, relax)
-        public = lambda blocks: blocks[0]  # a tree reports its single estimate
-    elif isinstance(net, DagNetwork):
-        _require_valid_dag(sys, net)
-        run = _Pass.dag(sys, net, relax)
-        public = lambda blocks: blocks
-    else:
-        raise TypeError(f"unsupported network type {type(net)!r}")
-    state = _initial_blocks(sys, net, run.sources, config.initial_estimate)
+    _require_valid(sys, net)
+    tree = isinstance(net, TreeNetwork)
+    run = (_Pass.tree if tree else _Pass.dag)(sys, net, relax)
+    public = (lambda blocks: blocks[0]) if tree else (lambda blocks: blocks)  # one tree estimate
+    state = _initial_blocks(sys, tree, run.sources, config.initial_estimate)
     bound = DIVERGENCE_FACTOR * (1.0 + _max_norm(state))
     steps: list[float] = []
     residuals: list[float] = []

@@ -6,6 +6,13 @@ edges carry a dispersion weight ``w_d`` and a pooling weight ``w_p``.
 Ties are always broken by ascending node id so traversals, enumerations and
 weight tables are reproducible.
 
+Every weight table groups its edges by node: a tree parent's child edges,
+a DAG node's in-edges (``w_d``) and out-edges (``w_p``).  One rule holds for
+each group: its weights are all given or all omitted, omitted weights are
+uniform over the group, and a valid network has positive weights summing
+to 1 per group.  A tree is the DAG with one minimal node, so both network
+types build and check their tables with the same helpers.
+
 Networks are immutable after construction; all queries are read-only.
 """
 
@@ -32,6 +39,72 @@ class Violation:
     kind: str
     detail: str
     where: tuple = ()
+
+
+def _out_groups(succ: Mapping[int, Iterable[int]]) -> list:
+    """One weight group ``(u, out-edge keys)`` per node with successors, in the given order."""
+    return [(u, [(u, v) for v in downs]) for u, downs in succ.items() if downs]
+
+
+def _in_groups(pred: Mapping[int, Iterable[int]]) -> list:
+    """One weight group ``(v, in-edge keys)`` per node with predecessors, in the given order."""
+    return [(v, [(u, v) for u in ups]) for v, ups in pred.items() if ups]
+
+
+def _resolve_weights(groups, given: Mapping, what: str) -> dict[tuple[int, int], float]:
+    """The weight table of ``(node, edge keys)`` groups; ``given[key]`` is None when omitted.
+
+    A group's weights are all given, or all omitted and then uniform over
+    the group; a mix raises :class:`InvalidNetworkError`.  Keys come out in
+    group order.
+    """
+    weights: dict[tuple[int, int], float] = {}
+    for u, keys in groups:
+        vals = [given[k] for k in keys]
+        if None not in vals:
+            weights.update(zip(keys, vals))
+        elif vals.count(None) == len(vals):
+            weights.update(dict.fromkeys(keys, 1.0 / len(keys)))
+        else:
+            raise InvalidNetworkError(f"node {u}: {what} weights must be all given or all omitted")
+    return weights
+
+
+def _weight_violations(table: Mapping, groups, what: str) -> list[Violation]:
+    """Non-positive weights of ``table``, then the groups whose weights do not sum to 1."""
+    out = [
+        Violation("weight", f"{what} weight of edge {e} is {w}", e)
+        for e, w in table.items()
+        if not w > 0.0
+    ]
+    for u, keys in groups:
+        total = sum([table.get(k, 0.0) for k in keys])
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            out.append(Violation("weight-sum", f"{what} weights of node {u} sum to {total!r}", (u,)))
+    return out
+
+
+def _kahn(succ: Mapping[int, Iterable[int]]) -> list[int]:
+    """Kahn's order of the nodes of ``succ`` (node -> successors), ties by ascending id.
+
+    Nodes on or above a cycle never become ready, so on a cycle the order
+    is shorter than ``succ``.
+    """
+    indeg = dict.fromkeys(succ, 0)
+    for downs in succ.values():
+        for v in downs:
+            indeg[v] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -75,28 +148,13 @@ class TreeNetwork:
             parent[v] = u
             children[u].append(v)
             given[(u, v)] = None if w is None else float(w)
-        weights: dict[tuple[int, int], float] = {}
-        for u, kids in children.items():
-            kids.sort()
-            vals = [given[(u, v)] for v in kids]
-            if not vals:
-                continue
-            if all(w is None for w in vals):
-                for v in kids:
-                    weights[(u, v)] = 1.0 / len(kids)
-            elif any(w is None for w in vals):
-                raise InvalidNetworkError(
-                    f"node {u}: child edge weights must be all given or all omitted"
-                )
-            else:
-                for v, w in zip(kids, vals):
-                    weights[(u, v)] = float(w)
+        kids_of = {u: tuple(sorted(kids)) for u, kids in children.items()}
         return cls(
             node_count=node_count,
             root=root,
-            parent=dict(parent),
-            children={u: tuple(kids) for u, kids in children.items()},
-            edge_weight=weights,
+            parent=parent,
+            children=kids_of,
+            edge_weight=_resolve_weights(_out_groups(kids_of), given, "child edge"),
         )
 
     def is_leaf(self, v: int) -> bool:
@@ -117,9 +175,6 @@ class TreeNetwork:
             seen.add(u)
         return tuple(reversed(path))
 
-    def nodes(self) -> range:
-        return range(self.node_count)
-
 
 def validate_tree(net: TreeNetwork) -> list[Violation]:
     """Check the tree invariants; returns all violations (empty iff valid)."""
@@ -137,19 +192,7 @@ def validate_tree(net: TreeNetwork) -> list[Violation]:
         reaches.update(dict.fromkeys(walk, ok))
         if not ok:
             out.append(Violation("connectivity", f"node {v} does not reach the root", (v,)))
-    for (u, v), w in net.edge_weight.items():
-        if not w > 0.0:
-            out.append(Violation("weight", f"edge ({u}, {v}) has non-positive weight {w}", (u, v)))
-    for u in range(net.node_count):
-        kids = net.children.get(u, ())
-        if not kids:
-            continue
-        total = sum(net.edge_weight.get((u, v), 0.0) for v in kids)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            out.append(
-                Violation("weight-sum", f"child weights of node {u} sum to {total!r}", (u,))
-            )
-    return out
+    return out + _weight_violations(net.edge_weight, _out_groups(net.children), "child")
 
 
 def path_weight(net: TreeNetwork, u: int, v: int) -> float:
@@ -194,8 +237,10 @@ class ResolvedGroup:
     is_leaf_group: bool
 
 
-def _group_tops(net: TreeNetwork, members: frozenset[int]) -> list[int]:
-    return sorted(v for v in members if net.parent.get(v) not in members)
+def _tops_and_gateways(net: TreeNetwork, members) -> tuple[list[int], set[int]]:
+    """The group's component tops (ascending) and the set of their parents."""
+    tops = sorted(v for v in members if net.parent.get(v) not in members)
+    return tops, {net.parent[t] for t in tops if t in net.parent}
 
 
 def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Violation]:
@@ -256,8 +301,7 @@ def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Vi
                             (u, sib),
                         )
                     )
-        tops = _group_tops(net, members)
-        gateways = {net.parent[t] for t in tops if t in net.parent}
+        tops, gateways = _tops_and_gateways(net, members)
         if len(gateways) != 1:
             out.append(
                 Violation(
@@ -285,10 +329,12 @@ def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[Resolved
     for gi, members in enumerate(part.groups):
         if not members:
             raise PartitionError(f"group {gi} is empty")
+        for v in sorted(members):
+            if not 0 <= v < net.node_count:
+                raise PartitionError(f"group {gi} references node {v}")
         if net.root in members:
             raise PartitionError(f"group {gi} contains the root")
-        tops = _group_tops(net, members)
-        gateways = {net.parent[t] for t in tops}
+        tops, gateways = _tops_and_gateways(net, members)
         if len(gateways) != 1:
             raise PartitionError(f"group {gi} has no unique gateway")
         leaves = tuple(sorted(v for v in members if net.is_leaf(v)))
@@ -393,36 +439,8 @@ class DagNetwork:
         for u, v in edge_list:
             preds[v].append(u)
             succs[u].append(v)
-        w_d: dict[tuple[int, int], float] = {}
-        for v, ups in preds.items():
-            vals = [wd_in[(u, v)] for u in ups]
-            if not vals:
-                continue
-            if all(w is None for w in vals):
-                for u in ups:
-                    w_d[(u, v)] = 1.0 / len(ups)
-            elif any(w is None for w in vals):
-                raise InvalidNetworkError(
-                    f"node {v}: dispersion weights must be all given or all omitted"
-                )
-            else:
-                for u, w in zip(ups, vals):
-                    w_d[(u, v)] = float(w)
-        w_p: dict[tuple[int, int], float] = {}
-        for u, downs in succs.items():
-            vals = [wp_in[(u, v)] for v in downs]
-            if not vals:
-                continue
-            if all(w is None for w in vals):
-                for v in downs:
-                    w_p[(u, v)] = 1.0 / len(downs)
-            elif any(w is None for w in vals):
-                raise InvalidNetworkError(
-                    f"node {u}: pooling weights must be all given or all omitted"
-                )
-            else:
-                for v, w in zip(downs, vals):
-                    w_p[(u, v)] = float(w)
+        w_d = _resolve_weights(_in_groups(preds), wd_in, "dispersion")
+        w_p = _resolve_weights(_out_groups(succs), wp_in, "pooling")
         net = cls(node_count=node_count, edges=tuple(edge_list), w_d=w_d, w_p=w_p)
         topological_order(net)  # raises CycleError on cycles
         return net
@@ -501,47 +519,13 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
                     )
                 )
                 break
-    for w, label in ((net.w_d, "dispersion"), (net.w_p, "pooling")):
-        for (u, v), val in w.items():
-            if not val > 0.0:
-                out.append(
-                    Violation("weight", f"{label} weight of edge ({u}, {v}) is {val}", (u, v))
-                )
-    for v in range(net.node_count):
-        ups = net.predecessors[v]
-        if ups:
-            total = sum(net.w_d.get((u, v), 0.0) for u in ups)
-            if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                out.append(
-                    Violation("weight-sum", f"dispersion weights into {v} sum to {total!r}", (v,))
-                )
-        downs = net.successors[v]
-        if downs:
-            total = sum(net.w_p.get((v, u), 0.0) for u in downs)
-            if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                out.append(
-                    Violation("weight-sum", f"pooling weights out of {v} sum to {total!r}", (v,))
-                )
-    return out
+    out += _weight_violations(net.w_d, _in_groups(net.predecessors), "dispersion")
+    return out + _weight_violations(net.w_p, _out_groups(net.successors), "pooling")
 
 
 def topological_order(net: DagNetwork) -> list[int]:
     """Kahn's algorithm with ties broken by ascending node id."""
-    indeg = {v: 0 for v in range(net.node_count)}
-    succs: dict[int, list[int]] = {v: [] for v in range(net.node_count)}
-    for u, v in net.edges:
-        indeg[v] += 1
-        succs[u].append(v)
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in sorted(succs[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
+    order = _kahn(net.successors)
     if len(order) != net.node_count:
         raise CycleError("edge set contains a cycle")
     return order
@@ -553,27 +537,15 @@ def hasse_reduce(relation: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     A pair ``(u, v)`` is kept exactly when no ``w`` satisfies ``u < w < v``.
     Raises :class:`CycleError` when the relation is not acyclic.
     """
-    pairs = set()
-    nodes = set()
+    succ: dict[int, set[int]] = {}
     for u, v in relation:
         if u == v:
             raise CycleError(f"relation is not irreflexive at {u}")
-        pairs.add((u, v))
-        nodes.add(u)
-        nodes.add(v)
-    succ: dict[int, set[int]] = {v: set() for v in nodes}
-    indeg = dict.fromkeys(nodes, 0)
-    for u, v in pairs:
-        succ[u].add(v)
-        indeg[v] += 1
-    order = [v for v in nodes if indeg[v] == 0]
-    for u in order:  # Kahn's algorithm, no recursion: the list grows while it is walked
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                order.append(v)
-    if len(order) != len(nodes):
-        stuck = len(nodes) - len(order)
+        succ.setdefault(u, set()).add(v)
+        succ.setdefault(v, set())
+    order = _kahn(succ)
+    if len(order) != len(succ):
+        stuck = len(succ) - len(order)
         raise CycleError(f"relation contains a cycle; {stuck} nodes cannot be ordered")
     # (u, v) is implied exactly when v lies above another successor of u
     closure: dict[int, set[int]] = {}

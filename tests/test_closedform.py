@@ -131,6 +131,14 @@ class TestProductForm:
             )
         assert np.allclose(got, inner @ p_root, atol=1e-12)
 
+    def test_single_node_tree_is_the_root_projection(self):
+        # the root is the only leaf and joins no group
+        net = tp.TreeNetwork.from_edges(1, 0, [])
+        system = sv.LinearSystem(rows=np.array([[1.0, 2.0j, -1.0]]), rhs=np.array([0.5]))
+        relax = sv.RelaxationAssignment(np.array([1.3]))
+        p = cf.build_p_omega(system, net, tp.SubnetworkPartition.of([]), relax)
+        assert np.max(np.abs(p - cf.tree_affine(system, net, relax).B)) <= 1e-14
+
     def test_identity_at_zero_relaxation(self):
         net, system, _ = random_instance(3)
         part = tp.root_subtree_partition(net)

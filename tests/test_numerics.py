@@ -138,6 +138,13 @@ class TestMinNormSolution:
             b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             assert np.allclose(nm.min_norm_solution(a, b), lstsq_min_norm(a, b), atol=1e-9)
 
+    def test_rank_cut_matches_the_row_space_basis(self):
+        # singular values 1 and 1e-6: both above the 1e-10 basis cut
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0]])
+        b = np.array([1.0, 1e-6])
+        assert len(nm.orthonormal_basis(a)) == 2
+        assert np.allclose(nm.min_norm_solution(a, b), [1.0, 1.0, 0.0], atol=1e-9)
+
     def test_result_orthogonal_to_null_space(self):
         rng = np.random.default_rng(22)
         a = rng.standard_normal((3, 6))

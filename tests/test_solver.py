@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from distkaczmarz import closedform as cf
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.errors import (
@@ -43,6 +44,43 @@ class TestLinearSystem:
             system.rows[0, 0] = 5.0
         with pytest.raises(ValueError):
             system.rhs[0] = 5.0
+
+    def test_relaxation_keeps_read_only_copy(self):
+        om = np.array([1.0, 1.5])
+        relax = sv.RelaxationAssignment(om)
+        om[0] = 5.0
+        assert relax.omega[0] == 1.0
+        with pytest.raises(ValueError):
+            relax.omega[0] = 3.0
+
+
+class TestRequireValid:
+    def test_every_route_rejects_other_network_types(self):
+        system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
+        relax = sv.RelaxationAssignment.uniform(2)
+        part = tp.SubnetworkPartition.of([])
+        routes = [
+            lambda net: sv.solve(system, net, relax),
+            lambda net: sv.tree_iterate(system, net, relax, np.zeros(2)),
+            lambda net: sv.dag_iterate(system, net, relax, [np.zeros(2)]),
+            lambda net: cf.tree_affine(system, net, relax),
+            lambda net: cf.build_p_omega(system, net, part, relax),
+            lambda net: cf.check_admissibility(system, net, part, relax),
+            lambda net: cf.weighted_ls_minimizer(system, net, relax),
+            lambda net: cf.dag_block_p(system, net, relax),
+            lambda net: cf.dag_block_structure(system, net, relax),
+        ]
+        for route in routes:
+            with pytest.raises(TypeError):
+                route({"nodes": 2})
+
+    def test_node_count_checked_for_both_network_types(self):
+        system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
+        relax = sv.RelaxationAssignment.uniform(3)
+        dag = tp.DagNetwork.from_cover_edges(3, [(0, 2), (1, 2)])
+        for net in (chain(3), dag):
+            with pytest.raises(DimensionError):
+                sv.solve(system, net, relax)
 
 
 class TestSingleUpdates:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distkaczmarz import closedform as cf
+from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.errors import (
@@ -202,6 +203,19 @@ class TestSubnetworks:
         with pytest.raises(PartitionError):
             tp.resolve_groups(net, part)
         assert any(v.kind == "gateway" for v in tp.validate_subnetworks(net, part))
+
+    @pytest.mark.parametrize("group", [[99], [3, 99]])
+    def test_unknown_node_named(self, group):
+        net = ex.binary7_network()
+        system = sv.LinearSystem(rows=np.eye(7), rhs=np.ones(7))
+        relax = sv.RelaxationAssignment.uniform(7)
+        part = tp.SubnetworkPartition.of([group])
+        with pytest.raises(PartitionError, match="group 0 references node 99"):
+            tp.resolve_groups(net, part)
+        with pytest.raises(PartitionError, match="group 0 references node 99"):
+            cf.check_admissibility(system, net, part, relax)
+        with pytest.raises(PartitionError, match="group 0 references node 99"):
+            cf.subnetwork_norm(system, net, group, relax)
 
 
 class TestHasseReduce:
