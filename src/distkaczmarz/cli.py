@@ -7,7 +7,8 @@ Commands
                  divergence).
 ``analyze``      admissibility verdicts, per-leaf relaxation bounds and the
                  eigenvalue split of the iteration matrix.
-``sweep``        spectral radius over a parameter grid, written as CSV.
+``sweep``        spectral radius over a parameter grid, written as CSV, for
+                 tree and DAG networks.
 ``reproduce``    run one of the canonical seeded studies.
 ``config-dump``  print the resolved configuration (defaults applied).
 
@@ -34,7 +35,7 @@ import numpy as np
 from . import closedform as cf
 from . import experiments as ex
 from .errors import CycleError, DivergenceError, InvalidNetworkError, PartitionError
-from .solver import LinearSystem, RelaxationAssignment, SolverConfig, solve
+from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _checked_omega, solve
 from .topology import (
     DagNetwork,
     SubnetworkPartition,
@@ -522,9 +523,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if not isinstance(cfg.network, TreeNetwork):
-        print("sweep currently applies to tree networks", file=_sys.stderr)
-        return EXIT_CONFIG
     axes = cfg.sweep_axes
     if axes is None:
         if cfg.partition is None:
@@ -543,6 +541,12 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"--grid: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
+    for flag, values in (("--grid", grid), ("--baseline", args.baseline)):
+        try:
+            _checked_omega(values)
+        except ValueError as exc:
+            print(f"{flag}: {exc}", file=_sys.stderr)
+            return EXIT_CONFIG
     result = ex.omega_sweep(
         cfg.system, cfg.network, cfg.partition, grid, axes=axes, baseline=args.baseline
     )

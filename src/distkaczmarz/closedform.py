@@ -142,8 +142,8 @@ def tree_affine(
     the right-hand side entering the last column only.  The paper's form,
     the leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
     """
-    _require_valid(sys, net)
-    b, c = _Pass.tree(sys, net, relax).affine()
+    _require_valid(sys, net, (TreeNetwork,))
+    (b,), (c,) = _Pass.tree(sys, net, relax.effective()).affine()
     return AffineIteration(B=b, c=c)
 
 
@@ -193,7 +193,7 @@ def build_p_omega(
     cover every leaf exactly once, otherwise the product form cannot equal
     the pooled iteration matrix.
     """
-    _require_valid(sys, net)
+    _require_valid(sys, net, (TreeNetwork,))
     groups = resolve_groups(net, part)
     covered: list[int] = []
     for g in groups:
@@ -300,7 +300,7 @@ def check_admissibility(
     part: SubnetworkPartition,
     relax: RelaxationAssignment,
 ) -> AdmissibilityReport:
-    _require_valid(sys, net)
+    _require_valid(sys, net, (TreeNetwork,))
     groups = resolve_groups(net, part)
     grouped = set().union(*(g.members for g in groups)) if groups else set()
     omega = relax.effective()
@@ -351,9 +351,9 @@ def weighted_ls_minimizer(
     the tree's path mass.  Uses the unscaled relaxation profile, so the
     result is the scale-free target of the slowed-down iteration.
     """
-    _require_valid(sys, net)
+    _require_valid(sys, net, (TreeNetwork,))
     q = _checked_columns(row_space_basis(sys), sys.ambient_dim)
-    masses = _Pass.tree(sys, net, relax).masses()
+    masses = _Pass.tree(sys, net, relax.effective()).masses()
     (m,), (rhs,) = _normal_equations(sys, relax.omega * masses, q)
     return q @ np.linalg.solve(m, rhs)
 
@@ -450,7 +450,7 @@ def dag_block_p(
     the ascent.  The constant term stacks the same weights applied to the
     ascent chains evaluated at the origin.
     """
-    _require_valid(sys, net)
+    _require_valid(sys, net, (DagNetwork,))
     minimal = net.minimal_nodes
     s, n = len(minimal), sys.ambient_dim
     omega = relax.effective()
@@ -567,9 +567,9 @@ def dag_block_structure(
     so the pooled blocks are the block rows of the map.  The paper's form,
     the pooled per-path SOR maps, equals it and stays a cross-check.
     """
-    _require_valid(sys, net)
-    kernel = _Pass.dag(sys, net, relax)
-    b, c = kernel.affine()
+    _require_valid(sys, net, (DagNetwork,))
+    kernel = _Pass.dag(sys, net, relax.effective())
+    (b,), (c,) = kernel.affine()
     return BlockStructure(
         aggregate=AffineIteration(B=b, c=c),
         minimal_nodes=net.minimal_nodes,
@@ -579,14 +579,14 @@ def dag_block_structure(
     )
 
 
-def _block_columns(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> np.ndarray:
-    """The stacked row space as ``kron(I_s, q)``, orthonormal because ``q`` is checked."""
-    return np.kron(np.eye(bs.s), _checked_columns(row_basis, bs.block_size))
+def _block_columns(s: int, row_basis: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The row space of s stacked estimates, ``kron(I_s, q)``; orthonormal as ``q`` is checked."""
+    return np.kron(np.eye(s), _checked_columns(row_basis, dim))
 
 
 def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> float:
     """Spectral radius of the block map restricted to the stacked row space."""
-    qs = _block_columns(bs, row_basis)
+    qs = _block_columns(bs.s, row_basis, bs.block_size)
     return spectral_radius(qs.conj().T @ bs.aggregate.B @ qs)
 
 
@@ -600,7 +600,8 @@ def dag_fixed_point(
     :class:`NonContractionError` when the restricted block map does not
     contract.
     """
-    blocks = np.split(_fixed_point_on(bs.aggregate, _block_columns(bs, row_basis)), bs.s)
+    qs = _block_columns(bs.s, row_basis, bs.block_size)
+    blocks = np.split(_fixed_point_on(bs.aggregate, qs), bs.s)
     return blocks, bs.condition_residual(blocks)
 
 

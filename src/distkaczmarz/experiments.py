@@ -2,8 +2,9 @@
 
 Every random object is drawn from ``numpy.random.default_rng`` seeded
 explicitly, and reports embed the seed and generator name, so re-running a
-study reproduces its outputs byte for byte.  Grid points of a sweep are
-independent; results are always ordered by grid index.
+study reproduces its outputs byte for byte.  A sweep on a tree or a DAG runs
+its grid as one stack of relaxation columns, one kernel push per chunk of
+grid points; results are always ordered by grid index.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import closedform as cf
-from .errors import NonContractionError
+from .errors import DimensionError, NonContractionError
+from .numerics import _eigvals
 from .solver import LinearSystem, RelaxationAssignment, SolveReport, SolverConfig, solve
+from .solver import _checked_omega, _Pass, _require_valid
 from .topology import (
     DagNetwork,
     SubnetworkPartition,
@@ -32,6 +35,10 @@ from .topology import (
 
 RNG_NAME = "numpy.random.default_rng(PCG64)"
 GENERATOR_VERSION = "1"
+
+# Kernel columns per sweep push; a grid point takes s d + 1 of them, so the
+# carried (d, columns) blocks, and with them peak memory, stay flat.
+SWEEP_CHUNK_COLUMNS = 1536
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +126,14 @@ def _draw_rows(rng, k: int, dim: int, complex_entries: bool, well_conditioned: b
 
 def random_tree_system(
     seed: int,
-    net: TreeNetwork,
+    net: TreeNetwork | DagNetwork,
     dim: int,
     consistent: bool = True,
     rank_deficient: bool = False,
     complex_entries: bool = False,
     well_conditioned: bool = False,
 ) -> LinearSystem:
-    """Random system on a tree's nodes; consistent ones hide an exact solution."""
+    """Random system on a tree's or DAG's nodes; consistent ones hide an exact solution."""
     rng = np.random.default_rng(seed)
     k = net.node_count
     rows = _draw_rows(rng, k, dim, complex_entries, well_conditioned)
@@ -198,21 +205,7 @@ def random_dag(
         attempt += 1
 
 
-def random_dag_system(
-    seed: int,
-    net: DagNetwork,
-    dim: int,
-    consistent: bool = True,
-    well_conditioned: bool = False,
-) -> LinearSystem:
-    rng = np.random.default_rng(seed)
-    rows = _draw_rows(rng, net.node_count, dim, False, well_conditioned)
-    if consistent:
-        target = rng.standard_normal(dim)
-        rhs = rows @ target
-    else:
-        rhs = rng.standard_normal(net.node_count)
-    return LinearSystem(rows=rows, rhs=rhs)
+random_dag_system = random_tree_system  # the same draws on a DAG's nodes
 
 
 def iteration_budget(rho: float, target: float = 1e-9, cap: int = 20_000) -> int:
@@ -250,7 +243,7 @@ def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float
         if len(pieces) != 3:
             raise ValueError(f"malformed grid axis {part!r}; expected start:stop:step")
         start, stop, step = (float(x) for x in pieces)
-        if step <= 0.0 or stop < start:
+        if not (0.0 < step < math.inf and start <= stop and math.isfinite(stop - start)):
             raise ValueError(f"malformed grid axis {part!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         axes.append([start + i * step for i in range(count)])
@@ -262,32 +255,37 @@ def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float
     return out
 
 
-def _omega_for_point(
-    node_count: int, axes: Sequence[Sequence[int]], point: Sequence[float], baseline: float
-) -> RelaxationAssignment:
-    omega = np.full(node_count, baseline, dtype=float)
-    for nodes, value in zip(axes, point):
-        for v in nodes:
-            omega[v] = value
-    return RelaxationAssignment(omega)
+def _omega_stack(node_count: int, axes: Sequence, grid: Sequence, baseline: float) -> np.ndarray:
+    """``(V, G + 1)`` stack: each grid point on its axis nodes, the baseline elsewhere and last."""
+    omega = np.full((node_count, len(grid) + 1), baseline, dtype=float)
+    for k, nodes in enumerate(axes):
+        omega[list(nodes), :-1] = [pt[k] for pt in grid]
+    return omega
 
 
-def restricted_rho(
-    sys: LinearSystem,
-    net: TreeNetwork,
-    relax: RelaxationAssignment,
-    basis: list | None = None,
-) -> float:
-    """Spectral radius of the one-iteration matrix on the row space."""
-    it = cf.tree_affine(sys, net, relax)
-    if basis is None:
-        basis = cf.row_space_basis(sys)
-    return cf.spectral_radius_on_span(it.B, basis)
+def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> np.ndarray:
+    """Spectral radius on the row space of the pass at each column of a ``(V, G)`` omega stack.
+
+    Network, parameters and the basis ``kron(I_s, q)`` are checked once; each
+    chunk of grid points is one kernel push, one restriction and one ``eigvals``.
+    """
+    _require_valid(sys, net)
+    omega = _checked_omega(omega)
+    if omega.ndim != 2 or omega.shape[0] != net.node_count or omega.shape[1] < 1:
+        raise DimensionError(f"omega must be a ({net.node_count}, G >= 1) stack, got {omega.shape}")
+    tree = isinstance(net, TreeNetwork)
+    make, s = (_Pass.tree, 1) if tree else (_Pass.dag, len(net.minimal_nodes))
+    qs = cf._block_columns(s, cf.row_space_basis(sys), sys.ambient_dim)
+    width = s * sys.ambient_dim + 1  # kernel columns of one point
+    step = max(1, SWEEP_CHUNK_COLUMNS // width)
+    chunks = (omega[:, lo : lo + step] for lo in range(0, omega.shape[1], step))
+    maps = (make(sys, net, np.repeat(w, width, axis=1)).affine(w.shape[1])[0] for w in chunks)
+    return np.concatenate([np.max(np.abs(_eigvals(qs.conj().T @ b @ qs)), axis=-1) for b in maps])
 
 
 def omega_sweep(
     sys: LinearSystem,
-    net: TreeNetwork,
+    net: TreeNetwork | DagNetwork,
     part: SubnetworkPartition | None,
     grid: Sequence[tuple[float, ...]],
     axes: Sequence[Sequence[int]] | None = None,
@@ -296,9 +294,9 @@ def omega_sweep(
     """Evaluate the restricted spectral radius over a grid of parameters.
 
     Each grid axis drives one node set (default: one axis per partition
-    group); all remaining nodes sit at the uniform baseline.  Grid points are
-    independent and could be evaluated concurrently; results are stored in
-    grid order either way.
+    group); all remaining nodes sit at the uniform baseline.  The whole grid,
+    plus the baseline as one extra column, runs as one stack through
+    :func:`restricted_rho`; results are stored in grid order.
     """
     if axes is None:
         if part is None:
@@ -309,14 +307,8 @@ def omega_sweep(
         raise ValueError("empty sweep grid")
     if any(len(pt) != len(axes) for pt in grid):
         raise ValueError("grid tuples must match the number of axes")
-    basis = cf.row_space_basis(sys)
-    rho = [
-        restricted_rho(sys, net, _omega_for_point(net.node_count, axes, pt, baseline), basis)
-        for pt in grid
-    ]
-    baseline_rho = restricted_rho(
-        sys, net, RelaxationAssignment.uniform(net.node_count, baseline), basis
-    )
+    rho = restricted_rho(sys, net, _omega_stack(net.node_count, axes, grid, baseline)).tolist()
+    baseline_rho = rho.pop()
     argmin = int(np.argmin(rho))
     return SweepResult(
         grid=grid,
@@ -495,8 +487,8 @@ def _network_report(
     system = generate_system(spec).system
     sweep = omega_sweep(system, net, None, grid, axes=axes, baseline=baseline)
     best = sweep.argmin
-    relax_best = _omega_for_point(net.node_count, axes, best, baseline)
-    relax_base = RelaxationAssignment.uniform(net.node_count, baseline)
+    omega = _omega_stack(net.node_count, axes, [best], baseline)
+    relax_best, relax_base = RelaxationAssignment(omega[:, 0]), RelaxationAssignment(omega[:, 1])
     err_best = _residual_after(system, net, relax_best, iterations)
     err_base = _residual_after(system, net, relax_base, iterations)
     return {

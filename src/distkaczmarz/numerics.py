@@ -73,13 +73,18 @@ def eigenvalues(m) -> Spectrum:
     a = as_matrix(m, square=True)
     if a.shape[0] < 1:
         raise DimensionError("matrix must have dimension >= 1")
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise NumericalFailureError(f"eigenvalue iteration did not converge: {exc}") from exc
+    vals = _eigvals(a)
     order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
     vals = vals[order]
     return Spectrum(eigenvalues=vals, radius=float(np.max(np.abs(vals))))
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals`` of one matrix or a stack, failures raised as NumericalFailureError."""
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+        raise NumericalFailureError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def spectral_radius(m) -> float:

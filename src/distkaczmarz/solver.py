@@ -11,7 +11,8 @@ only minimal node is the root.
 
 Every pass goes through one kernel that carries a block of columns instead
 of a single vector: one column is the engine, identity columns give the
-closed-form affine map of :mod:`distkaczmarz.closedform`.
+closed-form affine map of :mod:`distkaczmarz.closedform`, and identity
+columns under a per-column relaxation give a whole chunk of sweep points.
 
 A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  Pooling sums
@@ -75,6 +76,14 @@ class LinearSystem:
         return float(np.linalg.norm(self.system_matrix() @ x - self.rhs))
 
 
+def _checked_omega(omega) -> np.ndarray:
+    """Relaxation parameters as a float array of any shape; each must be finite and nonnegative."""
+    om = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(om)) or np.any(om < 0.0):
+        raise ValueError("relaxation parameters must be finite and nonnegative")
+    return om
+
+
 @dataclass(frozen=True)
 class RelaxationAssignment:
     """Per-node relaxation parameters plus a uniform scale in (0, 1].
@@ -86,11 +95,9 @@ class RelaxationAssignment:
     scale: float = 1.0
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
+        om = _checked_omega(self.omega)
         if om.ndim != 1:
             raise DimensionError("omega must be one value per node")
-        if not np.all(np.isfinite(om)) or np.any(om < 0.0):
-            raise ValueError("relaxation parameters must be finite and nonnegative")
         if not (0.0 < self.scale <= 1.0):
             raise ValueError("scale must lie in (0, 1]")
         object.__setattr__(self, "omega", read_only_copy(om))
@@ -177,10 +184,11 @@ def relaxed_q(x, a, b, omega: float) -> np.ndarray:
 # Network iterations
 
 
-def _require_valid(sys: LinearSystem, net) -> None:
-    """Raise unless ``net`` is a valid tree or DAG with one node per equation."""
-    if not isinstance(net, (TreeNetwork, DagNetwork)):
-        raise TypeError(f"unsupported network type {type(net)!r}")
+def _require_valid(sys: LinearSystem, net, expected=(TreeNetwork, DagNetwork)) -> None:
+    """Raise unless ``net`` is a valid network of an ``expected`` type, one node per equation."""
+    if not isinstance(net, expected):
+        names = " or ".join(t.__name__ for t in expected)
+        raise TypeError(f"expected a {names}, got {type(net).__name__}")
     if sys.node_count != net.node_count:
         raise DimensionError("system and network disagree on the node count")
     tree = isinstance(net, TreeNetwork)
@@ -197,10 +205,11 @@ class _Pass:
     ``down[v]`` each successor with its pooling weight, and ``sources``
     lists the minimal nodes in ascending order.  A tree is the DAG whose
     only minimal node is the root, with dispersion weight 1 and pooling
-    weight equal to the edge weight.
+    weight equal to the edge weight.  ``omega`` is the effective relaxation,
+    ``(V,)`` or ``(V, m)`` with one column per kernel column.
     """
 
-    def __init__(self, sys: LinearSystem, relax: RelaxationAssignment, order, up, down, sources):
+    def __init__(self, sys: LinearSystem, omega: np.ndarray, order, up, down, sources):
         rows = sys.rows
         self.order = order
         self.up = up
@@ -210,24 +219,24 @@ class _Pass:
         self.rhs = sys.rhs
         self.cols = list(rows[:, :, None])  # a_v as a column
         self.conj = list(rows.conj())  # a_v* as a row
-        self.gain = list(relax.effective() / np.einsum("ij,ij->i", rows.conj(), rows).real)
+        self.gain = list((omega.T / np.einsum("ij,ij->i", rows.conj(), rows).real).T)
 
     @classmethod
-    def tree(cls, sys: LinearSystem, net: TreeNetwork, relax: RelaxationAssignment) -> "_Pass":
+    def tree(cls, sys: LinearSystem, net: TreeNetwork, omega: np.ndarray) -> "_Pass":
         nodes = range(net.node_count)
         order = [net.root]
         for v in order:  # breadth first: the list grows while it is walked
             order.extend(net.children.get(v, ()))
         up = [((net.parent[v], 1.0),) if v in net.parent else () for v in nodes]
         down = [tuple((u, net.edge_weight[(v, u)]) for u in net.children.get(v, ())) for v in nodes]
-        return cls(sys, relax, order, up, down, (net.root,))
+        return cls(sys, omega, order, up, down, (net.root,))
 
     @classmethod
-    def dag(cls, sys: LinearSystem, net: DagNetwork, relax: RelaxationAssignment) -> "_Pass":
+    def dag(cls, sys: LinearSystem, net: DagNetwork, omega: np.ndarray) -> "_Pass":
         nodes = range(net.node_count)
         up = [tuple((u, net.w_d[(u, v)]) for u in net.predecessors[v]) for v in nodes]
         down = [tuple((u, net.w_p[(v, u)]) for u in net.successors[v]) for v in nodes]
-        return cls(sys, relax, topological_order(net), up, down, net.minimal_nodes)
+        return cls(sys, omega, topological_order(net), up, down, net.minimal_nodes)
 
     def push(self, starts: Sequence[np.ndarray], t: np.ndarray) -> list[np.ndarray]:
         """Carry one (d, m) block per minimal node through the pass.
@@ -257,18 +266,20 @@ class _Pass:
         """The pass on one estimate vector per minimal node."""
         return [y[:, 0] for y in self.push([xv[:, None] for xv in xs], np.ones(1))]
 
-    def affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pass as ``x -> B x + c`` on the stacked minimal-node estimates.
+    def affine(self, points: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """The pass as ``x -> B x + c`` on the stacked minimal-node estimates, per point.
 
         Minimal node i starts from the identity on its own block of columns
         and a zero constant column; ``t`` selects the constant column, so the
-        pooled blocks stack into ``[B | c]``.
+        pooled blocks stack into ``[B | c]``.  Point p owns the k + 1 kernel
+        columns from ``p (k + 1)``; B and c come back stacked by point.
         """
         d = self.dim
         k = d * len(self.sources)
-        eye = np.eye(k + 1, dtype=np.complex128)
+        eye = np.tile(np.eye(k + 1, dtype=np.complex128), points)
         out = np.vstack(self.push([eye[i : i + d] for i in range(0, k, d)], eye[k]))
-        return np.ascontiguousarray(out[:, :k]), out[:, k].copy()
+        out = out.reshape(k, points, k + 1).transpose(1, 0, 2)
+        return out[:, :, :k], out[:, :, k]
 
     def masses(self) -> np.ndarray:
         """``masses[i, v]``: total weight with which minimal node i pools the chains through v.
@@ -301,8 +312,8 @@ def tree_iterate(
 ) -> np.ndarray:
     """One dispersion/pooling pass over a rooted tree."""
     if not validated:
-        _require_valid(sys, net)
-    return _Pass.tree(sys, net, relax).vectors([as_vector(x)])[0]
+        _require_valid(sys, net, (TreeNetwork,))
+    return _Pass.tree(sys, net, relax.effective()).vectors([as_vector(x)])[0]
 
 
 def dag_iterate(
@@ -321,11 +332,11 @@ def dag_iterate(
     second update.
     """
     if not validated:
-        _require_valid(sys, net)
+        _require_valid(sys, net, (DagNetwork,))
     minimal = net.minimal_nodes
     if len(blocks) != len(minimal):
         raise DimensionError(f"expected {len(minimal)} estimate blocks, got {len(blocks)}")
-    return _Pass.dag(sys, net, relax).vectors([as_vector(b) for b in blocks])
+    return _Pass.dag(sys, net, relax.effective()).vectors([as_vector(b) for b in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +375,7 @@ def solve(
     """
     _require_valid(sys, net)
     tree = isinstance(net, TreeNetwork)
-    run = (_Pass.tree if tree else _Pass.dag)(sys, net, relax)
+    run = (_Pass.tree if tree else _Pass.dag)(sys, net, relax.effective())
     public = (lambda blocks: blocks[0]) if tree else (lambda blocks: blocks)  # one tree estimate
     state = _initial_blocks(sys, tree, run.sources, config.initial_estimate)
     bound = DIVERGENCE_FACTOR * (1.0 + _max_norm(state))

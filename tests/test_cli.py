@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from distkaczmarz import cli
+from distkaczmarz import closedform as cf
+from distkaczmarz import solver as sv
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -257,6 +259,49 @@ class TestSweepCommand:
     def test_malformed_grid(self, tmp_path, capsys):
         cfg = identity_config(tmp_path, sweep={"axes": [[1]]})
         assert cli.main(["sweep", "--config", cfg, "--grid", "nope"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, prefix",
+        [
+            (["--grid=-1:1:0.5"], "--grid: "),
+            (["--grid", "0:inf:1"], "--grid: "),
+            (["--baseline", "-1"], "--baseline: "),
+            (["--baseline", "nan"], "--baseline: "),
+        ],
+    )
+    def test_negative_or_non_finite_omega_named(self, tmp_path, capsys, flags, prefix):
+        cfg = identity_config(tmp_path, sweep={"axes": [[1]]})
+        assert cli.main(["sweep", "--config", cfg, *flags]) == 1
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_dag_sweep_matches_block_map(self, tmp_path, capsys):
+        edges = [(0, 2), (0, 3), (1, 3), (2, 4), (2, 5), (3, 5)]
+        cfg = write_config(
+            tmp_path,
+            {
+                "system": {"generator": {"kind": "uniform", "k": 6, "d": 4, "seed": 3}},
+                "network": {
+                    "type": "dag",
+                    "nodes": 6,
+                    "edges": [{"from": u, "to": v} for u, v in edges],
+                },
+                "sweep": {"axes": [[4], [3, 5]]},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        argv = ["sweep", "--config", cfg, "--grid", "0.5:2:0.5,0.5:2:0.5", "--baseline", "1.2"]
+        assert cli.main(argv) == 0
+        rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+        assert rows[0] == "omega_1,omega_2,rho"
+        assert len(rows) - 1 == 4 * 4
+        run = cli.load_config(cfg)
+        basis = cf.row_space_basis(run.system)
+        for row in rows[1:]:
+            w1, w2, rho = (float(x) for x in row.split(","))
+            omega = np.array([1.2, 1.2, 1.2, w2, w1, w2])
+            bs = cf.dag_block_structure(run.system, run.network, sv.RelaxationAssignment(omega))
+            assert rho == pytest.approx(cf.dag_restricted_rho(bs, basis), abs=1e-11)
 
 
 class TestReproduceCommand:

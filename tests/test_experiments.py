@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from distkaczmarz import closedform as cf
 from distkaczmarz import experiments as ex
+from distkaczmarz import numerics as nm
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
-from distkaczmarz.errors import DivergenceError
+from distkaczmarz.errors import DimensionError, DivergenceError
 
 
 class TestGenerateSystem:
@@ -87,6 +89,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             ex.grid_from_spec("0:1:0.5", 2)
 
+    @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "nan:1:1", "0:1:nan", "0:1:inf"])
+    def test_non_finite_axis_malformed(self, spec):
+        with pytest.raises(ValueError, match="malformed grid axis"):
+            ex.grid_from_spec(spec)
+
 
 class TestOmegaSweep:
     def test_single_node_curve_is_abs_one_minus_omega(self):
@@ -131,6 +138,67 @@ class TestOmegaSweep:
         )
         assert a.rho[0] == pytest.approx(a.baseline_rho, abs=1e-12)
         assert b.rho[0] == pytest.approx(b.baseline_rho, abs=1e-12)
+
+
+    def test_dag_sweep_matches_block_map(self):
+        net = ex.figure_dag()
+        system = ex.random_dag_system(5, net, dim=4)
+        grid = ex.grid_from_spec("0.5:2.5:0.5,0.5:2.5:0.5")
+        result = ex.omega_sweep(system, net, None, grid, axes=[(4,), (5,)], baseline=1.2)
+        basis = cf.row_space_basis(system)
+        for (w4, w5), rho in zip(grid + [(1.2, 1.2)], result.rho + [result.baseline_rho]):
+            omega = np.array([1.2, 1.2, 1.2, 1.2, w4, w5])
+            bs = cf.dag_block_structure(system, net, sv.RelaxationAssignment(omega))
+            assert rho == pytest.approx(cf.dag_restricted_rho(bs, basis), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["tree", "dag"])
+    def test_validates_and_checks_the_basis_once(self, kind, monkeypatch):
+        if kind == "tree":
+            net, _, axes = ex.network_one()
+            system = ex.generate_system(ex.GeneratorSpec("uniform", 5, 5, seed=2)).system
+        else:
+            net, axes = ex.figure_dag(), [(4,), (5,)]
+            system = ex.random_dag_system(3, net, dim=4)
+        calls = {"validate": 0, "basis": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(sv, "validate_tree", counting("validate", sv.validate_tree))
+        monkeypatch.setattr(sv, "validate_dag", counting("validate", sv.validate_dag))
+        checked = counting("basis", nm._checked_columns)
+        for module in (nm, cf):
+            monkeypatch.setattr(module, "_checked_columns", checked)
+        grid = ex.grid_from_spec("0.1:4:0.1,0.1:4:0.1")
+        assert len(grid) == 1600
+        result = ex.omega_sweep(system, net, None, grid, axes=axes)
+        assert len(result.rho) == 1600
+        assert calls == {"validate": 1, "basis": 1}
+
+
+class TestRestrictedRho:
+    def test_negative_or_non_finite_omega_is_the_relaxation_error(self):
+        net, _, _ = ex.network_one()
+        system = ex.generate_system(ex.GeneratorSpec("uniform", 5, 5, seed=4)).system
+        for bad in (-0.5, np.nan, np.inf):
+            omega = np.full((5, 3), 1.0)
+            omega[2, 1] = bad
+            with pytest.raises(ValueError) as want:
+                sv.RelaxationAssignment(omega[:, 1])
+            with pytest.raises(ValueError) as got:
+                ex.restricted_rho(system, net, omega)
+            assert str(got.value) == str(want.value)
+
+    def test_stack_shape_checked(self):
+        net, _, _ = ex.network_one()
+        system = ex.generate_system(ex.GeneratorSpec("uniform", 5, 5, seed=4)).system
+        for shape in ((5,), (4, 3), (6, 3), (5, 0)):
+            with pytest.raises(DimensionError):
+                ex.restricted_rho(system, net, np.ones(shape))
 
 
 class TestLimitStudy:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from distkaczmarz import closedform as cf
+from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.errors import (
@@ -59,20 +60,34 @@ class TestRequireValid:
         system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
         relax = sv.RelaxationAssignment.uniform(2)
         part = tp.SubnetworkPartition.of([])
-        routes = [
-            lambda net: sv.solve(system, net, relax),
+        tree_routes = [
             lambda net: sv.tree_iterate(system, net, relax, np.zeros(2)),
-            lambda net: sv.dag_iterate(system, net, relax, [np.zeros(2)]),
             lambda net: cf.tree_affine(system, net, relax),
             lambda net: cf.build_p_omega(system, net, part, relax),
             lambda net: cf.check_admissibility(system, net, part, relax),
             lambda net: cf.weighted_ls_minimizer(system, net, relax),
+        ]
+        dag_routes = [
+            lambda net: sv.dag_iterate(system, net, relax, [np.zeros(2)]),
             lambda net: cf.dag_block_p(system, net, relax),
             lambda net: cf.dag_block_structure(system, net, relax),
         ]
-        for route in routes:
+        either_routes = [
+            lambda net: sv.solve(system, net, relax),
+            lambda net: ex.restricted_rho(system, net, np.ones((2, 1))),
+        ]
+        for route in tree_routes + dag_routes + either_routes:
             with pytest.raises(TypeError):
                 route({"nodes": 2})
+        # a route for one network type names it when given the other
+        dag = tp.DagNetwork.from_cover_edges(2, [(0, 1)])
+        for routes, wrong, message in (
+            (tree_routes, dag, "expected a TreeNetwork, got DagNetwork"),
+            (dag_routes, chain(2), "expected a DagNetwork, got TreeNetwork"),
+        ):
+            for route in routes:
+                with pytest.raises(TypeError, match=message):
+                    route(wrong)
 
     def test_node_count_checked_for_both_network_types(self):
         system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
