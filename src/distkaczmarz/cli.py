@@ -14,17 +14,26 @@ Commands
 
 Configs are JSON; complex numbers are two-element ``[re, im]`` arrays and
 plain reals are accepted wherever the imaginary part is zero.  Node ids are
-dense integers ``0 .. nodes-1``.  Schema violations exit with code 1 and
-name the JSON path of the offending field.  Report files are written to a
-temporary name and renamed, so no partial files appear, and every output
-ends with a newline.  Output is plain text (no color), so ``NO_COLOR`` is
-honored trivially.
+dense integers ``0 .. nodes-1``.  Every field is read through one reader per
+JSON type, so each schema rule holds wherever its type appears:
+
+- booleans are neither numbers nor node ids;
+- numbers are finite (``NaN`` and ``Infinity`` are rejected);
+- ``k`` and ``d`` are at least 1 and ``seed`` is at least 0;
+- ``output.dir`` is a string;
+- ``network.nodes`` equals the number of equations.
+
+Schema violations exit with code 1 and name the JSON path of the offending
+field.  Report files are written to a temporary name and renamed, so no
+partial files appear, and every output ends with a newline.  Output is plain
+text (no color), so ``NO_COLOR`` is honored trivially.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass, field
@@ -34,7 +43,7 @@ import numpy as np
 
 from . import closedform as cf
 from . import experiments as ex
-from .errors import CycleError, DivergenceError, InvalidNetworkError, PartitionError
+from .errors import DivergenceError, PartitionError
 from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _checked_omega, solve
 from .topology import (
     DagNetwork,
@@ -51,6 +60,8 @@ EXIT_CONFIG = 1
 EXIT_MAX_ITERATIONS = 2
 EXIT_DIVERGED = 3
 
+_REQUIRED = object()
+
 
 class ConfigError(Exception):
     """Invalid configuration; ``path`` points at the offending field."""
@@ -65,21 +76,80 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in obj:
-        _expect(not required, f"{path}.{key}", "missing required field")
+def _get(obj: dict, key: str, path: str, read, *args, default=_REQUIRED, **kwargs):
+    """Field ``key`` of ``obj`` checked by ``read``; a field without a default is required.
+
+    An absent field reads as ``default``, and so does ``null`` where the
+    default is None.
+    """
+    if key not in obj or (obj[key] is None and default is None):
+        _expect(default is not _REQUIRED, f"{path}.{key}", "missing required field")
         return default
-    return obj[key]
+    return read(obj[key], f"{path}.{key}", *args, **kwargs)
 
 
-def _as_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(x, (int, float)) for x in value
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(path, "expected a real number or an [re, im] pair")
+def _built(path: str, make, *args):
+    """``make(*args)``, with the library's ValueError reported at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+# One reader per JSON type: each checks a value at ``path`` and returns it.
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite integer or float; too large for a float counts as infinite."""
+    return (_is_integer(value) or isinstance(value, float)) and abs(value) <= _sys.float_info.max
+
+
+def _number(value, path: str) -> float:
+    _expect(_is_number(value), path, "expected a finite number")
+    return float(value)
+
+
+def _integer(value, path: str, low: int) -> int:
+    if not (_is_integer(value) and value >= low):
+        raise ConfigError(path, f"expected a {'positive' if low else 'nonnegative'} integer")
+    return value
+
+
+def _node(value, path: str, nodes: int) -> int:
+    _expect(_is_integer(value) and 0 <= value < nodes, path, "expected a node id in range")
+    return value
+
+
+def _nodes(value, path: str, nodes: int) -> list[int]:
+    ids = _list(value, path, low=1, message="expected a non-empty list of node ids")
+    return [_node(v, f"{path}[{i}]", nodes) for i, v in enumerate(ids)]
+
+
+def _complex(value, path: str) -> complex:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    _expect(all(map(_is_number, parts)), path, "expected a real number or an [re, im] pair")
+    return complex(*parts)
+
+
+def _string(value, path: str, choices: tuple = ()) -> str:
+    """A string, one of ``choices`` when they are given."""
+    if not (value in choices if choices else isinstance(value, str)):
+        raise ConfigError(path, "expected " + (" or ".join(map(repr, choices)) or "a string"))
+    return value
+
+
+def _object(value, path: str) -> dict:
+    _expect(isinstance(value, dict), path, "expected an object")
+    return value
+
+
+def _list(value, path: str, low=0, high=math.inf, message="expected a list") -> list:
+    _expect(isinstance(value, list) and low <= len(value) <= high, path, message)
+    return value
 
 
 def _complex_out(z: complex):
@@ -104,184 +174,106 @@ class RunConfig:
 
 
 def _parse_system(raw: dict, path: str) -> tuple[LinearSystem, dict]:
-    _expect(isinstance(raw, dict), path, "expected an object")
-    has_inline = "matrix" in raw
     has_gen = "generator" in raw
     _expect(
-        has_inline != has_gen, path, "exactly one of 'matrix' or 'generator' is required"
+        has_gen != ("matrix" in raw), path, "exactly one of 'matrix' or 'generator' is required"
     )
-    if has_inline:
-        matrix = raw["matrix"]
-        _expect(
-            isinstance(matrix, list) and matrix and all(isinstance(r, list) for r in matrix),
-            f"{path}.matrix",
-            "expected a nonempty list of rows",
-        )
-        width = len(matrix[0])
-        rows = []
-        for i, r in enumerate(matrix):
-            _expect(len(r) == width, f"{path}.matrix[{i}]", "ragged matrix rows")
-            rows.append([_as_complex(x, f"{path}.matrix[{i}][{j}]") for j, x in enumerate(r)])
-        rhs_raw = _get(raw, "rhs", path)
-        _expect(
-            isinstance(rhs_raw, list) and len(rhs_raw) == len(matrix),
-            f"{path}.rhs",
-            "expected one entry per matrix row",
-        )
-        rhs = [_as_complex(x, f"{path}.rhs[{i}]") for i, x in enumerate(rhs_raw)]
-        # the config carries the system matrix A with rows a_v*; stored rows are a_v
-        system = LinearSystem(
-            rows=np.conj(np.array(rows, dtype=np.complex128)),
-            rhs=np.array(rhs, dtype=np.complex128),
-        )
-        resolved = {
-            "matrix": [[_complex_out(z) for z in r] for r in rows],
-            "rhs": [_complex_out(z) for z in rhs],
-        }
-        return system, resolved
-    gen = raw["generator"]
-    _expect(isinstance(gen, dict), f"{path}.generator", "expected an object")
-    kind = _get(gen, "kind", f"{path}.generator")
-    _expect(
-        kind in ("uniform", "near-orthogonal"),
-        f"{path}.generator.kind",
-        "expected 'uniform' or 'near-orthogonal'",
-    )
-    k = _get(gen, "k", f"{path}.generator")
-    d = _get(gen, "d", f"{path}.generator")
-    seed = _get(gen, "seed", f"{path}.generator")
-    epsilon = _get(gen, "epsilon", f"{path}.generator", required=False, default=0.1)
-    for name, val in (("k", k), ("d", d), ("seed", seed)):
-        _expect(isinstance(val, int), f"{path}.generator.{name}", "expected an integer")
-    try:
-        spec = ex.GeneratorSpec(kind=kind, k=k, d=d, seed=seed, epsilon=float(epsilon))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.generator", str(exc)) from exc
-    system = ex.generate_system(spec).system
+    if has_gen:
+        return _parse_generator(_get(raw, "generator", path, _object), f"{path}.generator")
+    matrix = _get(raw, "matrix", path, _list, low=1, message="expected a nonempty list of rows")
+    width = len(_list(matrix[0], f"{path}.matrix[0]", low=1, message="expected a nonempty row"))
+    rows = []
+    for i, r in enumerate(matrix):
+        rpath = f"{path}.matrix[{i}]"
+        r = _list(r, rpath, width, width, "ragged matrix rows")
+        rows.append([_complex(x, f"{rpath}[{j}]") for j, x in enumerate(r)])
+    k = len(rows)
+    rhs_raw = _get(raw, "rhs", path, _list, k, k, "expected one entry per matrix row")
+    rhs = [_complex(x, f"{path}.rhs[{i}]") for i, x in enumerate(rhs_raw)]
+    # the config carries the system matrix A with rows a_v*; stored rows are a_v
+    a_rows = np.conj(np.array(rows, dtype=np.complex128))
+    system = _built(path, LinearSystem, a_rows, np.array(rhs, dtype=np.complex128))
     resolved = {
-        "generator": {
-            "kind": kind,
-            "k": k,
-            "d": d,
-            "seed": seed,
-            "epsilon": float(epsilon),
-            "rng_name": spec.rng_name,
-        }
+        "matrix": [[_complex_out(z) for z in r] for r in rows],
+        "rhs": [_complex_out(z) for z in rhs],
     }
     return system, resolved
 
 
-def _parse_network(raw: dict, path: str):
-    _expect(isinstance(raw, dict), path, "expected an object")
-    kind = _get(raw, "type", path)
-    _expect(kind in ("tree", "dag"), f"{path}.type", "expected 'tree' or 'dag'")
-    nodes = _get(raw, "nodes", path)
-    _expect(isinstance(nodes, int) and nodes >= 1, f"{path}.nodes", "expected a positive integer")
-    edges_raw = _get(raw, "edges", path, required=(nodes > 1), default=[])
-    _expect(isinstance(edges_raw, list), f"{path}.edges", "expected a list of edges")
-    if kind == "tree":
-        root = _get(raw, "root", path)
-        _expect(
-            isinstance(root, int) and 0 <= root < nodes,
-            f"{path}.root",
-            "expected a node id in range",
-        )
-        edges = []
-        resolved_edges = []
-        for i, e in enumerate(edges_raw):
-            epath = f"{path}.edges[{i}]"
-            _expect(isinstance(e, dict), epath, "expected an object")
-            u = _get(e, "parent", epath)
-            v = _get(e, "child", epath)
-            w = e.get("w")
-            for name, val in (("parent", u), ("child", v)):
-                _expect(
-                    isinstance(val, int) and 0 <= val < nodes,
-                    f"{epath}.{name}",
-                    "expected a node id in range",
-                )
-            edges.append((u, v, None if w is None else float(w)))
-        try:
-            net = TreeNetwork.from_edges(nodes, root, edges)
-        except InvalidNetworkError as exc:
-            raise ConfigError(f"{path}.edges", str(exc)) from exc
-        violations = validate_tree(net)
-        if violations:
-            raise ConfigError(path, "; ".join(v.detail for v in violations))
-        for (u, v), w in sorted(net.edge_weight.items()):
-            resolved_edges.append({"parent": u, "child": v, "w": w})
-        return net, {"type": "tree", "nodes": nodes, "root": root, "edges": resolved_edges}
+def _parse_generator(raw: dict, path: str) -> tuple[LinearSystem, dict]:
+    spec = {
+        "kind": _get(raw, "kind", path, _string, ("uniform", "near-orthogonal")),
+        "k": _get(raw, "k", path, _integer, 1),
+        "d": _get(raw, "d", path, _integer, 1),
+        "seed": _get(raw, "seed", path, _integer, 0),
+        "epsilon": _get(raw, "epsilon", path, _number, default=0.1),
+    }
+    system = _built(path, lambda: ex.generate_system(ex.GeneratorSpec(**spec)).system)
+    return system, {"generator": {**spec, "rng_name": ex.RNG_NAME}}
+
+
+# Per network type: the node-id fields of an edge, then its weight fields,
+# each with the network table that holds the resolved weight.
+_EDGE_FIELDS = {
+    "tree": (("parent", "child"), {"w": "edge_weight"}),
+    "dag": (("from", "to"), {"wd": "w_d", "wp": "w_p"}),
+}
+
+
+def _parse_network(raw: dict, path: str, equations: int):
+    kind = _get(raw, "type", path, _string, tuple(_EDGE_FIELDS))
+    nodes = _get(raw, "nodes", path, _integer, 1)
+    if nodes != equations:
+        message = f"system has {equations} equations but the network {nodes} nodes"
+        raise ConfigError(f"{path}.nodes", message)
+    single = [] if nodes == 1 else _REQUIRED  # one node needs no edges
+    edges_raw = _get(raw, "edges", path, _list, default=single, message="expected a list of edges")
+    tree = kind == "tree"
+    head = {"type": kind, "nodes": nodes}
+    if tree:
+        head["root"] = _get(raw, "root", path, _node, nodes)
+    ends, weights = _EDGE_FIELDS[kind]
     edges = []
     for i, e in enumerate(edges_raw):
         epath = f"{path}.edges[{i}]"
-        _expect(isinstance(e, dict), epath, "expected an object")
-        u = _get(e, "from", epath)
-        v = _get(e, "to", epath)
-        for name, val in (("from", u), ("to", v)):
-            _expect(
-                isinstance(val, int) and 0 <= val < nodes,
-                f"{epath}.{name}",
-                "expected a node id in range",
-            )
-        wd, wp = e.get("wd"), e.get("wp")
-        edges.append((u, v, None if wd is None else float(wd), None if wp is None else float(wp)))
-    try:
-        net = DagNetwork.from_cover_edges(nodes, edges)
-    except (InvalidNetworkError, CycleError) as exc:
-        raise ConfigError(f"{path}.edges", str(exc)) from exc
-    violations = validate_dag(net)
+        e = _object(e, epath)
+        ids = [_get(e, name, epath, _node, nodes) for name in ends]
+        edges.append((*ids, *(_get(e, name, epath, _number, default=None) for name in weights)))
+    if tree:
+        net = _built(f"{path}.edges", TreeNetwork.from_edges, nodes, head["root"], edges)
+    else:
+        net = _built(f"{path}.edges", DagNetwork.from_cover_edges, nodes, edges)
+    violations = (validate_tree if tree else validate_dag)(net)
     if violations:
         raise ConfigError(path, "; ".join(v.detail for v in violations))
+    tables = [getattr(net, name) for name in weights.values()]
     resolved_edges = [
-        {"from": u, "to": v, "wd": net.w_d[(u, v)], "wp": net.w_p[(u, v)]}
-        for u, v in net.edges
+        dict(zip((*ends, *weights), (*e, *(t[e] for t in tables)))) for e in sorted(tables[0])
     ]
-    return net, {"type": "dag", "nodes": nodes, "edges": resolved_edges}
+    return net, {**head, "edges": resolved_edges}
 
 
-def _parse_relaxation(raw, node_count: int, path: str) -> tuple[RelaxationAssignment, dict]:
-    if raw is None:
-        raw = {}
-    _expect(isinstance(raw, dict), path, "expected an object")
-    default = raw.get("default", 1.0)
-    _expect(isinstance(default, (int, float)), f"{path}.default", "expected a number")
-    omega = np.full(node_count, float(default))
-    per_node = raw.get("omega", {})
-    _expect(isinstance(per_node, dict), f"{path}.omega", "expected an object keyed by node id")
-    for key, val in per_node.items():
+def _parse_relaxation(raw: dict, node_count: int, path: str) -> tuple[RelaxationAssignment, dict]:
+    default = _get(raw, "default", path, _number, default=1.0)
+    omega = np.full(node_count, default)
+    for key, val in _get(raw, "omega", path, _object, default={}).items():
+        kpath = f"{path}.omega.{key}"
         try:
-            v = int(key)
+            v = _node(int(key), kpath, node_count)
         except ValueError:
-            raise ConfigError(f"{path}.omega.{key}", "keys must be node ids")
-        _expect(0 <= v < node_count, f"{path}.omega.{key}", "node id out of range")
-        _expect(isinstance(val, (int, float)), f"{path}.omega.{key}", "expected a number")
-        omega[v] = float(val)
-    groups = raw.get("groups", [])
-    _expect(isinstance(groups, list), f"{path}.groups", "expected a list")
-    for i, g in enumerate(groups):
+            raise ConfigError(kpath, "keys must be node ids") from None
+        omega[v] = _number(val, kpath)
+    for i, g in enumerate(_get(raw, "groups", path, _list, default=[])):
         gpath = f"{path}.groups[{i}]"
-        _expect(isinstance(g, dict), gpath, "expected an object")
-        nodes = _get(g, "nodes", gpath)
-        value = _get(g, "omega", gpath)
-        _expect(isinstance(nodes, list) and nodes, f"{gpath}.nodes", "expected node ids")
-        _expect(isinstance(value, (int, float)), f"{gpath}.omega", "expected a number")
-        for v in nodes:
-            _expect(
-                isinstance(v, int) and 0 <= v < node_count,
-                f"{gpath}.nodes",
-                "node id out of range",
-            )
-            omega[v] = float(value)
-    scale = raw.get("scale", 1.0)
-    _expect(isinstance(scale, (int, float)), f"{path}.scale", "expected a number")
-    try:
-        relax = RelaxationAssignment(omega, float(scale))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        g = _object(g, gpath)
+        nodes = _get(g, "nodes", gpath, _nodes, node_count)
+        omega[nodes] = _get(g, "omega", gpath, _number)
+    scale = _get(raw, "scale", path, _number, default=1.0)
+    relax = _built(path, RelaxationAssignment, omega, scale)
     resolved = {
-        "default": float(default),
+        "default": default,
         "omega": {str(i): float(w) for i, w in enumerate(omega)},
-        "scale": float(scale),
+        "scale": scale,
     }
     return relax, resolved
 
@@ -292,101 +284,60 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable text, bad or too deeply nested JSON
         raise ConfigError("config", f"not valid JSON: {exc}") from exc
-    _expect(isinstance(raw, dict), "config", "expected a JSON object")
-    system, sys_resolved = _parse_system(_get(raw, "system", "config"), "config.system")
-    network, net_resolved = _parse_network(_get(raw, "network", "config"), "config.network")
-    _expect(
-        system.node_count == (network.node_count),
-        "config.network.nodes",
-        f"system has {system.node_count} equations but the network {network.node_count} nodes",
+    raw = _object(raw, "config")
+    system, sys_resolved = _parse_system(_get(raw, "system", "config", _object), "config.system")
+    network, net_resolved = _parse_network(
+        _get(raw, "network", "config", _object), "config.network", system.node_count
     )
+    n = network.node_count
     partition = None
     part_resolved = None
-    if raw.get("subnetworks") is not None:
-        sub = raw["subnetworks"]
-        _expect(isinstance(sub, dict), "config.subnetworks", "expected an object")
-        groups = _get(sub, "groups", "config.subnetworks")
-        _expect(isinstance(groups, list), "config.subnetworks.groups", "expected a list")
-        for i, g in enumerate(groups):
-            _expect(
-                isinstance(g, list)
-                and g
-                and all(isinstance(v, int) and 0 <= v < network.node_count for v in g),
-                f"config.subnetworks.groups[{i}]",
-                "expected node ids in range",
-            )
+    sub = _get(raw, "subnetworks", "config", _object, default=None)
+    if sub is not None:
+        groups = _get(sub, "groups", "config.subnetworks", _list)
+        groups = [_nodes(g, f"config.subnetworks.groups[{i}]", n) for i, g in enumerate(groups)]
         _expect(
-            isinstance(network, TreeNetwork),
+            net_resolved["type"] == "tree",
             "config.subnetworks",
             "subnetworks apply to tree networks only",
         )
         partition = SubnetworkPartition.of([set(g) for g in groups])
         part_resolved = {"groups": [sorted(g) for g in partition.groups]}
-    relax, relax_resolved = _parse_relaxation(
-        raw.get("relaxation"), network.node_count, "config.relaxation"
+    relax_raw = _get(raw, "relaxation", "config", _object, default=None) or {}
+    relax, relax_resolved = _parse_relaxation(relax_raw, n, "config.relaxation")
+    solver_raw = _get(raw, "solver", "config", _object, default={})
+    max_iter = _get(solver_raw, "max_iterations", "config.solver", _integer, 1, default=10_000)
+    tol = _get(solver_raw, "step_tolerance", "config.solver", _number, default=1e-10)
+    _expect(tol > 0, "config.solver.step_tolerance", "expected a positive number")
+    d = system.ambient_dim
+    initial = _get(
+        solver_raw, "initial", "config.solver", _list, d, d, f"expected {d} entries", default=None
     )
-    solver_raw = raw.get("solver", {})
-    _expect(isinstance(solver_raw, dict), "config.solver", "expected an object")
-    max_iter = solver_raw.get("max_iterations", 10_000)
-    tol = solver_raw.get("step_tolerance", 1e-10)
-    _expect(
-        isinstance(max_iter, int) and max_iter >= 1,
-        "config.solver.max_iterations",
-        "expected a positive integer",
-    )
-    _expect(
-        isinstance(tol, (int, float)) and tol > 0,
-        "config.solver.step_tolerance",
-        "expected a positive number",
-    )
-    initial = solver_raw.get("initial")
     init_vec = None
     if initial is not None:
-        _expect(isinstance(initial, list), "config.solver.initial", "expected a list")
         init_vec = np.array(
-            [_as_complex(x, f"config.solver.initial[{i}]") for i, x in enumerate(initial)]
+            [_complex(x, f"config.solver.initial[{i}]") for i, x in enumerate(initial)]
         )
-        _expect(
-            init_vec.shape[0] == system.ambient_dim,
-            "config.solver.initial",
-            f"expected {system.ambient_dim} entries",
-        )
-    config = SolverConfig(
-        max_iterations=max_iter, step_tolerance=float(tol), initial_estimate=init_vec
-    )
+    config = SolverConfig(max_iterations=max_iter, step_tolerance=tol, initial_estimate=init_vec)
     sweep_axes = None
-    if raw.get("sweep") is not None:
-        sweep = raw["sweep"]
-        _expect(isinstance(sweep, dict), "config.sweep", "expected an object")
-        axes = _get(sweep, "axes", "config.sweep")
-        _expect(
-            isinstance(axes, list) and 1 <= len(axes) <= 2,
-            "config.sweep.axes",
-            "expected one or two axes",
-        )
-        parsed = []
-        for i, axis in enumerate(axes):
-            _expect(
-                isinstance(axis, list)
-                and axis
-                and all(isinstance(v, int) and 0 <= v < network.node_count for v in axis),
-                f"config.sweep.axes[{i}]",
-                "expected node ids in range",
-            )
-            parsed.append(tuple(sorted(axis)))
-        sweep_axes = parsed
-    output_raw = raw.get("output", {})
-    _expect(isinstance(output_raw, dict), "config.output", "expected an object")
-    out_dir = output_raw.get("dir", ".")
-    out_format = output_raw.get("format", "json")
-    _expect(out_format in ("json", "csv"), "config.output.format", "expected 'json' or 'csv'")
+    sweep = _get(raw, "sweep", "config", _object, default=None)
+    if sweep is not None:
+        axes = _get(sweep, "axes", "config.sweep", _list, 1, 2, "expected one or two axes")
+        sweep_axes = [
+            tuple(sorted(_nodes(a, f"config.sweep.axes[{i}]", n))) for i, a in enumerate(axes)
+        ]
+    output_raw = _get(raw, "output", "config", _object, default={})
+    out_dir = _get(output_raw, "dir", "config.output", _string, default=".")
+    out_format = _get(
+        output_raw, "format", "config.output", _string, ("json", "csv"), default="json"
+    )
     resolved = {
         "system": sys_resolved,
         "network": net_resolved,
         "relaxation": relax_resolved,
-        "solver": {"max_iterations": max_iter, "step_tolerance": float(tol)},
+        "solver": {"max_iterations": max_iter, "step_tolerance": tol},
         "output": {"dir": out_dir, "format": out_format},
     }
     if part_resolved is not None:

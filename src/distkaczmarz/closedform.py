@@ -41,6 +41,7 @@ from .solver import (
     LinearSystem,
     RelaxationAssignment,
     _Pass,
+    _require_assignment,
     _require_valid,
     relaxed_q,
 )
@@ -117,6 +118,7 @@ def path_sor_factors(
     sys: LinearSystem, node_path: Sequence[int], relax: RelaxationAssignment
 ) -> PathSorFactors:
     """Factor matrices for the relaxed projection chain along ``node_path``."""
+    _require_assignment(sys, relax)
     nodes = tuple(int(v) for v in node_path)
     if not nodes:
         raise DimensionError("empty node path")
@@ -142,7 +144,7 @@ def tree_affine(
     the right-hand side entering the last column only.  The paper's form,
     the leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
     """
-    _require_valid(sys, net, (TreeNetwork,))
+    _require_valid(sys, net, (TreeNetwork,), relax)
     (b,), (c,) = _Pass.tree(sys, net, relax.effective()).affine()
     return AffineIteration(B=b, c=c)
 
@@ -169,6 +171,7 @@ def group_operator(
     sys: LinearSystem, net: TreeNetwork, group, relax: RelaxationAssignment
 ) -> np.ndarray:
     """Weighted average of projection chains through one subnetwork's trees."""
+    _require_assignment(sys, relax)
     g = _as_resolved(net, group)
     omega = relax.effective()
     d = sys.ambient_dim
@@ -193,7 +196,7 @@ def build_p_omega(
     cover every leaf exactly once, otherwise the product form cannot equal
     the pooled iteration matrix.
     """
-    _require_valid(sys, net, (TreeNetwork,))
+    _require_valid(sys, net, (TreeNetwork,), relax)
     groups = resolve_groups(net, part)
     covered: list[int] = []
     for g in groups:
@@ -235,6 +238,7 @@ def leaf_norm_formula(
     g = _as_resolved(net, group)
     if not g.is_leaf_group:
         raise ApplicabilityError("the Gram-spectrum norm applies to leaf groups only")
+    _require_assignment(sys, relax)
     omega = relax.effective()
     rows = [sys.rows[v] for v in g.leaves]
     diag = np.array(
@@ -258,14 +262,16 @@ def admissible_upper_bound(sys: LinearSystem, net: TreeNetwork, group, leaf: int
 
     Any assignment strictly inside (0, bound) at every leaf of the group
     keeps the restricted norm below 1.  With orthonormal rows and uniform
-    weights the bound is twice the leaf count.
+    weights the bound is twice the leaf count.  rho(G) of the leaves' Gram
+    matrix is the squared largest singular value of their stacked rows, so
+    no L x L spectrum is formed.
     """
     g = _as_resolved(net, group)
     if not g.is_leaf_group:
         raise ApplicabilityError("the relaxation bound applies to leaf groups only")
     if leaf not in g.leaves:
         raise ValueError(f"node {leaf} is not a leaf of this group")
-    rho = spectral_radius(gram([sys.rows[v] for v in g.leaves]))
+    rho = float(np.linalg.norm(sys.rows[list(g.leaves)], 2)) ** 2
     nrm2 = float(np.vdot(sys.rows[leaf], sys.rows[leaf]).real)
     return 2.0 * nrm2 / (path_weight(net, g.gateway, leaf) * rho)
 
@@ -300,7 +306,7 @@ def check_admissibility(
     part: SubnetworkPartition,
     relax: RelaxationAssignment,
 ) -> AdmissibilityReport:
-    _require_valid(sys, net, (TreeNetwork,))
+    _require_valid(sys, net, (TreeNetwork,), relax)
     groups = resolve_groups(net, part)
     grouped = set().union(*(g.members for g in groups)) if groups else set()
     omega = relax.effective()
@@ -351,7 +357,7 @@ def weighted_ls_minimizer(
     the tree's path mass.  Uses the unscaled relaxation profile, so the
     result is the scale-free target of the slowed-down iteration.
     """
-    _require_valid(sys, net, (TreeNetwork,))
+    _require_valid(sys, net, (TreeNetwork,), relax)
     q = _checked_columns(row_space_basis(sys), sys.ambient_dim)
     masses = _Pass.tree(sys, net, relax.effective()).masses()
     (m,), (rhs,) = _normal_equations(sys, relax.omega * masses, q)
@@ -450,7 +456,7 @@ def dag_block_p(
     the ascent.  The constant term stacks the same weights applied to the
     ascent chains evaluated at the origin.
     """
-    _require_valid(sys, net, (DagNetwork,))
+    _require_valid(sys, net, (DagNetwork,), relax)
     minimal = net.minimal_nodes
     s, n = len(minimal), sys.ambient_dim
     omega = relax.effective()
@@ -567,7 +573,7 @@ def dag_block_structure(
     so the pooled blocks are the block rows of the map.  The paper's form,
     the pooled per-path SOR maps, equals it and stays a cross-check.
     """
-    _require_valid(sys, net, (DagNetwork,))
+    _require_valid(sys, net, (DagNetwork,), relax)
     kernel = _Pass.dag(sys, net, relax.effective())
     (b,), (c,) = kernel.affine()
     return BlockStructure(

@@ -52,6 +52,7 @@ class GeneratorSpec:
     ``uniform`` draws every entry of the k x d matrix and the right-hand
     side from [0, 1).  ``near-orthogonal`` perturbs the identity,
     ``I + epsilon * E`` with E uniform over [-1, 1], and is always square.
+    Every spec draws from ``RNG_NAME`` seeded with ``seed``.
     """
 
     kind: str
@@ -59,11 +60,16 @@ class GeneratorSpec:
     d: int
     seed: int
     epsilon: float = 0.1
-    rng_name: str = RNG_NAME
 
     def __post_init__(self):
         if self.kind not in ("uniform", "near-orthogonal"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.k < 1 or self.d < 1:
+            raise ValueError("k and d must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.kind == "near-orthogonal":
             if self.k != self.d:
                 raise ValueError("near-orthogonal systems are square")

@@ -184,13 +184,24 @@ def relaxed_q(x, a, b, omega: float) -> np.ndarray:
 # Network iterations
 
 
-def _require_valid(sys: LinearSystem, net, expected=(TreeNetwork, DagNetwork)) -> None:
-    """Raise unless ``net`` is a valid network of an ``expected`` type, one node per equation."""
+def _require_assignment(sys: LinearSystem, relax: RelaxationAssignment) -> None:
+    """Raise unless ``relax`` holds one value per equation of ``sys``."""
+    if relax.omega.shape[0] != sys.node_count:
+        raise DimensionError(f"{relax.omega.shape[0]} relaxation values for {sys.node_count} nodes")
+
+
+def _require_valid(sys: LinearSystem, net, expected=(TreeNetwork, DagNetwork), relax=None) -> None:
+    """Raise unless ``net`` is a valid network of an ``expected`` type, one node per equation.
+
+    Given ``relax``, it must also hold one value per node.
+    """
     if not isinstance(net, expected):
         names = " or ".join(t.__name__ for t in expected)
         raise TypeError(f"expected a {names}, got {type(net).__name__}")
     if sys.node_count != net.node_count:
         raise DimensionError("system and network disagree on the node count")
+    if relax is not None:
+        _require_assignment(sys, relax)
     tree = isinstance(net, TreeNetwork)
     violations = validate_tree(net) if tree else validate_dag(net)
     if violations:
@@ -312,7 +323,7 @@ def tree_iterate(
 ) -> np.ndarray:
     """One dispersion/pooling pass over a rooted tree."""
     if not validated:
-        _require_valid(sys, net, (TreeNetwork,))
+        _require_valid(sys, net, (TreeNetwork,), relax)
     return _Pass.tree(sys, net, relax.effective()).vectors([as_vector(x)])[0]
 
 
@@ -332,7 +343,7 @@ def dag_iterate(
     second update.
     """
     if not validated:
-        _require_valid(sys, net, (DagNetwork,))
+        _require_valid(sys, net, (DagNetwork,), relax)
     minimal = net.minimal_nodes
     if len(blocks) != len(minimal):
         raise DimensionError(f"expected {len(minimal)} estimate blocks, got {len(blocks)}")
@@ -373,7 +384,7 @@ def solve(
     ``1e12 * (1 + initial norm)`` (or turn non-finite) abort with
     :class:`DivergenceError` carrying the last finite iterate.
     """
-    _require_valid(sys, net)
+    _require_valid(sys, net, relax=relax)
     tree = isinstance(net, TreeNetwork)
     run = (_Pass.tree if tree else _Pass.dag)(sys, net, relax.effective())
     public = (lambda blocks: blocks[0]) if tree else (lambda blocks: blocks)  # one tree estimate

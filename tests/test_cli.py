@@ -424,9 +424,123 @@ class TestSchemaErrors:
     def test_unreadable_config(self, tmp_path, capsys):
         assert cli.main(["solve", "--config", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "body", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf-8", "too-deeply-nested"]
+    )
+    def test_undecodable_config_named(self, tmp_path, capsys, body):
+        path = tmp_path / "config.json"
+        path.write_bytes(body)
+        assert cli.main(["config-dump", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config: not valid JSON: ")
+
     def test_no_partial_report_on_divergence_path(self, tmp_path):
         # reports only ever appear under their final names
         cfg = identity_config(tmp_path)
         cli.main(["solve", "--config", cfg])
         names = os.listdir(tmp_path / "out")
         assert names == ["solve_report.json"]
+
+
+def _tree_config():
+    return {
+        "system": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "rhs": [1.0, 2.0]},
+        "network": {
+            "type": "tree",
+            "nodes": 2,
+            "root": 0,
+            "edges": [{"parent": 0, "child": 1, "w": 1.0}],
+        },
+        "relaxation": {"default": 1.0},
+        "solver": {"max_iterations": 50, "step_tolerance": 1e-12},
+    }
+
+
+def _dag_config():
+    return {
+        "system": {"matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "rhs": [1.0, 1.0, 2.0]},
+        "network": {
+            "type": "dag",
+            "nodes": 3,
+            "edges": [{"from": 0, "to": 2}, {"from": 1, "to": 2}],
+        },
+    }
+
+
+def _generator(**fields):
+    return {"generator": {"kind": "uniform", "k": 2, "d": 2, "seed": 0, **fields}}
+
+
+def _set(*keys, value):
+    """An edit that sets the field at ``keys`` of a config."""
+
+    def edit(config):
+        target = config
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return edit
+
+
+MALFORMED = [
+    # (id, base config, edit, command, path of the offending field)
+    ("string-weight", _tree_config, _set("network", "edges", 0, "w", value="heavy"), "solve",
+     "config.network.edges[0].w"),
+    ("list-dag-weight", _dag_config, _set("network", "edges", 0, "wd", value=[1]), "solve",
+     "config.network.edges[0].wd"),
+    ("zero-row", _tree_config, _set("system", value={"matrix": [[0, 0]], "rhs": [1.0]}),
+     "config-dump", "config.system"),
+    ("empty-row", _tree_config, _set("system", value={"matrix": [[]], "rhs": [1.0]}),
+     "config-dump", "config.system.matrix[0]"),
+    ("nan-rhs", _tree_config, _set("system", "rhs", 0, value=float("nan")), "config-dump",
+     "config.system.rhs[0]"),
+    ("nan-near-orthogonal-epsilon", _tree_config,
+     _set("system", value=_generator(kind="near-orthogonal", epsilon=float("nan"))),
+     "config-dump", "config.system.generator.epsilon"),
+    ("negative-k", _tree_config, _set("system", value=_generator(k=-1)), "config-dump",
+     "config.system.generator.k"),
+    ("negative-seed", _tree_config, _set("system", value=_generator(seed=-1)), "config-dump",
+     "config.system.generator.seed"),
+    ("boolean-k", _tree_config, _set("system", value=_generator(k=True)), "config-dump",
+     "config.system.generator.k"),
+    ("number-output-dir", _tree_config, _set("output", value={"dir": 5}), "solve",
+     "config.output.dir"),
+    ("boolean-root", _tree_config, _set("network", "root", value=False), "config-dump",
+     "config.network.root"),
+    ("boolean-edge-ends", _tree_config,
+     _set("network", "edges", 0, value={"parent": False, "child": True}), "config-dump",
+     "config.network.edges[0].parent"),
+    ("boolean-default", _tree_config, _set("relaxation", "default", value=True), "config-dump",
+     "config.relaxation.default"),
+    ("boolean-scale", _tree_config, _set("relaxation", "scale", value=True), "config-dump",
+     "config.relaxation.scale"),
+    ("boolean-omega", _tree_config, _set("relaxation", "omega", value={"1": True}), "config-dump",
+     "config.relaxation.omega.1"),
+    ("boolean-max-iterations", _tree_config, _set("solver", "max_iterations", value=True),
+     "config-dump", "config.solver.max_iterations"),
+    ("nan-uniform-epsilon", _tree_config, _set("system", value=_generator(epsilon=float("nan"))),
+     "config-dump", "config.system.generator.epsilon"),
+    ("infinite-step-tolerance", _tree_config,
+     _set("solver", "step_tolerance", value=float("inf")), "config-dump",
+     "config.solver.step_tolerance"),
+    # rejected before the network builds any per-node table
+    ("huge-node-count", _tree_config, _set("network", "nodes", value=10**9), "config-dump",
+     "config.network.nodes"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, edit, command, field_path", [case[1:] for case in MALFORMED],
+    ids=[case[0] for case in MALFORMED],
+)
+def test_malformed_config_exits_one_naming_its_field(
+    tmp_path, capsys, base, edit, command, field_path
+):
+    config = base()
+    config["output"] = {"dir": str(tmp_path / "out")}
+    edit(config)
+    assert cli.main([command, "--config", write_config(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{field_path}: ")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

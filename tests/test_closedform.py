@@ -6,7 +6,7 @@ from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.errors import ApplicabilityError, NonContractionError
-from distkaczmarz.numerics import min_norm_solution, orthonormal_basis
+from distkaczmarz.numerics import gram, min_norm_solution, orthonormal_basis, spectral_radius
 
 from oracles import null_space_projector
 
@@ -273,6 +273,30 @@ class TestUpperBound:
             omega[leaf] = rng.uniform(0.01, 0.99) * bound
         val = cf.leaf_norm_formula(system, net, group, sv.RelaxationAssignment(omega))
         assert val < 1.0
+
+    @pytest.mark.parametrize("entries", ["real", "complex", "rank-deficient"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_gram_spectral_radius(self, entries, seed):
+        rng = np.random.default_rng(seed + 900)
+        leaves, d = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+        rows = rng.standard_normal((leaves + 1, d))
+        if entries == "complex":
+            rows = rows + 1j * rng.standard_normal((leaves + 1, d))
+        if entries == "rank-deficient":  # leaf rows drawn from a span of at most 2 vectors
+            r = min(d, 2)
+            rows[1:] = rng.standard_normal((leaves, r)) @ rng.standard_normal((r, d))
+        system = sv.LinearSystem(rows=rows, rhs=np.zeros(leaves + 1))
+        weights = rng.uniform(0.1, 1.0, leaves)
+        net = tp.TreeNetwork.from_edges(
+            leaves + 1, 0, [(0, v + 1, w / weights.sum()) for v, w in enumerate(weights)]
+        )
+        group = set(range(1, leaves + 1))
+        rho = spectral_radius(gram([system.rows[v] for v in sorted(group)]))
+        for leaf in group:
+            nrm2 = float(np.vdot(system.rows[leaf], system.rows[leaf]).real)
+            expected = 2.0 * nrm2 / (tp.path_weight(net, 0, leaf) * rho)
+            bound = cf.admissible_upper_bound(system, net, group, leaf)
+            assert bound == pytest.approx(expected, rel=1e-12)
 
 
 class TestAdmissibility:

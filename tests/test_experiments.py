@@ -41,6 +41,27 @@ class TestGenerateSystem:
         with pytest.raises(ValueError):
             ex.GeneratorSpec(kind="gaussian", k=3, d=3, seed=0)
 
+    @pytest.mark.parametrize("kind", ["uniform", "near-orthogonal"])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"k": 0}, "k and d must be at least 1"),
+            ({"d": 0}, "k and d must be at least 1"),
+            ({"k": -1, "d": -1}, "k and d must be at least 1"),
+            ({"seed": -1}, "seed must be nonnegative"),
+            ({"epsilon": float("nan")}, "epsilon must be finite"),
+            ({"epsilon": float("inf")}, "epsilon must be finite"),
+        ],
+    )
+    def test_sizes_seed_and_epsilon_checked(self, kind, fields, message):
+        # construction only: without the check, generate_system on d = 0 never returns
+        with pytest.raises(ValueError, match=message):
+            ex.GeneratorSpec(**{"kind": kind, "k": 3, "d": 3, "seed": 0, **fields})
+
+    def test_spec_has_no_rng_name_field(self):
+        with pytest.raises(TypeError):
+            ex.GeneratorSpec(kind="uniform", k=1, d=1, seed=0, rng_name="other")
+
 
 class TestRandomNetworks:
     def test_random_trees_are_valid(self):

@@ -89,6 +89,33 @@ class TestRequireValid:
                 with pytest.raises(TypeError, match=message):
                     route(wrong)
 
+    @pytest.mark.parametrize("values", [1, 4])
+    def test_every_route_rejects_a_wrong_length_assignment(self, values):
+        system = sv.LinearSystem(rows=np.eye(3), rhs=np.ones(3))
+        relax = sv.RelaxationAssignment.uniform(values)
+        tree = tp.TreeNetwork.from_edges(3, 0, [(0, 1, 0.5), (0, 2, 0.5)])
+        dag = tp.DagNetwork.from_cover_edges(3, [(0, 2), (1, 2)])
+        part = tp.SubnetworkPartition.of([{1, 2}])
+        routes = [
+            lambda: sv.tree_iterate(system, tree, relax, np.zeros(3)),
+            lambda: sv.solve(system, tree, relax),
+            lambda: cf.tree_affine(system, tree, relax),
+            lambda: cf.build_p_omega(system, tree, part, relax),
+            lambda: cf.check_admissibility(system, tree, part, relax),
+            lambda: cf.weighted_ls_minimizer(system, tree, relax),
+            lambda: cf.group_operator(system, tree, {1, 2}, relax),
+            lambda: cf.subnetwork_norm(system, tree, {1, 2}, relax),
+            lambda: cf.leaf_norm_formula(system, tree, {1, 2}, relax),
+            lambda: cf.path_sor_factors(system, [0, 1], relax),
+            lambda: sv.dag_iterate(system, dag, relax, [np.zeros(3), np.zeros(3)]),
+            lambda: sv.solve(system, dag, relax),
+            lambda: cf.dag_block_p(system, dag, relax),
+            lambda: cf.dag_block_structure(system, dag, relax),
+        ]
+        for route in routes:
+            with pytest.raises(DimensionError, match=f"{values} relaxation values for 3 nodes"):
+                route()
+
     def test_node_count_checked_for_both_network_types(self):
         system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
         relax = sv.RelaxationAssignment.uniform(3)
