@@ -21,7 +21,8 @@ JSON type, so each schema rule holds wherever its type appears:
 - numbers are finite (``NaN`` and ``Infinity`` are rejected);
 - ``k`` and ``d`` are at least 1 and ``seed`` is at least 0;
 - ``output.dir`` is a string;
-- ``network.nodes`` equals the number of equations.
+- ``network.nodes`` equals the number of equations;
+- ``relaxation.omega`` keys are node ids in canonical decimal form.
 
 Schema violations exit with code 1 and name the JSON path of the offending
 field.  Report files are written to a temporary name and renamed, so no
@@ -259,10 +260,11 @@ def _parse_relaxation(raw: dict, node_count: int, path: str) -> tuple[Relaxation
     for key, val in _get(raw, "omega", path, _object, default={}).items():
         kpath = f"{path}.omega.{key}"
         try:
-            v = _node(int(key), kpath, node_count)
+            canonical = key == str(int(key))
         except ValueError:
-            raise ConfigError(kpath, "keys must be node ids") from None
-        omega[v] = _number(val, kpath)
+            canonical = False
+        _expect(canonical, kpath, "keys must be node ids in canonical decimal form")
+        omega[_node(int(key), kpath, node_count)] = _number(val, kpath)
     for i, g in enumerate(_get(raw, "groups", path, _list, default=[])):
         gpath = f"{path}.groups[{i}]"
         g = _object(g, gpath)
@@ -378,6 +380,7 @@ def cmd_solve(args) -> int:
     except DivergenceError as exc:
         payload = {
             "outcome": "diverged",
+            "route": exc.route,
             "iteration": exc.iteration,
             "last_iterate": _estimate_out(exc.last_iterate),
             "config": cfg.resolved,
@@ -388,6 +391,7 @@ def cmd_solve(args) -> int:
     payload = {
         "outcome": "converged" if report.converged else "max-iterations",
         "converged": report.converged,
+        "route": report.route,
         "iterations_used": report.iterations_used,
         "final_estimates": _estimate_out(report.final_estimates),
         "step_norms": report.step_norms,

@@ -42,12 +42,13 @@ class NonContractionError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Iterates blew up; carries the last finite iterate."""
+    """Iterates blew up; carries the last finite iterate and the route that ran the passes."""
 
-    def __init__(self, message, last_iterate=None, iteration=0):
+    def __init__(self, message, last_iterate=None, iteration=0, route=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.iteration = iteration
+        self.route = route
 
 
 class NumericalFailureError(RuntimeError):

@@ -13,6 +13,10 @@ Every pass goes through one kernel that carries a block of columns instead
 of a single vector: one column is the engine, identity columns give the
 closed-form affine map of :mod:`distkaczmarz.closedform`, and identity
 columns under a per-column relaxation give a whole chunk of sweep points.
+``tree_iterate`` and ``dag_iterate`` run it on one column; ``solve``
+assembles the pass map ``x -> B x + c`` once and iterates it, unless
+:func:`solve_route` finds that one pass is cheaper than assembling or
+applying ``B``, and then runs the kernel on one column per iteration.
 
 A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  Pooling sums
@@ -22,6 +26,8 @@ are schedule independent.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,6 +38,11 @@ from .numerics import as_matrix, as_vector, read_only_copy
 from .topology import DagNetwork, TreeNetwork, topological_order, validate_dag, validate_tree
 
 DIVERGENCE_FACTOR = 1e12
+# ``solve`` iterates the assembled map while it costs at most a few passes to
+# build (about ``s d^2`` work per node) and one ``B x`` stays well below one
+# pass (``(s d)^2`` flops against ``V + E`` node and edge visits).
+AFFINE_ASSEMBLY_LIMIT = 4096
+AFFINE_MATVEC_RATIO = 1024
 
 
 @dataclass(frozen=True)
@@ -120,10 +131,12 @@ class SolverConfig:
     initial_estimate: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if not self.step_tolerance > 0.0:
-            raise ValueError("step_tolerance must be positive")
+        it = self.max_iterations
+        if not isinstance(it, numbers.Integral) or isinstance(it, bool) or it < 1:
+            raise ValueError(f"max_iterations must be a positive integer, got {it!r}")
+        tol = self.step_tolerance
+        if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
+            raise ValueError(f"step_tolerance must be a positive finite number, got {tol!r}")
 
 
 @dataclass
@@ -132,7 +145,8 @@ class SolveReport:
 
     ``final_estimates`` is a single vector for trees and one block per
     minimal node (ascending id) for DAGs.  On DAGs the step and residual
-    traces record the worst block per iteration.
+    traces record the worst block per iteration.  ``route`` names how the
+    passes ran: ``"affine"`` (the assembled map) or ``"engine"`` (the kernel).
     """
 
     final_estimates: object
@@ -140,6 +154,7 @@ class SolveReport:
     step_norms: list[float] = field(default_factory=list)
     residual_norms: list[float] = field(default_factory=list)
     converged: bool = False
+    route: str = "engine"
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +369,37 @@ def dag_iterate(
 # Driver
 
 
-def _initial_blocks(sys: LinearSystem, tree: bool, sources, init) -> list[np.ndarray]:
-    """One starting estimate per minimal node; a tree's only one is its root."""
+def _initial_blocks(sys: LinearSystem, tree: bool, s: int, init) -> np.ndarray:
+    """One starting estimate per minimal node, stacked ``(s, d)``; a tree's only one is its root."""
+    d = sys.ambient_dim
     if init is None:
-        return [np.zeros(sys.ambient_dim, dtype=np.complex128) for _ in sources]
+        return np.zeros((s, d), dtype=np.complex128)
     init = np.asarray(init, dtype=np.complex128)
     if init.ndim == 1 or tree:  # a tree takes one vector only
-        return [as_vector(init).copy() for _ in sources]
-    if init.shape[0] != len(sources):
-        raise DimensionError("one initial block per minimal node required")
-    return [as_vector(row) for row in init]
+        init = [init] * s
+    elif init.shape[0] != s:
+        raise DimensionError(f"one initial block per minimal node required: {s}, got {init.shape[0]}")
+    blocks = np.array([as_vector(b) for b in init])
+    if blocks.shape[1] != d:
+        raise DimensionError(f"initial estimates must have length {d}, got {blocks.shape[1]}")
+    return blocks
 
 
-def _max_norm(blocks) -> float:
-    return max(float(np.linalg.norm(b)) for b in blocks)
+def _max_norm(blocks: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(blocks, axis=1)))
+
+
+def solve_route(minimal: int, dim: int, size: int) -> str:
+    """``"affine"`` when the pass map is cheap to assemble and to apply, else ``"engine"``.
+
+    ``minimal`` is the minimal-node count s, ``dim`` the dimension d and
+    ``size`` the node plus edge count V + E.  Assembly pushes ``s d + 1``
+    columns through one pass and ``B`` holds ``(s d)^2`` entries, so large d
+    or many minimal nodes on a small network keep the kernel.
+    """
+    sd = minimal * dim
+    cheap = sd * dim <= AFFINE_ASSEMBLY_LIMIT and sd * sd <= AFFINE_MATVEC_RATIO * size
+    return "affine" if cheap else "engine"
 
 
 def solve(
@@ -382,34 +414,45 @@ def solve(
     nonzero limiting residual.  ``iterations_used`` is 0 when the initial
     estimate is already stationary.  Estimates whose norm exceeds
     ``1e12 * (1 + initial norm)`` (or turn non-finite) abort with
-    :class:`DivergenceError` carrying the last finite iterate.
+    :class:`DivergenceError` carrying the last finite iterate.  Each
+    iteration is one pass, run as ``B x + c`` on the stacked minimal-node
+    estimates or by the kernel, as :func:`solve_route` picks.
     """
     _require_valid(sys, net, relax=relax)
     tree = isinstance(net, TreeNetwork)
     run = (_Pass.tree if tree else _Pass.dag)(sys, net, relax.effective())
-    public = (lambda blocks: blocks[0]) if tree else (lambda blocks: blocks)  # one tree estimate
-    state = _initial_blocks(sys, tree, run.sources, config.initial_estimate)
+    public = (lambda blocks: blocks[0]) if tree else list  # one tree estimate
+    state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
+    route = solve_route(len(run.sources), run.dim, len(run.up) + sum(map(len, run.up)))
+    if route == "affine":
+        (b,), (c,) = run.affine()
+        b = np.ascontiguousarray(b)
+    a = sys.system_matrix()
     bound = DIVERGENCE_FACTOR * (1.0 + _max_norm(state))
     steps: list[float] = []
     residuals: list[float] = []
     converged = False
     used = 0
     for n in range(1, config.max_iterations + 1):
-        new_state = run.vectors(state)
+        if route == "affine":
+            new_state = (b @ state.ravel() + c).reshape(state.shape)
+        else:
+            new_state = np.array(run.vectors(state))
         norm = _max_norm(new_state)
         if not np.isfinite(norm) or norm > bound:
             raise DivergenceError(
                 f"estimate norm {norm:.3e} exceeded the divergence bound at iteration {n}",
                 last_iterate=public(state),
                 iteration=n,
+                route=route,
             )
-        step = _max_norm([new - old for new, old in zip(new_state, state)])
+        step = _max_norm(new_state - state)
         state = new_state
         if n == 1 and step < config.step_tolerance:
             converged = True  # initial estimate was already stationary
             break
         steps.append(step)
-        residuals.append(max(sys.residual_norm(b) for b in state))
+        residuals.append(_max_norm(state @ a.T - sys.rhs))
         used = n
         if step < config.step_tolerance:
             converged = True
@@ -420,4 +463,5 @@ def solve(
         step_norms=steps,
         residual_norms=residuals,
         converged=converged,
+        route=route,
     )

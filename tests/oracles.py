@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from distkaczmarz import closedform as cf
+from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
+from distkaczmarz.errors import DivergenceError
 
 
 def brute_updown_paths(node_count, edges, w_d, w_p, m1, m2, max_len=7):
@@ -230,6 +232,56 @@ class PathwiseBlocks:
                 r = f.b_path - f.A_path @ z
                 value += self.weights[i, j] * float(np.real(np.vdot(r, r / np.diag(f.D).real)))
         return value
+
+
+def engine_solve(sys, net, relax, config):
+    """``solve`` as the paper defines it: one ``tree_iterate``/``dag_iterate`` per iteration.
+
+    The same stopping and divergence rules, written block by block: stop
+    when the worst block step falls below the tolerance (``iterations_used``
+    0 when the first step already does), raise :class:`DivergenceError` with
+    the previous iterate once the worst block norm turns non-finite or
+    exceeds ``1e12 (1 + initial norm)``.
+    """
+    tree = isinstance(net, tp.TreeNetwork)
+    s = 1 if tree else len(net.minimal_nodes)
+    d = sys.ambient_dim
+    init = config.initial_estimate
+    if init is None:
+        init = np.zeros(d)
+    init = np.asarray(init, dtype=np.complex128)
+    state = [row.copy() for row in init] if init.ndim == 2 else [init.copy() for _ in range(s)]
+
+    def worst(blocks):
+        return max(float(np.linalg.norm(b)) for b in blocks)
+
+    def step(blocks):
+        if tree:
+            return [sv.tree_iterate(sys, net, relax, blocks[0])]
+        return sv.dag_iterate(sys, net, relax, blocks)
+
+    public = (lambda blocks: blocks[0]) if tree else list
+    bound = sv.DIVERGENCE_FACTOR * (1.0 + worst(state))
+    a = sys.system_matrix()
+    report = sv.SolveReport(final_estimates=None, iterations_used=0, route="engine")
+    for n in range(1, config.max_iterations + 1):
+        new = step(state)
+        norm = worst(new)
+        if not np.isfinite(norm) or norm > bound:
+            raise DivergenceError("diverged", last_iterate=public(state), iteration=n)
+        size = worst([x - y for x, y in zip(new, state)])
+        state = new
+        if n == 1 and size < config.step_tolerance:
+            report.converged = True
+            break
+        report.step_norms.append(size)
+        report.residual_norms.append(worst([a @ b - sys.rhs for b in state]))
+        report.iterations_used = n
+        if size < config.step_tolerance:
+            report.converged = True
+            break
+    report.final_estimates = public(state)
+    return report
 
 
 def pathwise_blocks(sys, net, relax):

@@ -43,6 +43,7 @@ class TestSolveCommand:
         assert report["converged"] is True
         assert report["iterations_used"] <= 2
         assert report["final_estimates"] == [1.0, 2.0]
+        assert report["route"] == "affine"
         assert "config" in report
 
     def test_divergence_exit_code(self, tmp_path):
@@ -58,6 +59,7 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", cfg]) == 3
         report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
         assert report["outcome"] == "diverged"
+        assert report["route"] == "affine"
 
     def test_max_iterations_exit_code(self, tmp_path):
         cfg = write_config(
@@ -516,6 +518,15 @@ MALFORMED = [
      "config.relaxation.scale"),
     ("boolean-omega", _tree_config, _set("relaxation", "omega", value={"1": True}), "config-dump",
      "config.relaxation.omega.1"),
+    *[
+        (f"non-canonical-omega-key-{key!r}", _tree_config,
+         _set("relaxation", "omega", value={key: 1.5}), "config-dump",
+         f"config.relaxation.omega.{key}")
+        for key in ("0_1", " 1", "1 ", "01", "+1", "-0", "1.0", "\u0661", "one")
+    ],
+    ("colliding-omega-keys", _tree_config,
+     _set("relaxation", "omega", value={"1": 0.9, " 1": 0.3}), "config-dump",
+     "config.relaxation.omega. 1"),
     ("boolean-max-iterations", _tree_config, _set("solver", "max_iterations", value=True),
      "config-dump", "config.solver.max_iterations"),
     ("nan-uniform-epsilon", _tree_config, _set("system", value=_generator(epsilon=float("nan"))),

@@ -284,7 +284,37 @@ class TestDagIterate:
             sv.dag_iterate(system, net, sv.RelaxationAssignment.uniform(3, 1.0), [np.zeros(3)])
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("value", [2.5, True, False, "3", 0, -1, None])
+    def test_max_iterations_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            sv.SolverConfig(max_iterations=value)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1e-10, True, "1e-10", None])
+    def test_step_tolerance_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="step_tolerance"):
+            sv.SolverConfig(step_tolerance=value)
+
+    def test_numpy_scalars_accepted(self):
+        config = sv.SolverConfig(max_iterations=np.int64(5), step_tolerance=np.float64(1e-8))
+        assert config.max_iterations == 5
+
+
 class TestSolve:
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_wrong_length_initial_estimate_named(self, length):
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((3, 4))
+        system = sv.LinearSystem(rows=rows, rhs=np.ones(3))
+        config = sv.SolverConfig(initial_estimate=np.ones(length))
+        relax = sv.RelaxationAssignment.uniform(3)
+        for net in (chain(3), simple_dag()):
+            with pytest.raises(DimensionError, match="length 4"):
+                sv.solve(system, net, relax, config)
+        blocks = sv.SolverConfig(initial_estimate=np.ones((2, length)))  # one per minimal node
+        with pytest.raises(DimensionError, match="length 4"):
+            sv.solve(system, simple_dag(), relax, blocks)
+
     def test_orthogonal_rows_converge_fast(self):
         net = chain(3)
         system = sv.LinearSystem(rows=np.eye(3), rhs=np.array([1.0, 2.0, 3.0]))
