@@ -502,9 +502,7 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             print(f"{flag}: {exc}", file=_sys.stderr)
             return EXIT_CONFIG
-    result = ex.omega_sweep(
-        cfg.system, cfg.network, cfg.partition, grid, axes=axes, baseline=args.baseline
-    )
+    result = ex.omega_sweep(cfg.system, cfg.network, grid, axes, baseline=args.baseline)
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     ex._write_atomic(os.path.join(out_dir, "sweep.csv"), ex.sweep_to_csv(result))

@@ -2,18 +2,20 @@
 
 The dispersion/pooling pass of the solver is an affine map ``x -> B x + c``.
 :func:`tree_affine` and the block map of :func:`dag_block_structure` take it
-from the solver's pass kernel, pushed over identity columns; the DAG
-stationarity conditions and least-squares targets, per-path sums in the
-paper, are kernel pushes and per-node path masses, so no analysis enumerates
-paths.  The paper's alternative forms stay as independent cross-checks of its
-lemmas: the successive over-relaxation factorization along dispersion paths,
-the product of relaxed projections grouped by subnetworks, and the up-down
-path sums of the DAG block matrix.  The module also computes restricted
-operator norms, admissibility verdicts for the relaxation parameters and
-fixed points.  Every restriction to the row space (tree and DAG spectral
-radii, fixed points, least-squares targets) works on one checked column
-matrix of an orthonormal basis; the DAG's stacked row space is
-``kron(I_s, q)``.
+from the solver's pass kernel, built once per system and network and pushed
+over identity columns at the given relaxation; the sweep route
+:func:`restricted_rho` builds one kernel per sweep and hands it one chunk of
+relaxation columns per push.  The DAG stationarity conditions and
+least-squares targets, per-path sums in the paper, are kernel pushes and
+per-node path masses, so no analysis enumerates paths.  The paper's
+alternative forms stay as independent cross-checks of its lemmas: the
+successive over-relaxation factorization along dispersion paths, the product
+of relaxed projections grouped by subnetworks, and the up-down path sums of
+the DAG block matrix.  The module also computes restricted operator norms,
+admissibility verdicts for the relaxation parameters and fixed points.
+Every restriction to the row space (tree and DAG spectral radii, fixed
+points, least-squares targets) works on one checked column matrix of an
+orthonormal basis; the DAG's stacked row space is ``kron(I_s, q)``.
 
 Everything here is pure construction over immutable inputs and thread-safe.
 """
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import ApplicabilityError, DimensionError, NonContractionError, PartitionError
 from .numerics import (
     _checked_columns,
+    _eigvals,
     as_vector,
     eigenvalues,
     gram,
@@ -40,6 +43,7 @@ from .numerics import (
 from .solver import (
     LinearSystem,
     RelaxationAssignment,
+    _checked_omega,
     _Pass,
     _require_assignment,
     _require_valid,
@@ -56,6 +60,9 @@ from .topology import (
 )
 
 ZERO_EIGENVALUE_CUT = 1e-12
+# Kernel columns per sweep push; a grid point takes s d + 1 of them, so the
+# carried (d, columns) blocks, and with them peak memory, stay flat.
+SWEEP_CHUNK_COLUMNS = 1536
 
 
 def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.ndarray:
@@ -145,7 +152,7 @@ def tree_affine(
     the leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
     """
     _require_valid(sys, net, (TreeNetwork,), relax)
-    (b,), (c,) = _Pass.tree(sys, net, relax.effective()).affine()
+    (b,), (c,) = _Pass(sys, net).affine(relax.effective())
     return AffineIteration(B=b, c=c)
 
 
@@ -359,7 +366,7 @@ def weighted_ls_minimizer(
     """
     _require_valid(sys, net, (TreeNetwork,), relax)
     q = _checked_columns(row_space_basis(sys), sys.ambient_dim)
-    masses = _Pass.tree(sys, net, relax.effective()).masses()
+    masses = _Pass(sys, net).masses()
     (m,), (rhs,) = _normal_equations(sys, relax.omega * masses, q)
     return q @ np.linalg.solve(m, rhs)
 
@@ -524,11 +531,12 @@ def sampled_block_norm_lower_bound(
 class BlockStructure:
     """The DAG iteration as a block map over the stacked minimal-node estimates.
 
-    ``aggregate`` is the block map from the pass kernel: block i is the
-    estimate that minimal node i pools.  The paper writes block i as
-    ``sum_j w[i, j] chain_j``, a pooled sum of per-path SOR maps; the kernel
-    carries that sum without enumerating the paths, and ``masses`` holds
-    the per-node totals of the pooled weights.
+    ``aggregate`` is the block map from the pass kernel at the effective
+    relaxation ``omega`` (a read-only copy): block i is the estimate that
+    minimal node i pools.  The paper writes block i as ``sum_j w[i, j]
+    chain_j``, a pooled sum of per-path SOR maps; the kernel carries that
+    sum without enumerating the paths, and ``masses`` holds the per-node
+    totals of the pooled weights.
     """
 
     aggregate: AffineIteration
@@ -536,6 +544,7 @@ class BlockStructure:
     block_size: int
     system: LinearSystem = field(repr=False)
     kernel: _Pass = field(repr=False)
+    omega: np.ndarray = field(repr=False)
 
     @property
     def s(self) -> int:
@@ -557,7 +566,7 @@ class BlockStructure:
         pooled block i, minus ``z_i``, is the condition value.
         """
         z = np.column_stack([as_vector(blocks[i]) for i in range(self.s)])
-        pooled = self.kernel.push([z] * self.s, np.ones(self.s))
+        pooled = self.kernel.push([z] * self.s, np.ones(self.s), self.omega)
         return [pooled[i][:, i] - z[:, i] for i in range(self.s)]
 
     def condition_residual(self, blocks: Sequence[np.ndarray]) -> float:
@@ -574,14 +583,15 @@ def dag_block_structure(
     the pooled per-path SOR maps, equals it and stays a cross-check.
     """
     _require_valid(sys, net, (DagNetwork,), relax)
-    kernel = _Pass.dag(sys, net, relax.effective())
-    (b,), (c,) = kernel.affine()
+    kernel, omega = _Pass(sys, net), read_only_copy(relax.effective())
+    (b,), (c,) = kernel.affine(omega)
     return BlockStructure(
         aggregate=AffineIteration(B=b, c=c),
         minimal_nodes=net.minimal_nodes,
         block_size=sys.ambient_dim,
         system=sys,
         kernel=kernel,
+        omega=omega,
     )
 
 
@@ -594,6 +604,24 @@ def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> f
     """Spectral radius of the block map restricted to the stacked row space."""
     qs = _block_columns(bs.s, row_basis, bs.block_size)
     return spectral_radius(qs.conj().T @ bs.aggregate.B @ qs)
+
+
+def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> np.ndarray:
+    """Spectral radius on the row space of the pass at each column of a ``(V, G)`` omega stack.
+
+    Network, parameters and the basis ``kron(I_s, q)`` are checked once and
+    the kernel is built once; each chunk of grid points is one kernel push,
+    one restriction and one ``eigvals``.
+    """
+    _require_valid(sys, net)
+    omega = _checked_omega(omega)
+    if omega.ndim != 2 or omega.shape[0] != net.node_count or omega.shape[1] < 1:
+        raise DimensionError(f"omega must be a ({net.node_count}, G >= 1) stack, got {omega.shape}")
+    kernel = _Pass(sys, net)
+    qs = _block_columns(len(kernel.sources), row_space_basis(sys), sys.ambient_dim)
+    step = max(1, SWEEP_CHUNK_COLUMNS // kernel.width)
+    maps = (kernel.affine(omega[:, lo : lo + step])[0] for lo in range(0, omega.shape[1], step))
+    return np.concatenate([np.max(np.abs(_eigvals(qs.conj().T @ b @ qs)), axis=-1) for b in maps])
 
 
 def dag_fixed_point(

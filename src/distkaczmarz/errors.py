@@ -52,8 +52,4 @@ class DivergenceError(RuntimeError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A numerical routine failed to converge; may carry partial results."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A numerical routine failed to converge."""

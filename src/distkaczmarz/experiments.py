@@ -3,8 +3,10 @@
 Every random object is drawn from ``numpy.random.default_rng`` seeded
 explicitly, and reports embed the seed and generator name, so re-running a
 study reproduces its outputs byte for byte.  A sweep on a tree or a DAG runs
-its grid as one stack of relaxation columns, one kernel push per chunk of
-grid points; results are always ordered by grid index.
+its grid as one stack of relaxation columns through
+:func:`distkaczmarz.closedform.restricted_rho`, which builds the pass kernel
+once and pushes one chunk of grid points at a time; results are always
+ordered by grid index.
 """
 
 from __future__ import annotations
@@ -20,25 +22,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import closedform as cf
-from .errors import DimensionError, NonContractionError
-from .numerics import _eigvals
-from .solver import LinearSystem, RelaxationAssignment, SolveReport, SolverConfig, solve
-from .solver import _checked_omega, _Pass, _require_valid
-from .topology import (
-    DagNetwork,
-    SubnetworkPartition,
-    TreeNetwork,
-    hasse_reduce,
-    leaf_sibling_partition,
-    validate_dag,
-)
+from .closedform import restricted_rho
+from .errors import NonContractionError
+from .solver import LinearSystem, RelaxationAssignment, SolverConfig, solve
+from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce, validate_dag
 
 RNG_NAME = "numpy.random.default_rng(PCG64)"
 GENERATOR_VERSION = "1"
-
-# Kernel columns per sweep push; a grid point takes s d + 1 of them, so the
-# carried (d, columns) blocks, and with them peak memory, stay flat.
-SWEEP_CHUNK_COLUMNS = 1536
+# Residuals below this count as fully converged: two of them tie.
+CONVERGED_RESIDUAL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -269,45 +261,20 @@ def _omega_stack(node_count: int, axes: Sequence, grid: Sequence, baseline: floa
     return omega
 
 
-def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> np.ndarray:
-    """Spectral radius on the row space of the pass at each column of a ``(V, G)`` omega stack.
-
-    Network, parameters and the basis ``kron(I_s, q)`` are checked once; each
-    chunk of grid points is one kernel push, one restriction and one ``eigvals``.
-    """
-    _require_valid(sys, net)
-    omega = _checked_omega(omega)
-    if omega.ndim != 2 or omega.shape[0] != net.node_count or omega.shape[1] < 1:
-        raise DimensionError(f"omega must be a ({net.node_count}, G >= 1) stack, got {omega.shape}")
-    tree = isinstance(net, TreeNetwork)
-    make, s = (_Pass.tree, 1) if tree else (_Pass.dag, len(net.minimal_nodes))
-    qs = cf._block_columns(s, cf.row_space_basis(sys), sys.ambient_dim)
-    width = s * sys.ambient_dim + 1  # kernel columns of one point
-    step = max(1, SWEEP_CHUNK_COLUMNS // width)
-    chunks = (omega[:, lo : lo + step] for lo in range(0, omega.shape[1], step))
-    maps = (make(sys, net, np.repeat(w, width, axis=1)).affine(w.shape[1])[0] for w in chunks)
-    return np.concatenate([np.max(np.abs(_eigvals(qs.conj().T @ b @ qs)), axis=-1) for b in maps])
-
-
 def omega_sweep(
     sys: LinearSystem,
     net: TreeNetwork | DagNetwork,
-    part: SubnetworkPartition | None,
     grid: Sequence[tuple[float, ...]],
-    axes: Sequence[Sequence[int]] | None = None,
+    axes: Sequence[Sequence[int]],
     baseline: float = 1.5,
 ) -> SweepResult:
     """Evaluate the restricted spectral radius over a grid of parameters.
 
-    Each grid axis drives one node set (default: one axis per partition
-    group); all remaining nodes sit at the uniform baseline.  The whole grid,
-    plus the baseline as one extra column, runs as one stack through
-    :func:`restricted_rho`; results are stored in grid order.
+    Each grid axis drives one node set; all remaining nodes sit at the
+    uniform baseline.  The whole grid, plus the baseline as one extra
+    column, runs as one stack through :func:`restricted_rho`; results are
+    stored in grid order.
     """
-    if axes is None:
-        if part is None:
-            raise ValueError("either a partition or explicit axes are required")
-        axes = [tuple(sorted(g)) for g in part.groups]
     grid = [tuple(pt) for pt in grid]
     if not grid:
         raise ValueError("empty sweep grid")
@@ -338,8 +305,8 @@ def compare_structures(
     axes_a = [tuple(sorted(set().union(*structure_a.groups)))]
     axes_b = [tuple(sorted(set().union(*structure_b.groups)))]
     return (
-        omega_sweep(sys, net, structure_a, grid, axes=axes_a, baseline=baseline),
-        omega_sweep(sys, net, structure_b, grid, axes=axes_b, baseline=baseline),
+        omega_sweep(sys, net, grid, axes_a, baseline=baseline),
+        omega_sweep(sys, net, grid, axes_b, baseline=baseline),
     )
 
 
@@ -436,9 +403,7 @@ def network_two() -> tuple[TreeNetwork, SubnetworkPartition, list[tuple[int, ...
 
 def figure_dag() -> DagNetwork:
     """Six-node example DAG with two minimal nodes and uniform weights."""
-    return DagNetwork.from_cover_edges(
-        6, [(0, 2), (0, 3), (1, 3), (2, 4), (2, 5), (3, 5)], uniform_weights=True
-    )
+    return DagNetwork.from_cover_edges(6, [(0, 2), (0, 3), (1, 3), (2, 4), (2, 5), (3, 5)])
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +456,13 @@ def _network_report(
     baseline: float = 1.5,
 ) -> dict:
     system = generate_system(spec).system
-    sweep = omega_sweep(system, net, None, grid, axes=axes, baseline=baseline)
+    sweep = omega_sweep(system, net, grid, axes, baseline=baseline)
     best = sweep.argmin
     omega = _omega_stack(net.node_count, axes, [best], baseline)
     relax_best, relax_base = RelaxationAssignment(omega[:, 0]), RelaxationAssignment(omega[:, 1])
     err_best = _residual_after(system, net, relax_best, iterations)
     err_base = _residual_after(system, net, relax_base, iterations)
+    tie = max(err_best, err_base) < CONVERGED_RESIDUAL
     return {
         "network": name,
         "optimal_omega": list(best),
@@ -517,7 +483,7 @@ def _network_report(
             },
             {
                 "name": f"{name}: error at the optimum beats the baseline",
-                "passed": bool(err_best < err_base),
+                "passed": bool(err_best < err_base or tie),
             },
         ],
     }

@@ -9,14 +9,15 @@ weights before each update, and pooling walks back in reverse order blending
 successor estimates with the pooling weights.  A tree runs as the DAG whose
 only minimal node is the root.
 
-Every pass goes through one kernel that carries a block of columns instead
-of a single vector: one column is the engine, identity columns give the
-closed-form affine map of :mod:`distkaczmarz.closedform`, and identity
-columns under a per-column relaxation give a whole chunk of sweep points.
-``tree_iterate`` and ``dag_iterate`` run it on one column; ``solve``
-assembles the pass map ``x -> B x + c`` once and iterates it, unless
-:func:`solve_route` finds that one pass is cheaper than assembling or
-applying ``B``, and then runs the kernel on one column per iteration.
+Every pass goes through one kernel, built once per system and network and
+handed the effective relaxation on each call.  It carries a block of
+columns instead of a single vector: one column is the engine, identity
+columns give the closed-form affine map of :mod:`distkaczmarz.closedform`,
+and identity columns under a per-column relaxation give a whole chunk of
+sweep points.  ``tree_iterate`` and ``dag_iterate`` run it on one column;
+``solve`` assembles the pass map ``x -> B x + c`` once and iterates it,
+unless :func:`solve_route` finds that one pass is cheaper than assembling
+or applying ``B``, and then runs the kernel on one column per iteration.
 
 A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  Pooling sums
@@ -224,48 +225,48 @@ def _require_valid(sys: LinearSystem, net, expected=(TreeNetwork, DagNetwork), r
 
 
 class _Pass:
-    """One dispersion/pooling pass over a fixed system, network and relaxation.
+    """Dispersion/pooling passes over a fixed system and network.
 
     The traversal is prepared once in O(V + E): ``order`` is topological,
     ``up[v]`` pairs each predecessor of v with its dispersion weight,
     ``down[v]`` each successor with its pooling weight, and ``sources``
     lists the minimal nodes in ascending order.  A tree is the DAG whose
-    only minimal node is the root, with dispersion weight 1 and pooling
-    weight equal to the edge weight.  ``omega`` is the effective relaxation,
-    ``(V,)`` or ``(V, m)`` with one column per kernel column.
+    only minimal node is the root, ordered breadth first, with dispersion
+    weight 1 and pooling weight equal to the edge weight.  The effective
+    relaxation comes with each call, ``(V,)`` or ``(V, m)`` with one column
+    per kernel column; ``width`` is the kernel columns of one point of
+    :meth:`affine`.
     """
 
-    def __init__(self, sys: LinearSystem, omega: np.ndarray, order, up, down, sources):
+    def __init__(self, sys: LinearSystem, net: TreeNetwork | DagNetwork):
+        nodes = range(net.node_count)
+        if isinstance(net, TreeNetwork):
+            order = [net.root]
+            for v in order:  # breadth first: the list grows while it is walked
+                order.extend(net.children.get(v, ()))
+            up = [((net.parent[v], 1.0),) if v in net.parent else () for v in nodes]
+            kids = [net.children.get(v, ()) for v in nodes]
+            down = [tuple((u, net.edge_weight[(v, u)]) for u in kids[v]) for v in nodes]
+            sources = (net.root,)
+        else:
+            order = topological_order(net)
+            up = [tuple((u, net.w_d[(u, v)]) for u in net.predecessors[v]) for v in nodes]
+            down = [tuple((u, net.w_p[(v, u)]) for u in net.successors[v]) for v in nodes]
+            sources = net.minimal_nodes
         rows = sys.rows
         self.order = order
         self.up = up
         self.down = down
         self.sources = sources
         self.dim = sys.ambient_dim
+        self.width = len(sources) * self.dim + 1
         self.rhs = sys.rhs
         self.cols = list(rows[:, :, None])  # a_v as a column
         self.conj = list(rows.conj())  # a_v* as a row
-        self.gain = list((omega.T / np.einsum("ij,ij->i", rows.conj(), rows).real).T)
+        self.norm2 = np.einsum("ij,ij->i", rows.conj(), rows).real
 
-    @classmethod
-    def tree(cls, sys: LinearSystem, net: TreeNetwork, omega: np.ndarray) -> "_Pass":
-        nodes = range(net.node_count)
-        order = [net.root]
-        for v in order:  # breadth first: the list grows while it is walked
-            order.extend(net.children.get(v, ()))
-        up = [((net.parent[v], 1.0),) if v in net.parent else () for v in nodes]
-        down = [tuple((u, net.edge_weight[(v, u)]) for u in net.children.get(v, ())) for v in nodes]
-        return cls(sys, omega, order, up, down, (net.root,))
-
-    @classmethod
-    def dag(cls, sys: LinearSystem, net: DagNetwork, omega: np.ndarray) -> "_Pass":
-        nodes = range(net.node_count)
-        up = [tuple((u, net.w_d[(u, v)]) for u in net.predecessors[v]) for v in nodes]
-        down = [tuple((u, net.w_p[(v, u)]) for u in net.successors[v]) for v in nodes]
-        return cls(sys, omega, topological_order(net), up, down, net.minimal_nodes)
-
-    def push(self, starts: Sequence[np.ndarray], t: np.ndarray) -> list[np.ndarray]:
-        """Carry one (d, m) block per minimal node through the pass.
+    def push(self, starts: Sequence[np.ndarray], t: np.ndarray, omega) -> list[np.ndarray]:
+        """Carry one (d, m) block per minimal node through the pass at relaxation ``omega``.
 
         Node v maps a block X to ``X + a_v (omega_v / |a_v|^2)(b_v t - a_v* X)``,
         where the length-m row ``t`` says how much of the right-hand side each
@@ -275,7 +276,8 @@ class _Pass:
         sums run in a fixed reverse-topological order.  Returns the pooled
         block of every minimal node.
         """
-        up, down, cols, conj, gain = self.up, self.down, self.cols, self.conj, self.gain
+        up, down, cols, conj = self.up, self.down, self.cols, self.conj
+        gain = list((omega.T / self.norm2).T)
         bt = self.rhs[:, None] * t  # row v is b_v t
         x: list = [None] * len(up)
         for v, z in zip(self.sources, starts):
@@ -288,22 +290,24 @@ class _Pass:
                 x[v] = sum(w * x[u] for u, w in down[v])
         return [x[m] for m in self.sources]
 
-    def vectors(self, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def vectors(self, xs: Sequence[np.ndarray], omega: np.ndarray) -> list[np.ndarray]:
         """The pass on one estimate vector per minimal node."""
-        return [y[:, 0] for y in self.push([xv[:, None] for xv in xs], np.ones(1))]
+        return [y[:, 0] for y in self.push([xv[:, None] for xv in xs], np.ones(1), omega)]
 
-    def affine(self, points: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def affine(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pass as ``x -> B x + c`` on the stacked minimal-node estimates, per point.
 
-        Minimal node i starts from the identity on its own block of columns
-        and a zero constant column; ``t`` selects the constant column, so the
-        pooled blocks stack into ``[B | c]``.  Point p owns the k + 1 kernel
-        columns from ``p (k + 1)``; B and c come back stacked by point.
+        ``omega`` is one point ``(V,)`` or a stack ``(V, G)``.  Minimal node i
+        starts from the identity on its own block of columns and a zero
+        constant column; ``t`` selects the constant column, so the pooled
+        blocks stack into ``[B | c]``.  Point p owns the ``width`` kernel
+        columns from ``p * width``; B and c come back stacked by point.
         """
-        d = self.dim
-        k = d * len(self.sources)
+        omega = omega.reshape(omega.shape[0], -1)
+        points, k = omega.shape[1], self.width - 1
         eye = np.tile(np.eye(k + 1, dtype=np.complex128), points)
-        out = np.vstack(self.push([eye[i : i + d] for i in range(0, k, d)], eye[k]))
+        starts = [eye[i : i + self.dim] for i in range(0, k, self.dim)]
+        out = np.vstack(self.push(starts, eye[k], np.repeat(omega, k + 1, axis=1)))
         out = out.reshape(k, points, k + 1).transpose(1, 0, 2)
         return out[:, :, :k], out[:, :, k]
 
@@ -339,7 +343,7 @@ def tree_iterate(
     """One dispersion/pooling pass over a rooted tree."""
     if not validated:
         _require_valid(sys, net, (TreeNetwork,), relax)
-    return _Pass.tree(sys, net, relax.effective()).vectors([as_vector(x)])[0]
+    return _Pass(sys, net).vectors([as_vector(x)], relax.effective())[0]
 
 
 def dag_iterate(
@@ -362,7 +366,7 @@ def dag_iterate(
     minimal = net.minimal_nodes
     if len(blocks) != len(minimal):
         raise DimensionError(f"expected {len(minimal)} estimate blocks, got {len(blocks)}")
-    return _Pass.dag(sys, net, relax.effective()).vectors([as_vector(b) for b in blocks])
+    return _Pass(sys, net).vectors([as_vector(b) for b in blocks], relax.effective())
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +424,12 @@ def solve(
     """
     _require_valid(sys, net, relax=relax)
     tree = isinstance(net, TreeNetwork)
-    run = (_Pass.tree if tree else _Pass.dag)(sys, net, relax.effective())
+    run, omega = _Pass(sys, net), relax.effective()
     public = (lambda blocks: blocks[0]) if tree else list  # one tree estimate
     state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
     route = solve_route(len(run.sources), run.dim, len(run.up) + sum(map(len, run.up)))
     if route == "affine":
-        (b,), (c,) = run.affine()
+        (b,), (c,) = run.affine(omega)
         b = np.ascontiguousarray(b)
     a = sys.system_matrix()
     bound = DIVERGENCE_FACTOR * (1.0 + _max_norm(state))
@@ -437,7 +441,7 @@ def solve(
         if route == "affine":
             new_state = (b @ state.ravel() + c).reshape(state.shape)
         else:
-            new_state = np.array(run.vectors(state))
+            new_state = np.array(run.vectors(state, omega))
         norm = _max_norm(new_state)
         if not np.isfinite(norm) or norm > bound:
             raise DivergenceError(

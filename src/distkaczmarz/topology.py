@@ -13,7 +13,9 @@ uniform over the group, and a valid network has positive weights summing
 to 1 per group.  A tree is the DAG with one minimal node, so both network
 types build and check their tables with the same helpers.
 
-Networks are immutable after construction; all queries are read-only.
+Networks are immutable after construction; all queries are read-only.  The
+constructors and the cached adjacency tables hand out read-only mapping
+views, so a write to a table raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -149,12 +152,13 @@ class TreeNetwork:
             children[u].append(v)
             given[(u, v)] = None if w is None else float(w)
         kids_of = {u: tuple(sorted(kids)) for u, kids in children.items()}
+        weights = _resolve_weights(_out_groups(kids_of), given, "child edge")
         return cls(
             node_count=node_count,
             root=root,
-            parent=parent,
-            children=kids_of,
-            edge_weight=_resolve_weights(_out_groups(kids_of), given, "child edge"),
+            parent=MappingProxyType(parent),
+            children=MappingProxyType(kids_of),
+            edge_weight=MappingProxyType(weights),
         )
 
     def is_leaf(self, v: int) -> bool:
@@ -403,17 +407,11 @@ class DagNetwork:
     w_p: Mapping[tuple[int, int], float]
 
     @classmethod
-    def from_cover_edges(
-        cls,
-        node_count: int,
-        edges: Iterable,
-        uniform_weights: bool = False,
-    ) -> "DagNetwork":
+    def from_cover_edges(cls, node_count: int, edges: Iterable) -> "DagNetwork":
         """Build from ``(u, v)`` or ``(u, v, w_d, w_p)`` tuples.
 
-        With ``uniform_weights`` (or 2-tuples throughout) the dispersion
-        weights are uniform over each node's in-edges and the pooling weights
-        uniform over each node's out-edges.
+        With 2-tuples the dispersion weights are uniform over each node's
+        in-edges and the pooling weights uniform over each node's out-edges.
         """
         edge_list: list[tuple[int, int]] = []
         wd_in: dict[tuple[int, int], float | None] = {}
@@ -431,33 +429,33 @@ class DagNetwork:
             if (u, v) in wd_in:
                 raise InvalidNetworkError(f"duplicate edge ({u}, {v})")
             edge_list.append((u, v))
-            wd_in[(u, v)] = None if (uniform_weights or wd is None) else float(wd)
-            wp_in[(u, v)] = None if (uniform_weights or wp is None) else float(wp)
+            wd_in[(u, v)] = None if wd is None else float(wd)
+            wp_in[(u, v)] = None if wp is None else float(wp)
         edge_list.sort()
         preds: dict[int, list[int]] = {v: [] for v in range(node_count)}
         succs: dict[int, list[int]] = {v: [] for v in range(node_count)}
         for u, v in edge_list:
             preds[v].append(u)
             succs[u].append(v)
-        w_d = _resolve_weights(_in_groups(preds), wd_in, "dispersion")
-        w_p = _resolve_weights(_out_groups(succs), wp_in, "pooling")
+        w_d = MappingProxyType(_resolve_weights(_in_groups(preds), wd_in, "dispersion"))
+        w_p = MappingProxyType(_resolve_weights(_out_groups(succs), wp_in, "pooling"))
         net = cls(node_count=node_count, edges=tuple(edge_list), w_d=w_d, w_p=w_p)
         topological_order(net)  # raises CycleError on cycles
         return net
 
     @cached_property
-    def predecessors(self) -> dict[int, tuple[int, ...]]:
+    def predecessors(self) -> Mapping[int, tuple[int, ...]]:
         preds: dict[int, list[int]] = {v: [] for v in range(self.node_count)}
         for u, v in self.edges:
             preds[v].append(u)
-        return {v: tuple(sorted(ups)) for v, ups in preds.items()}
+        return MappingProxyType({v: tuple(sorted(ups)) for v, ups in preds.items()})
 
     @cached_property
-    def successors(self) -> dict[int, tuple[int, ...]]:
+    def successors(self) -> Mapping[int, tuple[int, ...]]:
         succ: dict[int, list[int]] = {v: [] for v in range(self.node_count)}
         for u, v in self.edges:
             succ[u].append(v)
-        return {v: tuple(sorted(downs)) for v, downs in succ.items()}
+        return MappingProxyType({v: tuple(sorted(downs)) for v, downs in succ.items()})
 
     @cached_property
     def minimal_nodes(self) -> tuple[int, ...]:

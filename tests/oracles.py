@@ -151,7 +151,7 @@ def layered_dag(width, layers):
         for i in range(width)
         for k in (0, 1)
     ]
-    return tp.DagNetwork.from_cover_edges(width * layers, edges, uniform_weights=True)
+    return tp.DagNetwork.from_cover_edges(width * layers, edges)
 
 
 def implied_edge_witnesses(net):

@@ -329,7 +329,7 @@ def test_criterion_11_qualitative_table_reproduction():
                 system = ex.generate_system(
                     ex.GeneratorSpec(kind, 5, 5, seed=seed + 1100)
                 ).system
-                sweep = ex.omega_sweep(system, net, None, grid, axes=axes)
+                sweep = ex.omega_sweep(system, net, grid, axes=axes)
                 seed_rho = seed_rho and sweep.min_rho < sweep.baseline_rho
                 seed_beyond = seed_beyond or any(x > 2.0 for x in sweep.argmin)
                 if name == "I":

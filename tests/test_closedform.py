@@ -360,7 +360,7 @@ class TestWeightedLeastSquares:
         net = ex.random_tree(63, max_nodes=14)
         system = ex.random_tree_system(163, net, dim=4, consistent=False)
         relax = sv.RelaxationAssignment.uniform(net.node_count, 1.0)
-        masses = sv._Pass.tree(system, net, relax.effective()).masses()
+        masses = sv._Pass(system, net).masses()
         want = [tp.path_weight(net, net.root, v) for v in range(net.node_count)]
         assert np.allclose(masses, [want], rtol=0.0, atol=1e-15)
         before = cf.weighted_ls_minimizer(system, net, relax)

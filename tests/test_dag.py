@@ -21,7 +21,7 @@ def stacked(blocks):
 
 def asymmetric_dag():
     """Two maximal nodes pooled with different weights by the two minimal nodes."""
-    return tp.DagNetwork.from_cover_edges(4, [(0, 2), (1, 2), (0, 3)], uniform_weights=True)
+    return tp.DagNetwork.from_cover_edges(4, [(0, 2), (1, 2), (0, 3)])
 
 
 class TestDagBlockP:

@@ -121,14 +121,14 @@ class TestOmegaSweep:
         system = sv.LinearSystem(rows=np.array([[1.0, 2.0]]), rhs=np.array([1.0]))
         net = tp.TreeNetwork.from_edges(1, 0, [])
         grid = [(w,) for w in np.arange(0.0, 2.01, 0.25)]
-        result = ex.omega_sweep(system, net, None, grid, axes=[(0,)])
+        result = ex.omega_sweep(system, net, grid, axes=[(0,)])
         for (w,), rho in zip(result.grid, result.rho):
             assert rho == pytest.approx(abs(1.0 - w), abs=1e-12)
 
     def test_zero_point_gives_unit_radius(self):
         net, _, axes = ex.network_one()
         system = ex.generate_system(ex.GeneratorSpec("uniform", 5, 5, seed=3)).system
-        result = ex.omega_sweep(system, net, None, [(0.0, 0.0)], axes=axes)
+        result = ex.omega_sweep(system, net, [(0.0, 0.0)], axes=axes)
         assert result.rho[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_argmin_consistent(self):
@@ -137,7 +137,7 @@ class TestOmegaSweep:
             ex.GeneratorSpec("near-orthogonal", 5, 5, seed=11)
         ).system
         grid = ex.grid_from_spec("0.5:3.5:0.5,0.5:3.5:0.5")
-        result = ex.omega_sweep(system, net, part, grid, axes=axes)
+        result = ex.omega_sweep(system, net, grid, axes=axes)
         assert result.min_rho == min(result.rho)
         assert result.grid[result.argmin_index] == result.argmin
 
@@ -165,7 +165,7 @@ class TestOmegaSweep:
         net = ex.figure_dag()
         system = ex.random_dag_system(5, net, dim=4)
         grid = ex.grid_from_spec("0.5:2.5:0.5,0.5:2.5:0.5")
-        result = ex.omega_sweep(system, net, None, grid, axes=[(4,), (5,)], baseline=1.2)
+        result = ex.omega_sweep(system, net, grid, axes=[(4,), (5,)], baseline=1.2)
         basis = cf.row_space_basis(system)
         for (w4, w5), rho in zip(grid + [(1.2, 1.2)], result.rho + [result.baseline_rho]):
             omega = np.array([1.2, 1.2, 1.2, 1.2, w4, w5])
@@ -180,7 +180,7 @@ class TestOmegaSweep:
         else:
             net, axes = ex.figure_dag(), [(4,), (5,)]
             system = ex.random_dag_system(3, net, dim=4)
-        calls = {"validate": 0, "basis": 0}
+        calls = {"validate": 0, "basis": 0, "kernel": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -194,11 +194,12 @@ class TestOmegaSweep:
         checked = counting("basis", nm._checked_columns)
         for module in (nm, cf):
             monkeypatch.setattr(module, "_checked_columns", checked)
+        monkeypatch.setattr(cf, "_Pass", counting("kernel", sv._Pass))
         grid = ex.grid_from_spec("0.1:4:0.1,0.1:4:0.1")
         assert len(grid) == 1600
-        result = ex.omega_sweep(system, net, None, grid, axes=axes)
+        result = ex.omega_sweep(system, net, grid, axes=axes)
         assert len(result.rho) == 1600
-        assert calls == {"validate": 1, "basis": 1}
+        assert calls == {"validate": 1, "basis": 1, "kernel": 1}
 
 
 class TestRestrictedRho:
@@ -279,6 +280,12 @@ class TestReproduce:
         names = {a["name"] for a in bundle["assertions"]}
         assert any("optimal rho beats" in n for n in names)
 
+    def test_residuals_at_the_rounding_floor_tie(self):
+        bundle = ex.reproduce("table2", seed=0)
+        (row,) = (r for r in bundle["rows"] if r["network"] == "II")
+        assert max(row["error_optimal"], row["error_baseline"]) < ex.CONVERGED_RESIDUAL
+        assert all(a["passed"] for a in bundle["assertions"])
+
     def test_figure_sweep_7node(self, tmp_path):
         bundle = ex.reproduce("figure-sweep-7node", seed=3, out_dir=str(tmp_path))
         assert (tmp_path / "figure-sweep-7node" / "sweep_leaf.csv").exists()
@@ -292,7 +299,7 @@ class TestEngineAgreesWithSweep:
             ex.GeneratorSpec("near-orthogonal", 5, 5, seed=13)
         ).system
         grid = ex.grid_from_spec("0.5:2.5:1.0,0.5:2.5:1.0")
-        result = ex.omega_sweep(system, net, part, grid, axes=axes)
+        result = ex.omega_sweep(system, net, grid, axes=axes)
         for point, rho in zip(result.grid, result.rho):
             if rho >= 1.0:
                 continue

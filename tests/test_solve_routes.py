@@ -136,7 +136,7 @@ def test_bench_sized_solves_take_the_affine_route():
         assert sv.solve(system, net, relax, sv.SolverConfig(max_iterations=2)).route == "affine"
 
 
-def _no_assembly(self, points=1):
+def _no_assembly(self, omega):
     raise AssertionError("the engine route assembled the pass map")
 
 
@@ -144,7 +144,7 @@ def _no_assembly(self, points=1):
     "net, dim",
     [
         (tp.TreeNetwork.from_edges(3, 0, [(0, 1), (0, 2)]), 2_000),  # large d beside the network
-        (tp.DagNetwork.from_cover_edges(301, [(i, 300) for i in range(300)], uniform_weights=True), 4),
+        (tp.DagNetwork.from_cover_edges(301, [(i, 300) for i in range(300)]), 4),
     ],
     ids=["3-node tree, d 2000", "300 minimal nodes"],
 )

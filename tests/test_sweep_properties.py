@@ -64,7 +64,7 @@ def _check_stacks(system, net, s, seed):
     Each stack is a prefix of one random stack; the per-point radius is taken
     at both ends of every chunk and at a few random columns.
     """
-    chunk = max(1, ex.SWEEP_CHUNK_COLUMNS // (s * system.ambient_dim + 1))
+    chunk = max(1, cf.SWEEP_CHUNK_COLUMNS // (s * system.ambient_dim + 1))
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.0, 2.0, size=(net.node_count, chunk + 1))
     checked = {0, max(0, chunk - 2), chunk - 1, chunk, *rng.integers(0, chunk, size=2).tolist()}

@@ -98,6 +98,18 @@ class TestTreeValidation:
             assert got == nodes_not_reaching_root(parent, root, n)
 
 
+@pytest.mark.parametrize("table", ["parent", "children", "edge_weight"])
+def test_tree_tables_are_read_only(table):
+    net = seven_node_tree()
+    mapping = getattr(net, table)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = 5.0
+    with pytest.raises(TypeError):
+        del mapping[key]
+    assert net.edge_weight[(0, 1)] == 0.5 and tp.validate_tree(net) == []
+
+
 class CountingMapping(Mapping):
     """Read-only mapping that counts its key lookups."""
 
@@ -269,9 +281,7 @@ class TestHasseReduce:
 
 
 def figure_dag():
-    return tp.DagNetwork.from_cover_edges(
-        6, [(0, 2), (0, 3), (1, 3), (2, 4), (2, 5), (3, 5)], uniform_weights=True
-    )
+    return tp.DagNetwork.from_cover_edges(6, [(0, 2), (0, 3), (1, 3), (2, 4), (2, 5), (3, 5)])
 
 
 class TestDagNetwork:
@@ -284,9 +294,7 @@ class TestDagNetwork:
         assert net.w_p[(0, 2)] == pytest.approx(0.5)
 
     def test_non_cover_edge_flagged(self):
-        net = tp.DagNetwork.from_cover_edges(
-            3, [(0, 1), (1, 2), (0, 2)], uniform_weights=True
-        )
+        net = tp.DagNetwork.from_cover_edges(3, [(0, 1), (1, 2), (0, 2)])
         assert any(v.kind == "cover" for v in tp.validate_dag(net))
 
     def test_injected_implied_edges_flagged_with_first_witness(self):
@@ -302,7 +310,7 @@ class TestDagNetwork:
                 if rng.uniform() < 0.3
             }
             pairs |= {(int(perm[a]), int(perm[a + 1])) for a in range(n - 1)}  # connected
-            net = tp.DagNetwork.from_cover_edges(n, sorted(pairs), uniform_weights=True)
+            net = tp.DagNetwork.from_cover_edges(n, sorted(pairs))
             cover = [v.where for v in tp.validate_dag(net) if v.kind == "cover"]
             assert {w[:2] for w in cover} == pairs - brute_cover_pairs(pairs)
             assert cover == implied_edge_witnesses(net)
@@ -310,7 +318,7 @@ class TestDagNetwork:
         assert flagged_total > 100
 
     def test_disconnected_flagged(self):
-        net = tp.DagNetwork.from_cover_edges(4, [(0, 1), (2, 3)], uniform_weights=True)
+        net = tp.DagNetwork.from_cover_edges(4, [(0, 1), (2, 3)])
         assert any(v.kind == "connectivity" for v in tp.validate_dag(net))
 
     def test_bad_weight_sum_flagged(self):
@@ -319,7 +327,7 @@ class TestDagNetwork:
 
     def test_cycle_rejected_at_construction(self):
         with pytest.raises(CycleError):
-            tp.DagNetwork.from_cover_edges(2, [(0, 1), (1, 0)], uniform_weights=True)
+            tp.DagNetwork.from_cover_edges(2, [(0, 1), (1, 0)])
 
     def test_immutable(self):
         net = figure_dag()
@@ -328,6 +336,17 @@ class TestDagNetwork:
             net.node_count = 99
         assert net.node_count == 6
 
+    @pytest.mark.parametrize("table", ["w_d", "w_p", "predecessors", "successors"])
+    def test_tables_are_read_only(self, table):
+        net = figure_dag()
+        mapping = getattr(net, table)
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = ()
+        with pytest.raises(TypeError):
+            del mapping[key]
+        assert net.minimal_nodes == (0, 1) and tp.validate_dag(net) == []
+
 
 class TestTopologicalOrder:
     def test_single_node(self):
@@ -335,7 +354,7 @@ class TestTopologicalOrder:
         assert tp.topological_order(net) == [0]
 
     def test_tie_break_by_id(self):
-        net = tp.DagNetwork.from_cover_edges(3, [(0, 1), (0, 2)], uniform_weights=True)
+        net = tp.DagNetwork.from_cover_edges(3, [(0, 1), (0, 2)])
         assert tp.topological_order(net) == [0, 1, 2]
 
     def test_figure_dag(self):
@@ -369,7 +388,7 @@ class TestUpDownPaths:
             tp.enumerate_updown_paths(figure_dag(), 2, 0)
 
     def test_matches_cartesian_brute_force(self):
-        net = tp.DagNetwork.from_cover_edges(4, [(0, 2), (1, 2), (0, 3)], uniform_weights=True)
+        net = tp.DagNetwork.from_cover_edges(4, [(0, 2), (1, 2), (0, 3)])
         for m1 in (0, 1):
             for m2 in (0, 1):
                 got = {p.nodes: p.weight for p in tp.enumerate_updown_paths(net, m1, m2)}
@@ -413,11 +432,11 @@ class TestUpDownPaths:
 
 class TestMinimalDistanceDiameter:
     def test_single_minimal_node(self):
-        net = tp.DagNetwork.from_cover_edges(2, [(0, 1)], uniform_weights=True)
+        net = tp.DagNetwork.from_cover_edges(2, [(0, 1)])
         assert tp.minimal_distance_diameter(net) == 1
 
     def test_shared_maximal(self):
-        net = tp.DagNetwork.from_cover_edges(3, [(0, 2), (1, 2)], uniform_weights=True)
+        net = tp.DagNetwork.from_cover_edges(3, [(0, 2), (1, 2)])
         assert tp.minimal_distance_diameter(net) == 1
 
     def test_two_hop_example(self):
@@ -425,7 +444,6 @@ class TestMinimalDistanceDiameter:
         net = tp.DagNetwork.from_cover_edges(
             8,
             [(0, 4), (1, 4), (2, 5), (2, 6), (3, 6), (4, 7), (5, 7)],
-            uniform_weights=True,
         )
         assert tp.minimal_distance_diameter(net) == 2
 
@@ -468,7 +486,7 @@ class TestDispersionPaths:
         assert w.shape == (1, 1) and w[0, 0] == pytest.approx(1.0)
 
     def test_two_node_chain(self):
-        net = tp.DagNetwork.from_cover_edges(2, [(0, 1)], uniform_weights=True)
+        net = tp.DagNetwork.from_cover_edges(2, [(0, 1)])
         paths, w = tp.enumerate_dispersion_paths(net)
         assert [p.nodes for p in paths] == [(0, 1)]
         assert w[0, 0] == pytest.approx(1.0)
@@ -486,7 +504,7 @@ class TestDispersionPaths:
         rng = np.random.default_rng(23)
         nets = [
             figure_dag(),
-            tp.DagNetwork.from_cover_edges(4, [(0, 2), (1, 2), (0, 3)], uniform_weights=True),
+            tp.DagNetwork.from_cover_edges(4, [(0, 2), (1, 2), (0, 3)]),
         ]
         for net in nets:
             paths, w = tp.enumerate_dispersion_paths(net)
