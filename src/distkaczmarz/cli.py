@@ -22,7 +22,8 @@ JSON type, so each schema rule holds wherever its type appears:
 - ``k`` and ``d`` are at least 1 and ``seed`` is at least 0;
 - ``output.dir`` is a string;
 - ``network.nodes`` equals the number of equations;
-- ``relaxation.omega`` keys are node ids in canonical decimal form.
+- ``relaxation.omega`` keys are node ids in canonical decimal form;
+- no node is on two ``sweep.axes``.
 
 Schema violations exit with code 1 and name the JSON path of the offending
 field.  Report files are written to a temporary name and renamed, so no
@@ -327,9 +328,14 @@ def load_config(path: str) -> RunConfig:
     sweep = _get(raw, "sweep", "config", _object, default=None)
     if sweep is not None:
         axes = _get(sweep, "axes", "config.sweep", _list, 1, 2, "expected one or two axes")
-        sweep_axes = [
-            tuple(sorted(_nodes(a, f"config.sweep.axes[{i}]", n))) for i, a in enumerate(axes)
-        ]
+        sweep_axes, owner = [], {}
+        for i, a in enumerate(axes):
+            path = f"config.sweep.axes[{i}]"
+            nodes = _nodes(a, path, n)
+            for v in nodes:
+                taken = owner.setdefault(v, i)
+                _expect(taken == i, path, f"node {v} is already on axis {taken}")
+            sweep_axes.append(tuple(sorted(nodes)))
     output_raw = _get(raw, "output", "config", _object, default={})
     out_dir = _get(output_raw, "dir", "config.output", _string, default=".")
     out_format = _get(

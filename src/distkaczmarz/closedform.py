@@ -3,8 +3,12 @@
 The dispersion/pooling pass of the solver is an affine map ``x -> B x + c``.
 :func:`tree_affine` and the block map of :func:`dag_block_structure` take it
 from the solver's pass kernel, built once per system and network and pushed
-over identity columns at the given relaxation; the sweep route
-:func:`restricted_rho` builds one kernel per sweep and hands it one chunk of
+over identity columns at the given relaxation.  The sweep route
+:func:`restricted_rho` builds one kernel per sweep.  B is a polynomial in
+each sweep axis's relaxation, of degree at most the axis's node count on one
+dispersion chain, so a sweep pushes the tensor grid of one more node than
+that per axis and interpolates whenever that grid has at most the square root
+of the sweep's point count; any other sweep hands the kernel one chunk of
 relaxation columns per push.  The DAG stationarity conditions and
 least-squares targets, per-path sums in the paper, are kernel pushes and
 per-node path masses, so no analysis enumerates paths.  The paper's
@@ -22,6 +26,7 @@ Everything here is pure construction over immutable inputs and thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -606,12 +611,113 @@ def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> f
     return spectral_radius(qs.conj().T @ bs.aggregate.B @ qs)
 
 
+def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
+    """The rows of an omega stack that vary, grouped by equality; None past ``most`` groups."""
+    axes: list[list[int]] = []
+    for v, row in enumerate(omega):
+        if row.min() == row.max():  # a baseline row
+            continue
+        same = next((ax for ax in axes if np.array_equal(omega[ax[0]], row)), None)
+        if same is not None:
+            same.append(v)
+        elif len(axes) == most:
+            return None
+        else:
+            axes.append([v])
+    return axes
+
+
+def _axis_degrees(kernel: _Pass, axes: Sequence[Sequence[int]]) -> np.ndarray:
+    """Most nodes of each axis on one dispersion chain: the degree of B in that axis's omega."""
+    count = np.zeros((len(kernel.up), len(axes)), dtype=int)
+    for k, rows in enumerate(axes):
+        count[rows, k] = 1
+    for v in kernel.order:  # topological: every predecessor is final
+        if kernel.up[v]:
+            count[v] += np.max([count[u] for u, _ in kernel.up[v]], axis=0)
+    return count.max(axis=0, initial=0)
+
+
+def _interpolation_nodes(row: np.ndarray, degree: int) -> np.ndarray:
+    """The row's own values if it has at most ``degree + 1``, else Chebyshev-Lobatto points.
+
+    The Chebyshev-Lobatto points span the row's range, its ends included.
+    The distinct values are peeled off one at a time, at most ``degree + 2``
+    of them; ``np.unique`` would sort the whole row, and its first call maps
+    about 1.3 MB of sort code into the process.
+    """
+    values, rest = [], row
+    while rest.size and len(values) <= degree + 1:
+        values.append(rest[0])
+        rest = rest[rest != rest[0]]
+    if len(values) <= degree + 1:
+        return np.array(values)
+    lo, hi = row.min(), row.max()
+    nodes = lo + (hi - lo) * (1.0 - np.cos(np.pi * np.arange(degree + 1) / degree)) / 2.0
+    nodes[-1] = hi
+    return nodes
+
+
+def _lagrange_weights(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``(len(t), len(nodes))`` Lagrange basis of ``nodes`` at ``t``; exactly 0 or 1 at a node."""
+    others = nodes[np.nonzero(~np.eye(len(nodes), dtype=bool))[1].reshape(len(nodes), -1)]
+    return np.prod((t[:, None, None] - others) / (nodes[:, None] - others), axis=2)
+
+
+def _interpolated(kernel: _Pass, omega: np.ndarray, restrict):
+    """Restricted maps at any slice of ``omega`` from the maps at one tensor grid, or None.
+
+    ``restrict`` maps a ``(V, g)`` omega stack to its ``g`` restricted
+    maps; it is called once, on the tensor grid.  The result takes a
+    ``(V, g)`` slice of ``omega`` to the Lagrange combinations of those
+    maps.  None when the grid's ``M`` points exceed ``sqrt(G)``; as every
+    axis has degree at least 1, more than ``log4 G`` axes rule the grid out
+    before any degree is computed.
+    """
+    g = omega.shape[1]
+    axes = _sweep_axes(omega, (g.bit_length() - 1) // 2)
+    if axes is None:
+        return None
+    nodes = [
+        _interpolation_nodes(omega[rows[0]], int(deg))
+        for rows, deg in zip(axes, _axis_degrees(kernel, axes))
+    ]
+    points = math.prod(len(x) for x in nodes)
+    if points * points > g:
+        return None
+    grid = np.repeat(omega[:, :1], points, axis=1)
+    for rows, values in zip(axes, np.meshgrid(*nodes, indexing="ij")):
+        grid[rows] = values.ravel()
+    at_grid = restrict(grid)
+    flat = at_grid.reshape(points, -1)
+
+    def maps(cols: np.ndarray) -> np.ndarray:
+        weights = np.ones((cols.shape[1], 1))
+        for rows, x in zip(axes, nodes):  # tensor weights in the grid's C order
+            w = _lagrange_weights(x, cols[rows[0]])
+            weights = (weights[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+        return (weights @ flat).reshape(-1, *at_grid.shape[1:])
+
+    return maps
+
+
 def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> np.ndarray:
     """Spectral radius on the row space of the pass at each column of a ``(V, G)`` omega stack.
 
     Network, parameters and the basis ``kron(I_s, q)`` are checked once and
-    the kernel is built once; each chunk of grid points is one kernel push,
-    one restriction and one ``eigvals``.
+    the kernel is built once.  Rows that vary and are equal to each other
+    form one sweep axis; constant rows are the baseline.  A dispersion chain
+    passes each node at most once, so B is a polynomial in axis k's omega of
+    degree ``D_k``, the most nodes of the axis on one chain (1 for a leaf
+    group).  B is therefore exact on the tensor grid of ``D_k + 1`` nodes
+    per axis: the axis's own values if it has at most that many, else the
+    Chebyshev-Lobatto points of its range (for degree 1 its min and max, so
+    the weights are convex).  When that grid has ``M`` points with
+    ``M^2 <= G``, its ``M`` maps are pushed and restricted once, and each
+    column's restricted map is their Lagrange combination; otherwise each
+    chunk of columns is one kernel push and one restriction.  Either route
+    ends every chunk of ``SWEEP_CHUNK_COLUMNS`` kernel columns' worth of
+    points in one ``eigvals``.
     """
     _require_valid(sys, net)
     omega = _checked_omega(omega)
@@ -620,8 +726,17 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     kernel = _Pass(sys, net)
     qs = _block_columns(len(kernel.sources), row_space_basis(sys), sys.ambient_dim)
     step = max(1, SWEEP_CHUNK_COLUMNS // kernel.width)
-    maps = (kernel.affine(omega[:, lo : lo + step])[0] for lo in range(0, omega.shape[1], step))
-    return np.concatenate([np.max(np.abs(_eigvals(qs.conj().T @ b @ qs)), axis=-1) for b in maps])
+
+    def restrict(cols: np.ndarray) -> np.ndarray:
+        return qs.conj().T @ kernel.affine(cols)[0] @ qs
+
+    maps = _interpolated(kernel, omega, restrict) or restrict
+    return np.concatenate(
+        [
+            np.max(np.abs(_eigvals(maps(omega[:, lo : lo + step]))), axis=-1)
+            for lo in range(0, omega.shape[1], step)
+        ]
+    )
 
 
 def dag_fixed_point(

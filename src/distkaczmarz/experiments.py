@@ -5,8 +5,8 @@ explicitly, and reports embed the seed and generator name, so re-running a
 study reproduces its outputs byte for byte.  A sweep on a tree or a DAG runs
 its grid as one stack of relaxation columns through
 :func:`distkaczmarz.closedform.restricted_rho`, which builds the pass kernel
-once and pushes one chunk of grid points at a time; results are always
-ordered by grid index.
+once and pushes a small tensor grid of relaxation values, or one chunk of
+grid points at a time; results are always ordered by grid index.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -253,6 +254,21 @@ def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float
     return out
 
 
+def _check_axes(axes: Sequence[Sequence[int]], node_count: int) -> None:
+    """Raise ValueError unless every axis drives at least one node id and no node is on two axes."""
+    owner: dict[int, int] = {}
+    for k, nodes in enumerate(axes):
+        if not len(nodes):
+            raise ValueError(f"sweep axis {k} drives no node")
+        for v in nodes:
+            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool)):
+                raise ValueError(f"sweep axis {k}: node {v!r} is not an integer node id")
+            if not 0 <= v < node_count:
+                raise ValueError(f"sweep axis {k}: node {v} is not in 0..{node_count - 1}")
+            if owner.setdefault(int(v), k) != k:
+                raise ValueError(f"sweep axis {k}: node {v} is already on axis {owner[int(v)]}")
+
+
 def _omega_stack(node_count: int, axes: Sequence, grid: Sequence, baseline: float) -> np.ndarray:
     """``(V, G + 1)`` stack: each grid point on its axis nodes, the baseline elsewhere and last."""
     omega = np.full((node_count, len(grid) + 1), baseline, dtype=float)
@@ -270,16 +286,18 @@ def omega_sweep(
 ) -> SweepResult:
     """Evaluate the restricted spectral radius over a grid of parameters.
 
-    Each grid axis drives one node set; all remaining nodes sit at the
-    uniform baseline.  The whole grid, plus the baseline as one extra
-    column, runs as one stack through :func:`restricted_rho`; results are
-    stored in grid order.
+    Each grid axis drives one nonempty set of node ids, and no node is on
+    two axes (otherwise ValueError names the axis and the node); all
+    remaining nodes sit at the uniform baseline.  The whole grid, plus the
+    baseline as one extra column, runs as one stack through
+    :func:`restricted_rho`; results are stored in grid order.
     """
     grid = [tuple(pt) for pt in grid]
     if not grid:
         raise ValueError("empty sweep grid")
     if any(len(pt) != len(axes) for pt in grid):
         raise ValueError("grid tuples must match the number of axes")
+    _check_axes(axes, net.node_count)
     rho = restricted_rho(sys, net, _omega_stack(net.node_count, axes, grid, baseline)).tolist()
     baseline_rho = rho.pop()
     argmin = int(np.argmin(rho))

@@ -258,6 +258,32 @@ class TestSweepCommand:
         assert rows[0] == "omega_1,omega_2,rho"
         assert len(rows) - 1 == 3 * 3
 
+    def test_overlapping_axes_exit_one_naming_the_axis_and_node(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "system": {"generator": {"kind": "uniform", "k": 5, "d": 5, "seed": 1}},
+                "network": {
+                    "type": "tree",
+                    "nodes": 5,
+                    "root": 0,
+                    "edges": [
+                        {"parent": 0, "child": 1},
+                        {"parent": 0, "child": 2},
+                        {"parent": 1, "child": 3},
+                        {"parent": 1, "child": 4},
+                    ],
+                },
+                "sweep": {"axes": [[2], [2, 3]]},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert cli.main(["sweep", "--config", cfg, "--grid", "0.5:1.5:0.5,1:2:0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config.sweep.axes[1]: ")
+        assert "node 2" in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_grid(self, tmp_path, capsys):
         cfg = identity_config(tmp_path, sweep={"axes": [[1]]})
         assert cli.main(["sweep", "--config", cfg, "--grid", "nope"]) == 1
@@ -534,6 +560,8 @@ MALFORMED = [
     ("infinite-step-tolerance", _tree_config,
      _set("solver", "step_tolerance", value=float("inf")), "config-dump",
      "config.solver.step_tolerance"),
+    ("overlapping-sweep-axes", _tree_config, _set("sweep", value={"axes": [[1], [0, 1]]}),
+     "sweep", "config.sweep.axes[1]"),
     # rejected before the network builds any per-node table
     ("huge-node-count", _tree_config, _set("network", "nodes", value=10**9), "config-dump",
      "config.network.nodes"),

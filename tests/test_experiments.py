@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestOmegaSweep:
         assert calls == {"validate": 1, "basis": 1, "kernel": 1}
 
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ([(2,), (2, 3)], "sweep axis 1: node 2 is already on axis 0"),
+            ([(3, 4), (2, 3)], "sweep axis 1: node 3 is already on axis 0"),
+            ([(-1,), (3, 4)], "sweep axis 0: node -1 is not in 0..4"),
+            ([(2,), ()], "sweep axis 1 drives no node"),
+            ([(7,), (3, 4)], "sweep axis 0: node 7 is not in 0..4"),
+            ([(2.0,), (3, 4)], "sweep axis 0: node 2.0 is not an integer node id"),
+        ],
+    )
+    def test_bad_axes_name_the_axis_and_node(self, axes, message):
+        net, _, _ = ex.network_one()
+        system = ex.generate_system(ex.GeneratorSpec("uniform", 5, 5, seed=3)).system
+        with pytest.raises(ValueError) as err:
+            ex.omega_sweep(system, net, [(0.5, 1.0), (1.0, 1.5)], axes=axes)
+        assert str(err.value) == message
+
+
 class TestRestrictedRho:
     def test_negative_or_non_finite_omega_is_the_relaxation_error(self):
         net, _, _ = ex.network_one()
@@ -221,6 +241,91 @@ class TestRestrictedRho:
         for shape in ((5,), (4, 3), (6, 3), (5, 0)):
             with pytest.raises(DimensionError):
                 ex.restricted_rho(system, net, np.ones(shape))
+
+
+def _leaf_desk():
+    net, _, axes = ex.network_one()
+    return ex.generate_system(ex.GeneratorSpec("uniform", 5, 5, seed=3)).system, net, axes
+
+
+def _interior_desk():
+    net = ex.binary7_network()
+    axes = sorted(tuple(sorted(g)) for g in ex.binary7_extended_partition().groups)
+    return ex.generate_system(ex.GeneratorSpec("uniform", 7, 7, seed=5)).system, net, axes
+
+
+def _alternating_chain():
+    """A 24-node chain with its even and its odd nodes as two axes of degree 12 each."""
+    net = tp.TreeNetwork.from_edges(24, 0, [(i, i + 1) for i in range(23)])
+    system = ex.random_tree_system(9, net, dim=2)
+    return system, net, [tuple(range(0, 24, 2)), tuple(range(1, 24, 2))]
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Points per ``_Pass.affine`` call and matrices per ``_eigvals`` call of the sweep route."""
+    calls = {"affine": [], "eigvals": []}
+    affine, eigvals = sv._Pass.affine, cf._eigvals
+
+    def spy_affine(kernel, omega):
+        calls["affine"].append(omega.reshape(omega.shape[0], -1).shape[1])
+        return affine(kernel, omega)
+
+    def spy_eigvals(a):
+        calls["eigvals"].append(a.shape[0])
+        return eigvals(a)
+
+    monkeypatch.setattr(sv._Pass, "affine", spy_affine)
+    monkeypatch.setattr(cf, "_eigvals", spy_eigvals)
+    return calls
+
+
+class TestSweepRoutes:
+    """A sweep pushes a small tensor grid when ``M^2 <= G``, else every grid point."""
+
+    @pytest.mark.parametrize("desk, points", [(_leaf_desk, 4), (_interior_desk, 9)])
+    def test_desk_sweep_pushes_one_small_tensor_grid(self, desk, points, spies):
+        system, net, axes = desk()
+        grid = ex.grid_from_spec("0.2:8:0.2,0.2:8:0.2")
+        result = ex.omega_sweep(system, net, grid, axes=axes)
+        assert len(result.rho) == 1600
+        assert spies["affine"] == [points]
+
+    def test_random_chain_stack_takes_the_stack_route(self, spies):
+        net = tp.TreeNetwork.from_edges(200, 0, [(i, i + 1) for i in range(199)])
+        system = ex.random_tree_system(4, net, dim=2)
+        omega = np.random.default_rng(5).uniform(0.0, 2.0, size=(200, 1200))
+        ex.restricted_rho(system, net, omega)
+        step = cf.SWEEP_CHUNK_COLUMNS // 3
+        assert sum(spies["affine"]) == 1200 and max(spies["affine"]) == step
+
+    @pytest.mark.parametrize(
+        "desk, route",
+        [(_leaf_desk, "tensor"), (_interior_desk, "tensor"), (_alternating_chain, "stack")],
+    )
+    def test_default_grid_eigvals_calls_stay_within_one_chunk(self, desk, route, spies):
+        system, net, axes = desk()
+        grid = ex.grid_from_spec("0.05:8:0.05,0.05:8:0.05")
+        result = ex.omega_sweep(system, net, grid, axes=axes)
+        assert len(result.rho) == 25_600
+        step = cf.SWEEP_CHUNK_COLUMNS // (system.ambient_dim + 1)
+        assert sum(spies["eigvals"]) == 25_601 and max(spies["eigvals"]) == step
+        assert (sum(spies["affine"]) == 25_601) == (route == "stack")
+
+    @pytest.mark.parametrize("desk, points", [(_leaf_desk, 4), (_interior_desk, 9)])
+    def test_tensor_route_materialises_no_weights_per_grid_point(self, desk, points):
+        """Peak traced memory stays below one ``(G, M)`` float array, the output included."""
+        system, net, axes = desk()
+        grid = ex.grid_from_spec("0.05:8:0.05,0.05:8:0.05")
+        omega = ex._omega_stack(net.node_count, axes, grid, 1.5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ex.restricted_rho(system, net, omega)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < omega.shape[1] * points * 8
 
 
 class TestLimitStudy:

@@ -52,6 +52,66 @@ class TestEigenvalues:
         assert np.max(np.abs(nm.eigenvalues(h).eigenvalues.imag)) < 1e-10
 
 
+class TestRealEigensolver:
+    """A matrix or stack with an exactly zero imaginary part goes to the real solver."""
+
+    @pytest.fixture
+    def solver_dtypes(self, monkeypatch):
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            seen.append(a.dtype)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        return seen
+
+    @pytest.mark.parametrize("make", [np.eye, lambda n: np.eye(n, dtype=np.complex128)])
+    def test_complex128_for_real_input(self, make, solver_dtypes):
+        m = make(3) + np.diag([0.5, 1.0], 1)
+        assert nm.eigenvalues(m).eigenvalues.dtype == np.complex128
+        assert nm._eigvals(np.stack([m, 2 * m])).dtype == np.complex128
+        assert nm._eigvals(np.asarray(m, dtype=np.complex128)).dtype == np.complex128
+        assert solver_dtypes and all(dt == np.float64 for dt in solver_dtypes)
+
+    def test_conjugate_pairs_are_exact(self, solver_dtypes):
+        m = np.array([[0.3, -1.7, 0.2], [1.1, 0.4, -0.5], [0.0, 0.6, -0.9]], dtype=np.complex128)
+        vals = nm._eigvals(m)
+        pair = vals[np.abs(vals.imag) > 0.1]
+        assert len(pair) == 2
+        assert pair[0] == np.conj(pair[1])
+        assert solver_dtypes == [np.float64]
+
+    def test_tiny_imaginary_part_stays_complex(self, solver_dtypes):
+        m = np.diag([2.0, 1.0]).astype(np.complex128)
+        m[0, 1] = 1e-300j
+        assert nm._eigvals(m).dtype == np.complex128
+        assert nm.eigenvalues(m).radius == pytest.approx(2.0)
+        assert solver_dtypes == [np.complex128, np.complex128]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_and_complex_paths_agree(self, seed):
+        stack = np.random.default_rng(seed).standard_normal((64, 6, 6))
+        real = nm._eigvals(stack.astype(np.complex128))
+        cplx = np.linalg.eigvals(stack.astype(np.complex128))
+        scale = np.linalg.norm(stack, 2, axis=(1, 2))[:, None]
+        gap = np.abs(real[:, :, None] - cplx[:, None, :]).min(axis=-1)
+        assert np.all(gap <= 1e-12 * scale)
+        gap = np.abs(cplx[:, :, None] - real[:, None, :]).min(axis=-1)
+        assert np.all(gap <= 1e-12 * scale)
+
+    def test_spectrum_order_is_unchanged(self):
+        # eigenvalues 3, 1 +- 1j and -0.5: the exact pair ties on modulus and real part
+        m = np.zeros((4, 4))
+        m[:2, :2] = [[1.0, -1.0], [1.0, 1.0]]
+        m[2:, 2:] = np.diag([-0.5, 3.0])
+        q = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+        vals = nm.eigenvalues(q @ m @ q.T).eigenvalues
+        assert np.allclose(vals, [3.0, 1 - 1j, 1 + 1j, -0.5], atol=1e-12)
+        assert vals[1] == np.conj(vals[2])
+
+
 class TestSpectralRadius:
     def test_zero_matrix(self):
         assert nm.spectral_radius(np.zeros((3, 3))) == 0.0

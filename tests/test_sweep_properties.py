@@ -1,4 +1,11 @@
-"""Property tests of the stacked sweep route: every column equals its own per-point analysis."""
+"""Property tests of both sweep routes: every column equals its own per-point analysis.
+
+The stack route pushes every column through the kernel; the polynomial
+route pushes a small tensor grid and interpolates.  Each test checks every
+column it samples against the per-point restricted spectral radius.
+"""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,3 +104,109 @@ def test_chain_stack_equals_per_point(data, seed):
 def test_dag_stack_equals_per_point(single_sink, data, seed):
     system, net = data.draw(dag_systems(single_sink))
     _check_stacks(system, net, len(net.minimal_nodes), seed)
+
+
+# ---------------------------------------------------------------------------
+# The polynomial route: a tensor grid of relaxation values per sweep axis
+
+
+def _walk(draw, net):
+    """A random dispersion chain: from a minimal node down random successors to a maximal node."""
+    if isinstance(net, tp.TreeNetwork):
+        v, succ = net.root, net.children
+    else:
+        v, succ = draw(st.sampled_from(net.minimal_nodes)), net.successors
+    chain = [v]
+    while succ.get(v):
+        v = draw(st.sampled_from(sorted(succ[v])))
+        chain.append(v)
+    return chain
+
+
+@st.composite
+def tensor_sweeps(draw, kind):
+    """A seeded system, one axis of up to 3 nodes on one chain and an optional second axis.
+
+    Each axis takes ``(|axis| + 1)^2`` distinct values, at least the square
+    of its interpolation node count, so the tensor grid of the sweep is
+    small enough for the polynomial route.
+    """
+    if kind == "tree":
+        n = draw(st.integers(2, 12))
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        net = tp.TreeNetwork.from_edges(n, 0, edges)
+    else:
+        net = ex.random_dag(draw(st.integers(0, 10_000)), single_sink=draw(st.booleans()))
+    system = ex.random_tree_system(
+        draw(st.integers(0, 2**32 - 1)),
+        net,
+        dim=draw(st.integers(1, 4)),
+        consistent=draw(st.booleans()),
+        rank_deficient=draw(st.booleans()),
+        complex_entries=draw(st.booleans()),
+    )
+    chain = _walk(draw, net)
+    axes = [draw(st.lists(st.sampled_from(chain), min_size=1, max_size=3, unique=True))]
+    rest = sorted(set(range(net.node_count)) - set(axes[0]))
+    if rest and draw(st.booleans()):
+        axes.append(draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3, unique=True)))
+    return system, net, axes
+
+
+def _tensor_stack(net, axes, seed):
+    """Every point of a tensor grid of random values in [0, 2], on a random baseline."""
+    rng = np.random.default_rng(seed)
+    values = [rng.uniform(0.0, 2.0, size=(len(a) + 1) ** 2) for a in axes]
+    omega = np.full((net.node_count, int(np.prod([len(v) for v in values]))), rng.uniform(0.0, 2.0))
+    for nodes, grid in zip(axes, np.meshgrid(*values, indexing="ij")):
+        omega[nodes] = grid.ravel()
+    return omega
+
+
+def _check_tensor_route(system, net, omega):
+    """One push of at most sqrt(G) points, and every column equals its per-point rho.
+
+    Returns the number of points pushed.
+    """
+    pushed = []
+    affine = sv._Pass.affine
+
+    def spy(kernel, cols):
+        pushed.append(cols.shape[1])
+        return affine(kernel, cols)
+
+    with mock.patch.object(sv._Pass, "affine", spy):
+        rho = ex.restricted_rho(system, net, omega)
+    assert len(pushed) == 1 and pushed[0] ** 2 <= omega.shape[1]
+    for i in range(omega.shape[1]):
+        want = _per_point(system, net, omega[:, i])
+        assert abs(rho[i] - want) <= 1e-12 * max(1.0, want)
+    return pushed[0]
+
+
+@pytest.mark.parametrize("kind", ["tree", "dag"])
+@settings(SETTINGS, max_examples=20)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_tensor_grid_equals_per_point(kind, data, seed):
+    system, net, axes = data.draw(tensor_sweeps(kind))
+    _check_tensor_route(system, net, _tensor_stack(net, axes, seed))
+
+
+@settings(SETTINGS, max_examples=4)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_degree_eight_chain_axis_equals_per_point(data, seed):
+    """Eight axis nodes on one chain: degree 8, so the grid takes 9 values of at least 81."""
+    n = data.draw(st.integers(8, 11))
+    net = tp.TreeNetwork.from_edges(n, 0, [(i, i + 1) for i in range(n - 1)])
+    axis = sorted(data.draw(st.permutations(range(n)))[:8])
+    system = ex.random_tree_system(
+        data.draw(st.integers(0, 2**32 - 1)),
+        net,
+        dim=data.draw(st.integers(1, 4)),
+        complex_entries=data.draw(st.booleans()),
+        rank_deficient=data.draw(st.booleans()),
+    )
+    rng = np.random.default_rng(seed)
+    omega = np.full((n, data.draw(st.integers(81, 120))), rng.uniform(0.0, 2.0))
+    omega[axis] = rng.uniform(0.0, 2.0, size=omega.shape[1])
+    assert _check_tensor_route(system, net, omega) == 9
