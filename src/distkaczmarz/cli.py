@@ -328,14 +328,11 @@ def load_config(path: str) -> RunConfig:
     sweep = _get(raw, "sweep", "config", _object, default=None)
     if sweep is not None:
         axes = _get(sweep, "axes", "config.sweep", _list, 1, 2, "expected one or two axes")
-        sweep_axes, owner = [], {}
+        sweep_axes = []
         for i, a in enumerate(axes):
             path = f"config.sweep.axes[{i}]"
-            nodes = _nodes(a, path, n)
-            for v in nodes:
-                taken = owner.setdefault(v, i)
-                _expect(taken == i, path, f"node {v} is already on axis {taken}")
-            sweep_axes.append(tuple(sorted(nodes)))
+            sweep_axes.append(tuple(sorted(_nodes(a, path, n))))
+            _built(path, ex.check_sweep_axes, sweep_axes, n)
     output_raw = _get(raw, "output", "config", _object, default={})
     out_dir = _get(output_raw, "dir", "config.output", _string, default=".")
     out_format = _get(

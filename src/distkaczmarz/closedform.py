@@ -8,8 +8,9 @@ over identity columns at the given relaxation.  The sweep route
 each sweep axis's relaxation, of degree at most the axis's node count on one
 dispersion chain, so a sweep pushes the tensor grid of one more node than
 that per axis and interpolates whenever that grid has at most the square root
-of the sweep's point count; any other sweep hands the kernel one chunk of
-relaxation columns per push.  The DAG stationarity conditions and
+of the sweep's point count and its maps are small enough to interpolate within
+``SWEEP_INTERPOLATION_ROUNDING``; any other sweep hands the kernel one chunk
+of relaxation columns per push.  The DAG stationarity conditions and
 least-squares targets, per-path sums in the paper, are kernel pushes and
 per-node path masses, so no analysis enumerates paths.  The paper's
 alternative forms stay as independent cross-checks of its lemmas: the
@@ -68,6 +69,10 @@ ZERO_EIGENVALUE_CUT = 1e-12
 # Kernel columns per sweep push; a grid point takes s d + 1 of them, so the
 # carried (d, columns) blocks, and with them peak memory, stay flat.
 SWEEP_CHUNK_COLUMNS = 1536
+# Largest rounding the polynomial sweep route may add to an entry of a
+# restricted map, the accuracy the per-point route is held to; a sweep whose
+# tensor grid could add more pushes every column instead.
+SWEEP_INTERPOLATION_ROUNDING = 1e-12
 
 
 def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.ndarray:
@@ -614,9 +619,8 @@ def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> f
 def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
     """The rows of an omega stack that vary, grouped by equality; None past ``most`` groups."""
     axes: list[list[int]] = []
-    for v, row in enumerate(omega):
-        if row.min() == row.max():  # a baseline row
-            continue
+    for v in np.flatnonzero(omega.min(axis=1) != omega.max(axis=1)).tolist():
+        row = omega[v]
         same = next((ax for ax in axes if np.array_equal(omega[ax[0]], row)), None)
         if same is not None:
             same.append(v)
@@ -627,15 +631,16 @@ def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
     return axes
 
 
-def _axis_degrees(kernel: _Pass, axes: Sequence[Sequence[int]]) -> np.ndarray:
+def _axis_degrees(kernel: _Pass, axes: Sequence[Sequence[int]]) -> list[int]:
     """Most nodes of each axis on one dispersion chain: the degree of B in that axis's omega."""
-    count = np.zeros((len(kernel.up), len(axes)), dtype=int)
-    for k, rows in enumerate(axes):
-        count[rows, k] = 1
+    home = {v: k for k, rows in enumerate(axes) for v in rows}
+    count: list[list[int]] = [[]] * len(kernel.up)
     for v in kernel.order:  # topological: every predecessor is final
-        if kernel.up[v]:
-            count[v] += np.max([count[u] for u, _ in kernel.up[v]], axis=0)
-    return count.max(axis=0, initial=0)
+        ups = [count[u] for u, _ in kernel.up[v]]
+        count[v] = [max(col) for col in zip(*ups)] if ups else [0] * len(axes)
+        if v in home:
+            count[v][home[v]] += 1
+    return [max(col) for col in zip(*count)]
 
 
 def _interpolation_nodes(row: np.ndarray, degree: int) -> np.ndarray:
@@ -672,14 +677,18 @@ def _interpolated(kernel: _Pass, omega: np.ndarray, restrict):
     ``(V, g)`` slice of ``omega`` to the Lagrange combinations of those
     maps.  None when the grid's ``M`` points exceed ``sqrt(G)``; as every
     axis has degree at least 1, more than ``log4 G`` axes rule the grid out
-    before any degree is computed.
+    before any degree is computed.  None as well when the combinations could
+    round an entry by more than ``SWEEP_INTERPOLATION_ROUNDING``: that
+    rounding is at most about eps times the tensor grid's Lebesgue constant
+    times the largest entry of its maps, and B grows like ``|1 - omega|^D``
+    in an axis of degree D.
     """
     g = omega.shape[1]
     axes = _sweep_axes(omega, (g.bit_length() - 1) // 2)
     if axes is None:
         return None
     nodes = [
-        _interpolation_nodes(omega[rows[0]], int(deg))
+        _interpolation_nodes(omega[rows[0]], deg)
         for rows, deg in zip(axes, _axis_degrees(kernel, axes))
     ]
     points = math.prod(len(x) for x in nodes)
@@ -689,6 +698,12 @@ def _interpolated(kernel: _Pass, omega: np.ndarray, restrict):
     for rows, values in zip(axes, np.meshgrid(*nodes, indexing="ij")):
         grid[rows] = values.ravel()
     at_grid = restrict(grid)
+    # Each 1-d Lebesgue constant is at most 1 + (2/pi) log(degree) at the
+    # Chebyshev-Lobatto points, and 1 at the columns when the nodes are the
+    # axis's own values.
+    lebesgue = math.prod(1.0 + 2.0 / math.pi * math.log(len(x) - 1) for x in nodes)
+    if np.finfo(float).eps * lebesgue * np.abs(at_grid).max() > SWEEP_INTERPOLATION_ROUNDING:
+        return None
     flat = at_grid.reshape(points, -1)
 
     def maps(cols: np.ndarray) -> np.ndarray:
@@ -714,10 +729,12 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     Chebyshev-Lobatto points of its range (for degree 1 its min and max, so
     the weights are convex).  When that grid has ``M`` points with
     ``M^2 <= G``, its ``M`` maps are pushed and restricted once, and each
-    column's restricted map is their Lagrange combination; otherwise each
-    chunk of columns is one kernel push and one restriction.  Either route
-    ends every chunk of ``SWEEP_CHUNK_COLUMNS`` kernel columns' worth of
-    points in one ``eigvals``.
+    column's restricted map is their Lagrange combination, unless those maps
+    are so large that the combinations could round an entry by more than
+    ``SWEEP_INTERPOLATION_ROUNDING`` (a wide range on an axis of high
+    degree); otherwise each chunk of columns is one kernel push and one
+    restriction.  Either route ends every chunk of ``SWEEP_CHUNK_COLUMNS``
+    kernel columns' worth of points in one ``eigvals``.
     """
     _require_valid(sys, net)
     omega = _checked_omega(omega)

@@ -254,7 +254,7 @@ def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float
     return out
 
 
-def _check_axes(axes: Sequence[Sequence[int]], node_count: int) -> None:
+def check_sweep_axes(axes: Sequence[Sequence[int]], node_count: int) -> None:
     """Raise ValueError unless every axis drives at least one node id and no node is on two axes."""
     owner: dict[int, int] = {}
     for k, nodes in enumerate(axes):
@@ -297,7 +297,7 @@ def omega_sweep(
         raise ValueError("empty sweep grid")
     if any(len(pt) != len(axes) for pt in grid):
         raise ValueError("grid tuples must match the number of axes")
-    _check_axes(axes, net.node_count)
+    check_sweep_axes(axes, net.node_count)
     rho = restricted_rho(sys, net, _omega_stack(net.node_count, axes, grid, baseline)).tolist()
     baseline_rho = rho.pop()
     argmin = int(np.argmin(rho))

@@ -281,7 +281,8 @@ def spies(monkeypatch):
 
 
 class TestSweepRoutes:
-    """A sweep pushes a small tensor grid when ``M^2 <= G``, else every grid point."""
+    """A sweep pushes a small tensor grid when ``M^2 <= G`` and its maps interpolate within
+    rounding, else every grid point."""
 
     @pytest.mark.parametrize("desk, points", [(_leaf_desk, 4), (_interior_desk, 9)])
     def test_desk_sweep_pushes_one_small_tensor_grid(self, desk, points, spies):
@@ -290,6 +291,19 @@ class TestSweepRoutes:
         result = ex.omega_sweep(system, net, grid, axes=axes)
         assert len(result.rho) == 1600
         assert spies["affine"] == [points]
+
+    def test_large_grid_maps_fall_back_to_the_stack_route(self, spies):
+        """An 8-node chain axis over the CLI default range: B at omega = 8 is near 7^8."""
+        net = tp.TreeNetwork.from_edges(8, 0, [(i, i + 1) for i in range(7)])
+        system = ex.generate_system(ex.GeneratorSpec("uniform", 8, 4, seed=1)).system
+        grid = ex.grid_from_spec("0.05:8:0.05", 1)
+        result = ex.omega_sweep(system, net, grid, axes=[tuple(range(8))])
+        assert spies["affine"] == [9, 161]
+        basis = cf.row_space_basis(system)
+        for i in range(len(grid)):
+            relax = sv.RelaxationAssignment(np.full(8, grid[i][0]))
+            want = cf.spectral_radius_on_span(cf.tree_affine(system, net, relax).B, basis)
+            assert abs(result.rho[i] - want) <= 1e-12 * max(1.0, want)
 
     def test_random_chain_stack_takes_the_stack_route(self, spies):
         net = tp.TreeNetwork.from_edges(200, 0, [(i, i + 1) for i in range(199)])

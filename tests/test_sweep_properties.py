@@ -153,10 +153,10 @@ def tensor_sweeps(draw, kind):
     return system, net, axes
 
 
-def _tensor_stack(net, axes, seed):
-    """Every point of a tensor grid of random values in [0, 2], on a random baseline."""
+def _tensor_stack(net, axes, seed, top):
+    """Every point of a tensor grid of random values in [0, top], on a random baseline."""
     rng = np.random.default_rng(seed)
-    values = [rng.uniform(0.0, 2.0, size=(len(a) + 1) ** 2) for a in axes]
+    values = [rng.uniform(0.0, top, size=(len(a) + 1) ** 2) for a in axes]
     omega = np.full((net.node_count, int(np.prod([len(v) for v in values]))), rng.uniform(0.0, 2.0))
     for nodes, grid in zip(axes, np.meshgrid(*values, indexing="ij")):
         omega[nodes] = grid.ravel()
@@ -164,9 +164,12 @@ def _tensor_stack(net, axes, seed):
 
 
 def _check_tensor_route(system, net, omega):
-    """One push of at most sqrt(G) points, and every column equals its per-point rho.
+    """A tensor grid of at most sqrt(G) points is pushed first, and every column equals its
+    per-point rho.
 
-    Returns the number of points pushed.
+    When the grid's maps are too large to interpolate within the rounding
+    the per-point route is held to, the sweep then pushes every column.
+    Returns the points of every push.
     """
     pushed = []
     affine = sv._Pass.affine
@@ -177,11 +180,12 @@ def _check_tensor_route(system, net, omega):
 
     with mock.patch.object(sv._Pass, "affine", spy):
         rho = ex.restricted_rho(system, net, omega)
-    assert len(pushed) == 1 and pushed[0] ** 2 <= omega.shape[1]
+    assert pushed[0] ** 2 <= omega.shape[1]
+    assert len(pushed) == 1 or sum(pushed[1:]) == omega.shape[1]
     for i in range(omega.shape[1]):
         want = _per_point(system, net, omega[:, i])
         assert abs(rho[i] - want) <= 1e-12 * max(1.0, want)
-    return pushed[0]
+    return pushed
 
 
 @pytest.mark.parametrize("kind", ["tree", "dag"])
@@ -189,7 +193,8 @@ def _check_tensor_route(system, net, omega):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_tensor_grid_equals_per_point(kind, data, seed):
     system, net, axes = data.draw(tensor_sweeps(kind))
-    _check_tensor_route(system, net, _tensor_stack(net, axes, seed))
+    top = data.draw(st.sampled_from([2.0, 8.0, 20.0]))
+    _check_tensor_route(system, net, _tensor_stack(net, axes, seed, top))
 
 
 @settings(SETTINGS, max_examples=4)
@@ -209,4 +214,28 @@ def test_degree_eight_chain_axis_equals_per_point(data, seed):
     rng = np.random.default_rng(seed)
     omega = np.full((n, data.draw(st.integers(81, 120))), rng.uniform(0.0, 2.0))
     omega[axis] = rng.uniform(0.0, 2.0, size=omega.shape[1])
-    assert _check_tensor_route(system, net, omega) == 9
+    assert _check_tensor_route(system, net, omega) == [9]
+
+
+@settings(SETTINGS, max_examples=4)
+@given(data=st.data())
+def test_degree_eight_chain_axis_over_the_cli_default_range_equals_per_point(data):
+    """Eight axis nodes on one chain swept over ``0.05:8:0.05``, the CLI default.
+
+    B reaches entries near ``|1 - 8|^8`` at the grid's top node, so its
+    Lagrange combinations would lose digits at the columns where rho is
+    small; every column still equals its per-point rho.
+    """
+    n = data.draw(st.integers(8, 11))
+    net = tp.TreeNetwork.from_edges(n, 0, [(i, i + 1) for i in range(n - 1)])
+    axis = tuple(sorted(data.draw(st.permutations(range(n)))[:8]))
+    system = ex.random_tree_system(
+        data.draw(st.integers(0, 2**32 - 1)),
+        net,
+        dim=data.draw(st.integers(1, 4)),
+        consistent=data.draw(st.booleans()),
+        complex_entries=data.draw(st.booleans()),
+        rank_deficient=data.draw(st.booleans()),
+    )
+    omega = ex._omega_stack(n, [axis], ex.grid_from_spec("0.05:8:0.05", 1), 1.5)
+    _check_tensor_route(system, net, omega)
