@@ -399,6 +399,7 @@ def cmd_solve(args) -> int:
         "final_estimates": _estimate_out(report.final_estimates),
         "step_norms": report.step_norms,
         "residual_norms": report.residual_norms,
+        "observed_rate": report.observed_rate,
         "config": cfg.resolved,
     }
     _write_json(os.path.join(out_dir, "solve_report.json"), payload)

@@ -11,8 +11,6 @@ grid points at a time; results are always ordered by grid index.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import numbers
@@ -441,14 +439,15 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    """RFC-4180-style CSV with a '.' decimal separator regardless of locale."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """RFC-4180-style CSV with a '.' decimal separator regardless of locale.
+
+    No field holds a comma, quote or line break, so every row is one
+    ``str.format`` of a template built once.
+    """
     naxes = len(result.grid[0])
-    writer.writerow([f"omega_{i + 1}" for i in range(naxes)] + ["rho"])
-    for pt, rho in zip(result.grid, result.rho):
-        writer.writerow([f"{x:.10g}" for x in pt] + [f"{rho:.12g}"])
-    return buf.getvalue()
+    header = ",".join([f"omega_{i + 1}" for i in range(naxes)] + ["rho"])
+    row = ",".join(["{:.10g}"] * naxes + ["{:.12g}"]).format
+    return "\n".join([header, *(row(*pt, rho) for pt, rho in zip(result.grid, result.rho))]) + "\n"
 
 
 def _residual_after(

@@ -18,6 +18,10 @@ sweep points.  ``tree_iterate`` and ``dag_iterate`` run it on one column;
 ``solve`` assembles the pass map ``x -> B x + c`` once and iterates it,
 unless :func:`solve_route` finds that one pass is cheaper than assembling
 or applying ``B``, and then runs the kernel on one column per iteration.
+Either way ``solve`` has one loop: it fills a block of iterates, one pass
+per row, and takes the norms that decide the stop for the whole block at
+once (64 passes a block on the map, where a pass costs no more than a
+numpy call; 1 on the kernel, where a pass past the stop would be wasted).
 
 A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  Pooling sums
@@ -44,6 +48,10 @@ DIVERGENCE_FACTOR = 1e12
 # pass (``(s d)^2`` flops against ``V + E`` node and edge visits).
 AFFINE_ASSEMBLY_LIMIT = 4096
 AFFINE_MATVEC_RATIO = 1024
+# Passes per block of ``solve`` on the affine route: one ``B x + c`` costs about
+# as much as one numpy call, so the norms of a block are taken together.
+AFFINE_BLOCK = 64
+RATE_WINDOW = 16  # step ratios behind ``SolveReport.observed_rate``
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,19 @@ class SolveReport:
     residual_norms: list[float] = field(default_factory=list)
     converged: bool = False
     route: str = "engine"
+
+    @property
+    def observed_rate(self) -> float | None:
+        """The contraction per pass seen at the end of the run, ``None`` below two steps.
+
+        The geometric mean of the last ``m`` (at most ``RATE_WINDOW``) ratios
+        of consecutive step norms, ``(steps[-1] / steps[-1-m]) ** (1/m)``; the
+        theory predicts the restricted spectral radius.
+        """
+        m = min(len(self.step_norms) - 1, RATE_WINDOW)
+        if m < 1:
+            return None
+        return (self.step_norms[-1] / self.step_norms[-1 - m]) ** (1.0 / m)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +410,9 @@ def _initial_blocks(sys: LinearSystem, tree: bool, s: int, init) -> np.ndarray:
     return blocks
 
 
-def _max_norm(blocks: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(blocks, axis=1)))
+def _worst_norms(blocks: np.ndarray) -> np.ndarray:
+    """The largest norm among the blocks of each iterate of a ``(k, s, m)`` stack."""
+    return np.linalg.norm(blocks, axis=2).max(axis=1)
 
 
 def solve_route(minimal: int, dim: int, size: int) -> str:
@@ -415,12 +437,22 @@ def solve(
     """Iterate until the step norm falls below tolerance or the budget runs out.
 
     The stopping rule is step-norm based because inconsistent systems keep a
-    nonzero limiting residual.  ``iterations_used`` is 0 when the initial
-    estimate is already stationary.  Estimates whose norm exceeds
-    ``1e12 * (1 + initial norm)`` (or turn non-finite) abort with
-    :class:`DivergenceError` carrying the last finite iterate.  Each
-    iteration is one pass, run as ``B x + c`` on the stacked minimal-node
-    estimates or by the kernel, as :func:`solve_route` picks.
+    nonzero limiting residual.  Each iteration is one pass, run as ``B x + c``
+    on the stacked minimal-node estimates or by the kernel, as
+    :func:`solve_route` picks.  Iterates are made in blocks: a block fills
+    one buffer row per pass (``AFFINE_BLOCK`` rows on the affine route, 1 on
+    the engine route, where a pass costs more than the norms and a longer
+    block would run passes past the stop), then takes the worst block norm,
+    step norm and residual norm of every row at once and cuts the block at
+    the first row that stops.  The stops are those of one pass at a time:
+
+    - ``iterations_used`` is 0, with empty traces, when the first step is
+      already under tolerance (the initial estimate was stationary);
+    - the last block is cut at ``max_iterations``;
+    - the first iterate whose norm exceeds ``1e12 * (1 + initial norm)`` or
+      turns non-finite aborts with :class:`DivergenceError` carrying the
+      iterate before it, even when its step is also under tolerance.
+      Iterates after it may overflow; they are never reported.
     """
     _require_valid(sys, net, relax=relax)
     tree = isinstance(net, TreeNetwork)
@@ -428,44 +460,60 @@ def solve(
     public = (lambda blocks: blocks[0]) if tree else list  # one tree estimate
     state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
     route = solve_route(len(run.sources), run.dim, len(run.up) + sum(map(len, run.up)))
+    block = AFFINE_BLOCK if route == "affine" else 1
+    flat = np.empty((block + 1, state.size), dtype=np.complex128)  # row j: iterate j of the block
+    rows = flat.reshape(block + 1, *state.shape)  # the same rows, one block per minimal node
+    rows[0] = state
     if route == "affine":
         (b,), (c,) = run.affine(omega)
         b = np.ascontiguousarray(b)
-    a = sys.system_matrix()
-    bound = DIVERGENCE_FACTOR * (1.0 + _max_norm(state))
+
+        def advance(j):
+            np.matmul(b, flat[j], out=flat[j + 1])
+            flat[j + 1] += c
+
+    else:
+
+        def advance(j):
+            rows[j + 1] = run.vectors(rows[j], omega)
+
+    a_t, tol = sys.system_matrix().T, config.step_tolerance
+    bound = DIVERGENCE_FACTOR * (1.0 + _worst_norms(rows[:1])[0])
     steps: list[float] = []
     residuals: list[float] = []
-    converged = False
-    used = 0
-    for n in range(1, config.max_iterations + 1):
-        if route == "affine":
-            new_state = (b @ state.ravel() + c).reshape(state.shape)
-        else:
-            new_state = np.array(run.vectors(state, omega))
-        norm = _max_norm(new_state)
-        if not np.isfinite(norm) or norm > bound:
-            raise DivergenceError(
-                f"estimate norm {norm:.3e} exceeded the divergence bound at iteration {n}",
-                last_iterate=public(state),
-                iteration=n,
-                route=route,
-            )
-        step = _max_norm(new_state - state)
-        state = new_state
-        if n == 1 and step < config.step_tolerance:
-            converged = True  # initial estimate was already stationary
-            break
-        steps.append(step)
-        residuals.append(_max_norm(state @ a.T - sys.rhs))
-        used = n
-        if step < config.step_tolerance:
-            converged = True
-            break
+    used, stop = 0, None
+    while stop is None and used < config.max_iterations:
+        k = min(block, config.max_iterations - used)
+        with np.errstate(over="ignore", invalid="ignore"):  # rows from a divergence on may overflow
+            for j in range(k):
+                advance(j)
+            norms = _worst_norms(rows[1 : k + 1])
+            step = _worst_norms(rows[1 : k + 1] - rows[:k])
+        diverged = ~np.isfinite(norms) | (norms > bound)
+        stops = np.flatnonzero(diverged | (step < tol))
+        if stops.size:
+            stop = int(stops[0])
+            k = stop + 1
+            if diverged[stop]:
+                raise DivergenceError(
+                    f"estimate norm {norms[stop]:.3e} exceeded the divergence bound "
+                    f"at iteration {used + k}",
+                    last_iterate=public(rows[stop].copy()),
+                    iteration=used + k,
+                    route=route,
+                )
+            if used == 0 and stop == 0:  # initial estimate was already stationary
+                rows[0] = rows[1]
+                break
+        steps += step[:k].tolist()
+        residuals += _worst_norms(rows[1 : k + 1] @ a_t - sys.rhs).tolist()
+        used += k
+        rows[0] = rows[k]
     return SolveReport(
-        final_estimates=public(state),
+        final_estimates=public(rows[0].copy()),
         iterations_used=used,
         step_norms=steps,
         residual_norms=residuals,
-        converged=converged,
+        converged=stop is not None,
         route=route,
     )

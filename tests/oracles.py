@@ -284,6 +284,51 @@ def engine_solve(sys, net, relax, config):
     return report
 
 
+def stepwise_solve(sys, net, relax, config):
+    """``solve`` one pass at a time: the loop ``solve`` ran before it took norms by the block.
+
+    The same route, passes and norms as ``solve``, but every iterate's
+    norm, step norm and residual norm is taken on its own right after its
+    pass, so ``solve`` must match it bit for bit.
+    """
+    tree = isinstance(net, tp.TreeNetwork)
+    run, omega = sv._Pass(sys, net), relax.effective()
+    state = sv._initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
+    route = sv.solve_route(len(run.sources), run.dim, len(run.up) + sum(map(len, run.up)))
+    if route == "affine":
+        (b,), (c,) = run.affine(omega)
+        b = np.ascontiguousarray(b)
+    a = sys.system_matrix()
+
+    def worst(blocks):
+        return float(np.max(np.linalg.norm(blocks, axis=1)))
+
+    public = (lambda blocks: blocks[0]) if tree else list
+    bound = sv.DIVERGENCE_FACTOR * (1.0 + worst(state))
+    report = sv.SolveReport(final_estimates=None, iterations_used=0, route=route)
+    for n in range(1, config.max_iterations + 1):
+        if route == "affine":
+            new = (b @ state.ravel() + c).reshape(state.shape)
+        else:
+            new = np.array(run.vectors(state, omega))
+        norm = worst(new)
+        if not np.isfinite(norm) or norm > bound:
+            raise DivergenceError("diverged", last_iterate=public(state), iteration=n, route=route)
+        size = worst(new - state)
+        state = new
+        if n == 1 and size < config.step_tolerance:
+            report.converged = True
+            break
+        report.step_norms.append(size)
+        report.residual_norms.append(worst(state @ a.T - sys.rhs))
+        report.iterations_used = n
+        if size < config.step_tolerance:
+            report.converged = True
+            break
+    report.final_estimates = public(state)
+    return report
+
+
 def pathwise_blocks(sys, net, relax):
     """Enumerate every dispersion path and pool its SOR map per minimal node."""
     minimal = net.minimal_nodes

@@ -44,7 +44,23 @@ class TestSolveCommand:
         assert report["iterations_used"] <= 2
         assert report["final_estimates"] == [1.0, 2.0]
         assert report["route"] == "affine"
+        assert report["observed_rate"] == 0.0  # the first pass lands on the solution
         assert "config" in report
+
+    def test_report_carries_the_observed_rate(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "system": {"matrix": [[1.0, 0.0]], "rhs": [1.0]},
+                "network": {"type": "tree", "nodes": 1, "root": 0, "edges": []},
+                "relaxation": {"default": 0.5},
+                "solver": {"max_iterations": 20},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert cli.main(["solve", "--config", cfg]) == 2
+        report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+        assert report["observed_rate"] == pytest.approx(0.5, rel=1e-12)  # |1 - omega| on one node
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(
@@ -60,6 +76,7 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
         assert report["outcome"] == "diverged"
         assert report["route"] == "affine"
+        assert "observed_rate" not in report
 
     def test_max_iterations_exit_code(self, tmp_path):
         cfg = write_config(

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import tracemalloc
@@ -431,3 +433,25 @@ class TestEngineAgreesWithSweep:
                 sv.SolverConfig(max_iterations=4000, step_tolerance=1e-10),
             )
             assert report.converged
+
+
+def _csv_writer_form(result):
+    """The CSV as ``csv.writer`` writes it, one list of formatted fields per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"omega_{i + 1}" for i in range(len(result.grid[0]))] + ["rho"])
+    for pt, rho in zip(result.grid, result.rho):
+        writer.writerow([f"{x:.10g}" for x in pt] + [f"{rho:.12g}"])
+    return buf.getvalue()
+
+
+AWKWARD = [1e-5, 0.1 + 0.2, 7.999999999, -0.0, 1.0, 123456789.123, 5e-324, 1e300]
+
+
+@pytest.mark.parametrize("axes", [1, 2, 3])
+def test_sweep_csv_matches_the_csv_writer_byte_for_byte(axes):
+    rng = np.random.default_rng(axes)
+    grid = [tuple(float(v) for v in rng.choice(AWKWARD, size=axes)) for _ in range(40)]
+    rho = [AWKWARD[i % len(AWKWARD)] for i in range(39)] + [np.float64(0.1) * 3]
+    result = ex.SweepResult(grid, rho, 0, 0.0, 0.0)
+    assert ex.sweep_to_csv(result) == _csv_writer_form(result)

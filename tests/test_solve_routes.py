@@ -1,17 +1,20 @@
 """``solve`` on the assembled pass map equals ``solve`` on the pass kernel, and the route rule."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from distkaczmarz import experiments as ex
+from distkaczmarz import numerics as nm
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.errors import DivergenceError
 
-from oracles import engine_solve, layered_dag
+from oracles import engine_solve, layered_dag, stepwise_solve
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=10)
 
@@ -41,14 +44,14 @@ def trees(draw, shapes=("chain", "caterpillar", "recursive")):
 
 
 @st.composite
-def cases(draw, networks, omega):
+def cases(draw, networks, omega, consistent=st.booleans()):
     """A network, a seeded system on it (complex, rank-deficient or inconsistent) and a uniform ω."""
     net = draw(networks)
     system = ex.random_tree_system(
         draw(st.integers(0, 2**32 - 1)),
         net,
         dim=draw(st.integers(1, 4)),
-        consistent=draw(st.booleans()),
+        consistent=draw(consistent),
         rank_deficient=draw(st.booleans()),
         complex_entries=draw(st.booleans()),
     )
@@ -68,18 +71,34 @@ def _close(got, want, tol=1e-12):
         assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w)
 
 
-def assert_same_solve(system, net, relax, config=CONFIG):
-    """Both routes stop at the same iteration with the same estimates, or diverge at the same one."""
+def _exact(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(_blocks(got), _blocks(want), strict=True))
+
+
+def assert_same_solve(system, net, relax, config=CONFIG, route="affine", tol=1e-12):
+    """Both routes stop at the same iteration with the same estimates, or diverge at the same one.
+
+    ``solve`` also equals the one-pass-at-a-time loop on its own route bit for bit.
+    """
     try:
         got = sv.solve(system, net, relax, config)
     except DivergenceError as exc:
-        with pytest.raises(DivergenceError) as want:
-            engine_solve(system, net, relax, config)
-        assert exc.route == "affine" and exc.iteration == want.value.iteration
-        _close(exc.last_iterate, want.value.last_iterate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as want:
+                engine_solve(system, net, relax, config)
+            with pytest.raises(DivergenceError) as stepwise:
+                stepwise_solve(system, net, relax, config)
+        assert exc.route == route and exc.iteration == want.value.iteration
+        _close(exc.last_iterate, want.value.last_iterate, tol)
+        assert exc.iteration == stepwise.value.iteration
+        assert _exact(exc.last_iterate, stepwise.value.last_iterate)
         return "diverged"
+    stepwise = stepwise_solve(system, net, relax, config)
+    assert (got.iterations_used, got.converged) == (stepwise.iterations_used, stepwise.converged)
+    assert (got.step_norms, got.residual_norms) == (stepwise.step_norms, stepwise.residual_norms)
+    assert _exact(got.final_estimates, stepwise.final_estimates)
     want = engine_solve(system, net, relax, config)
-    assert got.route == "affine"
+    assert got.route == route
     assert (got.iterations_used, got.converged) == (want.iterations_used, want.converged)
     _close(got.final_estimates, want.final_estimates)
     scale = 1e-12 * (1.0 + max(np.linalg.norm(w) for w in _blocks(want.final_estimates)))
@@ -107,11 +126,124 @@ def test_routes_diverge_at_the_same_iteration(case):
     assert_same_solve(*case, sv.SolverConfig(max_iterations=2_000))
 
 
+def test_iterates_past_a_divergence_overflow_silently():
+    """At ω = 1e100 each pass scales the row component by about -1e100: inf, then nan."""
+    net = tp.TreeNetwork.from_edges(1, 0, [])
+    system = sv.LinearSystem(rows=np.array([[1.0, 0.0]]), rhs=np.array([1.0]))
+    relax = sv.RelaxationAssignment.uniform(1, 1e100)
+    with pytest.raises(DivergenceError) as err:
+        sv.solve(system, net, relax)
+    assert err.value.iteration == 1 and np.array_equal(err.value.last_iterate, [0.0, 0.0])
+
+
 def test_an_inadmissible_omega_diverges_on_both_routes():
     net = tp.TreeNetwork.from_edges(1, 0, [])
     system = sv.LinearSystem(rows=np.array([[1.0, 0.0]]), rhs=np.array([1.0]))
     relax = sv.RelaxationAssignment.uniform(1, 3.0)  # the row component doubles every pass
     assert assert_same_solve(system, net, relax, sv.SolverConfig(max_iterations=100)) == "diverged"
+
+
+K = sv.AFFINE_BLOCK
+small_networks = trees(("caterpillar", "recursive")) | multi_sink_dags
+
+
+@SETTINGS
+@given(cases(small_networks, st.floats(0.05, 0.3)), st.sampled_from([K - 1, K, K + 1, 2 * K + 1]))
+def test_budgets_around_block_edges(case, budget):
+    """A budget cuts the last block: the run stops after exactly ``budget`` passes."""
+    config = sv.SolverConfig(max_iterations=budget)
+    assert_same_solve(*case, config)
+    report = sv.solve(*case, config)
+    assert report.converged or report.iterations_used == budget
+
+
+@SETTINGS
+@given(cases(small_networks, st.floats(0.05, 0.5)), st.sampled_from([K, K + 1, 2 * K, 2 * K + 1]))
+def test_convergence_on_the_first_and_last_iterate_of_a_block(case, target):
+    """A tolerance between step ``target`` and every earlier step stops the run exactly there."""
+    steps = sv.solve(*case, sv.SolverConfig(max_iterations=target, step_tolerance=1e-300)).step_norms
+    assume(len(steps) == target and 0.0 < steps[-1] < 0.99 * min(steps[:-1]))
+    config = sv.SolverConfig(max_iterations=3 * K, step_tolerance=(steps[-1] * min(steps[:-1])) ** 0.5)
+    assert assert_same_solve(*case, config) == "stopped"
+    report = sv.solve(*case, config)
+    assert report.converged and report.iterations_used == target
+
+
+def stationary(case):
+    """The case with a start at an exact solution, which every pass keeps to rounding."""
+    system = case[0]
+    start = nm.min_norm_solution(system.system_matrix(), system.rhs)
+    return case, sv.SolverConfig(max_iterations=3 * K, step_tolerance=1e-8, initial_estimate=start)
+
+
+@SETTINGS
+@given(cases(small_networks, st.floats(0.2, 1.8), consistent=st.just(True)).map(stationary))
+def test_a_stationary_start_uses_no_iteration(run):
+    case, config = run
+    assert assert_same_solve(*case, config) == "stopped"
+    report = sv.solve(*case, config)
+    assert report.converged and report.iterations_used == 0
+    assert report.step_norms == [] and report.residual_norms == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e140])
+@SETTINGS
+@given(cases(small_networks, st.floats(2.2, 3.0)))
+def test_divergence_inside_a_block_that_overflows(scale, case):
+    """Norms past the divergence overflow to inf in the block; none is reported or warned of.
+
+    From a start near 1e140 the bound is near 1e152, so the reported
+    iterates and residuals stay finite, while the squares in the norms of
+    iterates that grow past 1e154 overflow before the block ends.
+    """
+    system, net, relax = case
+    start = scale * np.random.default_rng(net.node_count).standard_normal(system.ambient_dim)
+    config = sv.SolverConfig(max_iterations=2_000, initial_estimate=start)
+    # growth over many orders of magnitude amplifies the rounding gap between map and kernel
+    assert_same_solve(system, net, relax, config, tol=1e-9)
+
+
+def _counting_vectors(counter):
+    vectors = sv._Pass.vectors
+
+    def counted(self, xs, omega):
+        counter.append(1)
+        return vectors(self, xs, omega)
+
+    return counted
+
+
+ENGINE_RUNS = {
+    "budget": st.tuples(
+        cases(small_networks, st.floats(0.05, 0.3)), st.just(sv.SolverConfig(max_iterations=K + 1))
+    ),
+    "converged": st.tuples(
+        cases(small_networks, st.floats(0.5, 1.5)),
+        st.just(sv.SolverConfig(max_iterations=2_000, step_tolerance=1e-6)),
+    ),
+    "stationary": cases(small_networks, st.floats(0.2, 1.8), consistent=st.just(True)).map(stationary),
+    "diverged": st.tuples(
+        cases(small_networks, st.floats(2.2, 3.0)), st.just(sv.SolverConfig(max_iterations=2_000))
+    ),
+}
+
+
+@pytest.mark.parametrize("outcome", ENGINE_RUNS)
+@SETTINGS
+@given(data=st.data())
+def test_the_engine_route_runs_no_pass_past_the_stop(outcome, data):
+    """Forced onto the engine route, ``solve`` runs exactly the passes it reports."""
+    case, config = data.draw(ENGINE_RUNS[outcome])
+    passes: list = []
+    with mock.patch.object(sv, "solve_route", lambda *size: "engine"):
+        assert_same_solve(*case, config, route="engine")
+        with mock.patch.object(sv._Pass, "vectors", _counting_vectors(passes)):
+            try:
+                report = sv.solve(*case, config)
+                ran = max(report.iterations_used, 1)  # a stationary start ran one pass
+            except DivergenceError as exc:
+                ran = exc.iteration
+    assert len(passes) == ran
 
 
 def _bench_sized():

@@ -333,6 +333,14 @@ class TestSolve:
             sv.solve(system, net, sv.RelaxationAssignment.uniform(1, 5.0))
         assert err.value.last_iterate is not None
 
+    def test_divergence_wins_over_a_step_under_tolerance(self):
+        net = tp.TreeNetwork.from_edges(1, 0, [])
+        system = sv.LinearSystem(rows=np.array([[1.0]]), rhs=np.array([1e13]))
+        config = sv.SolverConfig(step_tolerance=1e300)  # every finite step is under it
+        with pytest.raises(DivergenceError) as err:
+            sv.solve(system, net, sv.RelaxationAssignment.uniform(1, 3.0), config)
+        assert err.value.iteration == 1 and np.array_equal(err.value.last_iterate, [0.0])
+
     def test_zero_start_zero_rhs(self):
         net = chain(2)
         system = sv.LinearSystem(rows=np.array([[1.0, 1.0], [1.0, -1.0]]), rhs=np.zeros(2))
@@ -383,3 +391,34 @@ class TestSolve:
         want = min_norm_solution(system.system_matrix(), system.rhs)
         for block in report.final_estimates:
             assert np.allclose(block, want, atol=1e-7)
+
+
+class TestObservedRate:
+    @pytest.mark.parametrize("omega", [0.05, 0.3, 1.7, 1.95])
+    def test_one_node_contracts_by_one_minus_omega(self, omega):
+        net = tp.TreeNetwork.from_edges(1, 0, [])
+        system = sv.LinearSystem(rows=np.array([[1.0, 2.0]]), rhs=np.array([1.0]))
+        report = sv.solve(
+            system, net, sv.RelaxationAssignment.uniform(1, omega), sv.SolverConfig(max_iterations=30)
+        )
+        assert report.observed_rate == pytest.approx(abs(1.0 - omega), rel=1e-11)
+
+    def test_desk_tree_rate_is_the_restricted_rho(self):
+        net = ex.binary7_network()
+        system = ex.generate_system(ex.GeneratorSpec(kind="uniform", k=7, d=7, seed=3)).system
+        relax = sv.RelaxationAssignment.uniform(7, 1.0)
+        report = sv.solve(system, net, relax)
+        rho = cf.restricted_rho(system, net, relax.effective()[:, None])[0]
+        assert abs(report.observed_rate - rho) <= 1e-6
+
+    def test_none_below_two_steps(self):
+        assert sv.SolveReport(final_estimates=None, iterations_used=0).observed_rate is None
+        one = sv.SolveReport(final_estimates=None, iterations_used=1, step_norms=[0.5])
+        assert one.observed_rate is None
+        two = sv.SolveReport(final_estimates=None, iterations_used=2, step_norms=[0.5, 0.25])
+        assert two.observed_rate == 0.5
+
+    def test_window_holds_the_last_ratios(self):
+        steps = [1.0] * 5 + [0.5**k for k in range(sv.RATE_WINDOW + 1)]
+        report = sv.SolveReport(final_estimates=None, iterations_used=len(steps), step_norms=steps)
+        assert report.observed_rate == pytest.approx(0.5, rel=1e-15)
