@@ -51,7 +51,6 @@ from .topology import (
     DagNetwork,
     SubnetworkPartition,
     TreeNetwork,
-    resolve_groups,
     validate_dag,
     validate_subnetworks,
     validate_tree,
@@ -446,17 +445,14 @@ def cmd_analyze(args) -> int:
         for v, (om, ok) in sorted(admissibility.node_verdicts.items())
     }
     payload["groups"] = []
-    for verdict, group in zip(admissibility.groups, resolve_groups(net, part)):
+    for verdict in admissibility.groups:
         entry = {
             "nodes": list(verdict.nodes),
             "alpha": verdict.alpha,
             "pass": verdict.passed,
         }
-        if group.is_leaf_group:
-            entry["leaf_bounds"] = {
-                str(leaf): cf.admissible_upper_bound(sys_, net, group, leaf)
-                for leaf in group.leaves
-            }
+        if verdict.leaf_bounds is not None:
+            entry["leaf_bounds"] = {str(leaf): b for leaf, b in verdict.leaf_bounds.items()}
         payload["groups"].append(entry)
     if admissibility.unit_scale_admissible is not None:
         payload["unit_scale_admissible"] = admissibility.unit_scale_admissible
@@ -483,17 +479,14 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     axes = cfg.sweep_axes
-    if axes is None:
-        if cfg.partition is None:
-            print(
-                "config.sweep.axes: missing (no subnetworks to derive axes from)",
-                file=_sys.stderr,
-            )
-            return EXIT_CONFIG
+    if axes is None:  # derived from the subnetworks, checked here: analyze reports their overlaps
+        missing = "missing (no subnetworks to derive axes from)"
+        _expect(cfg.partition is not None, "config.sweep.axes", missing)
         axes = [tuple(sorted(g)) for g in cfg.partition.groups]
-    if not 1 <= len(axes) <= 2:
-        print("config.sweep.axes: expected one or two axes", file=_sys.stderr)
-        return EXIT_CONFIG
+        path = "config.subnetworks.groups"
+        _expect(1 <= len(axes) <= 2, path, "expected one or two groups to derive sweep axes from")
+        for i in range(len(axes)):
+            _built(f"{path}[{i}]", ex.check_sweep_axes, axes[: i + 1], cfg.network.node_count)
     grid_spec = args.grid or ",".join(["0.05:8:0.05"] * len(axes))
     try:
         grid = ex.grid_from_spec(grid_spec, len(axes))

@@ -17,7 +17,8 @@ alternative forms stay as independent cross-checks of its lemmas: the
 successive over-relaxation factorization along dispersion paths, the product
 of relaxed projections grouped by subnetworks, and the up-down path sums of
 the DAG block matrix.  The module also computes restricted operator norms,
-admissibility verdicts for the relaxation parameters and fixed points.
+fixed points and admissibility verdicts, in time linear in the group sizes
+(one walk per group; one stacked-rows norm gives a leaf group's bounds).
 Every restriction to the row space (tree and DAG spectral radii, fixed
 points, least-squares targets) works on one checked column matrix of an
 orthonormal basis; the DAG's stacked row space is ``kron(I_s, q)``.
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -187,17 +189,26 @@ def _chain_matrix(sys: LinearSystem, nodes: Sequence[int], omega: np.ndarray) ->
 def group_operator(
     sys: LinearSystem, net: TreeNetwork, group, relax: RelaxationAssignment
 ) -> np.ndarray:
-    """Weighted average of projection chains through one subnetwork's trees."""
+    """Weighted average of projection chains through one subnetwork's trees.
+
+    One walk down from the component tops builds each member's projection
+    once; the leaf terms are added in ascending leaf order.
+    """
     _require_assignment(sys, relax)
     g = _as_resolved(net, group)
     omega = relax.effective()
     d = sys.ambient_dim
-    op = np.zeros((d, d), dtype=np.complex128)
-    for leaf in g.leaves:
-        full = net.path_from_root(leaf)
-        chain = full[full.index(g.leaf_roots[leaf]) :]
-        op += path_weight(net, g.gateway, leaf) * _chain_matrix(sys, chain, omega)
-    return op
+    terms = {}
+    eye = np.eye(d, dtype=np.complex128)
+    stack = [(top, net.edge_weight[(g.gateway, top)], eye) for top in g.tops]
+    while stack:
+        v, w, chain = stack.pop()
+        chain = relaxed_projection_matrix(sys, v, omega[v]) @ chain
+        kids = net.children.get(v, ())
+        if not kids:
+            terms[v] = w * chain
+        stack.extend((c, w * net.edge_weight[(v, c)], chain) for c in kids if c in g.members)
+    return sum((terms[leaf] for leaf in g.leaves), np.zeros((d, d), dtype=np.complex128))
 
 
 def build_p_omega(
@@ -243,6 +254,16 @@ def subnetwork_norm(
     return operator_norm_on_span(group_operator(sys, net, g, relax), basis)
 
 
+def _leaf_group(sys: LinearSystem, net: TreeNetwork, group, what: str):
+    """A leaf group, and its leaves' gateway edge weights and squared row norms in leaf order."""
+    g = _as_resolved(net, group)
+    if not g.is_leaf_group:
+        raise ApplicabilityError(f"the {what} applies to leaf groups only")
+    weights = np.array([net.edge_weight[(g.gateway, leaf)] for leaf in g.leaves])
+    norms2 = np.array([float(np.vdot(sys.rows[v], sys.rows[v]).real) for v in g.leaves])
+    return g, weights, norms2
+
+
 def leaf_norm_formula(
     sys: LinearSystem, net: TreeNetwork, group, relax: RelaxationAssignment
 ) -> float:
@@ -252,26 +273,22 @@ def leaf_norm_formula(
     stacks ``w(gateway, leaf) * omega_leaf / |a_leaf|^2`` and G is the Gram
     matrix of the leaf rows.  Only applicable to groups made of leaves.
     """
-    g = _as_resolved(net, group)
-    if not g.is_leaf_group:
-        raise ApplicabilityError("the Gram-spectrum norm applies to leaf groups only")
+    g, weights, norms2 = _leaf_group(sys, net, group, "Gram-spectrum norm")
     _require_assignment(sys, relax)
-    omega = relax.effective()
-    rows = [sys.rows[v] for v in g.leaves]
-    diag = np.array(
-        [
-            path_weight(net, g.gateway, leaf)
-            * omega[leaf]
-            / float(np.vdot(sys.rows[leaf], sys.rows[leaf]).real)
-            for leaf in g.leaves
-        ]
-    )
-    spec = eigenvalues(np.diag(diag) @ gram(rows))
+    diag = weights * relax.effective()[list(g.leaves)] / norms2
+    spec = eigenvalues(np.diag(diag) @ gram([sys.rows[v] for v in g.leaves]))
     vals = spec.eigenvalues
     nonzero = vals[np.abs(vals) > ZERO_EIGENVALUE_CUT * max(spec.radius, 1.0)]
     if nonzero.size == 0:
         return 1.0
     return float(np.max(np.abs(1.0 - nonzero)))
+
+
+def _leaf_bounds(sys: LinearSystem, net: TreeNetwork, group) -> dict[int, float]:
+    """Every leaf's :func:`admissible_upper_bound` in a leaf group, from one stacked-rows norm."""
+    g, weights, norms2 = _leaf_group(sys, net, group, "relaxation bound")
+    rho = float(np.linalg.norm(sys.rows[list(g.leaves)], 2)) ** 2
+    return dict(zip(g.leaves, (2.0 * norms2 / (weights * rho)).tolist()))
 
 
 def admissible_upper_bound(sys: LinearSystem, net: TreeNetwork, group, leaf: int) -> float:
@@ -283,14 +300,10 @@ def admissible_upper_bound(sys: LinearSystem, net: TreeNetwork, group, leaf: int
     matrix is the squared largest singular value of their stacked rows, so
     no L x L spectrum is formed.
     """
-    g = _as_resolved(net, group)
-    if not g.is_leaf_group:
-        raise ApplicabilityError("the relaxation bound applies to leaf groups only")
-    if leaf not in g.leaves:
+    bounds = _leaf_bounds(sys, net, group)
+    if leaf not in bounds:
         raise ValueError(f"node {leaf} is not a leaf of this group")
-    rho = float(np.linalg.norm(sys.rows[list(g.leaves)], 2)) ** 2
-    nrm2 = float(np.vdot(sys.rows[leaf], sys.rows[leaf]).real)
-    return 2.0 * nrm2 / (path_weight(net, g.gateway, leaf) * rho)
+    return bounds[leaf]
 
 
 @dataclass(frozen=True)
@@ -298,6 +311,7 @@ class GroupVerdict:
     nodes: tuple[int, ...]
     alpha: float
     passed: bool
+    leaf_bounds: Mapping[int, float] | None = None  # a leaf group's admissible_upper_bound per leaf
 
 
 @dataclass(frozen=True)
@@ -334,7 +348,8 @@ def check_admissibility(
     verdicts = []
     for g in groups:
         alpha = subnetwork_norm(sys, net, g, relax)
-        verdicts.append(GroupVerdict(tuple(sorted(g.members)), alpha, alpha < 1.0))
+        bounds = MappingProxyType(_leaf_bounds(sys, net, g)) if g.is_leaf_group else None
+        verdicts.append(GroupVerdict(tuple(sorted(g.members)), alpha, alpha < 1.0, bounds))
     admissible = all(ok for _, ok in node_verdicts.values()) and all(
         v.passed for v in verdicts
     )

@@ -411,8 +411,19 @@ def _initial_blocks(sys: LinearSystem, tree: bool, s: int, init) -> np.ndarray:
 
 
 def _worst_norms(blocks: np.ndarray) -> np.ndarray:
-    """The largest norm among the blocks of each iterate of a ``(k, s, m)`` stack."""
-    return np.linalg.norm(blocks, axis=2).max(axis=1)
+    """The largest norm among the blocks of each iterate of a ``(k, s, m)`` stack.
+
+    A block of finite entries whose plain norm overflowed (past about 1e154,
+    under the caller's ``np.errstate``) is scaled by its largest modulus
+    first; every finite plain norm is kept.
+    """
+    norms = np.linalg.norm(blocks, axis=2)
+    over = np.isinf(norms)
+    if over.any():
+        over &= np.isfinite(blocks).all(axis=2)
+        scale = np.abs(blocks[over]).max(axis=1)
+        norms[over] = scale * np.linalg.norm(blocks[over] / scale[:, None], axis=1)
+    return norms.max(axis=1)
 
 
 def solve_route(minimal: int, dim: int, size: int) -> str:
@@ -478,37 +489,38 @@ def solve(
             rows[j + 1] = run.vectors(rows[j], omega)
 
     a_t, tol = sys.system_matrix().T, config.step_tolerance
-    bound = DIVERGENCE_FACTOR * (1.0 + _worst_norms(rows[:1])[0])
     steps: list[float] = []
     residuals: list[float] = []
     used, stop = 0, None
-    while stop is None and used < config.max_iterations:
-        k = min(block, config.max_iterations - used)
-        with np.errstate(over="ignore", invalid="ignore"):  # rows from a divergence on may overflow
+    # rows from a divergence on may overflow, and norms square past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = DIVERGENCE_FACTOR * (1.0 + _worst_norms(rows[:1])[0])
+        while stop is None and used < config.max_iterations:
+            k = min(block, config.max_iterations - used)
             for j in range(k):
                 advance(j)
             norms = _worst_norms(rows[1 : k + 1])
             step = _worst_norms(rows[1 : k + 1] - rows[:k])
-        diverged = ~np.isfinite(norms) | (norms > bound)
-        stops = np.flatnonzero(diverged | (step < tol))
-        if stops.size:
-            stop = int(stops[0])
-            k = stop + 1
-            if diverged[stop]:
-                raise DivergenceError(
-                    f"estimate norm {norms[stop]:.3e} exceeded the divergence bound "
-                    f"at iteration {used + k}",
-                    last_iterate=public(rows[stop].copy()),
-                    iteration=used + k,
-                    route=route,
-                )
-            if used == 0 and stop == 0:  # initial estimate was already stationary
-                rows[0] = rows[1]
-                break
-        steps += step[:k].tolist()
-        residuals += _worst_norms(rows[1 : k + 1] @ a_t - sys.rhs).tolist()
-        used += k
-        rows[0] = rows[k]
+            diverged = ~np.isfinite(norms) | (norms > bound)
+            stops = np.flatnonzero(diverged | (step < tol))
+            if stops.size:
+                stop = int(stops[0])
+                k = stop + 1
+                if diverged[stop]:
+                    raise DivergenceError(
+                        f"estimate norm {norms[stop]:.3e} exceeded the divergence bound "
+                        f"at iteration {used + k}",
+                        last_iterate=public(rows[stop].copy()),
+                        iteration=used + k,
+                        route=route,
+                    )
+                if used == 0 and stop == 0:  # initial estimate was already stationary
+                    rows[0] = rows[1]
+                    break
+            steps += step[:k].tolist()
+            residuals += _worst_norms(rows[1 : k + 1] @ a_t - sys.rhs).tolist()
+            used += k
+            rows[0] = rows[k]
     return SolveReport(
         final_estimates=public(rows[0].copy()),
         iterations_used=used,

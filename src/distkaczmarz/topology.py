@@ -237,14 +237,14 @@ class ResolvedGroup:
     gateway: int
     tops: tuple[int, ...]
     leaves: tuple[int, ...]
-    leaf_roots: Mapping[int, int]  # leaf -> top of its component tree
     is_leaf_group: bool
 
 
-def _tops_and_gateways(net: TreeNetwork, members) -> tuple[list[int], set[int]]:
-    """The group's component tops (ascending) and the set of their parents."""
+def _tops_and_gateway(net: TreeNetwork, members) -> tuple[list[int], int | None]:
+    """The component tops (ascending) and the one parent they all share, else None."""
     tops = sorted(v for v in members if net.parent.get(v) not in members)
-    return tops, {net.parent[t] for t in tops if t in net.parent}
+    parents = {net.parent.get(t) for t in tops}
+    return tops, (parents.pop() if len(parents) == 1 else None)
 
 
 def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Violation]:
@@ -290,23 +290,21 @@ def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Vi
                             (u, v),
                         )
                     )
+        missing: dict[int, list[int]] = {}  # each parent's children outside the group
         for u in members:
-            if not net.is_leaf(u):
-                continue
             p = net.parent.get(u)
-            if p is None:
+            if p is None or not net.is_leaf(u):
                 continue
-            for sib in net.children[p]:
-                if sib not in members:
-                    out.append(
-                        Violation(
-                            "condition-1",
-                            f"group {gi}: sibling {sib} of leaf {u} is missing",
-                            (u, sib),
-                        )
-                    )
-        tops, gateways = _tops_and_gateways(net, members)
-        if len(gateways) != 1:
+            if p not in missing:
+                missing[p] = [sib for sib in net.children[p] if sib not in members]
+            out.extend(
+                Violation(
+                    "condition-1", f"group {gi}: sibling {sib} of leaf {u} is missing", (u, sib)
+                )
+                for sib in missing[p]
+            )
+        tops, gateway = _tops_and_gateway(net, members)
+        if gateway is None:
             out.append(
                 Violation(
                     "gateway",
@@ -315,7 +313,6 @@ def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Vi
                 )
             )
             continue
-        gateway = next(iter(gateways))
         if gateway == net.root and len(tops) > 1:
             out.append(
                 Violation(
@@ -338,24 +335,16 @@ def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[Resolved
                 raise PartitionError(f"group {gi} references node {v}")
         if net.root in members:
             raise PartitionError(f"group {gi} contains the root")
-        tops, gateways = _tops_and_gateways(net, members)
-        if len(gateways) != 1:
+        tops, gateway = _tops_and_gateway(net, members)
+        if gateway is None:
             raise PartitionError(f"group {gi} has no unique gateway")
-        leaves = tuple(sorted(v for v in members if net.is_leaf(v)))
-        leaf_roots: dict[int, int] = {}
-        for leaf in leaves:
-            cursor = leaf
-            while net.parent.get(cursor) in members:
-                cursor = net.parent[cursor]
-            leaf_roots[leaf] = cursor
         resolved.append(
             ResolvedGroup(
                 index=gi,
                 members=frozenset(members),
-                gateway=next(iter(gateways)),
+                gateway=gateway,
                 tops=tuple(tops),
-                leaves=leaves,
-                leaf_roots=leaf_roots,
+                leaves=tuple(sorted(v for v in members if net.is_leaf(v))),
                 is_leaf_group=all(net.is_leaf(v) for v in members),
             )
         )

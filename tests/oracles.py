@@ -154,6 +154,40 @@ def layered_dag(width, layers):
     return tp.DagNetwork.from_cover_edges(width * layers, edges)
 
 
+def caterpillar(n):
+    """A spine of about n/2 nodes, each carrying one leaf."""
+    edges, spine = [], 0
+    for v in range(1, n):
+        edges.append((spine, v))
+        if v % 2 == 0 and v < n - 1:
+            spine = v
+    return tp.TreeNetwork.from_edges(n, 0, edges)
+
+
+def per_leaf_group_operator(sys, net, group, relax):
+    """``group_operator`` leaf by leaf, as the paper sums it.
+
+    Each leaf climbs to the top of its component, rebuilds the chain of
+    relaxed projections from that top down to itself and weights it by the
+    gateway-to-leaf path weight; the terms are summed in ascending leaf
+    order, so the walk in ``group_operator`` must match it bit for bit.
+    """
+    g = tp.resolve_groups(net, tp.SubnetworkPartition.of([group]))[0]
+    omega = relax.effective()
+    d = sys.ambient_dim
+    op = np.zeros((d, d), dtype=np.complex128)
+    for leaf in g.leaves:
+        top = leaf
+        while net.parent.get(top) in g.members:
+            top = net.parent[top]
+        full = net.path_from_root(leaf)
+        chain = np.eye(d, dtype=np.complex128)
+        for v in full[full.index(top) :]:
+            chain = cf.relaxed_projection_matrix(sys, v, omega[v]) @ chain
+        op += tp.path_weight(net, g.gateway, leaf) * chain
+    return op
+
+
 def implied_edge_witnesses(net):
     """``(u, v, w)`` per implied edge: the first successor ``w != v`` of u reaching v.
 

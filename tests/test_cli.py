@@ -216,6 +216,49 @@ class TestAnalyzeCommand:
         assert report["admissible"] is False
         assert report["condition1"]["1"]["pass"] is False
 
+    def test_leaf_bounds_come_from_the_admissibility_report(self, tmp_path, monkeypatch):
+        # 40 leaves of one parent in one leaf group: the command resolves the
+        # group once, inside check_admissibility, and takes no bound itself
+        n = 42
+        cfg = write_config(
+            tmp_path,
+            {
+                "system": {"generator": {"kind": "uniform", "k": n, "d": 3, "seed": 5}},
+                "network": {
+                    "type": "tree",
+                    "nodes": n,
+                    "root": 0,
+                    "edges": [{"parent": 0, "child": 1}]
+                    + [{"parent": 1, "child": v} for v in range(2, n)],
+                },
+                "subnetworks": {"groups": [list(range(2, n))]},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        loaded, leaves = cli.load_config(cfg), range(2, n)
+        group = set(leaves)
+        bounds = {
+            str(v): cf.admissible_upper_bound(loaded.system, loaded.network, group, v)
+            for v in leaves
+        }
+        resolved = []
+        resolve = cf.resolve_groups
+
+        def counted(net, part):
+            resolved.append(part)
+            return resolve(net, part)
+
+        def refused(*args):
+            raise AssertionError("analyze took a per-leaf bound of its own")
+
+        monkeypatch.setattr(cf, "resolve_groups", counted)
+        monkeypatch.setattr(cli, "resolve_groups", counted, raising=False)
+        monkeypatch.setattr(cf, "admissible_upper_bound", refused)
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        assert len(resolved) == 1
+        report = json.loads((tmp_path / "out" / "spectral_report.json").read_text())
+        assert report["groups"][0]["leaf_bounds"] == bounds
+
 
 class TestSweepCommand:
     def test_single_point_grid(self, tmp_path, capsys):
@@ -299,6 +342,35 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config.sweep.axes[1]: ")
         assert "node 2" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "groups, path, message",
+        [
+            ([[3, 4], [4, 5]], "config.subnetworks.groups[1]", "node 4 is already on axis 0"),
+            ([[3, 4], [5, 6], [1]], "config.subnetworks.groups", "expected one or two groups"),
+        ],
+        ids=["overlapping", "three-groups"],
+    )
+    def test_axes_derived_from_subnetworks_are_checked(self, tmp_path, capsys, groups, path, message):
+        edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
+        cfg = write_config(
+            tmp_path,
+            {
+                "system": {"generator": {"kind": "uniform", "k": 7, "d": 3, "seed": 1}},
+                "network": {
+                    "type": "tree",
+                    "nodes": 7,
+                    "root": 0,
+                    "edges": [{"parent": u, "child": v} for u, v in edges],
+                },
+                "subnetworks": {"groups": groups},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert cli.main(["sweep", "--config", cfg, "--grid", "0.5:1.5:0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and message in err
         assert not (tmp_path / "out").exists()
 
     def test_malformed_grid(self, tmp_path, capsys):

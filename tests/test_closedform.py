@@ -8,7 +8,7 @@ from distkaczmarz import topology as tp
 from distkaczmarz.errors import ApplicabilityError, NonContractionError
 from distkaczmarz.numerics import gram, min_norm_solution, orthonormal_basis, spectral_radius
 
-from oracles import null_space_projector
+from oracles import caterpillar, null_space_projector
 
 
 def chain(n):
@@ -177,10 +177,27 @@ class TestProductForm:
         group = tp.resolve_groups(net, part)[0]
         assert group.gateway == 1
         assert group.tops == (2, 3)
-        assert group.leaf_roots == {3: 3, 4: 2, 5: 2}
         b = cf.tree_affine(system, net, relax).B
         p = cf.build_p_omega(system, net, part, relax)
         assert np.max(np.abs(b - p)) <= 1e-12
+
+    def test_the_group_walk_builds_each_member_projection_once(self, monkeypatch):
+        # 1,201-node caterpillar, root-subtree partition: rebuilding every
+        # leaf's chain from its top builds 180,900 projections for 1,200 members
+        net = caterpillar(1201)
+        system = ex.random_tree_system(3, net, dim=2)
+        relax = sv.RelaxationAssignment.uniform(1201, 1.0)
+        built = []
+        project = cf.relaxed_projection_matrix
+
+        def counted(sys_, v, omega):
+            built.append(v)
+            return project(sys_, v, omega)
+
+        monkeypatch.setattr(cf, "relaxed_projection_matrix", counted)
+        for group in tp.root_subtree_partition(net).groups:
+            cf.group_operator(system, net, group, relax)
+        assert sorted(built) == list(range(1, 1201))
 
     def test_scaled_engine_matches_scaled_affine(self):
         net, system, relax = random_instance(17)
@@ -298,6 +315,26 @@ class TestUpperBound:
             bound = cf.admissible_upper_bound(system, net, group, leaf)
             assert bound == pytest.approx(expected, rel=1e-12)
 
+    def test_a_leaf_group_takes_one_stacked_rows_norm(self, monkeypatch):
+        leaves, d = 50, 3
+        net = tp.TreeNetwork.from_edges(leaves + 1, 0, [(0, v) for v in range(1, leaves + 1)])
+        system = ex.random_tree_system(9, net, dim=d, complex_entries=True)
+        group = set(range(1, leaves + 1))
+        want = {v: cf.admissible_upper_bound(system, net, group, v) for v in sorted(group)}
+        stacked = []
+        norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            if np.shape(x) == (leaves, d):
+                stacked.append(args)
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        part, relax = tp.SubnetworkPartition.of([group]), sv.RelaxationAssignment.uniform(leaves + 1)
+        report = cf.check_admissibility(system, net, part, relax)
+        assert len(stacked) == 1
+        assert list(report.groups[0].leaf_bounds.items()) == list(want.items())
+
 
 class TestAdmissibility:
     def test_unit_relaxation_admissible(self):
@@ -308,6 +345,18 @@ class TestAdmissibility:
         )
         assert report.admissible
         assert all(alpha.passed for alpha in report.groups)
+
+    def test_only_leaf_groups_carry_leaf_bounds(self):
+        net = ex.binary7_network()
+        system = ex.random_tree_system(42, net, dim=7)
+        part = tp.SubnetworkPartition.of([{1, 3, 4}, {5, 6}])
+        inner, leaves = cf.check_admissibility(
+            system, net, part, sv.RelaxationAssignment.uniform(7, 1.0)
+        ).groups
+        assert inner.leaf_bounds is None
+        assert dict(leaves.leaf_bounds) == {
+            v: cf.admissible_upper_bound(system, net, {5, 6}, v) for v in (5, 6)
+        }
 
     def test_interior_node_out_of_range(self):
         net = ex.binary7_network()

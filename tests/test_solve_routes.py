@@ -11,22 +11,12 @@ from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.errors import DivergenceError
 
-from oracles import engine_solve, layered_dag, stepwise_solve
+from oracles import caterpillar, engine_solve, layered_dag, stepwise_solve
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=10)
-
-
-def caterpillar(n):
-    """A spine of about n/2 nodes, each carrying one leaf."""
-    edges, spine = [], 0
-    for v in range(1, n):
-        edges.append((spine, v))
-        if v % 2 == 0 and v < n - 1:
-            spine = v
-    return tp.TreeNetwork.from_edges(n, 0, edges)
 
 
 @st.composite
@@ -134,6 +124,36 @@ def test_iterates_past_a_divergence_overflow_silently():
     with pytest.raises(DivergenceError) as err:
         sv.solve(system, net, relax)
     assert err.value.iteration == 1 and np.array_equal(err.value.last_iterate, [0.0, 0.0])
+
+
+def test_norms_of_finite_iterates_past_1e154_do_not_overflow():
+    """ω = 0.5 on identity rows halves the start; its norms square past the float range."""
+    net = tp.TreeNetwork.from_edges(2, 0, [(0, 1)])
+    system = sv.LinearSystem(rows=np.eye(2), rhs=np.zeros(2))
+    relax = sv.RelaxationAssignment.uniform(2, 0.5)
+    for start in ([1e160, 0.0], [3e154, 3e154]):
+        config = sv.SolverConfig(initial_estimate=np.array(start))
+        report = sv.solve(system, net, relax, config)
+        assert report.converged
+        want = np.hypot(*start) / 2.0
+        assert report.step_norms[0] == pytest.approx(want, rel=1e-15)
+        assert report.residual_norms[0] == pytest.approx(want, rel=1e-15)  # A = I, b = 0
+
+
+def test_scaled_norms_keep_every_finite_plain_norm():
+    rng = np.random.default_rng(4)
+    blocks = rng.standard_normal((6, 3, 4)) * 10.0 ** rng.integers(-140, 140, (6, 3, 1))
+    blocks[0, 1] = [1e155, 1e155, 0.0, 0.0]  # its squares overflow
+    blocks[1, 2, 0] = np.inf
+    blocks[2, 0, 3] = np.nan
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(blocks, axis=2)
+    plain[0, 1] = np.sqrt(2.0) * 1e155
+    want = np.max(plain, axis=1)
+    with np.errstate(over="ignore"):  # as in solve
+        got = sv._worst_norms(blocks)
+    assert np.array_equal(got[1:], want[1:], equal_nan=True)
+    assert got[0] == pytest.approx(max(want[0], np.sqrt(2.0) * 1e155), rel=1e-15)
 
 
 def test_an_inadmissible_omega_diverges_on_both_routes():

@@ -1,6 +1,7 @@
 import dataclasses
 import time
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ class CountingMapping(Mapping):
         return len(self.data)
 
 
+class ScanCountingTuple(tuple):
+    """A tuple that counts the scans over its items."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
 class TestPathWeight:
     def test_trivial(self):
         net = seven_node_tree()
@@ -158,8 +169,8 @@ class TestSubnetworks:
         assert groups[0].gateway == 0
         assert groups[1].gateway == 2
         assert groups[0].leaves == (3, 4)
-        assert groups[0].leaf_roots == {3: 1, 4: 1}
-        assert groups[1].leaf_roots == {5: 5, 6: 6, 7: 7}
+        assert groups[0].tops == (1,)
+        assert groups[1].tops == (5, 6, 7)
         assert not groups[0].is_leaf_group
         assert groups[1].is_leaf_group
 
@@ -215,6 +226,31 @@ class TestSubnetworks:
         with pytest.raises(PartitionError):
             tp.resolve_groups(net, part)
         assert any(v.kind == "gateway" for v in tp.validate_subnetworks(net, part))
+
+    @pytest.mark.parametrize("group", [{3}, {2, 3}])
+    def test_a_parentless_top_is_a_partition_error(self, group):
+        # built directly, node 3 has no parent; {2, 3} has one top with a parent
+        net = tp.TreeNetwork.from_edges(4, 0, [(0, 1), (1, 2)])
+        system = sv.LinearSystem(rows=np.eye(4), rhs=np.ones(4))
+        part = tp.SubnetworkPartition.of([group])
+        with pytest.raises(PartitionError, match="no unique gateway"):
+            tp.resolve_groups(net, part)
+        with pytest.raises(PartitionError, match="no unique gateway"):
+            cf.group_operator(system, net, group, sv.RelaxationAssignment.uniform(4))
+        assert any(v.kind == "gateway" for v in tp.validate_subnetworks(net, part))
+
+    def test_each_parent_s_children_are_scanned_once_per_group(self):
+        # 300 leaves under node 1, two of them left out of the group
+        n = 302
+        net = tp.TreeNetwork.from_edges(n, 0, [(0, 1)] + [(1, v) for v in range(2, n)])
+        kids = ScanCountingTuple(net.children[1])
+        counted = dataclasses.replace(net, children=MappingProxyType({**net.children, 1: kids}))
+        members = frozenset(range(2, n - 2))
+        violations = tp.validate_subnetworks(counted, tp.SubnetworkPartition((members,)))
+        assert kids.scans == 1
+        assert [v.where for v in violations if v.kind == "condition-1"] == [
+            (u, sib) for u in members for sib in (n - 2, n - 1)
+        ]
 
     @pytest.mark.parametrize("group", [[99], [3, 99]])
     def test_unknown_node_named(self, group):
