@@ -249,9 +249,13 @@ def subnetwork_norm(
     sys: LinearSystem, net: TreeNetwork, group, relax: RelaxationAssignment
 ) -> float:
     """Operator norm of the group map restricted to the span of its rows."""
-    g = _as_resolved(net, group)
+    return _group_norms(sys, net, _as_resolved(net, group), (relax,))[0]
+
+
+def _group_norms(sys: LinearSystem, net: TreeNetwork, g: ResolvedGroup, relaxations) -> list[float]:
+    """:func:`subnetwork_norm` of a resolved group under each assignment, from one row basis."""
     basis = orthonormal_basis([sys.rows[v] for v in sorted(g.members)])
-    return operator_norm_on_span(group_operator(sys, net, g, relax), basis)
+    return [operator_norm_on_span(group_operator(sys, net, g, r), basis) for r in relaxations]
 
 
 def _leaf_group(sys: LinearSystem, net: TreeNetwork, group, what: str):
@@ -340,22 +344,23 @@ def check_admissibility(
     _require_valid(sys, net, (TreeNetwork,), relax)
     groups = resolve_groups(net, part)
     grouped = set().union(*(g.members for g in groups)) if groups else set()
+    free = [v for v in range(net.node_count) if v not in grouped]
     omega = relax.effective()
-    node_verdicts = {}
-    for v in range(net.node_count):
-        if v not in grouped:
-            node_verdicts[v] = (float(omega[v]), bool(0.0 < omega[v] < 2.0))
-    verdicts = []
+    node_verdicts = {v: (float(omega[v]), bool(0.0 < omega[v] < 2.0)) for v in free}
+    # a down-scaled assignment is also judged at scale 1, on the same groups and bases
+    relaxations = (relax,) if relax.scale == 1.0 else (relax, relax.scaled(1.0))
+    verdicts, unit_groups_pass = [], True
     for g in groups:
-        alpha = subnetwork_norm(sys, net, g, relax)
+        alpha, *unit_alpha = _group_norms(sys, net, g, relaxations)
         bounds = MappingProxyType(_leaf_bounds(sys, net, g)) if g.is_leaf_group else None
         verdicts.append(GroupVerdict(tuple(sorted(g.members)), alpha, alpha < 1.0, bounds))
+        unit_groups_pass &= all(a < 1.0 for a in unit_alpha)
     admissible = all(ok for _, ok in node_verdicts.values()) and all(
         v.passed for v in verdicts
     )
     unit = None
     if relax.scale != 1.0:
-        unit = check_admissibility(sys, net, part, relax.scaled(1.0)).admissible
+        unit = unit_groups_pass and all(0.0 < relax.omega[v] < 2.0 for v in free)
     return AdmissibilityReport(
         node_verdicts=node_verdicts,
         groups=tuple(verdicts),
@@ -649,7 +654,7 @@ def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
 def _axis_degrees(kernel: _Pass, axes: Sequence[Sequence[int]]) -> list[int]:
     """Most nodes of each axis on one dispersion chain: the degree of B in that axis's omega."""
     home = {v: k for k, rows in enumerate(axes) for v in rows}
-    count: list[list[int]] = [[]] * len(kernel.up)
+    count: list[list[int]] = [[]] * len(kernel.order)
     for v in kernel.order:  # topological: every predecessor is final
         ups = [count[u] for u, _ in kernel.up[v]]
         count[v] = [max(col) for col in zip(*ups)] if ups else [0] * len(axes)

@@ -177,25 +177,17 @@ def random_dag(
         if single_sink:
             edges |= {(v, n) for v in set(range(n)) - {u for u, _ in edges}}
             n += 1
-        preds_of: dict[int, list[int]] = {v: [] for v in range(n)}
-        succs_of: dict[int, list[int]] = {v: [] for v in range(n)}
-        for u, v in sorted(edges):  # both lists come out ascending
-            preds_of[v].append(u)
-            succs_of[u].append(v)
-        wd = {}
-        wp = {}
-        for v in range(n):
-            if preds_of[v]:
-                raw = rng.uniform(0.2, 1.0, size=len(preds_of[v]))
-                raw /= raw.sum()
-                for u, w in zip(preds_of[v], raw):
-                    wd[(u, v)] = float(w)
-            if succs_of[v]:
-                raw = rng.uniform(0.2, 1.0, size=len(succs_of[v]))
-                raw /= raw.sum()
-                for u, w in zip(succs_of[v], raw):
-                    wp[(v, u)] = float(w)
-        weighted = [(u, v, wd[(u, v)], wp[(u, v)]) for u, v in sorted(edges)]
+        net = DagNetwork.from_cover_edges(n, edges)
+        wd, wp = {}, {}
+        for v in range(n):  # dispersion weights over in-edges, then pooling over out-edges
+            for table, keys in (
+                (wd, [(u, v) for u in net.predecessors[v]]),
+                (wp, [(v, u) for u in net.successors[v]]),
+            ):
+                if keys:
+                    raw = rng.uniform(0.2, 1.0, size=len(keys))
+                    table.update(zip(keys, (raw / raw.sum()).tolist()))
+        weighted = [(u, v, wd[(u, v)], wp[(u, v)]) for u, v in net.edges]
         net = DagNetwork.from_cover_edges(n, weighted)
         if not validate_dag(net):
             return net
@@ -240,7 +232,8 @@ def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float
         if len(pieces) != 3:
             raise ValueError(f"malformed grid axis {part!r}; expected start:stop:step")
         start, stop, step = (float(x) for x in pieces)
-        if not (0.0 < step < math.inf and start <= stop and math.isfinite(stop - start)):
+        # a finite span over a tiny step can still hold infinitely many points
+        if not (0.0 < step < math.inf and start <= stop and math.isfinite((stop - start) / step)):
             raise ValueError(f"malformed grid axis {part!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         axes.append([start + i * step for i in range(count)])

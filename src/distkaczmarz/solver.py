@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
 from .numerics import as_matrix, as_vector, read_only_copy
-from .topology import DagNetwork, TreeNetwork, topological_order, validate_dag, validate_tree
+from .topology import DagNetwork, TreeNetwork, validate_dag, validate_tree
 
 DIVERGENCE_FACTOR = 1e12
 # ``solve`` iterates the assembled map while it costs at most a few passes to
@@ -250,13 +250,14 @@ class _Pass:
 
     The traversal is prepared once in O(V + E): ``order`` is topological,
     ``up[v]`` pairs each predecessor of v with its dispersion weight,
-    ``down[v]`` each successor with its pooling weight, and ``sources``
-    lists the minimal nodes in ascending order.  A tree is the DAG whose
-    only minimal node is the root, ordered breadth first, with dispersion
-    weight 1 and pooling weight equal to the edge weight.  The effective
-    relaxation comes with each call, ``(V,)`` or ``(V, m)`` with one column
-    per kernel column; ``width`` is the kernel columns of one point of
-    :meth:`affine`.
+    ``down[v]`` each successor with its pooling weight, ``sources`` lists
+    the minimal nodes in ascending order, and ``size`` is the node plus
+    edge count V + E.  A DAG lends its own cached order and in/out lists.
+    A tree is the DAG whose only minimal node is the root, ordered breadth
+    first, with dispersion weight 1 and pooling weight equal to the edge
+    weight.  The effective relaxation comes with each call, ``(V,)`` or
+    ``(V, m)`` with one column per kernel column; ``width`` is the kernel
+    columns of one point of :meth:`affine`.
     """
 
     def __init__(self, sys: LinearSystem, net: TreeNetwork | DagNetwork):
@@ -270,7 +271,7 @@ class _Pass:
             down = [tuple((u, net.edge_weight[(v, u)]) for u in kids[v]) for v in nodes]
             sources = (net.root,)
         else:
-            order = topological_order(net)
+            order = net.order
             up = [tuple((u, net.w_d[(u, v)]) for u in net.predecessors[v]) for v in nodes]
             down = [tuple((u, net.w_p[(v, u)]) for u in net.successors[v]) for v in nodes]
             sources = net.minimal_nodes
@@ -279,6 +280,7 @@ class _Pass:
         self.up = up
         self.down = down
         self.sources = sources
+        self.size = len(up) + sum(map(len, up))
         self.dim = sys.ambient_dim
         self.width = len(sources) * self.dim + 1
         self.rhs = sys.rhs
@@ -470,7 +472,7 @@ def solve(
     run, omega = _Pass(sys, net), relax.effective()
     public = (lambda blocks: blocks[0]) if tree else list  # one tree estimate
     state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
-    route = solve_route(len(run.sources), run.dim, len(run.up) + sum(map(len, run.up)))
+    route = solve_route(len(run.sources), run.dim, run.size)
     block = AFFINE_BLOCK if route == "affine" else 1
     flat = np.empty((block + 1, state.size), dtype=np.complex128)  # row j: iterate j of the block
     rows = flat.reshape(block + 1, *state.shape)  # the same rows, one block per minimal node

@@ -15,7 +15,10 @@ types build and check their tables with the same helpers.
 
 Networks are immutable after construction; all queries are read-only.  The
 constructors and the cached adjacency tables hand out read-only mapping
-views, so a write to a table raises ``TypeError``.
+views, so a write to a table raises ``TypeError``.  A DAG builds its per-node
+in/out lists and its topological order once, on first use, and every route
+(construction, validation, the solver's pass, path counts and enumerations)
+reads those.
 """
 
 from __future__ import annotations
@@ -232,7 +235,6 @@ class SubnetworkPartition:
 class ResolvedGroup:
     """A group resolved against a tree: gateway, component tops, leaves."""
 
-    index: int
     members: frozenset[int]
     gateway: int
     tops: tuple[int, ...]
@@ -340,7 +342,6 @@ def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[Resolved
             raise PartitionError(f"group {gi} has no unique gateway")
         resolved.append(
             ResolvedGroup(
-                index=gi,
                 members=frozenset(members),
                 gateway=gateway,
                 tops=tuple(tops),
@@ -421,19 +422,18 @@ class DagNetwork:
             wd_in[(u, v)] = None if wd is None else float(wd)
             wp_in[(u, v)] = None if wp is None else float(wp)
         edge_list.sort()
-        preds: dict[int, list[int]] = {v: [] for v in range(node_count)}
-        succs: dict[int, list[int]] = {v: [] for v in range(node_count)}
-        for u, v in edge_list:
-            preds[v].append(u)
-            succs[u].append(v)
-        w_d = MappingProxyType(_resolve_weights(_in_groups(preds), wd_in, "dispersion"))
-        w_p = MappingProxyType(_resolve_weights(_out_groups(succs), wp_in, "pooling"))
-        net = cls(node_count=node_count, edges=tuple(edge_list), w_d=w_d, w_p=w_p)
-        topological_order(net)  # raises CycleError on cycles
+        net = cls(node_count, tuple(edge_list), MappingProxyType({}), MappingProxyType({}))
+        # each weight group is a node's cached in- or out-list, so the tables come after them
+        w_d = _resolve_weights(_in_groups(net.predecessors), wd_in, "dispersion")
+        w_p = _resolve_weights(_out_groups(net.successors), wp_in, "pooling")
+        object.__setattr__(net, "w_d", MappingProxyType(w_d))
+        object.__setattr__(net, "w_p", MappingProxyType(w_p))
+        net.order  # raises CycleError on cycles
         return net
 
     @cached_property
     def predecessors(self) -> Mapping[int, tuple[int, ...]]:
+        """Each node's in-neighbours, ascending: the network's one in-list per node."""
         preds: dict[int, list[int]] = {v: [] for v in range(self.node_count)}
         for u, v in self.edges:
             preds[v].append(u)
@@ -441,10 +441,19 @@ class DagNetwork:
 
     @cached_property
     def successors(self) -> Mapping[int, tuple[int, ...]]:
+        """Each node's out-neighbours, ascending: the network's one out-list per node."""
         succ: dict[int, list[int]] = {v: [] for v in range(self.node_count)}
         for u, v in self.edges:
             succ[u].append(v)
         return MappingProxyType({v: tuple(sorted(downs)) for v, downs in succ.items()})
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Kahn's topological order, ties by ascending id; raises :class:`CycleError` on a cycle."""
+        order = _kahn(self.successors)
+        if len(order) != self.node_count:
+            raise CycleError("edge set contains a cycle")
+        return tuple(order)
 
     @cached_property
     def minimal_nodes(self) -> tuple[int, ...]:
@@ -469,19 +478,15 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
     """Check acyclicity, weak connectivity, cover-only edges and weight sums."""
     out: list[Violation] = []
     try:
-        order = topological_order(net)
+        order = net.order
     except CycleError:
         out.append(Violation("cycle", "edge set contains a cycle", ()))
         return out
     if net.node_count > 1:
-        undirected: dict[int, set[int]] = {v: set() for v in range(net.node_count)}
-        for u, v in net.edges:
-            undirected[u].add(v)
-            undirected[v].add(u)
         seen, stack = {0}, [0]
         while stack:
             u = stack.pop()
-            for w in undirected[u]:
+            for w in net.successors[u] + net.predecessors[u]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -490,32 +495,29 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
             out.append(
                 Violation("connectivity", f"nodes {missing} are disconnected", tuple(missing))
             )
-    reach = [0] * net.node_count  # bit v of reach[u]: v is reachable from u
+    # bit v of strict[u]: u reaches v by one or more edges; of deep[u]: by two or more
+    strict, deep = [0] * net.node_count, [0] * net.node_count
     for u in reversed(order):
-        reach[u] = 1 << u
         for w in net.successors[u]:
-            reach[u] |= reach[w]
+            strict[u] |= strict[w] | (1 << w)
+            deep[u] |= strict[w]
     for u, v in net.edges:
-        for w in net.successors[u]:
-            if w != v and (reach[w] >> v) & 1:
-                out.append(
-                    Violation(
-                        "cover",
-                        f"edge ({u}, {v}) is implied through node {w} and must be removed",
-                        (u, v, w),
-                    )
+        if (deep[u] >> v) & 1:  # implied: name the first successor that reaches v
+            w = next(w for w in net.successors[u] if (strict[w] >> v) & 1)
+            out.append(
+                Violation(
+                    "cover",
+                    f"edge ({u}, {v}) is implied through node {w} and must be removed",
+                    (u, v, w),
                 )
-                break
+            )
     out += _weight_violations(net.w_d, _in_groups(net.predecessors), "dispersion")
     return out + _weight_violations(net.w_p, _out_groups(net.successors), "pooling")
 
 
 def topological_order(net: DagNetwork) -> list[int]:
-    """Kahn's algorithm with ties broken by ascending node id."""
-    order = _kahn(net.successors)
-    if len(order) != net.node_count:
-        raise CycleError("edge set contains a cycle")
-    return order
+    """Kahn's algorithm with ties broken by ascending node id: a copy of ``net.order``."""
+    return list(net.order)
 
 
 def hasse_reduce(relation: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -600,7 +602,7 @@ def _chain_counts(net: DagNetwork, starts: Iterable[int]) -> list[int]:
     count = [0] * net.node_count
     for m in starts:
         count[m] = 1
-    for u in topological_order(net):
+    for u in net.order:
         for v in net.successors[u]:
             count[v] += count[u]
     return count
@@ -704,7 +706,7 @@ def enumerate_dispersion_paths(net: DagNetwork):
             up_mass.append(w)
     descent = np.zeros((net.node_count, len(minimal)))  # pooling mass down to each minimal node
     descent[list(minimal), range(len(minimal))] = 1.0
-    for v in topological_order(net):
+    for v in net.order:
         for u in net.predecessors[v]:
             descent[v] += net.w_p[(u, v)] * descent[u]
     return paths, descent[[p.sink for p in paths]].T * up_mass

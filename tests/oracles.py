@@ -328,7 +328,7 @@ def stepwise_solve(sys, net, relax, config):
     tree = isinstance(net, tp.TreeNetwork)
     run, omega = sv._Pass(sys, net), relax.effective()
     state = sv._initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
-    route = sv.solve_route(len(run.sources), run.dim, len(run.up) + sum(map(len, run.up)))
+    route = sv.solve_route(len(run.sources), run.dim, run.size)
     if route == "affine":
         (b,), (c,) = run.affine(omega)
         b = np.ascontiguousarray(b)

@@ -384,6 +384,7 @@ class TestSweepCommand:
             (["--grid", "0:inf:1"], "--grid: "),
             (["--baseline", "-1"], "--baseline: "),
             (["--baseline", "nan"], "--baseline: "),
+            (["--grid", "0:1e308:1e-308"], "--grid: "),
         ],
     )
     def test_negative_or_non_finite_omega_named(self, tmp_path, capsys, flags, prefix):

@@ -379,6 +379,25 @@ class TestAdmissibility:
         assert half.admissible
         assert half.unit_scale_admissible is True
 
+    @pytest.mark.parametrize("slow", [{2: 2.4}, {5: 3.9, 6: 3.9}, {}])
+    def test_scaled_call_resolves_once_and_takes_one_basis_per_group(self, monkeypatch, slow):
+        # a free node, or a leaf group, admissible only at scale 0.5; or neither
+        net = ex.binary7_network()
+        system = ex.random_tree_system(45, net, dim=7)
+        part = tp.SubnetworkPartition.of([{1, 3, 4}, {5, 6}])
+        omega = np.ones(7)
+        omega[list(slow)] = list(slow.values())
+        relax = sv.RelaxationAssignment(omega, 0.5)
+        unit = cf.check_admissibility(system, net, part, relax.scaled(1.0))
+        resolved, bases = [], []
+        resolve, basis = cf.resolve_groups, cf.orthonormal_basis
+        monkeypatch.setattr(cf, "resolve_groups", lambda *a: resolved.append(a) or resolve(*a))
+        monkeypatch.setattr(cf, "orthonormal_basis", lambda *a: bases.append(a) or basis(*a))
+        half = cf.check_admissibility(system, net, part, relax)
+        assert len(resolved) == 1 and len(bases) == 2
+        assert half.admissible and half.unit_scale_admissible is unit.admissible
+        assert unit.admissible is not bool(slow)
+
 
 class TestWeightedLeastSquares:
     def test_consistent_recovers_min_norm(self):

@@ -113,7 +113,9 @@ class TestGrid:
         with pytest.raises(ValueError):
             ex.grid_from_spec("0:1:0.5", 2)
 
-    @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "nan:1:1", "0:1:nan", "0:1:inf"])
+    @pytest.mark.parametrize(
+        "spec", ["0:inf:1", "-inf:0:1", "nan:1:1", "0:1:nan", "0:1:inf", "0:1e308:1e-308", "1:2:1e-320"]
+    )
     def test_non_finite_axis_malformed(self, spec):
         with pytest.raises(ValueError, match="malformed grid axis"):
             ex.grid_from_spec(spec)

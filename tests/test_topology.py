@@ -403,6 +403,27 @@ class TestTopologicalOrder:
         pos = {v: i for i, v in enumerate(order)}
         assert all(pos[u] < pos[v] for u, v in net.edges)
 
+    def test_one_sort_serves_every_route(self, monkeypatch):
+        # construction sorts once; validation, the solver's pass, the block map,
+        # sweeps and both path enumerations read the cached order
+        calls = []
+        kahn = tp._kahn
+        monkeypatch.setattr(tp, "_kahn", lambda succ: calls.append(succ) or kahn(succ))
+        net = ex.figure_dag()
+        system = ex.random_dag_system(3, net, dim=3)
+        relax = sv.RelaxationAssignment.uniform(net.node_count)
+        assert tp.validate_dag(net) == []
+        sv.solve(system, net, relax)
+        cf.dag_block_structure(system, net, relax)
+        cf.restricted_rho(system, net, np.ones((net.node_count, 3)))
+        tp.enumerate_dispersion_paths(net)
+        tp.enumerate_updown_paths(net, 0, 1)
+        cf.dag_block_p(system, net, relax)
+        assert len(calls) == 1
+        order = tp.topological_order(net)
+        order.reverse()  # a copy: the cached order is untouched
+        assert tp.topological_order(net) == [0, 1, 2, 3, 4, 5] and net.order == (0, 1, 2, 3, 4, 5)
+
 
 class TestUpDownPaths:
     def test_shared_peak(self):
