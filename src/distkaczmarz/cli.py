@@ -47,14 +47,7 @@ from . import closedform as cf
 from . import experiments as ex
 from .errors import DivergenceError, PartitionError
 from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _checked_omega, solve
-from .topology import (
-    DagNetwork,
-    SubnetworkPartition,
-    TreeNetwork,
-    validate_dag,
-    validate_subnetworks,
-    validate_tree,
-)
+from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, validate_subnetworks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -244,9 +237,8 @@ def _parse_network(raw: dict, path: str, equations: int):
         net = _built(f"{path}.edges", TreeNetwork.from_edges, nodes, head["root"], edges)
     else:
         net = _built(f"{path}.edges", DagNetwork.from_cover_edges, nodes, edges)
-    violations = (validate_tree if tree else validate_dag)(net)
-    if violations:
-        raise ConfigError(path, "; ".join(v.detail for v in violations))
+    if net.violations:
+        raise ConfigError(path, "; ".join(v.detail for v in net.violations))
     tables = [getattr(net, name) for name in weights.values()]
     resolved_edges = [
         dict(zip((*ends, *weights), (*e, *(t[e] for t in tables)))) for e in sorted(tables[0])

@@ -652,15 +652,19 @@ def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
 
 
 def _axis_degrees(kernel: _Pass, axes: Sequence[Sequence[int]]) -> list[int]:
-    """Most nodes of each axis on one dispersion chain: the degree of B in that axis's omega."""
-    home = {v: k for k, rows in enumerate(axes) for v in rows}
-    count: list[list[int]] = [[]] * len(kernel.order)
-    for v in kernel.order:  # topological: every predecessor is final
-        ups = [count[u] for u, _ in kernel.up[v]]
-        count[v] = [max(col) for col in zip(*ups)] if ups else [0] * len(axes)
-        if v in home:
-            count[v][home[v]] += 1
-    return [max(col) for col in zip(*count)]
+    """Most nodes of each axis on one dispersion chain: the degree of B in that axis's omega.
+
+    Level by level, a node's count per axis is the largest of its
+    predecessors' (the padding row counts 0) plus its own membership.
+    """
+    sch = kernel.schedule
+    count = np.zeros((len(sch.order) + 1, len(axes)), dtype=np.intp)
+    position = np.argsort(sch.order)
+    for k, rows in enumerate(axes):
+        count[position[rows], k] = 1
+    for lv in sch.levels:  # in level order every predecessor is final
+        count[lv.start : lv.stop] += count[lv.pred].max(axis=1, initial=0)
+    return count.max(axis=0).tolist()
 
 
 def _interpolation_nodes(row: np.ndarray, degree: int) -> np.ndarray:

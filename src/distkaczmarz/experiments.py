@@ -24,7 +24,7 @@ from . import closedform as cf
 from .closedform import restricted_rho
 from .errors import NonContractionError
 from .solver import LinearSystem, RelaxationAssignment, SolverConfig, solve
-from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce, validate_dag
+from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce
 
 RNG_NAME = "numpy.random.default_rng(PCG64)"
 GENERATOR_VERSION = "1"
@@ -189,7 +189,7 @@ def random_dag(
                     table.update(zip(keys, (raw / raw.sum()).tolist()))
         weighted = [(u, v, wd[(u, v)], wp[(u, v)]) for u, v in net.edges]
         net = DagNetwork.from_cover_edges(n, weighted)
-        if not validate_dag(net):
+        if not net.violations:
             return net
         attempt += 1
 

@@ -5,28 +5,34 @@ applying the relaxed hyperplane projection of each node's equation on the
 way down, then pools the leaf estimates back into a single weighted average.
 On a DAG every minimal node holds its own estimate; dispersion walks the
 nodes in topological order blending parent estimates with the dispersion
-weights before each update, and pooling walks back in reverse order blending
-successor estimates with the pooling weights.  A tree runs as the DAG whose
-only minimal node is the root.
+weights before each update, and pooling returns to each minimal node the
+estimates of the maximal nodes, weighted by the pooling weights along every
+descent.  A tree runs as the DAG whose only minimal node is the root.
 
 Every pass goes through one kernel, built once per system and network and
-handed the effective relaxation on each call.  It carries a block of
-columns instead of a single vector: one column is the engine, identity
-columns give the closed-form affine map of :mod:`distkaczmarz.closedform`,
-and identity columns under a per-column relaxation give a whole chunk of
-sweep points.  ``tree_iterate`` and ``dag_iterate`` run it on one column;
-``solve`` assembles the pass map ``x -> B x + c`` once and iterates it,
-unless :func:`solve_route` finds that one pass is cheaper than assembling
-or applying ``B``, and then runs the kernel on one column per iteration.
+handed the effective relaxation on each call.  It runs the network's level
+schedule (:class:`~distkaczmarz.topology.Schedule`, cached on the network):
+nodes at the same longest-path depth never depend on each other, so each
+level is one gather or blend of predecessor blocks, one batched ``a_v* X``
+and one broadcast rank-1 update, and pooling is one mass-weighted sum of
+the maximal nodes' blocks.  The kernel carries a block of columns instead
+of a single vector: one column is the engine, identity columns give the
+closed-form affine map of :mod:`distkaczmarz.closedform`, and identity
+columns under a per-column relaxation give a whole chunk of sweep points.
+``tree_iterate`` and ``dag_iterate`` run it on one column; ``solve``
+assembles the pass map ``x -> B x + c`` once and iterates it, unless
+:func:`solve_route` finds that one pass is cheaper than assembling or
+applying ``B``, and then runs the kernel on one column per iteration.
 Either way ``solve`` has one loop: it fills a block of iterates, one pass
 per row, and takes the norms that decide the stop for the whole block at
 once (64 passes a block on the map, where a pass costs no more than a
 numpy call; 1 on the kernel, where a pass past the stop would be wasted).
 
 A solve run owns its state and is single threaded; distinct runs over the
-same immutable system and network may execute concurrently.  Pooling sums
-run in a fixed reverse-topological order, successors ascending, so results
-are schedule independent.
+same immutable system and network may execute concurrently.  Every pass
+runs the same numpy operations over the same level layout, and the pooled
+sum is one matrix product in a fixed order of the maximal nodes, so
+repeated runs give identical results.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
 from .numerics import as_matrix, as_vector, read_only_copy
-from .topology import DagNetwork, TreeNetwork, validate_dag, validate_tree
+from .topology import DagNetwork, TreeNetwork
 
 DIVERGENCE_FACTOR = 1e12
 # ``solve`` iterates the assembled map while it costs at most a few passes to
@@ -230,7 +236,8 @@ def _require_assignment(sys: LinearSystem, relax: RelaxationAssignment) -> None:
 def _require_valid(sys: LinearSystem, net, expected=(TreeNetwork, DagNetwork), relax=None) -> None:
     """Raise unless ``net`` is a valid network of an ``expected`` type, one node per equation.
 
-    Given ``relax``, it must also hold one value per node.
+    Given ``relax``, it must also hold one value per node.  The verdict is
+    the one the network caches, so a network is validated once.
     """
     if not isinstance(net, expected):
         names = " or ".join(t.__name__ for t in expected)
@@ -239,83 +246,76 @@ def _require_valid(sys: LinearSystem, net, expected=(TreeNetwork, DagNetwork), r
         raise DimensionError("system and network disagree on the node count")
     if relax is not None:
         _require_assignment(sys, relax)
-    tree = isinstance(net, TreeNetwork)
-    violations = validate_tree(net) if tree else validate_dag(net)
-    if violations:
-        raise InvalidNetworkError(f"invalid {'tree' if tree else 'DAG'} network", violations)
+    if net.violations:
+        kind = "tree" if isinstance(net, TreeNetwork) else "DAG"
+        raise InvalidNetworkError(f"invalid {kind} network", list(net.violations))
 
 
 class _Pass:
-    """Dispersion/pooling passes over a fixed system and network.
+    """Dispersion/pooling passes over a fixed system and network, one level at a time.
 
-    The traversal is prepared once in O(V + E): ``order`` is topological,
-    ``up[v]`` pairs each predecessor of v with its dispersion weight,
-    ``down[v]`` each successor with its pooling weight, ``sources`` lists
-    the minimal nodes in ascending order, and ``size`` is the node plus
-    edge count V + E.  A DAG lends its own cached order and in/out lists.
-    A tree is the DAG whose only minimal node is the root, ordered breadth
-    first, with dispersion weight 1 and pooling weight equal to the edge
-    weight.  The effective relaxation comes with each call, ``(V,)`` or
-    ``(V, m)`` with one column per kernel column; ``width`` is the kernel
-    columns of one point of :meth:`affine`.
+    The network's cached :class:`~distkaczmarz.topology.Schedule` gives the
+    levels; the kernel keeps the system in the schedule's level order:
+    the equation vectors as columns ``cols`` and conjugate rows ``conj``,
+    their squared norms and the right-hand side.  ``sources`` lists the
+    minimal nodes in ascending order and ``size`` is the node plus edge
+    count V + E.  The effective relaxation comes with each call, ``(V,)``
+    or ``(V, m)`` with one column per kernel column, in node id order;
+    ``width`` is the kernel columns of one point of :meth:`affine`.
     """
 
     def __init__(self, sys: LinearSystem, net: TreeNetwork | DagNetwork):
-        nodes = range(net.node_count)
-        if isinstance(net, TreeNetwork):
-            order = [net.root]
-            for v in order:  # breadth first: the list grows while it is walked
-                order.extend(net.children.get(v, ()))
-            up = [((net.parent[v], 1.0),) if v in net.parent else () for v in nodes]
-            kids = [net.children.get(v, ()) for v in nodes]
-            down = [tuple((u, net.edge_weight[(v, u)]) for u in kids[v]) for v in nodes]
-            sources = (net.root,)
-        else:
-            order = net.order
-            up = [tuple((u, net.w_d[(u, v)]) for u in net.predecessors[v]) for v in nodes]
-            down = [tuple((u, net.w_p[(v, u)]) for u in net.successors[v]) for v in nodes]
-            sources = net.minimal_nodes
-        rows = sys.rows
-        self.order = order
-        self.up = up
-        self.down = down
-        self.sources = sources
-        self.size = len(up) + sum(map(len, up))
+        self.schedule = net.schedule
+        order = self.schedule.order
+        rows = sys.rows[order]
+        self.sources = self.schedule.sources
+        self.size = self.schedule.size
         self.dim = sys.ambient_dim
-        self.width = len(sources) * self.dim + 1
-        self.rhs = sys.rhs
-        self.cols = list(rows[:, :, None])  # a_v as a column
-        self.conj = list(rows.conj())  # a_v* as a row
+        self.width = len(self.sources) * self.dim + 1
+        self.rhs = sys.rhs[order]
+        self.cols = rows[:, :, None]  # a_v as a column
+        self.conj = rows.conj()[:, None, :]  # a_v* as a row
         self.norm2 = np.einsum("ij,ij->i", rows.conj(), rows).real
 
-    def push(self, starts: Sequence[np.ndarray], t: np.ndarray, omega) -> list[np.ndarray]:
+    def push(self, starts, t: np.ndarray, omega) -> np.ndarray:
         """Carry one (d, m) block per minimal node through the pass at relaxation ``omega``.
 
-        Node v maps a block X to ``X + a_v (omega_v / |a_v|^2)(b_v t - a_v* X)``,
-        where the length-m row ``t`` says how much of the right-hand side each
-        column carries.  Dispersion blends predecessor blocks with the
-        dispersion weights before each update; pooling then walks the order
-        backwards and blends successor blocks with the pooling weights, so
-        sums run in a fixed reverse-topological order.  Returns the pooled
-        block of every minimal node.
+        ``starts`` stacks as ``(s, d, m)``.  Node v maps a block X to
+        ``X + a_v (omega_v / |a_v|^2)(b_v t - a_v* X)``, where the length-m row
+        ``t`` says how much of the right-hand side each column carries.  A
+        level first copies or blends its nodes' predecessor blocks with the
+        dispersion weights (one gather, or one batched matmul over the
+        padded weights), then updates all of them with one batched
+        ``a_v* X`` and one broadcast rank-1 step.  Pooling is one
+        mass-weighted sum: each minimal node's block is the schedule's
+        ``pool`` row times the maximal nodes' blocks.  Returns the pooled
+        ``(s, d, m)`` blocks.
         """
-        up, down, cols, conj = self.up, self.down, self.cols, self.conj
-        gain = list((omega.T / self.norm2).T)
-        bt = self.rhs[:, None] * t  # row v is b_v t
-        x: list = [None] * len(up)
-        for v, z in zip(self.sources, starts):
-            x[v] = z
-        for v in self.order:
-            z = sum(w * x[u] for u, w in up[v]) if up[v] else x[v]
-            x[v] = z + cols[v] * (gain[v] * (bt[v] - conj[v] @ z))
-        for v in reversed(self.order):
-            if down[v]:
-                x[v] = sum(w * x[u] for u, w in down[v])
-        return [x[m] for m in self.sources]
+        sch, conj, cols = self.schedule, self.conj, self.cols
+        starts = np.asarray(starts)
+        x = np.empty((len(sch.order) + 1, *starts.shape[1:]), dtype=np.complex128)
+        x[-1] = 0.0  # the padding row of the level tables
+        x[: len(sch.sources)] = starts
+        gain = (omega[sch.order].T / self.norm2).T
+        gain = gain.reshape(len(gain), 1, -1)
+        bt = self.rhs[:, None, None] * t  # row v is b_v t
+        for lv in sch.levels:  # level 0, the minimal nodes, starts from ``starts``
+            z = x[lv.start : lv.stop]
+            if lv.copy is not None:
+                z[...] = x[lv.copy]
+            elif lv.pred.size:
+                blocks = x[lv.pred].reshape(*lv.pred.shape, -1)
+                np.matmul(lv.w_d[:, None, :], blocks, out=z.reshape(len(z), 1, -1))
+            at = slice(lv.start, lv.stop)
+            r = bt[at] - conj[at] @ z
+            r *= gain[at]
+            z += cols[at] * r
+        pooled = sch.pool @ x[sch.maximal].reshape(len(sch.maximal), -1)
+        return pooled.reshape(len(sch.sources), *starts.shape[1:])
 
-    def vectors(self, xs: Sequence[np.ndarray], omega: np.ndarray) -> list[np.ndarray]:
-        """The pass on one estimate vector per minimal node."""
-        return [y[:, 0] for y in self.push([xv[:, None] for xv in xs], np.ones(1), omega)]
+    def vectors(self, xs, omega: np.ndarray) -> np.ndarray:
+        """The pass on one estimate vector per minimal node, stacked ``(s, d)``."""
+        return self.push(np.asarray(xs)[:, :, None], np.ones(1), omega)[:, :, 0]
 
     def affine(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pass as ``x -> B x + c`` on the stacked minimal-node estimates, per point.
@@ -329,31 +329,28 @@ class _Pass:
         omega = omega.reshape(omega.shape[0], -1)
         points, k = omega.shape[1], self.width - 1
         eye = np.tile(np.eye(k + 1, dtype=np.complex128), points)
-        starts = [eye[i : i + self.dim] for i in range(0, k, self.dim)]
-        out = np.vstack(self.push(starts, eye[k], np.repeat(omega, k + 1, axis=1)))
+        starts = eye[:k].reshape(len(self.sources), self.dim, -1)
+        out = self.push(starts, eye[k], np.repeat(omega, k + 1, axis=1))
         out = out.reshape(k, points, k + 1).transpose(1, 0, 2)
         return out[:, :, :k], out[:, :, k]
 
     def masses(self) -> np.ndarray:
         """``masses[i, v]``: total weight with which minimal node i pools the chains through v.
 
-        Descent masses to each minimal node run forward along the pooling
-        weights; a maximal node keeps its own, every other node takes the
+        A maximal node keeps its descent masses, the schedule's ``pool``;
+        walking the levels down, every other node takes the
         dispersion-weighted sum of its successors' (the ascent to any node
         carries mass 1).  O(s (V + E)) without enumerating paths; on a tree
         ``masses[0, v]`` is the root-to-v path weight.
         """
-        s = len(self.sources)
-        mass = np.zeros((len(self.up), s))
-        mass[list(self.sources), range(s)] = 1.0
-        for u in self.order:  # descent masses
-            for v, w in self.down[u]:
-                mass[v] += w * mass[u]
-        mass *= np.array([not d for d in self.down])[:, None]  # kept at maximal nodes only
-        for u in reversed(self.order):
-            for v, w in self.up[u]:
-                mass[v] += w * mass[u]
-        return mass.T
+        sch = self.schedule
+        mass = np.zeros((len(sch.order) + 1, len(sch.sources)))  # row V: the padding row
+        mass[sch.maximal] = sch.pool.T
+        for lv in reversed(sch.levels):
+            np.add.at(mass, lv.pred, lv.w_d[:, :, None] * mass[lv.start : lv.stop, None, :])
+        out = np.empty((len(sch.sources), len(sch.order)))
+        out[:, sch.order] = mass[:-1].T
+        return out
 
 
 def tree_iterate(
@@ -380,16 +377,16 @@ def dag_iterate(
 
     Minimal nodes apply their own relaxed update at the start of dispersion;
     interior and maximal nodes first blend their parents' estimates with the
-    dispersion weights.  Pooling blends successor estimates with the pooling
-    weights in reverse topological order, so interior nodes relay without a
-    second update.
+    dispersion weights.  Pooling hands each minimal node the maximal nodes'
+    estimates weighted by the pooling weights along every descent, so
+    interior nodes relay without a second update.
     """
     if not validated:
         _require_valid(sys, net, (DagNetwork,), relax)
     minimal = net.minimal_nodes
     if len(blocks) != len(minimal):
         raise DimensionError(f"expected {len(minimal)} estimate blocks, got {len(blocks)}")
-    return _Pass(sys, net).vectors([as_vector(b) for b in blocks], relax.effective())
+    return list(_Pass(sys, net).vectors([as_vector(b) for b in blocks], relax.effective()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,15 @@ uniform over the group, and a valid network has positive weights summing
 to 1 per group.  A tree is the DAG with one minimal node, so both network
 types build and check their tables with the same helpers.
 
-Networks are immutable after construction; all queries are read-only.  The
-constructors and the cached adjacency tables hand out read-only mapping
-views, so a write to a table raises ``TypeError``.  A DAG builds its per-node
-in/out lists and its topological order once, on first use, and every route
-(construction, validation, the solver's pass, path counts and enumerations)
-reads those.
+Networks are immutable after construction; all queries are read-only.  A
+network copies every table it is given into a read-only mapping view, so
+a write to a table raises ``TypeError`` and a later write to the caller's
+dict changes nothing.  A network caches what it derives on first use: a
+DAG its per-node in/out lists and its topological order, which every route
+(construction, validation, path counts and enumerations) reads; either
+network its list of violations (``violations``, what ``validate_tree`` or
+``validate_dag`` returns) and its level schedule (``schedule``), the tables
+the solver's pass kernel runs on.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,6 +117,115 @@ def _kahn(succ: Mapping[int, Iterable[int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Level schedules
+
+
+class Level(NamedTuple):
+    """The nodes at positions ``start:stop`` of a schedule, one level, and their in-edges.
+
+    Row i of ``pred`` holds the positions of node ``start + i``'s
+    predecessors and the same row of ``w_d`` the dispersion weights of
+    those edges, padded to the level's largest in-degree K with position V
+    (a row that stays 0) and weight 0; level 0, the minimal nodes, has
+    K = 0.  ``copy`` is ``pred[:, 0]`` when each node of the level has one
+    predecessor, of dispersion weight 1 (every level of a tree), else None.
+    """
+
+    start: int
+    stop: int
+    pred: np.ndarray
+    w_d: np.ndarray
+    copy: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """A network's pass laid out level by level, built once per network.
+
+    ``order`` lists the node ids by longest-path depth from a minimal node,
+    ties by ascending id; a node's position is its index there.  The order
+    is topological, and the nodes of one level, which never depend on each
+    other, are adjacent.  Level 0 holds the minimal nodes, ``sources``, at
+    positions ``0 .. s-1``.  ``pool[i, j]`` is the total pooling weight of the
+    descents from the maximal node at position ``maximal[j]`` to minimal
+    node i: the weight with which minimal node i pools that maximal node.
+    ``size`` is the node plus edge count V + E.  All arrays are read-only.
+    """
+
+    order: np.ndarray
+    sources: tuple[int, ...]
+    levels: tuple[Level, ...]
+    maximal: np.ndarray
+    pool: np.ndarray
+    size: int
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _schedule(order: Sequence[int], ins: Sequence[tuple]) -> Schedule:
+    """The level schedule from a topological ``order`` and each node's in-edges.
+
+    ``ins[v]`` holds one ``(u, w_d, w_p)`` per predecessor u of v.  The
+    padded tables of all levels are laid out in one flat array each, so a
+    level is a few views.  One walk down the levels gives every node's
+    descent masses, the pooling-weighted sums of its predecessors', with
+    one gather and one product per level.
+    """
+    n = len(ins)
+    depth = [0] * n
+    for v in order:
+        if ins[v]:
+            depth[v] = 1 + max([depth[u] for u, _, _ in ins[v]])
+    by_depth: list[list[int]] = [[] for _ in range(max(depth) + 1)]
+    for v in range(n):  # ascending id within a level
+        by_depth[depth[v]].append(v)
+    by_level = [v for nodes in by_depth for v in nodes]
+    pos = [0] * (n + 1)
+    for p, v in enumerate(by_level):
+        pos[v] = p
+    pos[n] = n  # the padding row
+    flat, bounds, start = [], [], 0
+    for nodes in by_depth:
+        k = max([len(ins[v]) for v in nodes])
+        for v in nodes:
+            flat += ins[v]
+            flat += [(n, 0.0, 0.0)] * (k - len(ins[v]))
+        copies = k == 1 and all([ins[v][0][1] == 1.0 for v in nodes])
+        bounds.append((start, start + len(nodes), k, copies))
+        start += len(nodes)
+    pred = _frozen([pos[u] for u, _, _ in flat], np.intp)
+    w_d = _frozen([w for _, w, _ in flat], float)
+    w_p = np.array([w for _, _, w in flat])
+    s = len(by_depth[0])
+    descent = np.eye(n + 1, s)  # a minimal node descends to itself with mass 1
+    levels, hi = [], 0
+    for start, stop, k, copies in bounds:
+        lo, hi = hi, hi + (stop - start) * k
+        shape = (stop - start, k)
+        copy = pred[lo:hi] if copies else None
+        lv = Level(start, stop, pred[lo:hi].reshape(shape), w_d[lo:hi].reshape(shape), copy)
+        if copies:
+            descent[start:stop] = w_p[lo:hi, None] * descent[lv.copy]
+        elif k:
+            descent[start:stop] = (w_p[lo:hi].reshape(stop - start, 1, k) @ descent[lv.pred])[:, 0]
+        levels.append(lv)
+    has_out = set(pred.tolist())
+    maximal = _frozen([p for p in range(n) if p not in has_out], np.intp)
+    return Schedule(
+        order=_frozen(by_level, np.intp),
+        sources=tuple(by_depth[0]),
+        levels=tuple(levels),
+        maximal=maximal,
+        pool=_frozen(descent[maximal].T, float),
+        size=n + sum(map(len, ins)),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Trees
 
 
@@ -124,6 +236,12 @@ class TreeNetwork:
     parent: Mapping[int, int]
     children: Mapping[int, tuple[int, ...]]
     edge_weight: Mapping[tuple[int, int], float]
+
+    def __post_init__(self):
+        kids = {u: vs if isinstance(vs, tuple) else tuple(vs) for u, vs in self.children.items()}
+        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+        object.__setattr__(self, "children", MappingProxyType(kids))
+        object.__setattr__(self, "edge_weight", MappingProxyType(dict(self.edge_weight)))
 
     @classmethod
     def from_edges(cls, node_count: int, root: int, edges: Iterable) -> "TreeNetwork":
@@ -156,13 +274,31 @@ class TreeNetwork:
             given[(u, v)] = None if w is None else float(w)
         kids_of = {u: tuple(sorted(kids)) for u, kids in children.items()}
         weights = _resolve_weights(_out_groups(kids_of), given, "child edge")
-        return cls(
-            node_count=node_count,
-            root=root,
-            parent=MappingProxyType(parent),
-            children=MappingProxyType(kids_of),
-            edge_weight=MappingProxyType(weights),
-        )
+        return cls(node_count, root, parent, kids_of, weights)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """What :func:`validate_tree` returns for this network, found once."""
+        return tuple(validate_tree(self))
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The pass's level schedule: the root alone on level 0, every edge of dispersion weight 1.
+
+        Needs a valid tree; raises :class:`InvalidNetworkError` when the
+        child lists do not reach every node once from the root.
+        """
+        order = [self.root]
+        ins: list[tuple] = [()] * self.node_count
+        for u in order:  # breadth first: the list grows while it is walked
+            if len(order) > self.node_count:  # a node listed twice, or a cycle
+                break
+            for v in self.children.get(u, ()):
+                order.append(v)
+                ins[v] = ((u, 1.0, self.edge_weight[(u, v)]),)
+        if sorted(order) != list(range(self.node_count)):
+            raise InvalidNetworkError("the child lists do not reach every node once from the root")
+        return _schedule(order, ins)
 
     def is_leaf(self, v: int) -> bool:
         return not self.children.get(v, ())
@@ -396,6 +532,11 @@ class DagNetwork:
     w_d: Mapping[tuple[int, int], float]
     w_p: Mapping[tuple[int, int], float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "w_d", MappingProxyType(dict(self.w_d)))
+        object.__setattr__(self, "w_p", MappingProxyType(dict(self.w_p)))
+
     @classmethod
     def from_cover_edges(cls, node_count: int, edges: Iterable) -> "DagNetwork":
         """Build from ``(u, v)`` or ``(u, v, w_d, w_p)`` tuples.
@@ -422,7 +563,7 @@ class DagNetwork:
             wd_in[(u, v)] = None if wd is None else float(wd)
             wp_in[(u, v)] = None if wp is None else float(wp)
         edge_list.sort()
-        net = cls(node_count, tuple(edge_list), MappingProxyType({}), MappingProxyType({}))
+        net = cls(node_count, tuple(edge_list), {}, {})
         # each weight group is a node's cached in- or out-list, so the tables come after them
         w_d = _resolve_weights(_in_groups(net.predecessors), wd_in, "dispersion")
         w_p = _resolve_weights(_out_groups(net.successors), wp_in, "pooling")
@@ -454,6 +595,20 @@ class DagNetwork:
         if len(order) != self.node_count:
             raise CycleError("edge set contains a cycle")
         return tuple(order)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """What :func:`validate_dag` returns for this network, found once."""
+        return tuple(validate_dag(self))
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The pass's level schedule over the cached in-lists; needs a valid DAG."""
+        ins = [
+            tuple((u, self.w_d[(u, v)], self.w_p[(u, v)]) for u in self.predecessors[v])
+            for v in range(self.node_count)
+        ]
+        return _schedule(self.order, ins)
 
     @cached_property
     def minimal_nodes(self) -> tuple[int, ...]:

@@ -164,6 +164,46 @@ def caterpillar(n):
     return tp.TreeNetwork.from_edges(n, 0, edges)
 
 
+def nodewise_push(sys, net, starts, t, omega):
+    """The pass one node at a time, as the kernel ran before it went level by level.
+
+    Trees run breadth first from the root with dispersion weight 1 and
+    pooling weight equal to the edge weight; DAGs in their Kahn order.
+    Each node blends its predecessors' blocks with the dispersion weights
+    and applies ``X + a_v (omega_v / |a_v|^2)(b_v t - a_v* X)``; pooling then
+    walks the order backwards and blends successor blocks with the pooling
+    weights.  ``omega`` is ``(V,)`` or ``(V, m)``.  Returns the pooled
+    ``(s, d, m)`` blocks of the minimal nodes, ascending.
+    """
+    nodes = range(net.node_count)
+    if isinstance(net, tp.TreeNetwork):
+        order = [net.root]
+        for v in order:
+            order.extend(net.children.get(v, ()))
+        up = [((net.parent[v], 1.0),) if v in net.parent else () for v in nodes]
+        down = [tuple((u, net.edge_weight[(v, u)]) for u in net.children.get(v, ())) for v in nodes]
+        sources = (net.root,)
+    else:
+        order = tp.topological_order(net)
+        up = [tuple((u, net.w_d[(u, v)]) for u in net.predecessors[v]) for v in nodes]
+        down = [tuple((u, net.w_p[(v, u)]) for u in net.successors[v]) for v in nodes]
+        sources = net.minimal_nodes
+    rows = sys.rows
+    norm2 = np.einsum("ij,ij->i", rows.conj(), rows).real
+    gain = list((np.asarray(omega, dtype=float).T / norm2).T)
+    bt = sys.rhs[:, None] * t
+    x = [None] * net.node_count
+    for v, z in zip(sources, starts):
+        x[v] = z
+    for v in order:
+        z = sum(w * x[u] for u, w in up[v]) if up[v] else x[v]
+        x[v] = z + rows[v][:, None] * (gain[v] * (bt[v] - rows[v].conj() @ z))
+    for v in reversed(order):
+        if down[v]:
+            x[v] = sum(w * x[u] for u, w in down[v])
+    return np.array([x[m] for m in sources])
+
+
 def per_leaf_group_operator(sys, net, group, relax):
     """``group_operator`` leaf by leaf, as the paper sums it.
 

@@ -7,6 +7,7 @@ import pytest
 from distkaczmarz import cli
 from distkaczmarz import closedform as cf
 from distkaczmarz import solver as sv
+from distkaczmarz import topology as tp
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -420,6 +421,23 @@ class TestSweepCommand:
             omega = np.array([1.2, 1.2, 1.2, w2, w1, w2])
             bs = cf.dag_block_structure(run.system, run.network, sv.RelaxationAssignment(omega))
             assert rho == pytest.approx(cf.dag_restricted_rho(bs, basis), abs=1e-11)
+
+
+def test_a_loaded_network_is_validated_once(tmp_path, monkeypatch):
+    """``load_config``, ``solve`` and ``tree_affine`` on one network share one ``validate_tree``."""
+    calls = []
+
+    def counting(net):
+        calls.append(net)
+        return validate(net)
+
+    validate = tp.validate_tree
+    for module in (tp, sv, cf, cli):  # every binding a route could call
+        monkeypatch.setattr(module, "validate_tree", counting, raising=False)
+    run = cli.load_config(identity_config(tmp_path))
+    sv.solve(run.system, run.network, run.relaxation, run.solver)
+    cf.tree_affine(run.system, run.network, run.relaxation)
+    assert len(calls) == 1 and calls[0] is run.network
 
 
 class TestReproduceCommand:

@@ -194,8 +194,8 @@ class TestOmegaSweep:
 
             return wrapped
 
-        monkeypatch.setattr(sv, "validate_tree", counting("validate", sv.validate_tree))
-        monkeypatch.setattr(sv, "validate_dag", counting("validate", sv.validate_dag))
+        monkeypatch.setattr(tp, "validate_tree", counting("validate", tp.validate_tree))
+        monkeypatch.setattr(tp, "validate_dag", counting("validate", tp.validate_dag))
         checked = counting("basis", nm._checked_columns)
         for module in (nm, cf):
             monkeypatch.setattr(module, "_checked_columns", checked)

@@ -78,9 +78,10 @@ class TestTreeValidation:
         n = 3000
         edges = [(max(v - 2, 0), v) for v in range(1, n, 2)] + [(v - 1, v) for v in range(2, n, 2)]
         net = tp.TreeNetwork.from_edges(n, 0, edges)
-        counted = dataclasses.replace(net, parent=CountingMapping(net.parent))
-        assert tp.validate_tree(counted) == []
-        assert counted.parent.lookups <= 2 * n
+        parent = CountingMapping(net.parent)
+        object.__setattr__(net, "parent", parent)  # the constructor would copy it into a plain view
+        assert tp.validate_tree(net) == []
+        assert parent.lookups <= 2 * n
 
     def test_broken_parent_maps_report_the_same_nodes(self):
         rng = np.random.default_rng(5)
@@ -109,6 +110,43 @@ def test_tree_tables_are_read_only(table):
     with pytest.raises(TypeError):
         del mapping[key]
     assert net.edge_weight[(0, 1)] == 0.5 and tp.validate_tree(net) == []
+
+
+def test_tree_copies_the_caller_s_tables():
+    parent, children, weights = {1: 0, 2: 0}, {0: [1, 2]}, {(0, 1): 0.5, (0, 2): 0.5}
+    net = tp.TreeNetwork(3, 0, parent, children, weights)
+    before = net.schedule
+    parent[2] = 1
+    children[0].append(5)
+    children[1] = [2]
+    weights[(0, 1)] = 0.9
+    assert dict(net.parent) == {1: 0, 2: 0} and dict(net.children) == {0: (1, 2)}
+    assert net.edge_weight[(0, 1)] == 0.5 and net.violations == ()
+    assert net.schedule is before
+    fresh = tp.TreeNetwork(3, 0, {1: 0, 2: 0}, {0: (1, 2)}, {(0, 1): 0.5, (0, 2): 0.5}).schedule
+    assert before.order.tolist() == fresh.order.tolist()
+    assert np.array_equal(before.pool, fresh.pool)
+
+
+def test_dag_copies_the_caller_s_tables():
+    edges = [(0, 2), (1, 2), (2, 3)]
+    w_d = {(0, 2): 0.5, (1, 2): 0.5, (2, 3): 1.0}
+    w_p = {(0, 2): 1.0, (1, 2): 1.0, (2, 3): 1.0}
+    net = tp.DagNetwork(4, edges, w_d, w_p)
+    order, schedule = net.order, net.schedule
+    edges.append((3, 0))
+    w_d[(0, 2)] = 0.9
+    w_p[(2, 3)] = 0.1
+    assert net.edges == ((0, 2), (1, 2), (2, 3)) and net.violations == ()
+    assert net.w_d[(0, 2)] == 0.5 and net.w_p[(2, 3)] == 1.0
+    assert net.order == order == (0, 1, 2, 3) and net.schedule is schedule
+    weighted = [(0, 2, 0.5, 1.0), (1, 2, 0.5, 1.0), (2, 3, 1.0, 1.0)]
+    fresh = tp.DagNetwork.from_cover_edges(4, weighted)
+    assert np.array_equal(schedule.pool, fresh.schedule.pool)
+    assert all(
+        np.array_equal(a.pred, b.pred) and np.array_equal(a.w_d, b.w_d)
+        for a, b in zip(schedule.levels, fresh.schedule.levels, strict=True)
+    )
 
 
 class CountingMapping(Mapping):
