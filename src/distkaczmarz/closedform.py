@@ -68,6 +68,11 @@ from .topology import (
 )
 
 ZERO_EIGENVALUE_CUT = 1e-12
+# ``eigen_dichotomy_check``: an eigenvalue within UNIT_EIGENVALUE_TOL of 1 is a
+# unit one, and its eigenvector is in the null space when |A v| is at most
+# NULL_VECTOR_TOL |v|.
+UNIT_EIGENVALUE_TOL = 1e-9
+NULL_VECTOR_TOL = 1e-8
 # Kernel columns per sweep push; a grid point takes s d + 1 of them, so the
 # carried (d, columns) blocks, and with them peak memory, stay flat.
 SWEEP_CHUNK_COLUMNS = 1536
@@ -436,22 +441,17 @@ class DichotomyReport:
     holds: bool
 
 
-def eigen_dichotomy_check(
-    it: AffineIteration,
-    sys: LinearSystem,
-    unit_tol: float = 1e-9,
-    vector_tol: float = 1e-8,
-) -> DichotomyReport:
+def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyReport:
     """Verify every eigenvalue is 1 (on the null space) or strictly inside the disc."""
     vals, vecs = np.linalg.eig(it.B)
     mat = sys.system_matrix()
     basis = row_space_basis(sys)
     nullity = sys.ambient_dim - len(basis)
-    unit = np.abs(vals - 1.0) <= unit_tol
+    unit = np.abs(vals - 1.0) <= UNIT_EIGENVALUE_TOL
     in_null = True
     for k in np.nonzero(unit)[0]:
         v = vecs[:, k]
-        if float(np.linalg.norm(mat @ v)) > vector_tol * float(np.linalg.norm(v)):
+        if float(np.linalg.norm(mat @ v)) > NULL_VECTOR_TOL * float(np.linalg.norm(v)):
             in_null = False
     others = np.abs(vals[~unit])
     max_other = float(np.max(others)) if others.size else 0.0
@@ -651,22 +651,6 @@ def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
     return axes
 
 
-def _axis_degrees(kernel: _Pass, axes: Sequence[Sequence[int]]) -> list[int]:
-    """Most nodes of each axis on one dispersion chain: the degree of B in that axis's omega.
-
-    Level by level, a node's count per axis is the largest of its
-    predecessors' (the padding row counts 0) plus its own membership.
-    """
-    sch = kernel.schedule
-    count = np.zeros((len(sch.order) + 1, len(axes)), dtype=np.intp)
-    position = np.argsort(sch.order)
-    for k, rows in enumerate(axes):
-        count[position[rows], k] = 1
-    for lv in sch.levels:  # in level order every predecessor is final
-        count[lv.start : lv.stop] += count[lv.pred].max(axis=1, initial=0)
-    return count.max(axis=0).tolist()
-
-
 def _interpolation_nodes(row: np.ndarray, degree: int) -> np.ndarray:
     """The row's own values if it has at most ``degree + 1``, else Chebyshev-Lobatto points.
 
@@ -713,7 +697,7 @@ def _interpolated(kernel: _Pass, omega: np.ndarray, restrict):
         return None
     nodes = [
         _interpolation_nodes(omega[rows[0]], deg)
-        for rows, deg in zip(axes, _axis_degrees(kernel, axes))
+        for rows, deg in zip(axes, kernel.axis_degrees(axes))
     ]
     points = math.prod(len(x) for x in nodes)
     if points * points > g:

@@ -11,11 +11,12 @@ descent.  A tree runs as the DAG whose only minimal node is the root.
 
 Every pass goes through one kernel, built once per system and network and
 handed the effective relaxation on each call.  It runs the network's level
-schedule (:class:`~distkaczmarz.topology.Schedule`, cached on the network):
-nodes at the same longest-path depth never depend on each other, so each
-level is one gather or blend of predecessor blocks, one batched ``a_v* X``
-and one broadcast rank-1 update, and pooling is one mass-weighted sum of
-the maximal nodes' blocks.  The kernel carries a block of columns instead
+schedule (:class:`~distkaczmarz.topology.Schedule`, cached on the network),
+whose level order is the network's ``order``, its Kahn levels one after
+another: the nodes of one level never depend on each other, so each level
+is one gather or blend of predecessor blocks, one batched ``a_v* X`` and
+one broadcast rank-1 update, and pooling is one mass-weighted sum of the
+maximal nodes' blocks.  The kernel carries a block of columns instead
 of a single vector: one column is the engine, identity columns give the
 closed-form affine map of :mod:`distkaczmarz.closedform`, and identity
 columns under a per-column relaxation give a whole chunk of sweep points.
@@ -255,13 +256,16 @@ class _Pass:
     """Dispersion/pooling passes over a fixed system and network, one level at a time.
 
     The network's cached :class:`~distkaczmarz.topology.Schedule` gives the
-    levels; the kernel keeps the system in the schedule's level order:
-    the equation vectors as columns ``cols`` and conjugate rows ``conj``,
-    their squared norms and the right-hand side.  ``sources`` lists the
-    minimal nodes in ascending order and ``size`` is the node plus edge
-    count V + E.  The effective relaxation comes with each call, ``(V,)``
-    or ``(V, m)`` with one column per kernel column, in node id order;
-    ``width`` is the kernel columns of one point of :meth:`affine`.
+    levels; the kernel keeps the system in their level order, the
+    network's ``order``: the equation vectors as columns ``cols`` and
+    conjugate rows ``conj``, their squared norms and the right-hand side.
+    ``sources`` lists the minimal nodes in ascending order and ``size`` is
+    the node plus edge count V + E.  The effective relaxation comes with
+    each call, ``(V,)`` or ``(V, m)`` with one column per kernel column, in
+    node id order; ``width`` is the kernel columns of one point of
+    :meth:`affine`.  Outside ``topology``, which builds them, only this
+    class reads the schedule's padded level tables; :meth:`axis_degrees`
+    answers the sweep's question about them.
     """
 
     def __init__(self, sys: LinearSystem, net: TreeNetwork | DagNetwork):
@@ -351,6 +355,22 @@ class _Pass:
         out = np.empty((len(sch.sources), len(sch.order)))
         out[:, sch.order] = mass[:-1].T
         return out
+
+    def axis_degrees(self, axes: Sequence[Sequence[int]]) -> list[int]:
+        """Most nodes of each axis on one dispersion chain: the map's degree in that axis's omega.
+
+        ``axes`` holds node ids.  Level by level, a node's count per axis is
+        the largest of its predecessors' (the padding row counts 0) plus its
+        own membership.
+        """
+        sch = self.schedule
+        count = np.zeros((len(sch.order) + 1, len(axes)), dtype=np.intp)
+        position = np.argsort(sch.order)
+        for k, rows in enumerate(axes):
+            count[position[rows], k] = 1
+        for lv in sch.levels:  # in level order every predecessor is final
+            count[lv.start : lv.stop] += count[lv.pred].max(axis=1, initial=0)
+        return count.max(axis=0).tolist()
 
 
 def tree_iterate(

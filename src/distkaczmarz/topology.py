@@ -10,23 +10,32 @@ Every weight table groups its edges by node: a tree parent's child edges,
 a DAG node's in-edges (``w_d``) and out-edges (``w_p``).  One rule holds for
 each group: its weights are all given or all omitted, omitted weights are
 uniform over the group, and a valid network has positive weights summing
-to 1 per group.  A tree is the DAG with one minimal node, so both network
-types build and check their tables with the same helpers.
+to 1 per group, and a weight keyed by a pair that is no edge is a
+violation.  A tree is the DAG with one minimal node, so both network types
+build and check their tables with the same helpers.  A tree is kept as one
+edge table (each node's parent and each edge's weight); its child lists
+are derived from it.
+
+One walk, Kahn's algorithm run a level at a time, lays out either network:
+level 0 is the root or the minimal nodes, and level k holds the nodes
+whose last predecessor is on level k - 1, ties by ascending id.  Each
+network caches those ``levels``, and its ``order`` (the levels one after
+another), its validation, its path counts and its pass schedule all read
+them.
 
 Networks are immutable after construction; all queries are read-only.  A
 network copies every table it is given into a read-only mapping view, so
 a write to a table raises ``TypeError`` and a later write to the caller's
-dict changes nothing.  A network caches what it derives on first use: a
-DAG its per-node in/out lists and its topological order, which every route
-(construction, validation, path counts and enumerations) reads; either
-network its list of violations (``violations``, what ``validate_tree`` or
-``validate_dag`` returns) and its level schedule (``schedule``), the tables
-the solver's pass kernel runs on.
+dict changes nothing.  A network caches what it derives on first use: its
+adjacency lists (a tree's ``children``, a DAG's ``predecessors`` and
+``successors``), its ``levels`` and ``order``, its list of violations
+(``violations``, what ``validate_tree`` or ``validate_dag`` returns) and
+its level schedule (``schedule``), the tables the solver's pass kernel
+runs on.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -80,7 +89,10 @@ def _resolve_weights(groups, given: Mapping, what: str) -> dict[tuple[int, int],
 
 
 def _weight_violations(table: Mapping, groups, what: str) -> list[Violation]:
-    """Non-positive weights of ``table``, then the groups whose weights do not sum to 1."""
+    """Non-positive weights of ``table``, the groups whose weights do not sum to 1, then stray keys.
+
+    A stray key names no edge of ``groups``.
+    """
     out = [
         Violation("weight", f"{what} weight of edge {e} is {w}", e)
         for e, w in table.items()
@@ -90,30 +102,38 @@ def _weight_violations(table: Mapping, groups, what: str) -> list[Violation]:
         total = sum([table.get(k, 0.0) for k in keys])
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             out.append(Violation("weight-sum", f"{what} weights of node {u} sum to {total!r}", (u,)))
+    edges = {k for _, keys in groups for k in keys}
+    for e in table:
+        if e not in edges:
+            out.append(Violation("weight-key", f"{what} weight keyed {e} names no edge", e))
     return out
 
 
-def _kahn(succ: Mapping[int, Iterable[int]]) -> list[int]:
-    """Kahn's order of the nodes of ``succ`` (node -> successors), ties by ascending id.
+def _kahn(succ: Mapping[int, Iterable[int]], start: int | None = None) -> list[tuple[int, ...]]:
+    """Kahn's walk of ``succ`` (node -> successors), one level at a time.
 
-    Nodes on or above a cycle never become ready, so on a cycle the order
-    is shorter than ``succ``.
+    Level 0 is ``start`` alone, or else every node without predecessors;
+    level k holds the nodes whose last predecessor is on level k - 1, so a
+    node's level is its longest-path depth.  Ties within a level go by
+    ascending id.  Nodes on or above a cycle never become ready, and nodes
+    ``start`` does not reach are never listed, so then the levels hold
+    fewer nodes than ``succ``.
     """
     indeg = dict.fromkeys(succ, 0)
     for downs in succ.values():
         for v in downs:
             indeg[v] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
+    ready = [v for v, d in indeg.items() if d == 0] if start is None else [start]
+    levels = []
     while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    return order
+        levels.append(tuple(sorted(ready)))
+        ready = []
+        for u in levels[-1]:
+            for v in succ[u]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    ready.append(v)
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +162,14 @@ class Level(NamedTuple):
 class Schedule:
     """A network's pass laid out level by level, built once per network.
 
-    ``order`` lists the node ids by longest-path depth from a minimal node,
-    ties by ascending id; a node's position is its index there.  The order
-    is topological, and the nodes of one level, which never depend on each
-    other, are adjacent.  Level 0 holds the minimal nodes, ``sources``, at
-    positions ``0 .. s-1``.  ``pool[i, j]`` is the total pooling weight of the
-    descents from the maximal node at position ``maximal[j]`` to minimal
-    node i: the weight with which minimal node i pools that maximal node.
-    ``size`` is the node plus edge count V + E.  All arrays are read-only.
+    ``order`` is the network's ``order``, its Kahn levels one after another;
+    a node's position is its index there.  The nodes of one level, which
+    never depend on each other, are adjacent.  Level 0 holds the minimal
+    nodes, ``sources``, at positions ``0 .. s-1``.  ``pool[i, j]`` is the
+    total pooling weight of the descents from the maximal node at position
+    ``maximal[j]`` to minimal node i: the weight with which minimal node i
+    pools that maximal node.  ``size`` is the node plus edge count V + E.
+    All arrays are read-only.
     """
 
     order: np.ndarray
@@ -166,8 +186,8 @@ def _frozen(values, dtype) -> np.ndarray:
     return out
 
 
-def _schedule(order: Sequence[int], ins: Sequence[tuple]) -> Schedule:
-    """The level schedule from a topological ``order`` and each node's in-edges.
+def _schedule(levels: Sequence[tuple[int, ...]], ins: Sequence[tuple]) -> Schedule:
+    """The level schedule from a network's Kahn ``levels`` and each node's in-edges.
 
     ``ins[v]`` holds one ``(u, w_d, w_p)`` per predecessor u of v.  The
     padded tables of all levels are laid out in one flat array each, so a
@@ -176,20 +196,13 @@ def _schedule(order: Sequence[int], ins: Sequence[tuple]) -> Schedule:
     one gather and one product per level.
     """
     n = len(ins)
-    depth = [0] * n
-    for v in order:
-        if ins[v]:
-            depth[v] = 1 + max([depth[u] for u, _, _ in ins[v]])
-    by_depth: list[list[int]] = [[] for _ in range(max(depth) + 1)]
-    for v in range(n):  # ascending id within a level
-        by_depth[depth[v]].append(v)
-    by_level = [v for nodes in by_depth for v in nodes]
+    order = [v for nodes in levels for v in nodes]
     pos = [0] * (n + 1)
-    for p, v in enumerate(by_level):
+    for p, v in enumerate(order):
         pos[v] = p
     pos[n] = n  # the padding row
     flat, bounds, start = [], [], 0
-    for nodes in by_depth:
+    for nodes in levels:
         k = max([len(ins[v]) for v in nodes])
         for v in nodes:
             flat += ins[v]
@@ -200,9 +213,9 @@ def _schedule(order: Sequence[int], ins: Sequence[tuple]) -> Schedule:
     pred = _frozen([pos[u] for u, _, _ in flat], np.intp)
     w_d = _frozen([w for _, w, _ in flat], float)
     w_p = np.array([w for _, _, w in flat])
-    s = len(by_depth[0])
-    descent = np.eye(n + 1, s)  # a minimal node descends to itself with mass 1
-    levels, hi = [], 0
+    sources = levels[0]
+    descent = np.eye(n + 1, len(sources))  # a minimal node descends to itself with mass 1
+    tables, hi = [], 0
     for start, stop, k, copies in bounds:
         lo, hi = hi, hi + (stop - start) * k
         shape = (stop - start, k)
@@ -212,13 +225,13 @@ def _schedule(order: Sequence[int], ins: Sequence[tuple]) -> Schedule:
             descent[start:stop] = w_p[lo:hi, None] * descent[lv.copy]
         elif k:
             descent[start:stop] = (w_p[lo:hi].reshape(stop - start, 1, k) @ descent[lv.pred])[:, 0]
-        levels.append(lv)
+        tables.append(lv)
     has_out = set(pred.tolist())
     maximal = _frozen([p for p in range(n) if p not in has_out], np.intp)
     return Schedule(
-        order=_frozen(by_level, np.intp),
-        sources=tuple(by_depth[0]),
-        levels=tuple(levels),
+        order=_frozen(order, np.intp),
+        sources=sources,
+        levels=tuple(tables),
         maximal=maximal,
         pool=_frozen(descent[maximal].T, float),
         size=n + sum(map(len, ins)),
@@ -231,16 +244,21 @@ def _schedule(order: Sequence[int], ins: Sequence[tuple]) -> Schedule:
 
 @dataclass(frozen=True)
 class TreeNetwork:
+    """A rooted tree kept as one edge table: each node's ``parent`` and each edge's weight.
+
+    ``edge_weight[(parent[v], v)]`` is the pooling weight of the edge into
+    v.  ``children``, the child lists, is a read-only view derived from
+    ``parent`` on first use.  The root's levels are the nodes by depth
+    below it, and the pass's level order is their concatenation ``order``.
+    """
+
     node_count: int
     root: int
     parent: Mapping[int, int]
-    children: Mapping[int, tuple[int, ...]]
     edge_weight: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        kids = {u: vs if isinstance(vs, tuple) else tuple(vs) for u, vs in self.children.items()}
         object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
-        object.__setattr__(self, "children", MappingProxyType(kids))
         object.__setattr__(self, "edge_weight", MappingProxyType(dict(self.edge_weight)))
 
     @classmethod
@@ -254,7 +272,6 @@ class TreeNetwork:
         if not (0 <= root < node_count):
             raise InvalidNetworkError(f"root {root} outside [0, {node_count})")
         parent: dict[int, int] = {}
-        children: dict[int, list[int]] = {v: [] for v in range(node_count)}
         given: dict[tuple[int, int], float | None] = {}
         for edge in edges:
             if len(edge) == 2:
@@ -270,11 +287,37 @@ class TreeNetwork:
             if v == root:
                 raise InvalidNetworkError("root cannot have a parent")
             parent[v] = u
-            children[u].append(v)
             given[(u, v)] = None if w is None else float(w)
-        kids_of = {u: tuple(sorted(kids)) for u, kids in children.items()}
-        weights = _resolve_weights(_out_groups(kids_of), given, "child edge")
-        return cls(node_count, root, parent, kids_of, weights)
+        net = cls(node_count, root, parent, {})
+        # each weight group is a parent's cached child list, so the table comes after it
+        weights = _resolve_weights(_out_groups(net.children), given, "child edge")
+        object.__setattr__(net, "edge_weight", MappingProxyType(weights))
+        return net
+
+    @cached_property
+    def children(self) -> Mapping[int, tuple[int, ...]]:
+        """Each node's children, ascending, read from ``parent``.
+
+        A parent entry on the root is ignored.
+        """
+        kids: dict[int, list[int]] = {u: [] for u in range(self.node_count)}
+        for v, u in sorted(self.parent.items()):
+            if u in kids and v in kids and v != self.root:
+                kids[u].append(v)
+        return MappingProxyType({u: tuple(vs) for u, vs in kids.items()})
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """Kahn's levels from the root over ``children``: level k holds the nodes k edges below it.
+
+        A node whose parent walk misses the root is on no level.
+        """
+        return tuple(_kahn(self.children, self.root)) if self.root in self.children else ()
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The levels one after another: the root, then the nodes by depth, ties by ascending id."""
+        return tuple(v for level in self.levels for v in level)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -286,19 +329,14 @@ class TreeNetwork:
         """The pass's level schedule: the root alone on level 0, every edge of dispersion weight 1.
 
         Needs a valid tree; raises :class:`InvalidNetworkError` when the
-        child lists do not reach every node once from the root.
+        root's levels miss a node.
         """
-        order = [self.root]
+        if len(self.order) != self.node_count:
+            raise InvalidNetworkError("the root's levels do not hold every node")
         ins: list[tuple] = [()] * self.node_count
-        for u in order:  # breadth first: the list grows while it is walked
-            if len(order) > self.node_count:  # a node listed twice, or a cycle
-                break
-            for v in self.children.get(u, ()):
-                order.append(v)
-                ins[v] = ((u, 1.0, self.edge_weight[(u, v)]),)
-        if sorted(order) != list(range(self.node_count)):
-            raise InvalidNetworkError("the child lists do not reach every node once from the root")
-        return _schedule(order, ins)
+        for v in self.order[1:]:
+            ins[v] = ((self.parent[v], 1.0, self.edge_weight[(self.parent[v], v)]),)
+        return _schedule(self.levels, ins)
 
     def is_leaf(self, v: int) -> bool:
         return not self.children.get(v, ())
@@ -320,21 +358,20 @@ class TreeNetwork:
 
 
 def validate_tree(net: TreeNetwork) -> list[Violation]:
-    """Check the tree invariants; returns all violations (empty iff valid)."""
+    """Check the tree invariants; returns all violations (empty iff valid).
+
+    The root must be a node without a parent entry, every node must be on
+    one of the root's levels, and the weights must be keyed by the edges
+    ``(parent[v], v)``, positive and summing to 1 per parent.
+    """
     out: list[Violation] = []
     if not (0 <= net.root < net.node_count):
         out.append(Violation("root", f"root {net.root} outside node range", (net.root,)))
         return out
-    reaches = {net.root: True}  # settled nodes: does the parent walk end at the root?
-    for v in range(net.node_count):
-        walk, cursor = {}, v  # every node joins one walk only, so O(V) parent lookups
-        while cursor is not None and cursor not in reaches and cursor not in walk:
-            walk[cursor] = None
-            cursor = net.parent.get(cursor)
-        ok = reaches.get(cursor, False)  # no parent, or a cycle avoiding the root
-        reaches.update(dict.fromkeys(walk, ok))
-        if not ok:
-            out.append(Violation("connectivity", f"node {v} does not reach the root", (v,)))
+    if net.root in net.parent:
+        out.append(Violation("root", f"root {net.root} has a parent entry", (net.root,)))
+    for v in sorted(set(range(net.node_count)).difference(net.order)):
+        out.append(Violation("connectivity", f"node {v} does not reach the root", (v,)))
     return out + _weight_violations(net.edge_weight, _out_groups(net.children), "child")
 
 
@@ -589,12 +626,20 @@ class DagNetwork:
         return MappingProxyType({v: tuple(sorted(downs)) for v, downs in succ.items()})
 
     @cached_property
-    def order(self) -> tuple[int, ...]:
-        """Kahn's topological order, ties by ascending id; raises :class:`CycleError` on a cycle."""
-        order = _kahn(self.successors)
-        if len(order) != self.node_count:
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """Kahn's levels from the minimal nodes; raises :class:`CycleError` on a cycle.
+
+        Level k holds the nodes whose longest ascending chain has k edges.
+        """
+        levels = tuple(_kahn(self.successors))
+        if sum(map(len, levels)) != self.node_count:
             raise CycleError("edge set contains a cycle")
-        return tuple(order)
+        return levels
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The levels one after another: topological, ties by ascending id within a level."""
+        return tuple(v for level in self.levels for v in level)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -608,7 +653,7 @@ class DagNetwork:
             tuple((u, self.w_d[(u, v)], self.w_p[(u, v)]) for u in self.predecessors[v])
             for v in range(self.node_count)
         ]
-        return _schedule(self.order, ins)
+        return _schedule(self.levels, ins)
 
     @cached_property
     def minimal_nodes(self) -> tuple[int, ...]:
@@ -671,7 +716,7 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
 
 
 def topological_order(net: DagNetwork) -> list[int]:
-    """Kahn's algorithm with ties broken by ascending node id: a copy of ``net.order``."""
+    """A copy of ``net.order``: the Kahn levels one after another, ascending within a level."""
     return list(net.order)
 
 
@@ -687,7 +732,7 @@ def hasse_reduce(relation: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
             raise CycleError(f"relation is not irreflexive at {u}")
         succ.setdefault(u, set()).add(v)
         succ.setdefault(v, set())
-    order = _kahn(succ)
+    order = [v for level in _kahn(succ) for v in level]
     if len(order) != len(succ):
         stuck = len(succ) - len(order)
         raise CycleError(f"relation contains a cycle; {stuck} nodes cannot be ordered")

@@ -174,7 +174,7 @@ def test_criterion_06_eigenvalue_dichotomy():
     ok = True
     for net, system, relax in consistent_instances():
         it = cf.tree_affine(system, net, relax)
-        check = cf.eigen_dichotomy_check(it, system, unit_tol=1e-9)
+        check = cf.eigen_dichotomy_check(it, system)
         ok = ok and check.holds and check.unit_count == check.nullity
     report(6, "eigenvalues split into unit (null space) and strict contraction", ok)
 

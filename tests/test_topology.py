@@ -72,15 +72,35 @@ class TestTreeValidation:
         total = sum(tp.path_weight(net, 0, leaf) for leaf in net.leaves())
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_parent_entry_on_the_root_reported(self):
+        net = tp.TreeNetwork(3, 0, {1: 0, 2: 1, 0: 2}, {(0, 1): 1.0, (1, 2): 1.0})
+        assert [(v.kind, v.where) for v in tp.validate_tree(net)] == [("root", (0,))]
+        assert dict(net.children) == {0: (1,), 1: (2,), 2: ()}  # the entry is ignored
+        system = sv.LinearSystem(rows=np.eye(3), rhs=np.ones(3))
+        with pytest.raises(InvalidNetworkError, match="invalid tree") as err:
+            cf.tree_affine(system, net, sv.RelaxationAssignment.uniform(3))
+        assert [v.kind for v in err.value.violations] == ["root"]
+
+    def test_weight_keys_that_name_no_edge_reported(self):
+        # parent says 0 -> {1, 2}; the weights name a chain 0 -> 1 -> 2 and sum to 1 at node 0
+        net = tp.TreeNetwork(3, 0, {1: 0, 2: 0}, {(0, 1): 1.0, (1, 2): 1.0})
+        assert [(v.kind, v.where) for v in tp.validate_tree(net)] == [("weight-key", (1, 2))]
+        system = sv.LinearSystem(rows=np.eye(3), rhs=np.ones(3))
+        with pytest.raises(InvalidNetworkError, match="invalid tree"):
+            cf.tree_affine(system, net, sv.RelaxationAssignment.uniform(3))
+
     def test_parent_lookups_linear_on_caterpillar(self):
         # a spine of 1,500 nodes, each with one leaf: walking every node to
         # the root would cost about a million parent lookups
         n = 3000
         edges = [(max(v - 2, 0), v) for v in range(1, n, 2)] + [(v - 1, v) for v in range(2, n, 2)]
-        net = tp.TreeNetwork.from_edges(n, 0, edges)
-        parent = CountingMapping(net.parent)
-        object.__setattr__(net, "parent", parent)  # the constructor would copy it into a plain view
+        built = tp.TreeNetwork.from_edges(n, 0, edges)
+        parent = CountingMapping(built.parent)
+        net = tp.TreeNetwork(n, 0, parent, built.edge_weight)  # copies the map: n - 1 lookups
+        assert not vars(net).keys() & {"children", "levels", "order", "violations"}
+        object.__setattr__(net, "parent", parent)  # every derived table now reads the counted map
         assert tp.validate_tree(net) == []
+        assert net.children == built.children
         assert parent.lookups <= 2 * n
 
     def test_broken_parent_maps_report_the_same_nodes(self):
@@ -95,7 +115,7 @@ class TestTreeValidation:
             }
             if n > 1 and rng.uniform() < 0.2:
                 parent[root] = int(rng.integers(0, n))  # a parent on the root is ignored
-            net = tp.TreeNetwork(n, root, parent, {}, {})
+            net = tp.TreeNetwork(n, root, parent, {})
             got = [v.where[0] for v in tp.validate_tree(net) if v.kind == "connectivity"]
             assert got == nodes_not_reaching_root(parent, root, n)
 
@@ -113,17 +133,15 @@ def test_tree_tables_are_read_only(table):
 
 
 def test_tree_copies_the_caller_s_tables():
-    parent, children, weights = {1: 0, 2: 0}, {0: [1, 2]}, {(0, 1): 0.5, (0, 2): 0.5}
-    net = tp.TreeNetwork(3, 0, parent, children, weights)
+    parent, weights = {1: 0, 2: 0}, {(0, 1): 0.5, (0, 2): 0.5}
+    net = tp.TreeNetwork(3, 0, parent, weights)
     before = net.schedule
     parent[2] = 1
-    children[0].append(5)
-    children[1] = [2]
     weights[(0, 1)] = 0.9
-    assert dict(net.parent) == {1: 0, 2: 0} and dict(net.children) == {0: (1, 2)}
+    assert dict(net.parent) == {1: 0, 2: 0} and dict(net.children) == {0: (1, 2), 1: (), 2: ()}
     assert net.edge_weight[(0, 1)] == 0.5 and net.violations == ()
     assert net.schedule is before
-    fresh = tp.TreeNetwork(3, 0, {1: 0, 2: 0}, {0: (1, 2)}, {(0, 1): 0.5, (0, 2): 0.5}).schedule
+    fresh = tp.TreeNetwork(3, 0, {1: 0, 2: 0}, {(0, 1): 0.5, (0, 2): 0.5}).schedule
     assert before.order.tolist() == fresh.order.tolist()
     assert np.array_equal(before.pool, fresh.pool)
 
@@ -282,9 +300,10 @@ class TestSubnetworks:
         n = 302
         net = tp.TreeNetwork.from_edges(n, 0, [(0, 1)] + [(1, v) for v in range(2, n)])
         kids = ScanCountingTuple(net.children[1])
-        counted = dataclasses.replace(net, children=MappingProxyType({**net.children, 1: kids}))
+        # the child lists are a cached view of ``parent``: put the counted list into the cache
+        object.__setattr__(net, "children", MappingProxyType({**net.children, 1: kids}))
         members = frozenset(range(2, n - 2))
-        violations = tp.validate_subnetworks(counted, tp.SubnetworkPartition((members,)))
+        violations = tp.validate_subnetworks(net, tp.SubnetworkPartition((members,)))
         assert kids.scans == 1
         assert [v.where for v in violations if v.kind == "condition-1"] == [
             (u, sib) for u in members for sib in (n - 2, n - 1)
@@ -395,6 +414,15 @@ class TestDagNetwork:
         net = tp.DagNetwork.from_cover_edges(4, [(0, 1), (2, 3)])
         assert any(v.kind == "connectivity" for v in tp.validate_dag(net))
 
+    def test_weight_keys_that_name_no_edge_reported(self):
+        w_d = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 0.7}
+        w_p = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 0.5}
+        net = tp.DagNetwork(3, [(0, 1), (1, 2)], w_d, w_p)
+        assert [(v.kind, v.where) for v in tp.validate_dag(net)] == [
+            ("weight-key", (0, 2)),
+            ("weight-key", (2, 0)),
+        ]
+
     def test_bad_weight_sum_flagged(self):
         net = tp.DagNetwork.from_cover_edges(3, [(0, 2, 0.5, 1.0), (1, 2, 0.4, 1.0)])
         assert any(v.kind == "weight-sum" for v in tp.validate_dag(net))
@@ -458,9 +486,34 @@ class TestTopologicalOrder:
         tp.enumerate_updown_paths(net, 0, 1)
         cf.dag_block_p(system, net, relax)
         assert len(calls) == 1
+        assert net.schedule.order.tolist() == list(net.order)
         order = tp.topological_order(net)
         order.reverse()  # a copy: the cached order is untouched
         assert tp.topological_order(net) == [0, 1, 2, 3, 4, 5] and net.order == (0, 1, 2, 3, 4, 5)
+
+    def test_one_walk_serves_every_tree_route(self, monkeypatch):
+        # a tree walks its levels once, on first use; construction, validation,
+        # the solver's pass, the affine map, sweeps and admissibility read them
+        calls = []
+        kahn = tp._kahn
+        monkeypatch.setattr(tp, "_kahn", lambda *args: calls.append(args) or kahn(*args))
+        net = seven_node_tree()
+        system = ex.random_tree_system(3, net, dim=3)
+        relax = sv.RelaxationAssignment.uniform(net.node_count)
+        assert tp.validate_tree(net) == []
+        sv.solve(system, net, relax)
+        cf.tree_affine(system, net, relax)
+        cf.restricted_rho(system, net, np.ones((net.node_count, 3)))
+        cf.check_admissibility(system, net, tp.root_subtree_partition(net), relax)
+        assert len(calls) == 1
+        assert net.levels == ((0,), (1, 2), (3, 4, 5, 6, 7))
+        assert net.schedule.order.tolist() == list(net.order) == list(range(8))
+
+    def test_order_is_the_levels_one_after_another(self):
+        # a walk that always takes the least ready id would take 1 before 2
+        net = tp.DagNetwork.from_cover_edges(5, [(0, 1), (2, 3), (1, 4), (3, 4)])
+        assert net.levels == ((0, 2), (1, 3), (4,))
+        assert tp.topological_order(net) == [0, 2, 1, 3, 4]
 
 
 class TestUpDownPaths:
