@@ -450,16 +450,15 @@ def cmd_analyze(args) -> int:
         payload["unit_scale_admissible"] = admissibility.unit_scale_admissible
     it = cf.tree_affine(sys_, net, relax)
     dichotomy = cf.eigen_dichotomy_check(it, sys_)
-    spectrum = cf.eigenvalues(it.B)
     payload["rho_restricted"] = dichotomy.rho_restricted
-    payload["eigenvalues"] = [[z.real, z.imag] for z in spectrum.eigenvalues]
+    payload["eigenvalues"] = [[z.real, z.imag] for z in dichotomy.eigenvalues]
     payload["unit_eigenvalue_count"] = dichotomy.unit_count
     payload["nullity"] = dichotomy.nullity
     payload["dichotomy_holds"] = dichotomy.holds
     _write_json(os.path.join(out_dir, "spectral_report.json"), payload)
     if (args.format or cfg.output_format) == "csv":
         lines = ["re,im,modulus"]
-        for z in spectrum.eigenvalues:
+        for z in dichotomy.eigenvalues:
             lines.append(f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}")
         ex._write_atomic(os.path.join(out_dir, "eigenvalues.csv"), "\n".join(lines))
     print(

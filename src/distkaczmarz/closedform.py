@@ -11,19 +11,25 @@ that per axis and interpolates whenever that grid has at most the square root
 of the sweep's point count and its maps are small enough to interpolate within
 ``SWEEP_INTERPOLATION_ROUNDING``; any other sweep hands the kernel one chunk
 of relaxation columns per push.  The DAG stationarity conditions and
-least-squares targets, per-path sums in the paper, are kernel pushes and
-per-node path masses, so no analysis enumerates paths.  The paper's
-alternative forms stay as independent cross-checks of its lemmas: the
-successive over-relaxation factorization along dispersion paths, the product
-of relaxed projections grouped by subnetworks, and the up-down path sums of
-the DAG block matrix.  The module also computes restricted operator norms,
-fixed points and admissibility verdicts, in time linear in the group sizes
-(one walk per group; one stacked-rows norm gives a leaf group's bounds).
+least-squares targets, per-path sums in the paper, are block-row sums of the
+assembled map and per-node path masses, so no analysis enumerates paths or
+pushes the kernel a second time.  The paper's alternative forms stay as
+independent cross-checks of its lemmas: the successive over-relaxation
+factorization along dispersion paths, the product of relaxed projections
+grouped by subnetworks, and the up-down path sums of the DAG block matrix.
+The module also computes restricted operator norms, fixed points and
+admissibility verdicts, in time linear in the group sizes (one walk per
+group; one stacked-rows norm gives a leaf group's bounds).
 Every restriction to the row space (tree and DAG spectral radii, fixed
 points, least-squares targets) works on one checked column matrix of an
-orthonormal basis; the DAG's stacked row space is ``kron(I_s, q)``.
+orthonormal basis; the DAG's stacked row space is ``kron(I_s, q)``.  An
+:class:`AffineIteration` restricts itself once per basis, so one ``Q* B Q``
+and one eigensolve serve both its restricted radius and its fixed point.
 
 Everything here is pure construction over immutable inputs and thread-safe.
+The one cache, an affine map's last restriction, is filled by a single
+attribute write of a value computed from the map and the basis alone, so a
+race between threads only computes equal values twice.
 """
 
 from __future__ import annotations
@@ -39,13 +45,13 @@ from .errors import ApplicabilityError, DimensionError, NonContractionError, Par
 from .numerics import (
     _checked_columns,
     _eigvals,
+    _sorted_spectrum,
     as_vector,
     eigenvalues,
     gram,
     orthonormal_basis,
     operator_norm_on_span,
     read_only_copy,
-    spectral_radius,
     spectral_radius_on_span,
 )
 from .solver import (
@@ -80,6 +86,9 @@ SWEEP_CHUNK_COLUMNS = 1536
 # restricted map, the accuracy the per-point route is held to; a sweep whose
 # tensor grid could add more pushes every column instead.
 SWEEP_INTERPOLATION_ROUNDING = 1e-12
+# The restricted radius of a bare matrix, which has no cached restriction to
+# share, stays importable from this module beside the maps' own.
+spectral_radius_on_span = spectral_radius_on_span
 
 
 def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.ndarray:
@@ -96,8 +105,32 @@ def row_space_basis(sys: LinearSystem) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
+class Restriction:
+    """The linear part of an affine map on the stacked span of one orthonormal basis.
+
+    ``q`` holds the checked ``(d, r)`` basis columns, ``Q = kron(I_s, q)``
+    the stacked columns and ``R = Q* B Q`` the restricted map, all three
+    read-only copies.  ``rho`` is the largest modulus of R's eigenvalues, 0
+    for an empty basis.
+    """
+
+    q: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    rho: float
+
+    def __post_init__(self):
+        for name in ("q", "Q", "R"):  # q may view the caller's basis array
+            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
+
+
+@dataclass(frozen=True)
 class AffineIteration:
-    """One iteration as the affine map x -> B x + c."""
+    """One iteration as the affine map x -> B x + c.
+
+    :meth:`restriction` keeps its last result outside the dataclass fields,
+    so equality and repr see only B and c.
+    """
 
     B: np.ndarray
     c: np.ndarray
@@ -105,9 +138,28 @@ class AffineIteration:
     def __post_init__(self):
         object.__setattr__(self, "B", read_only_copy(self.B))
         object.__setattr__(self, "c", read_only_copy(self.c))
+        object.__setattr__(self, "_restricted", None)
 
     def apply(self, x) -> np.ndarray:
         return self.B @ as_vector(x) + self.c
+
+    def restriction(self, basis: Sequence[np.ndarray], s: int = 1) -> Restriction:
+        """B on the row space of ``s`` stacked blocks, given an orthonormal basis of one block.
+
+        One restriction and one eigensolve per map and basis: the result for
+        the last basis is kept and returned again while the checked columns
+        are equal by value.
+        """
+        q = _checked_columns(basis, self.B.shape[0] // s)
+        last = self._restricted
+        if last is not None and np.array_equal(last.q, q):
+            return last
+        # kron(I_s, q) as np.kron forms it, one broadcast product without its overhead
+        big_q = (np.eye(s)[:, None, :, None] * q[:, None, :]).reshape(s * q.shape[0], -1)
+        r = big_q.conj().T @ self.B @ big_q
+        out = Restriction(q, big_q, r, float(np.max(np.abs(_eigvals(r)), initial=0.0)))
+        object.__setattr__(self, "_restricted", out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -406,16 +458,12 @@ def weighted_ls_minimizer(
     return q @ np.linalg.solve(m, rhs)
 
 
-def _fixed_point_on(it: AffineIteration, q: np.ndarray) -> np.ndarray:
-    """Fixed point of ``it`` on the span of the orthonormal columns of ``q``."""
-    if not q.shape[1]:
-        return np.zeros(q.shape[0], dtype=np.complex128)
-    b_res = q.conj().T @ it.B @ q
-    rho = spectral_radius(b_res)
-    if rho >= 1.0:
-        raise NonContractionError(f"restricted spectral radius {rho:.6f} >= 1")
-    eta = np.linalg.solve(np.eye(q.shape[1], dtype=np.complex128) - b_res, q.conj().T @ it.c)
-    return q @ eta
+def _fixed_point_on(it: AffineIteration, res: Restriction) -> np.ndarray:
+    """Fixed point of ``it`` on the span of ``res.Q``: one solve of ``(I - R) eta = Q* c``."""
+    if res.rho >= 1.0:
+        raise NonContractionError(f"restricted spectral radius {res.rho:.6f} >= 1")
+    eye = np.eye(res.R.shape[0], dtype=np.complex128)
+    return res.Q @ np.linalg.solve(eye - res.R, res.Q.conj().T @ it.c)
 
 
 def fixed_point(it: AffineIteration, row_space_basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -424,13 +472,15 @@ def fixed_point(it: AffineIteration, row_space_basis: Sequence[np.ndarray]) -> n
     Requires the restricted spectral radius to be below 1; otherwise the
     iteration does not contract there and no limit exists.
     """
-    return _fixed_point_on(it, _checked_columns(row_space_basis, it.B.shape[0]))
+    return _fixed_point_on(it, it.restriction(row_space_basis))
 
 
 @dataclass(frozen=True)
 class DichotomyReport:
     """Eigenvalue split of the iteration matrix: unit eigenvalues against
-    strictly contracting ones, with the measured margin."""
+    strictly contracting ones, with the measured margin.  ``eigenvalues``
+    lists the checked spectrum in :class:`~distkaczmarz.numerics.Spectrum`
+    order."""
 
     unit_count: int
     nullity: int
@@ -439,11 +489,18 @@ class DichotomyReport:
     margin: float
     rho_restricted: float
     holds: bool
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
 
 
 def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyReport:
-    """Verify every eigenvalue is 1 (on the null space) or strictly inside the disc."""
-    vals, vecs = np.linalg.eig(it.B)
+    """Verify every eigenvalue is 1 (on the null space) or strictly inside the disc.
+
+    Two eigenproblems: ``eig(B)`` for the check, whose eigenvalues the
+    report lists, and the map's row-space :meth:`~AffineIteration.restriction`
+    for ``rho_restricted``.  A B with zero imaginary part goes to the real
+    solver, as in :func:`~distkaczmarz.numerics.eigenvalues`.
+    """
+    vals, vecs = np.linalg.eig(it.B if it.B.imag.any() else it.B.real)
     mat = sys.system_matrix()
     basis = row_space_basis(sys)
     nullity = sys.ambient_dim - len(basis)
@@ -455,7 +512,6 @@ def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyRe
             in_null = False
     others = np.abs(vals[~unit])
     max_other = float(np.max(others)) if others.size else 0.0
-    rho_res = spectral_radius_on_span(it.B, basis)
     holds = bool(int(np.sum(unit)) == nullity and in_null and max_other < 1.0)
     return DichotomyReport(
         unit_count=int(np.sum(unit)),
@@ -463,8 +519,9 @@ def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyRe
         unit_vectors_in_null_space=in_null,
         max_other_modulus=max_other,
         margin=1.0 - max_other,
-        rho_restricted=rho_res,
+        rho_restricted=it.restriction(basis).rho,
         holds=holds,
+        eigenvalues=_sorted_spectrum(vals.astype(np.complex128)),
     )
 
 
@@ -562,11 +619,14 @@ class BlockStructure:
     """The DAG iteration as a block map over the stacked minimal-node estimates.
 
     ``aggregate`` is the block map from the pass kernel at the effective
-    relaxation ``omega`` (a read-only copy): block i is the estimate that
-    minimal node i pools.  The paper writes block i as ``sum_j w[i, j]
-    chain_j``, a pooled sum of per-path SOR maps; the kernel carries that
-    sum without enumerating the paths, and ``masses`` holds the per-node
-    totals of the pooled weights.
+    relaxation: block i is the estimate that minimal node i pools.  The
+    paper writes block i as ``sum_j w[i, j] chain_j``, a pooled sum of
+    per-path SOR maps; the kernel carries that sum without enumerating the
+    paths, and ``masses`` holds the per-node totals of the pooled weights.
+    The restricted radius, the fixed point and the stationarity conditions
+    are all read from ``aggregate``: the first two share its one cached
+    :meth:`~AffineIteration.restriction` per basis, and the conditions are
+    its block-row sums, so no analysis pushes the kernel again.
     """
 
     aggregate: AffineIteration
@@ -574,7 +634,6 @@ class BlockStructure:
     block_size: int
     system: LinearSystem = field(repr=False)
     kernel: _Pass = field(repr=False)
-    omega: np.ndarray = field(repr=False)
 
     @property
     def s(self) -> int:
@@ -591,13 +650,15 @@ class BlockStructure:
         Block i evaluates ``sum_j w[i, j] S_j* (D_j + O_j L_j)^-1 O_j
         (b_j - S_j z_i)``: the pooled normal-equation residual of block i
         against every dispersion path.  Each term is the step ``chain_j(z_i)
-        - z_i`` and each row of w sums to 1, so one kernel push does it:
-        column i starts at ``z_i`` on every minimal node, and column i of
-        pooled block i, minus ``z_i``, is the condition value.
+        - z_i`` and each row of w sums to 1, so the value is the pass from
+        ``z_i`` on every minimal node, read off the assembled map:
+        ``(sum_j B_ij - I) z_i + c_i``, one block-row sum and one batched
+        product.
         """
-        z = np.column_stack([as_vector(blocks[i]) for i in range(self.s)])
-        pooled = self.kernel.push([z] * self.s, np.ones(self.s), self.omega)
-        return [pooled[i][:, i] - z[:, i] for i in range(self.s)]
+        s, n = self.s, self.block_size
+        z = np.stack([as_vector(blocks[i]) for i in range(s)])[:, :, None]
+        rows = self.aggregate.B.reshape(s, n, s, n).sum(axis=2)  # rows[i] = sum_j B_ij
+        return list((rows @ z - z)[:, :, 0] + self.aggregate.c.reshape(s, n))
 
     def condition_residual(self, blocks: Sequence[np.ndarray]) -> float:
         return float(np.linalg.norm(np.concatenate(self.condition_values(blocks))))
@@ -613,15 +674,14 @@ def dag_block_structure(
     the pooled per-path SOR maps, equals it and stays a cross-check.
     """
     _require_valid(sys, net, (DagNetwork,), relax)
-    kernel, omega = _Pass(sys, net), read_only_copy(relax.effective())
-    (b,), (c,) = kernel.affine(omega)
+    kernel = _Pass(sys, net)
+    (b,), (c,) = kernel.affine(relax.effective())
     return BlockStructure(
         aggregate=AffineIteration(B=b, c=c),
         minimal_nodes=net.minimal_nodes,
         block_size=sys.ambient_dim,
         system=sys,
         kernel=kernel,
-        omega=omega,
     )
 
 
@@ -631,9 +691,8 @@ def _block_columns(s: int, row_basis: Sequence[np.ndarray], dim: int) -> np.ndar
 
 
 def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> float:
-    """Spectral radius of the block map restricted to the stacked row space."""
-    qs = _block_columns(bs.s, row_basis, bs.block_size)
-    return spectral_radius(qs.conj().T @ bs.aggregate.B @ qs)
+    """Spectral radius of the block map restricted to the stacked row space; 0 on an empty basis."""
+    return bs.aggregate.restriction(row_basis, bs.s).rho
 
 
 def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
@@ -774,8 +833,8 @@ def dag_fixed_point(
     :class:`NonContractionError` when the restricted block map does not
     contract.
     """
-    qs = _block_columns(bs.s, row_basis, bs.block_size)
-    blocks = np.split(_fixed_point_on(bs.aggregate, qs), bs.s)
+    res = bs.aggregate.restriction(row_basis, bs.s)
+    blocks = np.split(_fixed_point_on(bs.aggregate, res), bs.s)
     return blocks, bs.condition_residual(blocks)
 
 

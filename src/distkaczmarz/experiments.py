@@ -354,8 +354,7 @@ def lsq_limit_study(
         except NonContractionError:
             rows.append(LimitRow(scale=s, distance=float("nan"), iterations=0, contractive=False))
             continue
-        rho = cf.spectral_radius_on_span(it.B, basis)
-        budget = iteration_budget(rho, target=1e-12)
+        budget = iteration_budget(it.restriction(basis).rho, target=1e-12)
         report = solve(
             sys, net, scaled, SolverConfig(max_iterations=budget, step_tolerance=1e-12)
         )

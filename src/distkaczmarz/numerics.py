@@ -16,7 +16,9 @@ Every restriction to a subspace, here and in
 Eigenvalues come back as ``complex128`` either way, but a matrix or stack
 whose imaginary part is exactly zero (every real system, and every map built
 from one) is handed to the real LAPACK solver, which is about twice as fast
-on small matrices and returns conjugate pairs exactly.
+on small matrices and returns conjugate pairs exactly.  :func:`spectral_radius`
+reads the largest modulus straight from the solver's output; only
+:func:`eigenvalues` sorts.
 
 All functions are pure and safe to call concurrently.
 """
@@ -75,13 +77,20 @@ def eigenvalues(m) -> Spectrum:
     Raises :class:`NumericalFailureError` if the underlying QR iteration
     fails to converge within the backend's sweep limit.
     """
+    vals = _sorted_spectrum(_eigvals(_nonempty_square(m)))
+    return Spectrum(eigenvalues=vals, radius=float(np.max(np.abs(vals))))
+
+
+def _sorted_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues in :class:`Spectrum` order: decreasing modulus, then real and imaginary part."""
+    return vals[np.lexsort((vals.imag, vals.real, -np.abs(vals)))]
+
+
+def _nonempty_square(m) -> np.ndarray:
     a = as_matrix(m, square=True)
     if a.shape[0] < 1:
         raise DimensionError("matrix must have dimension >= 1")
-    vals = _eigvals(a)
-    order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
-    vals = vals[order]
-    return Spectrum(eigenvalues=vals, radius=float(np.max(np.abs(vals))))
+    return a
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
@@ -100,7 +109,8 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
 
 
 def spectral_radius(m) -> float:
-    return eigenvalues(m).radius
+    """Largest eigenvalue modulus of a square matrix, read without sorting the spectrum."""
+    return float(np.max(np.abs(_eigvals(_nonempty_square(m)))))
 
 
 def gram(vectors) -> np.ndarray:

@@ -424,3 +424,34 @@ def pathwise_blocks(sys, net, relax):
             const += w * path_affines[j].c
         per_minimal.append((row, const))
     return PathwiseBlocks(paths, weights, factors, path_affines, per_minimal, minimal, n)
+
+
+def fresh_restriction(b, c, basis, dim, s=1):
+    """``(rho, fixed point)`` of ``x -> b x + c`` on ``kron(I_s, q)``, built afresh on every call.
+
+    q stacks the basis vectors of C^dim as columns.  ``R = Q* b Q`` goes to
+    ``np.linalg.eigvals`` (given its real part when its imaginary part is
+    exactly zero, which is how the package picks the real solver) and the
+    fixed point to one ``solve`` of ``(I - R) eta = Q* c``; the fixed point
+    is None when rho >= 1.  Nothing is cached.
+    """
+    q = np.asarray(basis, dtype=np.complex128).reshape(-1, dim).T
+    big_q = np.kron(np.eye(s), q)
+    r = big_q.conj().T @ np.asarray(b) @ big_q
+    rho = float(np.max(np.abs(np.linalg.eigvals(r if r.imag.any() else r.real)), initial=0.0))
+    if rho >= 1.0:
+        return rho, None
+    eye = np.eye(r.shape[0], dtype=np.complex128)
+    return rho, big_q @ np.linalg.solve(eye - r, big_q.conj().T @ c)
+
+
+def pushed_condition_values(bs, omega, blocks):
+    """The DAG stationarity conditions by one more push of the kernel at ``omega``.
+
+    Column i starts at ``z_i`` on every minimal node; column i of pooled
+    block i, minus ``z_i``, is block i's value, ``sum_j w[i, j]
+    (chain_j(z_i) - z_i)``, as each row of w sums to 1.
+    """
+    z = np.column_stack([np.asarray(b, dtype=np.complex128) for b in blocks])
+    pooled = bs.kernel.push([z] * bs.s, np.ones(bs.s), omega)
+    return [pooled[i][:, i] - z[:, i] for i in range(bs.s)]

@@ -134,6 +134,15 @@ class TestSpectralRadius:
                 nm.spectral_radius(m), rel=1e-8
             )
 
+    def test_unsorted_radius_equals_the_spectrum_s(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5, 9):
+            real = rng.standard_normal((n, n))
+            for m in (real, real + 1j * rng.standard_normal((n, n))):
+                assert nm.spectral_radius(m) == nm.eigenvalues(m).radius
+        with pytest.raises(DimensionError):
+            nm.spectral_radius(np.zeros((0, 0)))
+
 
 class TestGram:
     def test_orthonormal_pair(self):
@@ -359,3 +368,10 @@ class TestOperatorNormOnSpan:
 
     def test_empty_basis(self):
         assert nm.operator_norm_on_span(np.eye(2), []) == 0.0
+
+    def test_empty_basis_gives_the_same_answer_on_every_route(self):
+        bs = _figure_dag_blocks()
+        assert cf.dag_restricted_rho(bs, []) == 0.0
+        assert nm.spectral_radius_on_span(bs.aggregate.B, []) == 0.0
+        blocks, _ = cf.dag_fixed_point(bs, [])
+        assert len(blocks) == bs.s and not np.any(blocks)
