@@ -45,6 +45,8 @@ from .errors import ApplicabilityError, DimensionError, NonContractionError, Par
 from .numerics import (
     _checked_columns,
     _eigvals,
+    _max_modulus,
+    _real_if_exact,
     _sorted_spectrum,
     as_vector,
     eigenvalues,
@@ -86,8 +88,8 @@ SWEEP_CHUNK_COLUMNS = 1536
 # restricted map, the accuracy the per-point route is held to; a sweep whose
 # tensor grid could add more pushes every column instead.
 SWEEP_INTERPOLATION_ROUNDING = 1e-12
-# The restricted radius of a bare matrix, which has no cached restriction to
-# share, stays importable from this module beside the maps' own.
+# Re-exported for the bare-matrix analyses (bench/workloads.py); this read is
+# the import's use that tests/test_imports.py requires of every module.
 spectral_radius_on_span = spectral_radius_on_span
 
 
@@ -104,14 +106,25 @@ def row_space_basis(sys: LinearSystem) -> list[np.ndarray]:
     return orthonormal_basis(sys.rows)
 
 
+def _block_columns(s: int, q: np.ndarray) -> np.ndarray:
+    """The row space of s stacked estimates, ``kron(I_s, q)``, from checked columns ``q``.
+
+    One broadcast product, bit for bit what ``np.kron`` returns, without
+    its overhead (about 20 against 6 us), which a tree analysis pays on
+    every fixed point.
+    """
+    return (np.eye(s)[:, None, :, None] * q[:, None, :]).reshape(s * q.shape[0], -1)
+
+
 @dataclass(frozen=True)
 class Restriction:
     """The linear part of an affine map on the stacked span of one orthonormal basis.
 
     ``q`` holds the checked ``(d, r)`` basis columns, ``Q = kron(I_s, q)``
     the stacked columns and ``R = Q* B Q`` the restricted map, all three
-    read-only copies.  ``rho`` is the largest modulus of R's eigenvalues, 0
-    for an empty basis.
+    read-only.  ``q`` is copied, as it may view the caller's basis; ``Q``
+    and ``R`` are taken as built and marked read-only in place.  ``rho`` is
+    the largest modulus of R's eigenvalues, 0 for an empty basis.
     """
 
     q: np.ndarray
@@ -120,8 +133,8 @@ class Restriction:
     rho: float
 
     def __post_init__(self):
-        for name in ("q", "Q", "R"):  # q may view the caller's basis array
-            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
+        object.__setattr__(self, "q", read_only_copy(self.q))
+        self.Q.flags.writeable = self.R.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -154,10 +167,9 @@ class AffineIteration:
         last = self._restricted
         if last is not None and np.array_equal(last.q, q):
             return last
-        # kron(I_s, q) as np.kron forms it, one broadcast product without its overhead
-        big_q = (np.eye(s)[:, None, :, None] * q[:, None, :]).reshape(s * q.shape[0], -1)
+        big_q = _block_columns(s, q)
         r = big_q.conj().T @ self.B @ big_q
-        out = Restriction(q, big_q, r, float(np.max(np.abs(_eigvals(r)), initial=0.0)))
+        out = Restriction(q, big_q, r, _max_modulus(r))
         object.__setattr__(self, "_restricted", out)
         return out
 
@@ -500,7 +512,7 @@ def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyRe
     for ``rho_restricted``.  A B with zero imaginary part goes to the real
     solver, as in :func:`~distkaczmarz.numerics.eigenvalues`.
     """
-    vals, vecs = np.linalg.eig(it.B if it.B.imag.any() else it.B.real)
+    vals, vecs = np.linalg.eig(_real_if_exact(it.B))
     mat = sys.system_matrix()
     basis = row_space_basis(sys)
     nullity = sys.ambient_dim - len(basis)
@@ -685,11 +697,6 @@ def dag_block_structure(
     )
 
 
-def _block_columns(s: int, row_basis: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """The row space of s stacked estimates, ``kron(I_s, q)``; orthonormal as ``q`` is checked."""
-    return np.kron(np.eye(s), _checked_columns(row_basis, dim))
-
-
 def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> float:
     """Spectral radius of the block map restricted to the stacked row space; 0 on an empty basis."""
     return bs.aggregate.restriction(row_basis, bs.s).rho
@@ -808,7 +815,8 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     if omega.ndim != 2 or omega.shape[0] != net.node_count or omega.shape[1] < 1:
         raise DimensionError(f"omega must be a ({net.node_count}, G >= 1) stack, got {omega.shape}")
     kernel = _Pass(sys, net)
-    qs = _block_columns(len(kernel.sources), row_space_basis(sys), sys.ambient_dim)
+    q = _checked_columns(row_space_basis(sys), sys.ambient_dim)
+    qs = _block_columns(len(kernel.sources), q)
     step = max(1, SWEEP_CHUNK_COLUMNS // kernel.width)
 
     def restrict(cols: np.ndarray) -> np.ndarray:

@@ -100,17 +100,25 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
     which returns conjugate pairs exactly.  Failures are raised as
     :class:`NumericalFailureError`.
     """
-    if np.iscomplexobj(a) and not a.imag.any():
-        a = a.real
     try:
-        return np.linalg.eigvals(a).astype(np.complex128, copy=False)
+        return np.linalg.eigvals(_real_if_exact(a)).astype(np.complex128, copy=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise NumericalFailureError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a``, or its real part for the real solver when its imaginary part is exactly zero."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
+def _max_modulus(a: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a square matrix, read without sorting; 0 for a 0x0 one."""
+    return float(np.max(np.abs(_eigvals(a)), initial=0.0))
+
+
 def spectral_radius(m) -> float:
-    """Largest eigenvalue modulus of a square matrix, read without sorting the spectrum."""
-    return float(np.max(np.abs(_eigvals(_nonempty_square(m)))))
+    """Largest eigenvalue modulus of a nonempty square matrix, read without sorting the spectrum."""
+    return _max_modulus(_nonempty_square(m))
 
 
 def gram(vectors) -> np.ndarray:
@@ -205,6 +213,5 @@ def restrict_to_span(m, basis) -> np.ndarray:
 
 
 def spectral_radius_on_span(m, basis) -> float:
-    """Spectral radius of ``m`` restricted to the span of an orthonormal basis."""
-    restricted = restrict_to_span(m, basis)
-    return spectral_radius(restricted) if restricted.size else 0.0
+    """Spectral radius of ``m`` on the span of an orthonormal basis; 0 for an empty basis."""
+    return _max_modulus(restrict_to_span(m, basis))
