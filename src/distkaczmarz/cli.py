@@ -34,6 +34,7 @@ text (no color), so ``NO_COLOR`` is honored trivially.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -400,10 +401,8 @@ def cmd_solve(args) -> int:
             lines.append(f"{i},{s:.12g},{r:.12g}")
         ex._write_atomic(os.path.join(out_dir, "solve_trace.csv"), "\n".join(lines))
     last_step = report.step_norms[-1] if report.step_norms else 0.0
-    last_res = report.residual_norms[-1] if report.residual_norms else (
-        cfg.system.residual_norm(report.final_estimates)
-        if isinstance(report.final_estimates, np.ndarray)
-        else max(cfg.system.residual_norm(b) for b in report.final_estimates)
+    last_res = report.residual_norms[-1] if report.residual_norms else max(
+        map(cfg.system.residual_norm, np.atleast_2d(report.final_estimates))
     )
     print(
         f"{payload['outcome']}: iterations={report.iterations_used} "
@@ -517,7 +516,13 @@ def cmd_config_dump(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later one.
+
+    Parsing leaves no state in it: no action appends or counts, and each
+    subcommand's ``func`` default is constant.
+    """
     parser = argparse.ArgumentParser(
         prog="distkaczmarz",
         description="Distributed Kaczmarz solvers on trees and DAGs",
@@ -562,8 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

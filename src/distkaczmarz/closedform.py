@@ -55,6 +55,7 @@ from .numerics import (
     operator_norm_on_span,
     read_only_copy,
     spectral_radius_on_span,
+    value_dataclass,
 )
 from .solver import (
     LinearSystem,
@@ -116,7 +117,7 @@ def _block_columns(s: int, q: np.ndarray) -> np.ndarray:
     return (np.eye(s)[:, None, :, None] * q[:, None, :]).reshape(s * q.shape[0], -1)
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class Restriction:
     """The linear part of an affine map on the stacked span of one orthonormal basis.
 
@@ -137,7 +138,7 @@ class Restriction:
         self.Q.flags.writeable = self.R.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class AffineIteration:
     """One iteration as the affine map x -> B x + c.
 
@@ -174,7 +175,7 @@ class AffineIteration:
         return out
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class PathSorFactors:
     """Over-relaxation factor matrices of one dispersion chain.
 
@@ -233,8 +234,8 @@ def tree_affine(
     the leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
     """
     _require_valid(sys, net, (TreeNetwork,), relax)
-    (b,), (c,) = _Pass(sys, net).affine(relax.effective())
-    return AffineIteration(B=b, c=c)
+    (m,) = _Pass(sys, net).affine(relax.effective())
+    return AffineIteration(B=m[:, :-1], c=m[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +488,7 @@ def fixed_point(it: AffineIteration, row_space_basis: Sequence[np.ndarray]) -> n
     return _fixed_point_on(it, it.restriction(row_space_basis))
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class DichotomyReport:
     """Eigenvalue split of the iteration matrix: unit eigenvalues against
     strictly contracting ones, with the measured margin.  ``eigenvalues``
@@ -638,7 +639,8 @@ class BlockStructure:
     The restricted radius, the fixed point and the stationarity conditions
     are all read from ``aggregate``: the first two share its one cached
     :meth:`~AffineIteration.restriction` per basis, and the conditions are
-    its block-row sums, so no analysis pushes the kernel again.
+    its block-row sums, so no analysis pushes the kernel again.  Equality
+    compares the map, nodes and system by value and the kernel by identity.
     """
 
     aggregate: AffineIteration
@@ -687,9 +689,9 @@ def dag_block_structure(
     """
     _require_valid(sys, net, (DagNetwork,), relax)
     kernel = _Pass(sys, net)
-    (b,), (c,) = kernel.affine(relax.effective())
+    (m,) = kernel.affine(relax.effective())
     return BlockStructure(
-        aggregate=AffineIteration(B=b, c=c),
+        aggregate=AffineIteration(B=m[:, :-1], c=m[:, -1]),
         minimal_nodes=net.minimal_nodes,
         block_size=sys.ambient_dim,
         system=sys,
@@ -820,7 +822,7 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     step = max(1, SWEEP_CHUNK_COLUMNS // kernel.width)
 
     def restrict(cols: np.ndarray) -> np.ndarray:
-        return qs.conj().T @ kernel.affine(cols)[0] @ qs
+        return qs.conj().T @ kernel.affine(cols)[..., :-1] @ qs
 
     maps = _interpolated(kernel, omega, restrict) or restrict
     return np.concatenate(

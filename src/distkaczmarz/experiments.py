@@ -311,11 +311,9 @@ def compare_structures(
     baseline: float = 1.5,
 ) -> tuple[SweepResult, SweepResult]:
     """Side-by-side 1-d sweeps with one shared parameter over each structure."""
-    axes_a = [tuple(sorted(set().union(*structure_a.groups)))]
-    axes_b = [tuple(sorted(set().union(*structure_b.groups)))]
-    return (
-        omega_sweep(sys, net, grid, axes_a, baseline=baseline),
-        omega_sweep(sys, net, grid, axes_b, baseline=baseline),
+    return tuple(
+        omega_sweep(sys, net, grid, [tuple(sorted(set().union(*part.groups)))], baseline=baseline)
+        for part in (structure_a, structure_b)
     )
 
 
@@ -448,11 +446,8 @@ def _residual_after(
     relax: RelaxationAssignment,
     iterations: int,
 ) -> float:
-    report = solve(
-        sys, net, relax, SolverConfig(max_iterations=iterations, step_tolerance=1e-300)
-    )
-    state = report.final_estimates
-    return sys.residual_norm(state)
+    config = SolverConfig(max_iterations=iterations, step_tolerance=1e-300)
+    return sys.residual_norm(solve(sys, net, relax, config).final_estimates)
 
 
 def _network_report(
@@ -557,12 +552,8 @@ def reproduce(experiment_id: str, seed: int, out_dir: str | None = None) -> dict
         bundle["csv"]["sweep_leaf.csv"] = sweep_to_csv(leaf)
         bundle["csv"]["sweep_extended.csv"] = sweep_to_csv(extended)
         bundle["rows"] = [
-            {"structure": "leaf", "min_rho": leaf.min_rho, "baseline_rho": leaf.baseline_rho},
-            {
-                "structure": "extended",
-                "min_rho": extended.min_rho,
-                "baseline_rho": extended.baseline_rho,
-            },
+            {"structure": name, "min_rho": result.min_rho, "baseline_rho": result.baseline_rho}
+            for name, result in (("leaf", leaf), ("extended", extended))
         ]
         bundle["assertions"] = [
             {

@@ -25,7 +25,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,28 @@ def read_only_copy(a) -> np.ndarray:
     return out
 
 
+def value_dataclass(cls=None, *, frozen: bool = True):
+    """A dataclass, frozen by default, whose ``==`` is ``np.array_equal`` field by field.
+
+    The generated ``__eq__`` compares tuples of fields, which raises on an
+    array of more than one element.  ``np.array_equal`` compares arrays,
+    lists of arrays and plain values alike, by value; hashing is left as
+    generated.
+    """
+    if cls is None:
+        return lambda c: value_dataclass(c, frozen=frozen)
+    cls = dataclass(frozen=frozen)(cls)
+    names = [f.name for f in fields(cls) if f.compare]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
+
+    cls.__eq__ = __eq__
+    return cls
+
+
 def as_matrix(m, square: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
@@ -63,7 +85,7 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class Spectrum:
     """Eigenvalues (with multiplicity, sorted by decreasing modulus) and their max modulus."""
 

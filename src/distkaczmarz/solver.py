@@ -21,13 +21,16 @@ of a single vector: one column is the engine, identity columns give the
 closed-form affine map of :mod:`distkaczmarz.closedform`, and identity
 columns under a per-column relaxation give a whole chunk of sweep points.
 ``tree_iterate`` and ``dag_iterate`` run it on one column; ``solve``
-assembles the pass map ``x -> B x + c`` once and iterates it, unless
+assembles the pass map ``x -> B x + c`` once, as the one matrix
+``[B | c]``, and iterates it in homogeneous form: each iterate row carries
+a trailing 1, so a pass is one product ``[B | c] @ [x; 1]``.  When
 :func:`solve_route` finds that one pass is cheaper than assembling or
-applying ``B``, and then runs the kernel on one column per iteration.
+applying ``B``, ``solve`` runs the kernel on one column per iteration
+instead.
 Either way ``solve`` has one loop: it fills a block of iterates, one pass
 per row, and takes the norms that decide the stop for the whole block at
-once (64 passes a block on the map, where a pass costs no more than a
-numpy call; 1 on the kernel, where a pass past the stop would be wasted).
+once (64 passes a block on the map, where a pass costs one numpy call; 1
+on the kernel, where a pass past the stop would be wasted).
 
 A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  Every pass
@@ -40,13 +43,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
-from .numerics import as_matrix, as_vector, read_only_copy
+from .numerics import as_matrix, as_vector, read_only_copy, value_dataclass
 from .topology import DagNetwork, TreeNetwork
 
 DIVERGENCE_FACTOR = 1e12
@@ -61,7 +64,7 @@ AFFINE_BLOCK = 64
 RATE_WINDOW = 16  # step ratios behind ``SolveReport.observed_rate``
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class LinearSystem:
     """One equation per node: <x, a_v> = b_v.
 
@@ -111,7 +114,7 @@ def _checked_omega(omega) -> np.ndarray:
     return om
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class RelaxationAssignment:
     """Per-node relaxation parameters plus a uniform scale in (0, 1].
 
@@ -140,7 +143,7 @@ class RelaxationAssignment:
         return RelaxationAssignment(self.omega, scale)
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class SolverConfig:
     max_iterations: int = 10_000
     step_tolerance: float = 1e-10
@@ -155,7 +158,7 @@ class SolverConfig:
             raise ValueError(f"step_tolerance must be a positive finite number, got {tol!r}")
 
 
-@dataclass
+@value_dataclass(frozen=False)
 class SolveReport:
     """Iteration outcome; trace lengths equal ``iterations_used``.
 
@@ -321,22 +324,22 @@ class _Pass:
         """The pass on one estimate vector per minimal node, stacked ``(s, d)``."""
         return self.push(np.asarray(xs)[:, :, None], np.ones(1), omega)[:, :, 0]
 
-    def affine(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def affine(self, omega: np.ndarray) -> np.ndarray:
         """The pass as ``x -> B x + c`` on the stacked minimal-node estimates, per point.
 
         ``omega`` is one point ``(V,)`` or a stack ``(V, G)``.  Minimal node i
         starts from the identity on its own block of columns and a zero
         constant column; ``t`` selects the constant column, so the pooled
         blocks stack into ``[B | c]``.  Point p owns the ``width`` kernel
-        columns from ``p * width``; B and c come back stacked by point.
+        columns from ``p * width``; the maps come back as a ``(G, n, n + 1)``
+        stack of ``[B | c]``, with ``n = s d``, each C-contiguous when G is 1.
         """
         omega = omega.reshape(omega.shape[0], -1)
         points, k = omega.shape[1], self.width - 1
         eye = np.tile(np.eye(k + 1, dtype=np.complex128), points)
         starts = eye[:k].reshape(len(self.sources), self.dim, -1)
         out = self.push(starts, eye[k], np.repeat(omega, k + 1, axis=1))
-        out = out.reshape(k, points, k + 1).transpose(1, 0, 2)
-        return out[:, :, :k], out[:, :, k]
+        return out.reshape(k, points, k + 1).transpose(1, 0, 2)
 
     def masses(self) -> np.ndarray:
         """``masses[i, v]``: total weight with which minimal node i pools the chains through v.
@@ -467,14 +470,18 @@ def solve(
     """Iterate until the step norm falls below tolerance or the budget runs out.
 
     The stopping rule is step-norm based because inconsistent systems keep a
-    nonzero limiting residual.  Each iteration is one pass, run as ``B x + c``
-    on the stacked minimal-node estimates or by the kernel, as
+    nonzero limiting residual.  Each iteration is one pass, run on the
+    stacked minimal-node estimates by the assembled map or by the kernel, as
     :func:`solve_route` picks.  Iterates are made in blocks: a block fills
     one buffer row per pass (``AFFINE_BLOCK`` rows on the affine route, 1 on
     the engine route, where a pass costs more than the norms and a longer
     block would run passes past the stop), then takes the worst block norm,
     step norm and residual norm of every row at once and cuts the block at
-    the first row that stops.  The stops are those of one pass at a time:
+    the first row that stops.  On the affine route row j is ``[x_j; 1]``
+    and a pass is one product ``[B | c] @ [x_j; 1]`` into the first ``s d``
+    entries of row j + 1, through row views bound once per solve; every
+    norm, estimate and report reads the rows without their last column.
+    The stops are those of one pass at a time:
 
     - ``iterations_used`` is 0, with empty traces, when the first step is
       already under tolerance (the initial estimate was stationary);
@@ -491,22 +498,12 @@ def solve(
     state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
     route = solve_route(len(run.sources), run.dim, run.size)
     block = AFFINE_BLOCK if route == "affine" else 1
-    flat = np.empty((block + 1, state.size), dtype=np.complex128)  # row j: iterate j of the block
-    rows = flat.reshape(block + 1, *state.shape)  # the same rows, one block per minimal node
+    buf = np.ones((block + 1, state.size + 1), dtype=np.complex128)  # row j: [iterate j; 1]
+    rows = buf[:, :-1].reshape(block + 1, *state.shape)  # the iterates, one block per minimal node
     rows[0] = state
     if route == "affine":
-        (b,), (c,) = run.affine(omega)
-        b = np.ascontiguousarray(b)
-
-        def advance(j):
-            np.matmul(b, flat[j], out=flat[j + 1])
-            flat[j + 1] += c
-
-    else:
-
-        def advance(j):
-            rows[j + 1] = run.vectors(rows[j], omega)
-
+        (pass_map,) = run.affine(omega)  # [B | c], one product per pass
+        full, heads = list(buf), list(buf[:, :-1])
     a_t, tol = sys.system_matrix().T, config.step_tolerance
     steps: list[float] = []
     residuals: list[float] = []
@@ -516,10 +513,13 @@ def solve(
         bound = DIVERGENCE_FACTOR * (1.0 + _worst_norms(rows[:1])[0])
         while stop is None and used < config.max_iterations:
             k = min(block, config.max_iterations - used)
-            for j in range(k):
-                advance(j)
-            norms = _worst_norms(rows[1 : k + 1])
-            step = _worst_norms(rows[1 : k + 1] - rows[:k])
+            if route == "affine":
+                for j in range(k):
+                    np.matmul(pass_map, full[j], out=heads[j + 1])
+            else:
+                rows[1] = run.vectors(rows[0], omega)
+            both = _worst_norms(np.concatenate((rows[1 : k + 1], rows[1 : k + 1] - rows[:k])))
+            norms, step = both[:k], both[k:]  # iterate and step norms from one reduction
             diverged = ~np.isfinite(norms) | (norms > bound)
             stops = np.flatnonzero(diverged | (step < tol))
             if stops.size:

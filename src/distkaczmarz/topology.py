@@ -39,12 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import AncestryError, ApplicabilityError, CycleError, InvalidNetworkError
 from .errors import PartitionError
+from .numerics import value_dataclass
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_ENUMERATED_PATHS = 100_000  # path enumerations above this count refuse to start
@@ -140,7 +141,8 @@ def _kahn(succ: Mapping[int, Iterable[int]], start: int | None = None) -> list[t
 # Level schedules
 
 
-class Level(NamedTuple):
+@value_dataclass
+class Level:
     """The nodes at positions ``start:stop`` of a schedule, one level, and their in-edges.
 
     Row i of ``pred`` holds the positions of node ``start + i``'s
@@ -158,7 +160,7 @@ class Level(NamedTuple):
     copy: np.ndarray | None
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class Schedule:
     """A network's pass laid out level by level, built once per network.
 

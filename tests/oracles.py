@@ -363,15 +363,15 @@ def stepwise_solve(sys, net, relax, config):
 
     The same route, passes and norms as ``solve``, but every iterate's
     norm, step norm and residual norm is taken on its own right after its
-    pass, so ``solve`` must match it bit for bit.
+    pass, so ``solve`` must match it bit for bit.  On the affine route a
+    pass is the same one product as in ``solve``, ``[B | c] @ [x; 1]``.
     """
     tree = isinstance(net, tp.TreeNetwork)
     run, omega = sv._Pass(sys, net), relax.effective()
     state = sv._initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
     route = sv.solve_route(len(run.sources), run.dim, run.size)
     if route == "affine":
-        (b,), (c,) = run.affine(omega)
-        b = np.ascontiguousarray(b)
+        (pass_map,) = run.affine(omega)  # [B | c]
     a = sys.system_matrix()
 
     def worst(blocks):
@@ -382,7 +382,7 @@ def stepwise_solve(sys, net, relax, config):
     report = sv.SolveReport(final_estimates=None, iterations_used=0, route=route)
     for n in range(1, config.max_iterations + 1):
         if route == "affine":
-            new = (b @ state.ravel() + c).reshape(state.shape)
+            new = (pass_map @ np.append(state.ravel(), 1.0)).reshape(state.shape)
         else:
             new = np.array(run.vectors(state, omega))
         norm = worst(new)

@@ -691,3 +691,16 @@ def test_malformed_config_exits_one_naming_its_field(
     assert captured.err.startswith(f"{field_path}: ")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_main_builds_the_parser_once_and_repeats_its_output(tmp_path, capsys):
+    """Two in-process runs share one argument tree and write the same bundle and stdout."""
+    cli.build_parser.cache_clear()
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert cli.main(["reproduce", "table1", "--seed", "7", "--out", str(out)]) == 0
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1] and runs[0][1]
+    assert cli.build_parser.cache_info().misses == 1

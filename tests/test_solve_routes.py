@@ -223,6 +223,82 @@ def test_divergence_inside_a_block_that_overflows(scale, case):
     assert_same_solve(system, net, relax, config, tol=1e-9)
 
 
+def _pass_map(system, net, relax):
+    """B and c of the assembled pass, split from the ``[B | c]`` that ``solve`` iterates."""
+    (pass_map,) = sv._Pass(system, net).affine(relax.effective())
+    return pass_map[:, :-1], pass_map[:, -1]
+
+
+def _worst(blocks):
+    return float(np.max(np.linalg.norm(blocks, axis=1)))
+
+
+@SETTINGS
+@given(cases(small_networks, st.floats(0.2, 1.8)))
+def test_every_affine_iterate_is_the_pass_map(case):
+    """Iterate t is ``B x + c`` of iterate t - 1 within a few ulps, and only it reaches the report.
+
+    Budgets 1 .. K + 2 cut the run after each pass, across a block edge.
+    Every estimate has the shape of the minimal-node blocks, without the
+    homogeneous entry, and every norm is the norm of the estimates alone.
+    """
+    system, net, relax = case
+    b, c = _pass_map(system, net, relax)
+    a_t = system.system_matrix().T
+    start = np.random.default_rng(net.node_count).standard_normal(system.ambient_dim)
+    prev = np.tile(start, (b.shape[0] // system.ambient_dim, 1))
+    for t in range(1, K + 3):
+        config = sv.SolverConfig(max_iterations=t, step_tolerance=1e-300, initial_estimate=start)
+        report = sv.solve(system, net, relax, config)
+        x = np.array(_blocks(report.final_estimates))
+        assert report.route == "affine" and x.shape == prev.shape
+        want = b @ prev.ravel() + c
+        scale = np.linalg.norm(b, 2) * np.linalg.norm(prev) + np.linalg.norm(c)
+        assert np.linalg.norm(x.ravel() - want) <= 8 * np.finfo(float).eps * scale
+        if report.converged:  # x is a fixed point to the last bit
+            break
+        assert report.iterations_used == t
+        assert report.step_norms[-1] == _worst(x - prev)
+        assert report.residual_norms[-1] == _worst(x @ a_t - system.rhs)
+        prev = x
+
+
+@SETTINGS
+@given(cases(small_networks, st.floats(1e2, 1e4)))
+def test_a_block_that_overflows_reports_only_the_estimates(case):
+    """At ω of 1e2 to 1e4 from a start near 1e140 the iterates overflow inside the block.
+
+    The report is the iterate before the divergence: finite and shaped
+    like the estimates, and the run cut one pass earlier ends on it with
+    finite norms.
+    """
+    system, net, relax = case
+    b, c = _pass_map(system, net, relax)
+    start = 1e140 * np.random.default_rng(net.node_count).standard_normal(system.ambient_dim)
+    config = sv.SolverConfig(max_iterations=K, initial_estimate=start)
+    with pytest.raises(DivergenceError) as err:
+        sv.solve(system, net, relax, config)
+    last = np.array(_blocks(err.value.last_iterate))
+    assert last.shape == (b.shape[0] // system.ambient_dim, system.ambient_dim)
+    assert np.isfinite(last).all()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as want:
+        stepwise_solve(system, net, relax, config)
+    assert err.value.iteration == want.value.iteration
+    assert _exact(err.value.last_iterate, want.value.last_iterate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest = [last.ravel()]
+        for _ in range(K - err.value.iteration):
+            rest.append(b @ rest[-1] + c)
+    assert not np.isfinite(rest).all()  # the block ran past the divergence into overflow
+    if err.value.iteration > 1:
+        cut = sv.SolverConfig(max_iterations=err.value.iteration - 1, initial_estimate=start)
+        report = sv.solve(system, net, relax, cut)
+        assert _exact(report.final_estimates, err.value.last_iterate)
+        assert np.isfinite(report.step_norms + report.residual_norms).all()
+    else:
+        assert np.array_equal(last, np.tile(start, (len(last), 1)))
+
+
 def _counting_vectors(counter):
     vectors = sv._Pass.vectors
 

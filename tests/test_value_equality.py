@@ -1,0 +1,147 @@
+"""Every dataclass of the package compares by value: equal arrays make equal objects.
+
+A dataclass's generated ``__eq__`` compares tuples of fields, which raises
+on arrays of more than one element; the package's dataclasses that hold
+arrays compare them with ``np.array_equal`` instead.  The walk below covers
+every dataclass the package defines, so a new one must be listed here.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+
+import distkaczmarz
+from distkaczmarz import cli
+from distkaczmarz import closedform as cf
+from distkaczmarz import experiments as ex
+from distkaczmarz import numerics as nm
+from distkaczmarz import solver as sv
+from distkaczmarz import topology as tp
+
+
+def system():
+    rows = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0j]])
+    return sv.LinearSystem(rows, np.array([1.0, 2.0, 0.5]))
+
+
+def tree():
+    return tp.TreeNetwork.from_edges(3, 0, [(0, 1), (0, 2)])
+
+
+def dag():
+    return tp.DagNetwork.from_cover_edges(4, [(0, 2), (1, 2), (2, 3)])
+
+
+def relax():
+    return sv.RelaxationAssignment(np.array([1.0, 0.5, 1.5]))
+
+
+def dag_relax():
+    return sv.RelaxationAssignment(np.array([1.0, 0.5, 1.5, 1.2]))
+
+
+def dag_system():
+    return sv.LinearSystem(np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.5]]), np.ones(4))
+
+
+def leaves():
+    return tp.SubnetworkPartition.of([{1, 2}])
+
+
+def tree_map():
+    return cf.tree_affine(system(), tree(), relax())
+
+
+BLOCKS = cf.dag_block_structure(dag_system(), dag(), dag_relax())
+
+
+def block_structure():
+    """A fresh map and system around one kernel, which block structures compare by identity."""
+    fresh = cf.AffineIteration(BLOCKS.aggregate.B, BLOCKS.aggregate.c)
+    return dataclasses.replace(BLOCKS, aggregate=fresh, system=dag_system())
+
+
+# One maker per dataclass; each call builds a new instance from new arrays.
+MAKERS = {
+    cli.RunConfig: lambda: cli.RunConfig(
+        system(), tree(), leaves(), relax(), sv.SolverConfig(), [(1, 2)], ".", "json", {"a": [1]}
+    ),
+    cf.Restriction: lambda: tree_map().restriction(cf.row_space_basis(system())),
+    cf.AffineIteration: tree_map,
+    cf.PathSorFactors: lambda: cf.path_sor_factors(system(), [0, 1], relax()),
+    cf.GroupVerdict: lambda: cf.check_admissibility(system(), tree(), leaves(), relax()).groups[0],
+    cf.AdmissibilityReport: lambda: cf.check_admissibility(system(), tree(), leaves(), relax()),
+    cf.DichotomyReport: lambda: cf.eigen_dichotomy_check(tree_map(), system()),
+    cf.BlockStructure: block_structure,
+    ex.GeneratorSpec: lambda: ex.GeneratorSpec("uniform", 3, 2, 0),
+    ex.SweepResult: lambda: ex.omega_sweep(system(), tree(), [(0.5,), (1.0,)], [(1, 2)]),
+    ex.LimitRow: lambda: ex.LimitRow(0.5, 1e-3, 10, True),
+    nm.Spectrum: lambda: nm.eigenvalues(np.array([[2.0, 1.0], [0.0, 1.0]])),
+    sv.LinearSystem: system,
+    sv.RelaxationAssignment: relax,
+    sv.SolverConfig: lambda: sv.SolverConfig(5, initial_estimate=np.array([1.0, 2.0])),
+    sv.SolveReport: lambda: sv.solve(dag_system(), dag(), dag_relax(), sv.SolverConfig(4)),
+    tp.Violation: lambda: tp.Violation("cycle", "a cycle", (1, 2)),
+    tp.Level: lambda: tree().schedule.levels[1],
+    tp.Schedule: lambda: dag().schedule,
+    tp.TreeNetwork: tree,
+    tp.SubnetworkPartition: leaves,
+    tp.ResolvedGroup: lambda: tp.resolve_groups(tree(), leaves())[0],
+    tp.DagNetwork: dag,
+    tp.UpDownPath: lambda: tp.enumerate_updown_paths(dag(), 0, 1)[0],
+    tp.DispersionPath: lambda: tp.enumerate_dispersion_paths(dag())[0][0],
+}
+
+
+def _package_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(distkaczmarz.__path__):
+        module = importlib.import_module(f"distkaczmarz.{info.name}")
+        for _, obj in inspect.getmembers(module, inspect.isclass):
+            if obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+                found.add(obj)
+    return found
+
+
+def test_every_dataclass_of_the_package_is_walked():
+    assert {c.__qualname__ for c in _package_dataclasses()} == {c.__qualname__ for c in MAKERS}
+
+
+@pytest.mark.parametrize("cls", MAKERS, ids=lambda c: c.__qualname__)
+def test_distinct_equal_instances_compare_equal(cls):
+    a, b = MAKERS[cls](), MAKERS[cls]()
+    assert type(a) is type(b) is cls and a is not b
+    assert a == b and not a != b
+    assert a != object() and not a == object()
+
+
+# One instance per class that holds arrays, and one that differs from it in an array.
+DIFFERENT = {
+    "AffineIteration": (tree_map(), cf.AffineIteration(tree_map().B, tree_map().c + 1.0)),
+    "AffineIteration, other size": (tree_map(), cf.AffineIteration(np.eye(3), np.zeros(3))),
+    "LinearSystem": (system(), sv.LinearSystem(system().rows, np.zeros(3))),
+    "RelaxationAssignment": (relax(), sv.RelaxationAssignment(np.ones(3))),
+    "SolverConfig": (
+        sv.SolverConfig(initial_estimate=np.array([1.0, 2.0])),
+        sv.SolverConfig(initial_estimate=np.array([1.0, 3.0])),
+    ),
+    "SolverConfig, no start": (sv.SolverConfig(initial_estimate=np.zeros(2)), sv.SolverConfig()),
+    "SolveReport": (
+        sv.solve(dag_system(), dag(), dag_relax(), sv.SolverConfig(max_iterations=3)),
+        sv.solve(dag_system(), dag(), dag_relax(), sv.SolverConfig(max_iterations=4)),
+    ),
+    "Spectrum": (nm.eigenvalues(np.eye(2)), nm.eigenvalues(2.0 * np.eye(2))),
+    "Level": (tree().schedule.levels[1], dag().schedule.levels[1]),
+    "Schedule": (tree().schedule, dag().schedule),
+    "Restriction": (MAKERS[cf.Restriction](), tree_map().restriction([np.array([1.0, 0.0])])),
+}
+
+
+@pytest.mark.parametrize("pair", DIFFERENT.values(), ids=list(DIFFERENT))
+def test_instances_that_differ_in_an_array_compare_unequal(pair):
+    a, b = pair
+    assert a != b and not a == b
