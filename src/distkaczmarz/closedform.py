@@ -1,9 +1,13 @@
 """Closed-form one-iteration maps and the analysis built on them.
 
 The dispersion/pooling pass of the solver is an affine map ``x -> B x + c``.
-:func:`tree_affine` and the block map of :func:`dag_block_structure` take it
-from the solver's pass kernel, built once per system and network and pushed
-over identity columns at the given relaxation.  The sweep route
+One builder takes it from the solver's pass kernel, built once per system and
+network and pushed over identity columns at the given relaxation, as a block
+map over the stacked minimal-node estimates: :func:`dag_block_structure`
+returns that map and :func:`tree_affine` its one block, the root's.  The
+least-squares targets are the same one-block case: :func:`weighted_ls_minimizer`
+is block 0 of the per-block normal equations that :func:`dag_ls_minimizer`
+solves, each in the minimal-norm sense.  The sweep route
 :func:`restricted_rho` builds one kernel per sweep.  B is a polynomial in
 each sweep axis's relaxation, of degree at most the axis's node count on one
 dispersion chain, so a sweep pushes the tensor grid of one more node than
@@ -17,9 +21,10 @@ pushes the kernel a second time.  The paper's alternative forms stay as
 independent cross-checks of its lemmas: the successive over-relaxation
 factorization along dispersion paths, the product of relaxed projections
 grouped by subnetworks, and the up-down path sums of the DAG block matrix.
-The module also computes restricted operator norms, fixed points and
-admissibility verdicts, in time linear in the group sizes (one walk per
-group; one stacked-rows norm gives a leaf group's bounds).
+Block norms read one block view, a vector as ``(s, n)`` and a matrix as
+``(r, c, n, n)``.  The module also computes restricted operator norms, fixed
+points and admissibility verdicts, in time linear in the group sizes (one
+walk per group; one stacked-rows norm gives a leaf group's bounds).
 Every restriction to the row space (tree and DAG spectral radii, fixed
 points, least-squares targets) works on one checked column matrix of an
 orthonormal basis; the DAG's stacked row space is ``kron(I_s, q)``.  An
@@ -181,7 +186,8 @@ class PathSorFactors:
 
     ``D`` holds the squared row norms, ``Omega`` the relaxation parameters,
     ``L`` the strictly lower triangle of pairwise row inner products, and
-    ``A_path``/``b_path`` the stacked equations, all in path order.
+    ``A_path``/``b_path`` the stacked equations, all in path order.  The
+    arrays are taken as built and marked read-only in place.
     """
 
     nodes: tuple[int, ...]
@@ -190,6 +196,10 @@ class PathSorFactors:
     L: np.ndarray
     A_path: np.ndarray
     b_path: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.D, self.Omega, self.L, self.A_path, self.b_path):
+            a.flags.writeable = False
 
     def solve_coefficients(self, x) -> np.ndarray:
         """Expansion coefficients c with chain(x) = x + A_path* c."""
@@ -224,18 +234,30 @@ def path_sor_factors(
     )
 
 
+def _block_map(sys: LinearSystem, net, kind: type, relax: RelaxationAssignment) -> BlockStructure:
+    """The pass over a valid network of type ``kind`` as a block map, from one kernel push.
+
+    The pass kernel carries the columns ``[I | 0]`` from every minimal node,
+    each on its own block, with the right-hand side entering the last column
+    only; the pooled blocks are the block rows of ``[B | c]``.  A tree is
+    the one-block case, whose only minimal node is the root.
+    """
+    _require_valid(sys, net, (kind,), relax)
+    kernel = _Pass(sys, net)
+    (m,) = kernel.affine(relax.effective())
+    aggregate = AffineIteration(m[:, :-1], m[:, -1])
+    return BlockStructure(aggregate, kernel.sources, sys.ambient_dim, sys, kernel)
+
+
 def tree_affine(
     sys: LinearSystem, net: TreeNetwork, relax: RelaxationAssignment
 ) -> AffineIteration:
-    """The dispersion/pooling pass as ``x -> B x + c``.
+    """The dispersion/pooling pass as ``x -> B x + c``: the root's one-block map.
 
-    The pass kernel carries the columns ``[I | 0]`` through the tree, with
-    the right-hand side entering the last column only.  The paper's form,
-    the leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
+    The paper's form, the leaf-weighted sum of path SOR maps, equals it and
+    stays a cross-check.
     """
-    _require_valid(sys, net, (TreeNetwork,), relax)
-    (m,) = _Pass(sys, net).affine(relax.effective())
-    return AffineIteration(B=m[:, :-1], c=m[:, -1])
+    return _block_map(sys, net, TreeNetwork, relax).aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +414,15 @@ class GroupVerdict:
 class AdmissibilityReport:
     """Outcome of the two admissibility conditions.
 
-    ``node_verdicts`` maps every node outside all groups to its effective
-    relaxation parameter and whether it lies in (0, 2); ``groups`` carries
-    the restricted norms.  ``unit_scale_admissible`` records the same check
-    at scale 1 when a down-scaled assignment was supplied (a pass at scale 1
-    carries over to any scale in (0, 1]).
+    ``node_verdicts``, a read-only mapping, maps every node outside all
+    groups to its effective relaxation parameter and whether it lies in
+    (0, 2); ``groups`` carries the restricted norms.
+    ``unit_scale_admissible`` records the same check at scale 1 when a
+    down-scaled assignment was supplied (a pass at scale 1 carries over to
+    any scale in (0, 1]).
     """
 
-    node_verdicts: dict
+    node_verdicts: Mapping[int, tuple[float, bool]]
     groups: tuple[GroupVerdict, ...]
     admissible: bool
     unit_scale_admissible: bool | None = None
@@ -432,7 +455,7 @@ def check_admissibility(
     if relax.scale != 1.0:
         unit = unit_groups_pass and all(0.0 < relax.omega[v] < 2.0 for v in free)
     return AdmissibilityReport(
-        node_verdicts=node_verdicts,
+        node_verdicts=MappingProxyType(node_verdicts),
         groups=tuple(verdicts),
         admissible=admissible,
         unit_scale_admissible=unit,
@@ -443,32 +466,35 @@ def check_admissibility(
 # Limits: fixed points and weighted least squares
 
 
-def _normal_equations(sys: LinearSystem, coeff, q) -> tuple[np.ndarray, np.ndarray]:
-    """Normal equations on the span of ``q``, one set per row of ``coeff``.
+def _ls_blocks(sys: LinearSystem, coeff: np.ndarray, basis) -> list[np.ndarray]:
+    """Minimizers over the span of ``basis`` of weighted residual sums, one per row of ``coeff``.
 
     Row i weights node v's residual ``|b_v - a_v* x|^2`` by
-    ``coeff[i, v] / |a_v|^2``; returns the stacked ``(q* N_i q, q* r_i)``.
+    ``coeff[i, v] / |a_v|^2``.  Each block's normal equations on the span
+    are solved in the minimal-norm sense, so a singular set (zero weights,
+    or paths that never pool into the block) yields the minimizer of least
+    norm.
     """
+    q = _checked_columns(basis, sys.ambient_dim)
     p = sys.system_matrix() @ q  # row v is a_v* q
     k = coeff / np.einsum("ij,ij->i", sys.rows.conj(), sys.rows).real
-    return (p.conj().T * k[:, None, :]) @ p, (k * sys.rhs) @ p.conj()
+    m, rhs = (p.conj().T * k[:, None, :]) @ p, (k * sys.rhs) @ p.conj()
+    return [q @ np.linalg.lstsq(mi, ri, rcond=1e-12)[0] for mi, ri in zip(m, rhs)]
 
 
 def weighted_ls_minimizer(
     sys: LinearSystem, net: TreeNetwork, relax: RelaxationAssignment
 ) -> np.ndarray:
-    """Minimizer over the row space of the pooled weighted residual functional.
+    """Minimal-norm minimizer over the row space of the pooled weighted residual functional.
 
     Node v contributes ``omega_v * w(root, v) / |a_v|^2 * |b_v - a_v* x|^2``;
     the total leaf weight below v telescopes to the root-to-v path weight,
     the tree's path mass.  Uses the unscaled relaxation profile, so the
-    result is the scale-free target of the slowed-down iteration.
+    result is the scale-free target of the slowed-down iteration.  It is the
+    one-block case of :func:`dag_ls_minimizer`.
     """
     _require_valid(sys, net, (TreeNetwork,), relax)
-    q = _checked_columns(row_space_basis(sys), sys.ambient_dim)
-    masses = _Pass(sys, net).masses()
-    (m,), (rhs,) = _normal_equations(sys, relax.omega * masses, q)
-    return q @ np.linalg.solve(m, rhs)
+    return _ls_blocks(sys, relax.omega * _Pass(sys, net).masses(), row_space_basis(sys))[0]
 
 
 def _fixed_point_on(it: AffineIteration, res: Restriction) -> np.ndarray:
@@ -493,7 +519,7 @@ class DichotomyReport:
     """Eigenvalue split of the iteration matrix: unit eigenvalues against
     strictly contracting ones, with the measured margin.  ``eigenvalues``
     lists the checked spectrum in :class:`~distkaczmarz.numerics.Spectrum`
-    order."""
+    order, taken as built and marked read-only in place."""
 
     unit_count: int
     nullity: int
@@ -503,6 +529,9 @@ class DichotomyReport:
     rho_restricted: float
     holds: bool
     eigenvalues: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.eigenvalues.flags.writeable = False
 
 
 def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyReport:
@@ -567,46 +596,39 @@ def dag_block_p(
     minimal = net.minimal_nodes
     s, n = len(minimal), sys.ambient_dim
     omega = relax.effective()
-    big_b = np.zeros((n * s, n * s), dtype=np.complex128)
-    big_c = np.zeros(n * s, dtype=np.complex128)
+    big_b = np.zeros((s, n, s, n), dtype=np.complex128)  # big_b[j, :, i] is block (j, i)
+    big_c = np.zeros((s, n), dtype=np.complex128)
     for i, mi in enumerate(minimal):
         for j, mj in enumerate(minimal):
             for path in enumerate_updown_paths(net, mi, mj):
                 asc = path.nodes[: path.peak_index + 1]
                 lin, const = _ascending_affine(sys, asc, omega)
-                big_b[j * n : (j + 1) * n, i * n : (i + 1) * n] += path.weight * lin
-                big_c[j * n : (j + 1) * n] += path.weight * const
-    return AffineIteration(B=big_b, c=big_c)
+                big_b[j, :, i] += path.weight * lin
+                big_c[j] += path.weight * const
+    return AffineIteration(B=big_b.reshape(n * s, n * s), c=big_c.ravel())
+
+
+def _blocks(m, block_size: int) -> np.ndarray:
+    """``m`` in blocks of ``block_size``: a vector as ``(s, n)``, a matrix as ``(r, c, n, n)``."""
+    arr = np.asarray(m, dtype=np.complex128)
+    n = int(block_size)
+    if n < 1 or arr.ndim not in (1, 2) or any(k % n for k in arr.shape):
+        raise DimensionError(f"shape {arr.shape} does not split into blocks of size {n}")
+    if arr.ndim == 1:
+        return arr.reshape(-1, n)
+    return arr.reshape(arr.shape[0] // n, n, arr.shape[1] // n, n).swapaxes(1, 2)
 
 
 def block_infinity_norm(m, block_size: int) -> float:
-    """Max block norm of a vector, or the row-sum bound for a block matrix.
+    """Max block norm of a vector, or the row-sum bound for a block matrix; 0 when empty.
 
     For matrices this is the sum over a block row of the blocks' spectral
     norms, maximized over rows: an upper bound for the norm induced by the
     max-block-Euclidean vector norm.
     """
-    arr = np.asarray(m, dtype=np.complex128)
-    n = int(block_size)
-    if arr.ndim == 1:
-        if arr.shape[0] % n:
-            raise DimensionError("vector length is not a multiple of the block size")
-        s = arr.shape[0] // n
-        return max(float(np.linalg.norm(arr[i * n : (i + 1) * n])) for i in range(s))
-    if arr.ndim == 2:
-        if arr.shape[0] % n or arr.shape[1] % n:
-            raise DimensionError("matrix shape is not a multiple of the block size")
-        rows, cols = arr.shape[0] // n, arr.shape[1] // n
-        best = 0.0
-        for j in range(rows):
-            total = 0.0
-            for i in range(cols):
-                total += float(
-                    np.linalg.norm(arr[j * n : (j + 1) * n, i * n : (i + 1) * n], 2)
-                )
-            best = max(best, total)
-        return best
-    raise DimensionError("expected a vector or a matrix")
+    b = _blocks(m, block_size)
+    norms = np.linalg.norm(b, axis=1) if b.ndim == 2 else np.linalg.norm(b, 2, axis=(2, 3)).sum(1)
+    return float(np.max(norms, initial=0.0))
 
 
 def sampled_block_norm_lower_bound(
@@ -614,28 +636,23 @@ def sampled_block_norm_lower_bound(
 ) -> float:
     """Lower bound for the induced block norm from random unit block vectors."""
     arr = np.asarray(m, dtype=np.complex128)
-    n = int(block_size)
-    s = arr.shape[1] // n
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        z = rng.standard_normal(arr.shape[1]) + 1j * rng.standard_normal(arr.shape[1])
-        for i in range(s):
-            blk = z[i * n : (i + 1) * n]
-            z[i * n : (i + 1) * n] = blk / np.linalg.norm(blk)
-        best = max(best, block_infinity_norm(arr @ z, n))
-    return best
+    _, cols, n, _ = _blocks(arr, block_size).shape
+    g = np.random.default_rng(seed).standard_normal((samples, 2, cols * n))
+    z = (g[:, 0] + 1j * g[:, 1]).reshape(samples, cols, n)
+    z /= np.linalg.norm(z, axis=2, keepdims=True)
+    return max((block_infinity_norm(arr @ zk.ravel(), n) for zk in z), default=0.0)
 
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """The DAG iteration as a block map over the stacked minimal-node estimates.
+    """The pass as a block map over the stacked minimal-node estimates.
 
     ``aggregate`` is the block map from the pass kernel at the effective
-    relaxation: block i is the estimate that minimal node i pools.  The
-    paper writes block i as ``sum_j w[i, j] chain_j``, a pooled sum of
-    per-path SOR maps; the kernel carries that sum without enumerating the
-    paths, and ``masses`` holds the per-node totals of the pooled weights.
+    relaxation: block i is the estimate that minimal node i pools; a tree's
+    map has one block, its root's.  The paper writes block i as
+    ``sum_j w[i, j] chain_j``, a pooled sum of per-path SOR maps; the kernel
+    carries that sum without enumerating the paths, and ``masses`` holds
+    the per-node totals of the pooled weights.
     The restricted radius, the fixed point and the stationarity conditions
     are all read from ``aggregate``: the first two share its one cached
     :meth:`~AffineIteration.restriction` per basis, and the conditions are
@@ -683,20 +700,10 @@ def dag_block_structure(
 ) -> BlockStructure:
     """The block map of the DAG iteration from one run of the pass kernel.
 
-    Each minimal node starts from the identity on its own block of columns,
-    so the pooled blocks are the block rows of the map.  The paper's form,
-    the pooled per-path SOR maps, equals it and stays a cross-check.
+    The paper's form, the pooled per-path SOR maps, equals it and stays a
+    cross-check.
     """
-    _require_valid(sys, net, (DagNetwork,), relax)
-    kernel = _Pass(sys, net)
-    (m,) = kernel.affine(relax.effective())
-    return BlockStructure(
-        aggregate=AffineIteration(B=m[:, :-1], c=m[:, -1]),
-        minimal_nodes=net.minimal_nodes,
-        block_size=sys.ambient_dim,
-        system=sys,
-        kernel=kernel,
-    )
+    return _block_map(sys, net, DagNetwork, relax)
 
 
 def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> float:
@@ -862,6 +869,4 @@ def dag_ls_minimizer(
     c = np.asarray(c, dtype=float)
     if np.any(c <= 0.0):
         raise ValueError("the per-node profile must be positive")
-    q = _checked_columns(row_basis, bs.block_size)
-    m, rhs = _normal_equations(bs.system, bs.masses * c, q)
-    return [q @ np.linalg.lstsq(mi, ri, rcond=1e-12)[0] for mi, ri in zip(m, rhs)]
+    return _ls_blocks(bs.system, c * bs.masses, row_basis)

@@ -57,8 +57,9 @@ def value_dataclass(cls=None, *, frozen: bool = True):
 
     The generated ``__eq__`` compares tuples of fields, which raises on an
     array of more than one element.  ``np.array_equal`` compares arrays,
-    lists of arrays and plain values alike, by value; hashing is left as
-    generated.
+    lists of arrays and plain values alike, by value.  Value classes are
+    unhashable, as arrays are: the generated ``__hash__`` of a frozen one
+    would raise on every instance that holds an array.
     """
     if cls is None:
         return lambda c: value_dataclass(c, frozen=frozen)
@@ -71,6 +72,7 @@ def value_dataclass(cls=None, *, frozen: bool = True):
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
 
     cls.__eq__ = __eq__
+    cls.__hash__ = None
     return cls
 
 
@@ -87,10 +89,16 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
 
 @value_dataclass
 class Spectrum:
-    """Eigenvalues (with multiplicity, sorted by decreasing modulus) and their max modulus."""
+    """Eigenvalues (with multiplicity, sorted by decreasing modulus) and their max modulus.
+
+    ``eigenvalues`` is taken as built and marked read-only in place.
+    """
 
     eigenvalues: np.ndarray
     radius: float
+
+    def __post_init__(self):
+        self.eigenvalues.flags.writeable = False
 
 
 def eigenvalues(m) -> Spectrum:

@@ -145,6 +145,8 @@ class RelaxationAssignment:
 
 @value_dataclass
 class SolverConfig:
+    """Pass budget, step tolerance and start; ``initial_estimate`` is a read-only copy."""
+
     max_iterations: int = 10_000
     step_tolerance: float = 1e-10
     initial_estimate: np.ndarray | None = None
@@ -156,6 +158,8 @@ class SolverConfig:
         tol = self.step_tolerance
         if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
             raise ValueError(f"step_tolerance must be a positive finite number, got {tol!r}")
+        if self.initial_estimate is not None:
+            object.__setattr__(self, "initial_estimate", read_only_copy(self.initial_estimate))
 
 
 @value_dataclass(frozen=False)

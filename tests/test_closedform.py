@@ -424,6 +424,20 @@ class TestWeightedLeastSquares:
         )
         assert got[0] == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("dropped", [(3,), tuple(range(7))], ids=["omega3-zero", "all-zero"])
+    def test_zero_relaxations_give_the_minimal_norm_target(self, dropped):
+        # a zero omega drops the node's residual, so the normal equations on
+        # the row space are singular; the target is the least-norm minimizer
+        net = ex.binary7_network()
+        system = ex.generate_system(ex.GeneratorSpec("uniform", 7, 7, 0)).system
+        omega = np.ones(7)
+        omega[list(dropped)] = 0.0
+        got = cf.weighted_ls_minimizer(system, net, sv.RelaxationAssignment(omega))
+        keep = [v for v in range(7) if v not in dropped]
+        a, b = system.system_matrix()[keep], system.rhs[keep]
+        want = min_norm_solution(a, b) if keep else np.zeros(7)
+        assert np.linalg.norm(got - want) <= 1e-10
+
     def test_path_masses_are_root_path_weights(self, monkeypatch):
         net = ex.random_tree(63, max_nodes=14)
         system = ex.random_tree_system(163, net, dim=4, consistent=False)

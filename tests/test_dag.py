@@ -10,6 +10,7 @@ from distkaczmarz import closedform as cf
 from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
+from distkaczmarz.errors import DimensionError
 from distkaczmarz.numerics import min_norm_solution, orthonormal_basis, orthonormal_complement
 
 from oracles import layered_dag, pathwise_blocks, replicate
@@ -115,13 +116,15 @@ class TestBlockInfinityNorm:
     def test_vector_blocks(self):
         v = np.array([3.0, 4.0, 0.0, 0.0])
         assert cf.block_infinity_norm(v, 2) == pytest.approx(5.0)
+        assert cf.block_infinity_norm(np.zeros(0), 3) == 0.0  # as an empty basis gives rho 0
 
     def test_identity_matrix(self):
         assert cf.block_infinity_norm(np.eye(6), 2) == pytest.approx(1.0)
 
     def test_dimension_check(self):
-        with pytest.raises(Exception):
-            cf.block_infinity_norm(np.ones(5), 2)
+        for m, block_size in ((np.ones(5), 2), (np.zeros(4), 0)):
+            with pytest.raises(DimensionError):
+                cf.block_infinity_norm(m, block_size)
 
     def test_upper_bound_dominates_samples(self):
         rng = np.random.default_rng(4)

@@ -54,6 +54,14 @@ class TestLinearSystem:
         with pytest.raises(ValueError):
             relax.omega[0] = 3.0
 
+    def test_config_keeps_read_only_copy_of_its_start(self):
+        start = np.array([1.0, 2.0])
+        config = sv.SolverConfig(initial_estimate=start)
+        start[0] = 9.0
+        assert config.initial_estimate[0] == 1.0 and start.flags.writeable
+        with pytest.raises(ValueError):
+            config.initial_estimate[0] = 3.0
+
 
 class TestRequireValid:
     def test_every_route_rejects_other_network_types(self):

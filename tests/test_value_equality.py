@@ -2,10 +2,14 @@
 
 A dataclass's generated ``__eq__`` compares tuples of fields, which raises
 on arrays of more than one element; the package's dataclasses that hold
-arrays compare them with ``np.array_equal`` instead.  The walk below covers
-every dataclass the package defines, so a new one must be listed here.
+arrays compare them with ``np.array_equal`` instead, and are unhashable.
+A frozen dataclass is immutable all the way down: its array fields cannot
+be written and its mapping fields are read-only views.  The walk below
+covers every dataclass the package defines, so a new one must be listed
+here.
 """
 
+import collections.abc
 import dataclasses
 import importlib
 import inspect
@@ -117,6 +121,13 @@ def test_distinct_equal_instances_compare_equal(cls):
     assert type(a) is type(b) is cls and a is not b
     assert a == b and not a != b
     assert a != object() and not a == object()
+    if cls.__eq__.__qualname__.startswith(nm.value_dataclass.__name__):
+        assert not isinstance(a, collections.abc.Hashable)
+    if cls.__dataclass_params__.frozen:
+        for f in dataclasses.fields(a):
+            value = getattr(a, f.name)
+            assert not (isinstance(value, np.ndarray) and value.flags.writeable), f.name
+            assert not isinstance(value, collections.abc.MutableMapping), f.name
 
 
 # One instance per class that holds arrays, and one that differs from it in an array.
