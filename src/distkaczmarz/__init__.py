@@ -2,7 +2,7 @@
 
 The package splits into:
 
-- :mod:`distkaczmarz.numerics` -- dense complex linear algebra helpers.
+- :mod:`distkaczmarz.numerics` -- dense real or complex linear algebra helpers.
 - :mod:`distkaczmarz.topology` -- tree/DAG networks, weights and paths.
 - :mod:`distkaczmarz.solver` -- the dispersion/pooling iteration engine.
 - :mod:`distkaczmarz.closedform` -- explicit iteration matrices and the

@@ -409,6 +409,8 @@ class GroupVerdict:
     passed: bool
     leaf_bounds: Mapping[int, float] | None = None  # a leaf group's admissible_upper_bound per leaf
 
+    __hash__ = None  # a read-only mapping field does not hash
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -426,6 +428,8 @@ class AdmissibilityReport:
     groups: tuple[GroupVerdict, ...]
     admissible: bool
     unit_scale_admissible: bool | None = None
+
+    __hash__ = None  # a read-only mapping field does not hash
 
 
 def check_admissibility(
@@ -501,7 +505,7 @@ def _fixed_point_on(it: AffineIteration, res: Restriction) -> np.ndarray:
     """Fixed point of ``it`` on the span of ``res.Q``: one solve of ``(I - R) eta = Q* c``."""
     if res.rho >= 1.0:
         raise NonContractionError(f"restricted spectral radius {res.rho:.6f} >= 1")
-    eye = np.eye(res.R.shape[0], dtype=np.complex128)
+    eye = np.eye(res.R.shape[0], dtype=res.R.dtype)
     return res.Q @ np.linalg.solve(eye - res.R, res.Q.conj().T @ it.c)
 
 
@@ -665,6 +669,8 @@ class BlockStructure:
     block_size: int
     system: LinearSystem = field(repr=False)
     kernel: _Pass = field(repr=False)
+
+    __hash__ = None  # the map and the system are value classes, which do not hash
 
     @property
     def s(self) -> int:

@@ -30,6 +30,9 @@ RNG_NAME = "numpy.random.default_rng(PCG64)"
 GENERATOR_VERSION = "1"
 # Residuals below this count as fully converged: two of them tie.
 CONVERGED_RESIDUAL = 1e-12
+# Most points a grid spec may name.  The grid is a list of tuples at about 100
+# bytes a point, so this caps it near 100 MB; the CLI default grid has 25,600.
+GRID_POINT_LIMIT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +228,12 @@ class SweepResult:
 
 
 def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float, ...]]:
-    """Cartesian grid from comma-separated ``start:stop:step`` axis specs."""
-    axes = []
+    """Cartesian grid from comma-separated ``start:stop:step`` axis specs.
+
+    Every axis count and their product are checked against
+    ``GRID_POINT_LIMIT`` before any list is built.
+    """
+    spans = []
     for part in spec.split(","):
         pieces = part.split(":")
         if len(pieces) != 3:
@@ -236,11 +243,16 @@ def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float
         if not (0.0 < step < math.inf and start <= stop and math.isfinite((stop - start) / step)):
             raise ValueError(f"malformed grid axis {part!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        axes.append([start + i * step for i in range(count)])
-    if axis_count is not None and len(axes) != axis_count:
-        raise ValueError(f"expected {axis_count} grid axes, got {len(axes)}")
+        if count > GRID_POINT_LIMIT:
+            raise ValueError(f"grid axis {part!r} has {count} points, over {GRID_POINT_LIMIT}")
+        spans.append((start, step, count))
+    if axis_count is not None and len(spans) != axis_count:
+        raise ValueError(f"expected {axis_count} grid axes, got {len(spans)}")
+    total = math.prod(count for _, _, count in spans)
+    if total > GRID_POINT_LIMIT:
+        raise ValueError(f"grid has {total} points, over {GRID_POINT_LIMIT}")
     out = [()]
-    for axis in axes:
+    for axis in [[start + i * step for i in range(count)] for start, step, count in spans]:
         out = [pt + (val,) for pt in out for val in axis]
     return out
 

@@ -1,8 +1,11 @@
-"""Dense complex linear algebra shared by the solvers and their analysis.
+"""Dense real or complex linear algebra shared by the solvers and their analysis.
 
-Vectors are 1-d ``numpy`` arrays, matrices 2-d arrays; everything is
-promoted to ``complex128``.  The solvers read node v's equation as the
-row action ``S_v x = a_v* x``.
+Vectors are 1-d ``numpy`` arrays, matrices 2-d arrays.  The arithmetic
+follows the data: :func:`as_vector` and :func:`as_matrix` keep real input
+real (integers become ``float64``) and complex input ``complex128``, and
+every basis, restriction and solve takes numpy's promotion of its inputs,
+so a real system runs in real arithmetic end to end.  The solvers read
+node v's equation as the row action ``S_v x = a_v* x``.
 
 Subspaces come from one SVD of the stacked vectors: :func:`orthonormal_basis`
 and :func:`orthonormal_complement` split the rows of ``Vh`` at the numerical
@@ -14,11 +17,10 @@ Every restriction to a subspace, here and in
 ``q* q = I`` within the same tolerance.
 
 Eigenvalues come back as ``complex128`` either way, but a matrix or stack
-whose imaginary part is exactly zero (every real system, and every map built
-from one) is handed to the real LAPACK solver, which is about twice as fast
-on small matrices and returns conjugate pairs exactly.  :func:`spectral_radius`
-reads the largest modulus straight from the solver's output; only
-:func:`eigenvalues` sorts.
+that is real, or whose imaginary part is exactly zero, is handed to the real
+LAPACK solver, which is about twice as fast on small matrices and returns
+conjugate pairs exactly.  :func:`spectral_radius` reads the largest modulus
+straight from the solver's output; only :func:`eigenvalues` sorts.
 
 All functions are pure and safe to call concurrently.
 """
@@ -36,11 +38,17 @@ from .errors import DimensionError, NumericalFailureError, PreconditionError
 DEFAULT_ORTHO_TOL = 1e-10
 
 
+def _float_array(x) -> np.ndarray:
+    """``x`` as a ``complex128`` array if its dtype is complex, else as a ``float64`` one."""
+    a = np.asarray(x)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
 def as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128)
+    v = _float_array(x)
     if v.ndim != 1:
         raise DimensionError(f"expected a vector, got shape {v.shape}")
-    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -77,12 +85,12 @@ def value_dataclass(cls=None, *, frozen: bool = True):
 
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
+    a = _float_array(m)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {a.shape}")
     if square and a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -183,7 +191,7 @@ def min_norm_solution(a, b) -> np.ndarray:
 
 def _stack(vectors, dim: int | None = None) -> np.ndarray:
     """The vectors as the rows of one matrix; an empty family gives ``(0, dim)``."""
-    m = as_matrix(vectors) if len(vectors) else np.zeros((0, dim or 0), dtype=np.complex128)
+    m = as_matrix(vectors) if len(vectors) else np.zeros((0, dim or 0))
     if dim is not None and m.shape[1] != dim:
         raise DimensionError(f"vectors have length {m.shape[1]}, expected {dim}")
     return m

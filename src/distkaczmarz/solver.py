@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
-from .numerics import as_matrix, as_vector, read_only_copy, value_dataclass
+from .numerics import _real_if_exact, as_matrix, as_vector, read_only_copy, value_dataclass
 from .topology import DagNetwork, TreeNetwork
 
 DIVERGENCE_FACTOR = 1e12
@@ -70,7 +70,10 @@ class LinearSystem:
 
     ``rows[v]`` stores the vector a_v whose conjugate transpose is row v of
     the system matrix, so for real data the rows coincide with the matrix.
-    ``rows`` and ``rhs`` are read-only copies of the caller's arrays.
+    ``rows`` and ``rhs`` are read-only copies of the caller's arrays, both
+    ``float64`` when no entry of either has a nonzero imaginary part (also
+    when they are given as ``complex128``), else both ``complex128``; every
+    pass, map and estimate built from the system takes that dtype.
     """
 
     rows: np.ndarray
@@ -83,6 +86,11 @@ class LinearSystem:
             raise DimensionError(
                 f"{rows.shape[0]} rows but {rhs.shape[0]} right-hand side entries"
             )
+        if rows.imag.any() or rhs.imag.any():
+            dtype = np.result_type(rows, rhs)
+            rows, rhs = rows.astype(dtype, copy=False), rhs.astype(dtype, copy=False)
+        else:  # a real system runs in real arithmetic
+            rows, rhs = rows.real, rhs.real
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
             bad = int(np.argmin(norms))
@@ -145,7 +153,11 @@ class RelaxationAssignment:
 
 @value_dataclass
 class SolverConfig:
-    """Pass budget, step tolerance and start; ``initial_estimate`` is a read-only copy."""
+    """Pass budget, step tolerance and start.
+
+    ``initial_estimate`` is a read-only copy, narrowed to its real part when
+    its imaginary part is exactly zero, as :class:`LinearSystem` narrows.
+    """
 
     max_iterations: int = 10_000
     step_tolerance: float = 1e-10
@@ -159,7 +171,8 @@ class SolverConfig:
         if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
             raise ValueError(f"step_tolerance must be a positive finite number, got {tol!r}")
         if self.initial_estimate is not None:
-            object.__setattr__(self, "initial_estimate", read_only_copy(self.initial_estimate))
+            start = _real_if_exact(np.asarray(self.initial_estimate))
+            object.__setattr__(self, "initial_estimate", read_only_copy(start))
 
 
 @value_dataclass(frozen=False)
@@ -304,7 +317,8 @@ class _Pass:
         """
         sch, conj, cols = self.schedule, self.conj, self.cols
         starts = np.asarray(starts)
-        x = np.empty((len(sch.order) + 1, *starts.shape[1:]), dtype=np.complex128)
+        dtype = np.result_type(cols, self.rhs, starts)
+        x = np.empty((len(sch.order) + 1, *starts.shape[1:]), dtype=dtype)
         x[-1] = 0.0  # the padding row of the level tables
         x[: len(sch.sources)] = starts
         gain = (omega[sch.order].T / self.norm2).T
@@ -337,12 +351,16 @@ class _Pass:
         blocks stack into ``[B | c]``.  Point p owns the ``width`` kernel
         columns from ``p * width``; the maps come back as a ``(G, n, n + 1)``
         stack of ``[B | c]``, with ``n = s d``, each C-contiguous when G is 1.
+        One point's relaxation stays ``(V, 1)`` and broadcasts across its
+        columns.
         """
         omega = omega.reshape(omega.shape[0], -1)
         points, k = omega.shape[1], self.width - 1
-        eye = np.tile(np.eye(k + 1, dtype=np.complex128), points)
+        eye = np.eye(k + 1, dtype=self.cols.dtype)
+        if points > 1:
+            eye, omega = np.tile(eye, points), np.repeat(omega, k + 1, axis=1)
         starts = eye[:k].reshape(len(self.sources), self.dim, -1)
-        out = self.push(starts, eye[k], np.repeat(omega, k + 1, axis=1))
+        out = self.push(starts, eye[k], omega)
         return out.reshape(k, points, k + 1).transpose(1, 0, 2)
 
     def masses(self) -> np.ndarray:
@@ -421,11 +439,15 @@ def dag_iterate(
 
 
 def _initial_blocks(sys: LinearSystem, tree: bool, s: int, init) -> np.ndarray:
-    """One starting estimate per minimal node, stacked ``(s, d)``; a tree's only one is its root."""
+    """One starting estimate per minimal node, stacked ``(s, d)``; a tree's only one is its root.
+
+    The blocks take the promotion of the system's dtype and the start's, so
+    a complex start on a real system iterates in complex arithmetic.
+    """
     d = sys.ambient_dim
     if init is None:
-        return np.zeros((s, d), dtype=np.complex128)
-    init = np.asarray(init, dtype=np.complex128)
+        return np.zeros((s, d), dtype=sys.rows.dtype)
+    init = np.asarray(init)
     if init.ndim == 1 or tree:  # a tree takes one vector only
         init = [init] * s
     elif init.shape[0] != s:
@@ -433,7 +455,7 @@ def _initial_blocks(sys: LinearSystem, tree: bool, s: int, init) -> np.ndarray:
     blocks = np.array([as_vector(b) for b in init])
     if blocks.shape[1] != d:
         raise DimensionError(f"initial estimates must have length {d}, got {blocks.shape[1]}")
-    return blocks
+    return blocks.astype(np.result_type(sys.rows, blocks), copy=False)
 
 
 def _worst_norms(blocks: np.ndarray) -> np.ndarray:
@@ -502,11 +524,13 @@ def solve(
     state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
     route = solve_route(len(run.sources), run.dim, run.size)
     block = AFFINE_BLOCK if route == "affine" else 1
-    buf = np.ones((block + 1, state.size + 1), dtype=np.complex128)  # row j: [iterate j; 1]
+    buf = np.ones((block + 1, state.size + 1), dtype=state.dtype)  # row j: [iterate j; 1]
     rows = buf[:, :-1].reshape(block + 1, *state.shape)  # the iterates, one block per minimal node
     rows[0] = state
     if route == "affine":
-        (pass_map,) = run.affine(omega)  # [B | c], one product per pass
+        # [B | c], one product per pass, cast once to the iterates' dtype: a complex
+        # start on a real system would otherwise cast the map on every pass
+        pass_map = run.affine(omega)[0].astype(buf.dtype, copy=False)
         full, heads = list(buf), list(buf[:, :-1])
     a_t, tol = sys.system_matrix().T, config.step_tolerance
     steps: list[float] = []

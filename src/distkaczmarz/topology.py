@@ -259,6 +259,8 @@ class TreeNetwork:
     parent: Mapping[int, int]
     edge_weight: Mapping[tuple[int, int], float]
 
+    __hash__ = None  # read-only mapping fields do not hash
+
     def __post_init__(self):
         object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
         object.__setattr__(self, "edge_weight", MappingProxyType(dict(self.edge_weight)))
@@ -570,6 +572,8 @@ class DagNetwork:
     edges: tuple[tuple[int, int], ...]
     w_d: Mapping[tuple[int, int], float]
     w_p: Mapping[tuple[int, int], float]
+
+    __hash__ = None  # read-only mapping fields do not hash
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))

@@ -429,19 +429,20 @@ def pathwise_blocks(sys, net, relax):
 def fresh_restriction(b, c, basis, dim, s=1):
     """``(rho, fixed point)`` of ``x -> b x + c`` on ``kron(I_s, q)``, built afresh on every call.
 
-    q stacks the basis vectors of C^dim as columns.  ``R = Q* b Q`` goes to
+    q stacks the basis vectors of C^dim as columns in their own dtype, so R
+    and the solve take the package's arithmetic.  ``R = Q* b Q`` goes to
     ``np.linalg.eigvals`` (given its real part when its imaginary part is
     exactly zero, which is how the package picks the real solver) and the
     fixed point to one ``solve`` of ``(I - R) eta = Q* c``; the fixed point
     is None when rho >= 1.  Nothing is cached.
     """
-    q = np.asarray(basis, dtype=np.complex128).reshape(-1, dim).T
+    q = np.asarray(basis).reshape(-1, dim).T
     big_q = np.kron(np.eye(s), q)
     r = big_q.conj().T @ np.asarray(b) @ big_q
     rho = float(np.max(np.abs(np.linalg.eigvals(r if r.imag.any() else r.real)), initial=0.0))
     if rho >= 1.0:
         return rho, None
-    eye = np.eye(r.shape[0], dtype=np.complex128)
+    eye = np.eye(r.shape[0], dtype=r.dtype)
     return rho, big_q @ np.linalg.solve(eye - r, big_q.conj().T @ c)
 
 

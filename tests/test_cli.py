@@ -34,6 +34,16 @@ def identity_config(tmp_path, **overrides):
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize(
+        "initial, dtype", [([0.5, [2.0, 0.0]], np.float64), ([0.5, [2.0, 1.0]], np.complex128)]
+    )
+    def test_a_real_config_loads_as_a_real_system(self, tmp_path, initial, dtype):
+        """Config numbers read as complex narrow when no imaginary part is nonzero."""
+        solver = {"max_iterations": 50, "step_tolerance": 1e-12, "initial": initial}
+        run = cli.load_config(identity_config(tmp_path, solver=solver))
+        assert run.system.rows.dtype == run.system.rhs.dtype == np.float64
+        assert run.solver.initial_estimate.dtype == dtype
+
     def test_identity_system_converges(self, tmp_path, capsys):
         cfg = identity_config(tmp_path)
         code = cli.main(["solve", "--config", cfg])
@@ -392,6 +402,12 @@ class TestSweepCommand:
         cfg = identity_config(tmp_path, sweep={"axes": [[1]]})
         assert cli.main(["sweep", "--config", cfg, *flags]) == 1
         assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_oversized_grid_named(self, tmp_path, capsys):
+        cfg = identity_config(tmp_path, sweep={"axes": [[1]]})
+        assert cli.main(["sweep", "--config", cfg, "--grid", "0:1e12:1"]) == 1
+        assert capsys.readouterr().err.startswith("--grid: grid axis '0:1e12:1' has 1000000000001")
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_dag_sweep_matches_block_map(self, tmp_path, capsys):

@@ -120,6 +120,28 @@ class TestGrid:
         with pytest.raises(ValueError, match="malformed grid axis"):
             ex.grid_from_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            ("0:1e12:1", "1000000000001 points"),
+            ("0:1e300:1e-5", "points"),
+            ("0:1:1e-7", "10000001 points"),
+            ("0:999:1,0:1000:1", "grid has 1001000 points"),
+            ("0:99:1,0:99:1,0:100:1", "grid has 1010000 points"),
+        ],
+    )
+    def test_oversized_grid_refused_before_it_is_built(self, spec, count):
+        with pytest.raises(ValueError, match=count):
+            ex.grid_from_spec(spec)
+
+    def test_grid_at_the_point_limit_is_built(self, monkeypatch):
+        monkeypatch.setattr(ex, "GRID_POINT_LIMIT", 6)
+        assert len(ex.grid_from_spec("0:1:0.5,0:1:1")) == 6
+        with pytest.raises(ValueError, match="grid has 9 points, over 6"):
+            ex.grid_from_spec("0:1:0.5,0:1:0.5")
+        with pytest.raises(ValueError, match="has 7 points, over 6"):
+            ex.grid_from_spec("0:6:1")
+
 
 class TestOmegaSweep:
     def test_single_node_curve_is_abs_one_minus_omega(self):

@@ -206,6 +206,21 @@ def test_a_stationary_start_uses_no_iteration(run):
     assert report.step_norms == [] and report.residual_norms == []
 
 
+@SETTINGS
+@given(cases(small_networks, st.floats(0.2, 1.8)))
+def test_a_complex_start_iterates_in_complex_arithmetic(case):
+    """A complex start makes the estimates complex; a real start keeps the system's dtype."""
+    system, net, relax = case
+    rng = np.random.default_rng(net.node_count)
+    start = rng.standard_normal(system.ambient_dim) + 1j * rng.standard_normal(system.ambient_dim)
+    config = sv.SolverConfig(max_iterations=3 * K, initial_estimate=start)
+    assert assert_same_solve(*case, config) == "stopped"
+    started = _blocks(sv.solve(*case, config).final_estimates)
+    plain = _blocks(sv.solve(*case, CONFIG).final_estimates)
+    assert {b.dtype for b in started} == {np.dtype(np.complex128)}
+    assert {b.dtype for b in plain} == {system.rows.dtype}
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e140])
 @SETTINGS
 @given(cases(small_networks, st.floats(2.2, 3.0)))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,36 @@ class TestLinearSystem:
             system.rows[0, 0] = 5.0
         with pytest.raises(ValueError):
             system.rhs[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "rows, rhs, dtype",
+        [
+            ([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 0.5], np.float64),
+            ([[1, 2], [0, 1], [1, 1]], [1, 2, 0], np.float64),
+            ([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0 + 0.0j]], [1.0, 2.0, 0.5 + 0.0j], np.float64),
+            ([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0j]], [1.0, 2.0, 0.5], np.complex128),
+            ([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0j, 0.5], np.complex128),
+        ],
+        ids=["real", "integer", "complex128 of zero imaginary part", "complex rows", "complex rhs"],
+    )
+    def test_arithmetic_follows_the_data(self, rows, rhs, dtype):
+        """A system with no nonzero imaginary part, and all built from it, is float64."""
+        system = sv.LinearSystem(rows=np.array(rows), rhs=np.array(rhs))
+        tree = tp.TreeNetwork.from_edges(3, 0, [(0, 1), (0, 2)])
+        dag = tp.DagNetwork.from_cover_edges(3, [(0, 2), (1, 2)])
+        relax = sv.RelaxationAssignment(np.array([1.0, 0.5, 1.5]))
+        basis = cf.row_space_basis(system)
+        it = cf.tree_affine(system, tree, relax)
+        bs = cf.dag_block_structure(system, dag, relax)
+        arrays = [system.rows, system.rhs, it.B, it.c, bs.aggregate.B, bs.aggregate.c, *basis]
+        for res in (it.restriction(basis), bs.aggregate.restriction(basis, bs.s)):
+            arrays += [res.q, res.Q, res.R]
+        arrays += [cf.fixed_point(it, basis), *cf.dag_fixed_point(bs, basis)[0]]
+        for route in ("affine", "engine"):
+            with mock.patch.object(sv, "solve_route", lambda *size: route):
+                arrays += [sv.solve(system, tree, relax).final_estimates]
+                arrays += sv.solve(system, dag, relax).final_estimates
+        assert [a.dtype for a in arrays] == [dtype] * len(arrays)
 
     def test_relaxation_keeps_read_only_copy(self):
         om = np.array([1.0, 1.5])

@@ -2,7 +2,8 @@
 
 A dataclass's generated ``__eq__`` compares tuples of fields, which raises
 on arrays of more than one element; the package's dataclasses that hold
-arrays compare them with ``np.array_equal`` instead, and are unhashable.
+arrays compare them with ``np.array_equal`` instead, and are unhashable; a
+dataclass that claims to be hashable hashes equal instances alike.
 A frozen dataclass is immutable all the way down: its array fields cannot
 be written and its mapping fields are read-only views.  The walk below
 covers every dataclass the package defines, so a new one must be listed
@@ -123,6 +124,8 @@ def test_distinct_equal_instances_compare_equal(cls):
     assert a != object() and not a == object()
     if cls.__eq__.__qualname__.startswith(nm.value_dataclass.__name__):
         assert not isinstance(a, collections.abc.Hashable)
+    if isinstance(a, collections.abc.Hashable):  # a class that claims to hash must hash
+        assert hash(a) == hash(b)
     if cls.__dataclass_params__.frozen:
         for f in dataclasses.fields(a):
             value = getattr(a, f.name)
