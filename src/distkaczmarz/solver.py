@@ -23,14 +23,16 @@ columns under a per-column relaxation give a whole chunk of sweep points.
 ``tree_iterate`` and ``dag_iterate`` run it on one column; ``solve``
 assembles the pass map ``x -> B x + c`` once, as the one matrix
 ``[B | c]``, and iterates it in homogeneous form: each iterate row carries
-a trailing 1, so a pass is one product ``[B | c] @ [x; 1]``.  When
-:func:`solve_route` finds that one pass is cheaper than assembling or
-applying ``B``, ``solve`` runs the kernel on one column per iteration
-instead.
+a trailing 1, so a pass is one ``[B | c].dot([x; 1])`` into the next row
+of a buffer.  When :func:`solve_route` finds that one pass is cheaper than
+assembling or applying ``B``, ``solve`` runs the kernel on one column per
+iteration instead.
 Either way ``solve`` has one loop: it fills a block of iterates, one pass
-per row, and takes the norms that decide the stop for the whole block at
-once (64 passes a block on the map, where a pass costs one numpy call; 1
-on the kernel, where a pass past the stop would be wasted).
+per row, writes the block's steps behind them with one subtraction, and
+takes the iterate and step norms that decide the stop for the whole block
+with one reduction (up to 64 passes a block on the map, where a pass costs
+one numpy call; 1 on the kernel, where a pass past the stop would be
+wasted).
 
 A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  Every pass
@@ -458,20 +460,26 @@ def _initial_blocks(sys: LinearSystem, tree: bool, s: int, init) -> np.ndarray:
     return blocks.astype(np.result_type(sys.rows, blocks), copy=False)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norms along the last axis: ``np.linalg.norm``'s own formula, without its wrapper."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
+
+
 def _worst_norms(blocks: np.ndarray) -> np.ndarray:
     """The largest norm among the blocks of each iterate of a ``(k, s, m)`` stack.
 
-    A block of finite entries whose plain norm overflowed (past about 1e154,
-    under the caller's ``np.errstate``) is scaled by its largest modulus
-    first; every finite plain norm is kept.
+    When a worst norm is inf, a block of finite entries whose plain norm
+    overflowed (past about 1e154, under the caller's ``np.errstate``) is
+    scaled by its largest modulus first; every finite plain norm is kept.
     """
-    norms = np.linalg.norm(blocks, axis=2)
-    over = np.isinf(norms)
-    if over.any():
-        over &= np.isfinite(blocks).all(axis=2)
+    norms = _norms(blocks)
+    worst = norms.max(axis=1)
+    if np.isinf(worst).any():
+        over = np.isinf(norms) & np.isfinite(blocks).all(axis=2)
         scale = np.abs(blocks[over]).max(axis=1)
-        norms[over] = scale * np.linalg.norm(blocks[over] / scale[:, None], axis=1)
-    return norms.max(axis=1)
+        norms[over] = scale * _norms(blocks[over] / scale[:, None])
+        worst = norms.max(axis=1)
+    return worst
 
 
 def solve_route(minimal: int, dim: int, size: int) -> str:
@@ -499,12 +507,13 @@ def solve(
     nonzero limiting residual.  Each iteration is one pass, run on the
     stacked minimal-node estimates by the assembled map or by the kernel, as
     :func:`solve_route` picks.  Iterates are made in blocks: a block fills
-    one buffer row per pass (``AFFINE_BLOCK`` rows on the affine route, 1 on
-    the engine route, where a pass costs more than the norms and a longer
-    block would run passes past the stop), then takes the worst block norm,
-    step norm and residual norm of every row at once and cuts the block at
-    the first row that stops.  On the affine route row j is ``[x_j; 1]``
-    and a pass is one product ``[B | c] @ [x_j; 1]`` into the first ``s d``
+    one buffer row per pass (up to ``AFFINE_BLOCK`` rows on the affine
+    route, 1 on the engine route, where a pass costs more than the norms and
+    a longer block would run passes past the stop), writes its steps into
+    the rows behind its iterates with one subtraction, takes the worst block
+    norm of every iterate and step with one reduction, and cuts the block
+    at the first row that stops.  On the affine route row j is ``[x_j; 1]``
+    and a pass is one ``[B | c].dot([x_j; 1])`` into the first ``s d``
     entries of row j + 1, through row views bound once per solve; every
     norm, estimate and report reads the rows without their last column.
     The stops are those of one pass at a time:
@@ -518,20 +527,37 @@ def solve(
       Iterates after it may overflow; they are never reported.
     """
     _require_valid(sys, net, relax=relax)
-    tree = isinstance(net, TreeNetwork)
-    run, omega = _Pass(sys, net), relax.effective()
+    return _iterate(sys, _Pass(sys, net), relax.effective(), isinstance(net, TreeNetwork), config)
+
+
+def _iterate(
+    sys: LinearSystem,
+    run: _Pass,
+    omega: np.ndarray,
+    tree: bool,
+    config: SolverConfig,
+    pass_map: np.ndarray | None = None,
+) -> SolveReport:
+    """The block loop of :func:`solve` on a built kernel ``run`` at effective relaxation ``omega``.
+
+    ``pass_map`` is the pass's ``[B | c]`` when the caller has assembled it;
+    the affine route assembles it otherwise, and the engine route ignores it.
+    """
     public = (lambda blocks: blocks[0]) if tree else list  # one tree estimate
     state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
     route = solve_route(len(run.sources), run.dim, run.size)
-    block = AFFINE_BLOCK if route == "affine" else 1
-    buf = np.ones((block + 1, state.size + 1), dtype=state.dtype)  # row j: [iterate j; 1]
-    rows = buf[:, :-1].reshape(block + 1, *state.shape)  # the iterates, one block per minimal node
+    block = min(AFFINE_BLOCK if route == "affine" else 1, config.max_iterations)
+    # rows 0..block: [iterate j; 1]; the k steps of a k-pass block go to rows k+1..2k
+    buf = np.ones((2 * block + 1, state.size + 1), dtype=state.dtype)
+    rows = buf[:, :-1].reshape(len(buf), *state.shape)  # one block per minimal node
     rows[0] = state
     if route == "affine":
-        # [B | c], one product per pass, cast once to the iterates' dtype: a complex
-        # start on a real system would otherwise cast the map on every pass
-        pass_map = run.affine(omega)[0].astype(buf.dtype, copy=False)
-        full, heads = list(buf), list(buf[:, :-1])
+        if pass_map is None:
+            (pass_map,) = run.affine(omega)
+        # cast once to the iterates' dtype: a complex start on a real system would
+        # otherwise cast the map on every pass
+        apply = pass_map.astype(buf.dtype, copy=False).dot
+        passes = list(zip(buf[:block], buf[1 : block + 1, :-1]))
     a_t, tol = sys.system_matrix().T, config.step_tolerance
     steps: list[float] = []
     residuals: list[float] = []
@@ -542,18 +568,19 @@ def solve(
         while stop is None and used < config.max_iterations:
             k = min(block, config.max_iterations - used)
             if route == "affine":
-                for j in range(k):
-                    np.matmul(pass_map, full[j], out=heads[j + 1])
+                for x, out in passes[:k]:
+                    apply(x, out=out)
             else:
                 rows[1] = run.vectors(rows[0], omega)
-            both = _worst_norms(np.concatenate((rows[1 : k + 1], rows[1 : k + 1] - rows[:k])))
+            np.subtract(rows[1 : k + 1], rows[:k], out=rows[k + 1 : 2 * k + 1])
+            both = _worst_norms(rows[1 : 2 * k + 1])
             norms, step = both[:k], both[k:]  # iterate and step norms from one reduction
-            diverged = ~np.isfinite(norms) | (norms > bound)
-            stops = np.flatnonzero(diverged | (step < tol))
-            if stops.size:
-                stop = int(stops[0])
-                k = stop + 1
-                if diverged[stop]:
+            # NaN and inf iterate norms fail ``<= bound``: they diverge
+            stops = ~(norms <= bound) | (step < tol)
+            first = int(stops.argmax())
+            if stops[first]:
+                stop, k = first, first + 1
+                if not norms[stop] <= bound:
                     raise DivergenceError(
                         f"estimate norm {norms[stop]:.3e} exceeded the divergence bound "
                         f"at iteration {used + k}",

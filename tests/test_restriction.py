@@ -23,6 +23,7 @@ from distkaczmarz import cli
 from distkaczmarz import closedform as cf
 from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
+from distkaczmarz import topology as tp
 from distkaczmarz.errors import NonContractionError
 
 from oracles import fresh_restriction, layered_dag, pushed_condition_values
@@ -140,13 +141,14 @@ def test_a_basis_changed_in_place_gets_its_own_restriction():
 
 
 class _Counted:
-    """Counts calls to ``np.linalg.eig``/``eigvals`` and to the pass kernel's ``push``."""
+    """Counts calls to ``np.linalg.eig``/``eigvals`` and the kernel's ``__init__``, ``push``, ``affine``."""
 
     def __init__(self, monkeypatch):
-        self.eig = self.push = 0
+        self.eig = self.init = self.push = self.affine = 0
         for name in ("eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, self._count("eig", getattr(np.linalg, name)))
-        monkeypatch.setattr(sv._Pass, "push", self._count("push", sv._Pass.push))
+        for key, name in (("init", "__init__"), ("push", "push"), ("affine", "affine")):
+            monkeypatch.setattr(sv._Pass, name, self._count(key, getattr(sv._Pass, name)))
 
     def _count(self, key, fn):
         def wrapped(*args, **kwargs):
@@ -176,6 +178,68 @@ def test_the_limit_study_solves_one_eigenproblem_per_contractive_scale(monkeypat
     rows = ex.lsq_limit_study(system, net, relax, [1.0, 0.5, 0.25])
     assert all(row.contractive for row in rows)
     assert counted.eig == len(rows)
+
+
+def _limit_rows_by_solve(system, net, relax, scales):
+    """The limit study with one public ``solve`` per scale, which assembles the map again."""
+    target = cf.weighted_ls_minimizer(system, net, relax)
+    basis = cf.row_space_basis(system)
+    rows = []
+    for s in scales:
+        scaled = relax.scaled(s)
+        it = cf.tree_affine(system, net, scaled)
+        try:
+            fp = cf.fixed_point(it, basis)
+        except NonContractionError:
+            rows.append(ex.LimitRow(s, float("nan"), 0, False))
+            continue
+        budget = ex.iteration_budget(it.restriction(basis).rho, target=1e-12)
+        config = sv.SolverConfig(max_iterations=budget, step_tolerance=1e-12)
+        report = sv.solve(system, net, scaled, config)
+        rows.append(ex.LimitRow(s, float(np.linalg.norm(fp - target)), report.iterations_used, True))
+    return rows
+
+
+def test_the_limit_study_assembles_each_contractive_scale_once(monkeypatch):
+    """One kernel and one assembly per scale, one kernel for the masses; the rows are unchanged."""
+    net = ex.binary7_network()
+    system = ex.generate_system(ex.GeneratorSpec("uniform", 7, 7, 3)).system
+    relax = sv.RelaxationAssignment.uniform(7, 1.0)
+    scales = [1.0, 0.5, 0.25]
+    want = _limit_rows_by_solve(system, net, relax, scales)
+    counted = _Counted(monkeypatch)
+    rows = ex.lsq_limit_study(system, net, relax, scales)
+    assert all(row.contractive for row in rows)
+    assert (counted.init, counted.affine) == (len(scales) + 1, len(scales))
+    assert rows == want
+
+
+def _same_rows(got, want):
+    """Equal rows, a NaN distance equal to a NaN distance."""
+    np.testing.assert_equal(*([dataclasses.astuple(r) for r in rows] for rows in (got, want)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_limit_study_rows_equal_one_solve_per_scale(seed):
+    """Random trees with complex, rank-deficient or inconsistent rows; ω = 3 does not contract."""
+    net = ex.random_tree(seed + 40, max_nodes=8)
+    kinds = {"consistent": seed % 2 == 0, "complex_entries": seed % 3 == 0, "rank_deficient": seed % 3 == 1}
+    system = ex.random_tree_system(seed, net, dim=3, **kinds)
+    relax = sv.RelaxationAssignment.uniform(net.node_count, 3.0)
+    scales = [1.0, 0.5, 0.1, 0.02]
+    want = _limit_rows_by_solve(system, net, relax, scales)
+    _same_rows(ex.lsq_limit_study(system, net, relax, scales), want)
+
+
+def test_limit_study_rows_equal_one_solve_per_scale_on_the_engine_route():
+    net = tp.TreeNetwork.from_edges(3, 0, [(0, 1, 0.5), (0, 2, 0.5)])
+    system = ex.random_tree_system(5, net, dim=65, consistent=True)
+    relax = sv.RelaxationAssignment.uniform(3, 1.0)
+    run = sv._Pass(system, net)
+    assert sv.solve_route(len(run.sources), run.dim, run.size) == "engine"
+    scales = [1.0, 0.5]
+    want = _limit_rows_by_solve(system, net, relax, scales)
+    _same_rows(ex.lsq_limit_study(system, net, relax, scales), want)
 
 
 def test_cli_analyze_solves_two_eigenproblems(tmp_path, monkeypatch):

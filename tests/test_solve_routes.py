@@ -156,6 +156,67 @@ def test_scaled_norms_keep_every_finite_plain_norm():
     assert got[0] == pytest.approx(max(want[0], np.sqrt(2.0) * 1e155), rel=1e-15)
 
 
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(3, 70), st.integers(1, 5), st.integers(1, 70), st.booleans())
+def test_worst_norms_are_numpys_norm(seed, k, s, m, complex_entries):
+    """``_worst_norms`` is ``np.max(np.linalg.norm(b, axis=-1), axis=-1)`` bit for bit.
+
+    On every iterate of a ``(k, s, m)`` stack whose plain worst norm does not
+    overflow, NaN included; on the others, the same after each finite block
+    whose plain norm overflowed is scaled by its largest modulus.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return rng.standard_normal((k, s, m)) * 10.0 ** rng.integers(-150, 150, (k, s, 1))
+
+    b = draw() + 1j * draw() if complex_entries else draw()
+    blocks = b.reshape(k * s, m)
+    big, inf, nan = rng.permutation(k * s)[:3]  # three distinct blocks
+    blocks[big] = 1e155  # finite entries whose squares overflow
+    blocks[inf, rng.integers(m)] = np.inf
+    blocks[nan, rng.integers(m)] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):  # as in solve
+        got = sv._worst_norms(b)
+        plain = np.linalg.norm(b, axis=-1)
+        want = np.max(plain, axis=-1)
+        kept = ~np.isinf(want)
+        assert np.array_equal(got[kept], want[kept], equal_nan=True)
+        over = np.isinf(plain) & np.isfinite(b).all(axis=-1)
+        assert over.any()
+        scale = np.abs(b[over]).max(axis=-1)
+        plain[over] = scale * np.linalg.norm(b[over] / scale[:, None], axis=-1)
+        assert np.array_equal(got[~kept], np.max(plain, axis=-1)[~kept], equal_nan=True)
+
+
+def _at_the_route_limit():
+    """A 3-node tree at d = 64 (a 64 x 65 map) and a 4-source layered DAG at d = 32.
+
+    Both sit on the assembly bound ``s d^2 = 4096``, and their ``(s d)^2``
+    stays within ``1024 (V + E)``, so they take the affine route with the
+    largest maps it admits.
+    """
+    tree = tp.TreeNetwork.from_edges(3, 0, [(0, 1, 0.5), (0, 2, 0.5)])
+    dag = layered_dag(4, 2)  # 8 nodes, 8 edges, 4 minimal nodes
+    return [(tree, 64), (dag, 32)]
+
+
+@pytest.mark.parametrize("start", ["real", "complex rows", "complex start"])
+@pytest.mark.parametrize("net, dim", _at_the_route_limit(), ids=["tree d 64", "dag s 4 d 32"])
+def test_the_largest_affine_maps_match_one_pass_at_a_time(net, dim, start):
+    run = sv._Pass(ex.random_tree_system(0, net, 1), net)
+    s = len(run.sources)
+    assert s * dim * dim == sv.AFFINE_ASSEMBLY_LIMIT
+    assert sv.solve_route(s, dim, run.size) == "affine"
+    complex_rows = start == "complex rows"
+    system = ex.random_tree_system(dim, net, dim, consistent=False, complex_entries=complex_rows)
+    rng = np.random.default_rng(dim)
+    init = rng.standard_normal(dim) + 1j * rng.standard_normal(dim) if start == "complex start" else None
+    config = sv.SolverConfig(max_iterations=3 * K, initial_estimate=init)  # past a block edge
+    relax = sv.RelaxationAssignment.uniform(net.node_count, 0.5)
+    assert assert_same_solve(system, net, relax, config) == "stopped"
+
+
 def test_an_inadmissible_omega_diverges_on_both_routes():
     net = tp.TreeNetwork.from_edges(1, 0, [])
     system = sv.LinearSystem(rows=np.array([[1.0, 0.0]]), rhs=np.array([1.0]))
