@@ -30,6 +30,9 @@ points, least-squares targets) works on one checked column matrix of an
 orthonormal basis; the DAG's stacked row space is ``kron(I_s, q)``.  An
 :class:`AffineIteration` restricts itself once per basis, so one ``Q* B Q``
 and one eigensolve serve both its restricted radius and its fixed point.
+A map whose assembly overflowed, such as a deep chain at a large
+relaxation, holds inf or NaN entries; the builders and the sweep route
+raise :class:`~distkaczmarz.errors.NumericalFailureError` for it by name.
 
 Everything here is pure construction over immutable inputs and thread-safe.
 The one cache, an affine map's last restriction, is filled by a single
@@ -46,7 +49,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ApplicabilityError, DimensionError, NonContractionError, PartitionError
+from .errors import ApplicabilityError, DimensionError, NonContractionError, NumericalFailureError
+from .errors import PartitionError
 from .numerics import (
     _checked_columns,
     _eigvals,
@@ -104,7 +108,7 @@ def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.nda
     a = sys.rows[v]
     nrm2 = float(np.vdot(a, a).real)
     d = sys.ambient_dim
-    return np.eye(d, dtype=np.complex128) - (omega / nrm2) * np.outer(a, a.conj())
+    return np.eye(d, dtype=a.dtype) - (omega / nrm2) * np.outer(a, a.conj())
 
 
 def row_space_basis(sys: LinearSystem) -> list[np.ndarray]:
@@ -234,17 +238,29 @@ def path_sor_factors(
     )
 
 
-def _block_map(sys: LinearSystem, net, kind: type, relax: RelaxationAssignment) -> BlockStructure:
-    """The pass over a valid network of type ``kind`` as a block map, from one kernel push.
+def _finite(maps: np.ndarray) -> np.ndarray:
+    """``maps`` as assembled; raises :class:`NumericalFailureError` when an entry overflowed."""
+    if not np.isfinite(maps).all():
+        raise NumericalFailureError(
+            "the assembled pass map overflowed: its entries pass the float range"
+        )
+    return maps
 
-    The pass kernel carries the columns ``[I | 0]`` from every minimal node,
-    each on its own block, with the right-hand side entering the last column
-    only; the pooled blocks are the block rows of ``[B | c]``.  A tree is
-    the one-block case, whose only minimal node is the root.
+
+def _block_map(
+    sys: LinearSystem, net, kind: type, relax: RelaxationAssignment, kernel: _Pass | None = None
+) -> BlockStructure:
+    """The pass over a valid network of type ``kind`` as a block map, from one kernel assembly.
+
+    The kernel's :meth:`~distkaczmarz.solver._Pass.affine` gives the block
+    rows of ``[B | c]``, one block per minimal node; a tree is the one-block
+    case, whose only minimal node is the root.  ``kernel`` is the system's
+    and network's when the caller has built it.  Raises
+    :class:`NumericalFailureError` when the map overflows.
     """
     _require_valid(sys, net, (kind,), relax)
-    kernel = _Pass(sys, net)
-    (m,) = kernel.affine(relax.effective())
+    kernel = _Pass(sys, net) if kernel is None else kernel
+    (m,) = _finite(kernel.affine(relax.effective()))
     aggregate = AffineIteration(m[:, :-1], m[:, -1])
     return BlockStructure(aggregate, kernel.sources, sys.ambient_dim, sys, kernel)
 
@@ -272,7 +288,7 @@ def _as_resolved(net: TreeNetwork, group) -> ResolvedGroup:
 
 def _chain_matrix(sys: LinearSystem, nodes: Sequence[int], omega: np.ndarray) -> np.ndarray:
     """Product of relaxed projections along ``nodes``, first node applied first."""
-    out = np.eye(sys.ambient_dim, dtype=np.complex128)
+    out = np.eye(sys.ambient_dim, dtype=sys.rows.dtype)
     for v in nodes:
         out = relaxed_projection_matrix(sys, v, omega[v]) @ out
     return out
@@ -291,7 +307,7 @@ def group_operator(
     omega = relax.effective()
     d = sys.ambient_dim
     terms = {}
-    eye = np.eye(d, dtype=np.complex128)
+    eye = np.eye(d, dtype=sys.rows.dtype)
     stack = [(top, net.edge_weight[(g.gateway, top)], eye) for top in g.tops]
     while stack:
         v, w, chain = stack.pop()
@@ -300,7 +316,7 @@ def group_operator(
         if not kids:
             terms[v] = w * chain
         stack.extend((c, w * net.edge_weight[(v, c)], chain) for c in kids if c in g.members)
-    return sum((terms[leaf] for leaf in g.leaves), np.zeros((d, d), dtype=np.complex128))
+    return sum((terms[leaf] for leaf in g.leaves), np.zeros((d, d), dtype=sys.rows.dtype))
 
 
 def build_p_omega(
@@ -327,7 +343,7 @@ def build_p_omega(
     if not groups:  # single-node tree: the root is the only leaf
         return relaxed_projection_matrix(sys, net.root, omega[net.root])
     d = sys.ambient_dim
-    p = np.zeros((d, d), dtype=np.complex128)
+    p = np.zeros((d, d), dtype=sys.rows.dtype)
     for g in groups:
         gateway_chain = net.path_from_root(g.gateway)
         prod = _chain_matrix(sys, gateway_chain, omega)
@@ -835,7 +851,7 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     step = max(1, SWEEP_CHUNK_COLUMNS // kernel.width)
 
     def restrict(cols: np.ndarray) -> np.ndarray:
-        return qs.conj().T @ kernel.affine(cols)[..., :-1] @ qs
+        return qs.conj().T @ _finite(kernel.affine(cols))[..., :-1] @ qs
 
     maps = _interpolated(kernel, omega, restrict) or restrict
     return np.concatenate(

@@ -23,7 +23,8 @@ import numpy as np
 from . import closedform as cf
 from .closedform import restricted_rho
 from .errors import NonContractionError
-from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _iterate, solve
+from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _iterate, _Pass, solve
+from .solver import _require_valid
 from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce
 
 RNG_NAME = "numpy.random.default_rng(PCG64)"
@@ -351,17 +352,21 @@ def lsq_limit_study(
 
     Also records how many iterations ``solve`` needs at each scale, showing
     the accuracy/speed trade-off as the scale shrinks; the solve iterates
-    the scale's map as assembled for its fixed point, so each scale pushes
-    the kernel once.  Scales at which the iteration does not contract are
-    recorded and skipped.
+    the scale's map as assembled for its fixed point, so each scale
+    assembles its map once.  The pass kernel does not depend on the
+    relaxation, so one kernel serves every scale and the target, which is
+    :func:`~distkaczmarz.closedform.weighted_ls_minimizer` on the study's
+    one row-space basis.  Scales at which the iteration does not contract
+    are recorded and skipped.
     """
-    target = cf.weighted_ls_minimizer(sys, net, relax)
+    _require_valid(sys, net, (TreeNetwork,), relax)
+    kernel = _Pass(sys, net)
     basis = cf.row_space_basis(sys)
+    target = cf._ls_blocks(sys, relax.omega * kernel.masses(), basis)[0]  # weighted_ls_minimizer
     rows = []
     for s in s_values:
         scaled = relax.scaled(s)
-        structure = cf._block_map(sys, net, TreeNetwork, scaled)
-        it = structure.aggregate
+        it = cf._block_map(sys, net, TreeNetwork, scaled, kernel).aggregate
         try:
             fp = cf.fixed_point(it, basis)
         except NonContractionError:
@@ -370,7 +375,7 @@ def lsq_limit_study(
         budget = iteration_budget(it.restriction(basis).rho, target=1e-12)
         config = SolverConfig(max_iterations=budget, step_tolerance=1e-12)
         pass_map = np.column_stack((it.B, it.c))  # the [B | c] that solve would assemble
-        report = _iterate(sys, structure.kernel, scaled.effective(), True, config, pass_map=pass_map)
+        report = _iterate(sys, kernel, scaled.effective(), True, config, pass_map=pass_map)
         rows.append(
             LimitRow(
                 scale=s,

@@ -20,6 +20,16 @@ maximal nodes' blocks.  The kernel carries a block of columns instead
 of a single vector: one column is the engine, identity columns give the
 closed-form affine map of :mod:`distkaczmarz.closedform`, and identity
 columns under a per-column relaxation give a whole chunk of sweep points.
+On a tree the level kernel takes D steps for D levels, so one point's map
+on a deep, narrow tree is assembled by pointer doubling instead (Wyllie's
+pointer jumping, the prefix scan of Hillis and Steele): every node's
+homogeneous update is built in one batched step, and each of ``ceil(log2
+D)`` rounds composes every node's map with that of its current jump target
+and doubles the jump.  That is ``V (d + 1)^3`` flops a round in three
+numpy calls against about six calls a level, so :func:`_doubles` picks it
+on V, D, d and whether the rows are complex; DAGs, omega stacks and
+one-column pushes keep the levels.  Maps are assembled without
+floating-point warnings: one that overflows holds inf or NaN entries.
 ``tree_iterate`` and ``dag_iterate`` run it on one column; ``solve``
 assembles the pass map ``x -> B x + c`` once, as the one matrix
 ``[B | c]``, and iterates it in homogeneous form: each iterate row carries
@@ -64,6 +74,15 @@ AFFINE_MATVEC_RATIO = 1024
 # as much as one numpy call, so the norms of a block are taken together.
 AFFINE_BLOCK = 64
 RATE_WINDOW = 16  # step ratios behind ``SolveReport.observed_rate``
+# ``_doubles``: a tree's map is assembled by pointer doubling when
+# ``V ceil(log2 D) (1 + (d+1)^3 / CUBE) (COMPLEX if complex) <= PER_LEVEL D``.
+# Fitted to both routes' times on chains, caterpillars, stars, binary and
+# random recursive trees at d = 2..16 (2-vCPU x86_64, OpenBLAS on one thread):
+# a doubling round costs about 60 ns + 0.15 ns (d+1)^3 per node, 3-4 times
+# that with complex rows, and a level about 6 us whatever the dtype.
+_DOUBLING_CUBE = 400
+_DOUBLING_COMPLEX = 4
+_DOUBLING_PER_LEVEL = 120
 
 
 @value_dataclass
@@ -285,9 +304,11 @@ class _Pass:
     the node plus edge count V + E.  The effective relaxation comes with
     each call, ``(V,)`` or ``(V, m)`` with one column per kernel column, in
     node id order; ``width`` is the kernel columns of one point of
-    :meth:`affine`.  Outside ``topology``, which builds them, only this
-    class reads the schedule's padded level tables; :meth:`axis_degrees`
-    answers the sweep's question about them.
+    :meth:`affine`, and ``doubling`` says whether one point is assembled
+    by pointer doubling, as :func:`_doubles` decides.  Outside
+    ``topology``, which builds them, only this class reads the schedule's
+    padded level tables; :meth:`axis_degrees` answers the sweep's question
+    about them.
     """
 
     def __init__(self, sys: LinearSystem, net: TreeNetwork | DagNetwork):
@@ -302,6 +323,9 @@ class _Pass:
         self.cols = rows[:, :, None]  # a_v as a column
         self.conj = rows.conj()[:, None, :]  # a_v* as a row
         self.norm2 = np.einsum("ij,ij->i", rows.conj(), rows).real
+        self.doubling = self.schedule.parent is not None and _doubles(
+            len(order), len(self.schedule.levels), self.dim, np.iscomplexobj(rows)
+        )
 
     def push(self, starts, t: np.ndarray, omega) -> np.ndarray:
         """Carry one (d, m) block per minimal node through the pass at relaxation ``omega``.
@@ -347,23 +371,57 @@ class _Pass:
     def affine(self, omega: np.ndarray) -> np.ndarray:
         """The pass as ``x -> B x + c`` on the stacked minimal-node estimates, per point.
 
-        ``omega`` is one point ``(V,)`` or a stack ``(V, G)``.  Minimal node i
-        starts from the identity on its own block of columns and a zero
-        constant column; ``t`` selects the constant column, so the pooled
-        blocks stack into ``[B | c]``.  Point p owns the ``width`` kernel
-        columns from ``p * width``; the maps come back as a ``(G, n, n + 1)``
-        stack of ``[B | c]``, with ``n = s d``, each C-contiguous when G is 1.
-        One point's relaxation stays ``(V, 1)`` and broadcasts across its
-        columns.
+        ``omega`` is one point ``(V,)`` or a stack ``(V, G)``.  The maps come
+        back as a ``(G, n, n + 1)`` stack of ``[B | c]``, with ``n = s d``,
+        each C-contiguous when G is 1.  One point on a tree schedule is
+        assembled by pointer doubling (:meth:`_doubled`) when
+        :func:`_doubles` finds it cheaper than the levels; otherwise the
+        kernel pushes identity columns: minimal node i starts from the
+        identity on its own block of columns and a zero constant column, and
+        ``t`` selects the constant column, so the pooled blocks stack into
+        ``[B | c]``.  Point p owns the ``width`` kernel columns from
+        ``p * width``; one point's relaxation stays ``(V, 1)`` and broadcasts
+        across its columns.  Either way the map is assembled without
+        overflow warnings: a map that overflows holds inf or NaN entries,
+        which the caller reports.
         """
         omega = omega.reshape(omega.shape[0], -1)
         points, k = omega.shape[1], self.width - 1
-        eye = np.eye(k + 1, dtype=self.cols.dtype)
-        if points > 1:
-            eye, omega = np.tile(eye, points), np.repeat(omega, k + 1, axis=1)
-        starts = eye[:k].reshape(len(self.sources), self.dim, -1)
-        out = self.push(starts, eye[k], omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if points == 1 and self.doubling:
+                return self._doubled(omega[:, 0])
+            eye = np.eye(k + 1, dtype=self.cols.dtype)
+            if points > 1:
+                eye, omega = np.tile(eye, points), np.repeat(omega, k + 1, axis=1)
+            starts = eye[:k].reshape(len(self.sources), self.dim, -1)
+            out = self.push(starts, eye[k], omega)
         return out.reshape(k, points, k + 1).transpose(1, 0, 2)
+
+    def _doubled(self, omega: np.ndarray) -> np.ndarray:
+        """One point's ``(1, d, d + 1)`` map ``[B | c]`` on a tree schedule, by pointer doubling.
+
+        Node v's update is the homogeneous ``(d + 1)``-square map with top
+        rows ``[I | 0] - g_v a_v [a_v* | -b_v]``, ``g_v = omega_v / |a_v|^2``,
+        and bottom row ``[0 | 1]``; row V, the padding, holds the identity.
+        Each round composes every node's map with the map of its jump target
+        and then jumps twice as far, ``jump <- jump[jump]``, starting from the
+        schedule's ``parent``: after round k a node holds the product of its
+        2^k nearest ancestors' maps and its own, so ``ceil(log2 D)`` rounds
+        over D levels give every node its root-to-node product.  The pool
+        row then sums the maximal nodes' top rows.
+        """
+        sch, d = self.schedule, self.dim
+        n = len(sch.order)
+        gain = (omega[sch.order] / self.norm2)[:, None, None]
+        ext = np.concatenate((self.conj, -self.rhs[:, None, None]), axis=2)  # [a_v* | -b_v]
+        maps = np.empty((n + 1, d + 1, d + 1), dtype=self.cols.dtype)
+        maps[:] = np.eye(d + 1)
+        maps[:n, :d] -= (gain * self.cols) * ext
+        jump = sch.parent
+        for _ in range((len(sch.levels) - 1).bit_length()):
+            maps, jump = maps @ maps[jump], jump[jump]
+        pooled = sch.pool @ maps[sch.maximal, :d].reshape(len(sch.maximal), -1)
+        return pooled.reshape(1, d, d + 1)
 
     def masses(self) -> np.ndarray:
         """``masses[i, v]``: total weight with which minimal node i pools the chains through v.
@@ -480,6 +538,21 @@ def _worst_norms(blocks: np.ndarray) -> np.ndarray:
         norms[over] = scale * _norms(blocks[over] / scale[:, None])
         worst = norms.max(axis=1)
     return worst
+
+
+def _doubles(nodes: int, levels: int, dim: int, complex_rows: bool) -> bool:
+    """Whether pointer doubling assembles one point's map on a tree faster than the levels.
+
+    Doubling runs ``ceil(log2 D)`` rounds of 3 numpy calls and
+    ``V (d + 1)^3`` flops each; the level kernel runs D levels of about 6
+    calls and ``V d (d + 1)`` flops in all.  So doubling pays on trees of
+    many narrow levels at small d, and complex products cost it about
+    ``_DOUBLING_COMPLEX`` times more than they cost the levels.
+    """
+    rounds = (levels - 1).bit_length()
+    flops = 1.0 + (dim + 1) ** 3 / _DOUBLING_CUBE
+    work = nodes * rounds * flops * (_DOUBLING_COMPLEX if complex_rows else 1)
+    return work <= _DOUBLING_PER_LEVEL * levels
 
 
 def solve_route(minimal: int, dim: int, size: int) -> str:

@@ -171,7 +171,11 @@ class Schedule:
     total pooling weight of the descents from the maximal node at position
     ``maximal[j]`` to minimal node i: the weight with which minimal node i
     pools that maximal node.  ``size`` is the node plus edge count V + E.
-    All arrays are read-only.
+    ``parent`` is set on a tree's schedule, one source and a ``copy`` on
+    every later level: ``parent[p]`` is the position of the one predecessor
+    of the node at position p, and V for the source and for the padding
+    row V; the pass's pointer doubling jumps along it.  It is None on any
+    other schedule.  All arrays are read-only.
     """
 
     order: np.ndarray
@@ -180,6 +184,7 @@ class Schedule:
     maximal: np.ndarray
     pool: np.ndarray
     size: int
+    parent: np.ndarray | None
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -230,6 +235,9 @@ def _schedule(levels: Sequence[tuple[int, ...]], ins: Sequence[tuple]) -> Schedu
         tables.append(lv)
     has_out = set(pred.tolist())
     maximal = _frozen([p for p in range(n) if p not in has_out], np.intp)
+    parent = None
+    if len(sources) == 1 and all(lv.copy is not None for lv in tables[1:]):
+        parent = _frozen([n, *pred.tolist(), n], np.intp)  # a copy level's pred is its parents
     return Schedule(
         order=_frozen(order, np.intp),
         sources=sources,
@@ -237,6 +245,7 @@ def _schedule(levels: Sequence[tuple[int, ...]], ins: Sequence[tuple]) -> Schedu
         maximal=maximal,
         pool=_frozen(descent[maximal].T, float),
         size=n + sum(map(len, ins)),
+        parent=parent,
     )
 
 

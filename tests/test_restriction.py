@@ -201,7 +201,7 @@ def _limit_rows_by_solve(system, net, relax, scales):
 
 
 def test_the_limit_study_assembles_each_contractive_scale_once(monkeypatch):
-    """One kernel and one assembly per scale, one kernel for the masses; the rows are unchanged."""
+    """One kernel for the whole study and one assembly per scale; the rows are unchanged."""
     net = ex.binary7_network()
     system = ex.generate_system(ex.GeneratorSpec("uniform", 7, 7, 3)).system
     relax = sv.RelaxationAssignment.uniform(7, 1.0)
@@ -210,7 +210,7 @@ def test_the_limit_study_assembles_each_contractive_scale_once(monkeypatch):
     counted = _Counted(monkeypatch)
     rows = ex.lsq_limit_study(system, net, relax, scales)
     assert all(row.contractive for row in rows)
-    assert (counted.init, counted.affine) == (len(scales) + 1, len(scales))
+    assert (counted.init, counted.affine) == (1, len(scales))
     assert rows == want
 
 
