@@ -6,7 +6,8 @@ Commands
                  convergence, 2 when the iteration budget runs out, 3 on
                  divergence).
 ``analyze``      admissibility verdicts, per-leaf relaxation bounds and the
-                 eigenvalue split of the iteration matrix.
+                 eigenvalue split of the iteration matrix (exit 3 when the
+                 pass map overflows).
 ``sweep``        spectral radius over a parameter grid, written as CSV, for
                  tree and DAG networks.
 ``reproduce``    run one of the canonical seeded studies.
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import closedform as cf
 from . import experiments as ex
-from .errors import DivergenceError, PartitionError
+from .errors import DivergenceError, NumericalFailureError, PartitionError
 from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _checked_omega, solve
 from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, validate_subnetworks
 
@@ -427,9 +428,13 @@ def cmd_analyze(args) -> int:
         ]
     try:
         admissibility = cf.check_admissibility(sys_, net, part, relax)
+        dichotomy = cf.eigen_dichotomy_check(cf.tree_affine(sys_, net, relax), sys_)
     except PartitionError as exc:
         print(f"config.subnetworks: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
+    except NumericalFailureError as exc:  # such as a pass map that overflows
+        print(f"analyze: {exc}", file=_sys.stderr)
+        return EXIT_DIVERGED
     payload["admissible"] = admissibility.admissible
     payload["condition1"] = {
         str(v): {"omega": om, "pass": ok}
@@ -447,8 +452,6 @@ def cmd_analyze(args) -> int:
         payload["groups"].append(entry)
     if admissibility.unit_scale_admissible is not None:
         payload["unit_scale_admissible"] = admissibility.unit_scale_admissible
-    it = cf.tree_affine(sys_, net, relax)
-    dichotomy = cf.eigen_dichotomy_check(it, sys_)
     payload["rho_restricted"] = dichotomy.rho_restricted
     payload["eigenvalues"] = [[z.real, z.imag] for z in dichotomy.eigenvalues]
     payload["unit_eigenvalue_count"] = dichotomy.unit_count

@@ -451,13 +451,15 @@ def _write_atomic(path: str, data: str) -> None:
 def sweep_to_csv(result: SweepResult) -> str:
     """RFC-4180-style CSV with a '.' decimal separator regardless of locale.
 
-    No field holds a comma, quote or line break, so every row is one
-    ``str.format`` of a template built once.
+    No field holds a comma, quote or line break, so the whole body is one
+    ``%`` of the row template repeated once per point (``%.10g`` formats
+    exactly as ``{:.10g}``).
     """
     naxes = len(result.grid[0])
     header = ",".join([f"omega_{i + 1}" for i in range(naxes)] + ["rho"])
-    row = ",".join(["{:.10g}"] * naxes + ["{:.12g}"]).format
-    return "\n".join([header, *(row(*pt, rho) for pt, rho in zip(result.grid, result.rho))]) + "\n"
+    row = ",".join(["%.10g"] * naxes + ["%.12g"])
+    values = tuple([v for pt, rho in zip(result.grid, result.rho) for v in (*pt, rho)])
+    return "\n".join([header, *[row] * len(result.grid), ""]) % values
 
 
 def _residual_after(

@@ -20,17 +20,23 @@ maximal nodes' blocks.  The kernel carries a block of columns instead
 of a single vector: one column is the engine, identity columns give the
 closed-form affine map of :mod:`distkaczmarz.closedform`, and identity
 columns under a per-column relaxation give a whole chunk of sweep points.
-On a tree the level kernel takes D steps for D levels, so one point's map
-on a deep, narrow tree is assembled by pointer doubling instead (Wyllie's
-pointer jumping, the prefix scan of Hillis and Steele): every node's
-homogeneous update is built in one batched step, and each of ``ceil(log2
-D)`` rounds composes every node's map with that of its current jump target
-and doubles the jump.  That is ``V (d + 1)^3`` flops a round in three
-numpy calls against about six calls a level, so :func:`_doubles` picks it
-on V, D, d and whether the rows are complex; DAGs, omega stacks and
-one-column pushes keep the levels.  Maps are assembled without
-floating-point warnings: one that overflows holds inf or NaN entries.
-``tree_iterate`` and ``dag_iterate`` run it on one column; ``solve``
+One point's map is assembled instead from every node's update written as a
+homogeneous ``(d + 1)``-square map, built in one batched step, in one of two
+ways.  The walk runs the levels on those maps: a level is one gather or
+blend of predecessor states, which carry the constant column's selector as
+a last row, and one batched product with the level's maps, two or three
+numpy calls instead of about six.  On a tree the levels take D steps for D
+levels, so one point's map on a deep, narrow tree is assembled by pointer
+doubling (Wyllie's pointer jumping, the prefix scan of Hillis and Steele):
+each of ``ceil(log2 D)`` rounds composes every node's map with that of its
+current jump target and doubles the jump.  The walk costs ``(d + 1)^2``
+products per column and node against the push's ``2 d``, and doubling
+``V (d + 1)^3`` flops a round, so :func:`_one_point` prices the push, the
+walk and, on a tree, doubling on V, D, d, the column count and whether the
+rows are complex, and takes the cheapest; omega stacks and one-column
+pushes keep the push.  Maps are assembled without floating-point warnings:
+one that overflows holds inf or NaN entries.
+``tree_iterate`` and ``dag_iterate`` run the push on one column; ``solve``
 assembles the pass map ``x -> B x + c`` once, as the one matrix
 ``[B | c]``, and iterates it in homogeneous form: each iterate row carries
 a trailing 1, so a pass is one ``[B | c].dot([x; 1])`` into the next row
@@ -39,10 +45,12 @@ assembling or applying ``B``, ``solve`` runs the kernel on one column per
 iteration instead.
 Either way ``solve`` has one loop: it fills a block of iterates, one pass
 per row, writes the block's steps behind them with one subtraction, and
-takes the iterate and step norms that decide the stop for the whole block
-with one reduction (up to 64 passes a block on the map, where a pass costs
-one numpy call; 1 on the kernel, where a pass past the stop would be
-wasted).
+takes the norms that decide the stop for the whole block with one
+reduction (up to 64 passes a block on the map, where a pass costs one
+numpy call; 1 on the kernel, where a pass past the stop would be wasted).
+Iterate norms only feed the divergence test, so a block whose largest
+entry modulus cannot put any block norm past the bound reduces its step
+norms alone.
 
 A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  Every pass
@@ -74,15 +82,20 @@ AFFINE_MATVEC_RATIO = 1024
 # as much as one numpy call, so the norms of a block are taken together.
 AFFINE_BLOCK = 64
 RATE_WINDOW = 16  # step ratios behind ``SolveReport.observed_rate``
-# ``_doubles``: a tree's map is assembled by pointer doubling when
-# ``V ceil(log2 D) (1 + (d+1)^3 / CUBE) (COMPLEX if complex) <= PER_LEVEL D``.
-# Fitted to both routes' times on chains, caterpillars, stars, binary and
-# random recursive trees at d = 2..16 (2-vCPU x86_64, OpenBLAS on one thread):
-# a doubling round costs about 60 ns + 0.15 ns (d+1)^3 per node, 3-4 times
-# that with complex rows, and a level about 6 us whatever the dtype.
-_DOUBLING_CUBE = 400
-_DOUBLING_COMPLEX = 4
-_DOUBLING_PER_LEVEL = 120
+# ``_one_point`` prices the three ways to assemble one point's map, V nodes on D
+# levels with m = s d + 1 columns, in units of one node's share of a batched call:
+#   push      PUSH_LEVEL D
+#   walk      WALK_LEVEL D + V (1 + m (d+1)^2 / WALK_SQUARE) (COMPLEX if complex)
+#   doubling  V ceil(log2 D) (1 + (d+1)^3 / DOUBLING_CUBE) (COMPLEX if complex)
+# Fitted, by the least summed regret, to the three ways' times on trees (chains,
+# caterpillars, stars, binary and random recursive trees) and layered and random
+# DAGs at d = 1..24 with real and complex rows (2-vCPU x86_64, OpenBLAS on one
+# thread): a unit is about 70 ns, a push level about 8 us whatever the dtype.
+_PUSH_LEVEL = 120
+_WALK_LEVEL = 48
+_WALK_SQUARE = 800
+_DOUBLING_CUBE = 600
+_COMPLEX = 4
 
 
 @value_dataclass
@@ -304,8 +317,10 @@ class _Pass:
     the node plus edge count V + E.  The effective relaxation comes with
     each call, ``(V,)`` or ``(V, m)`` with one column per kernel column, in
     node id order; ``width`` is the kernel columns of one point of
-    :meth:`affine`, and ``doubling`` says whether one point is assembled
-    by pointer doubling, as :func:`_doubles` decides.  Outside
+    :meth:`affine`.  ``one_point`` names how :meth:`affine` assembles one
+    point, as :func:`_one_point` prices it: ``"doubled"``
+    (:meth:`_doubled`), ``"walked"`` (:meth:`_walked`) or ``"pushed"``
+    (:meth:`push`); ``doubling`` says whether it is the first.  Outside
     ``topology``, which builds them, only this class reads the schedule's
     padded level tables; :meth:`axis_degrees` answers the sweep's question
     about them.
@@ -323,9 +338,14 @@ class _Pass:
         self.cols = rows[:, :, None]  # a_v as a column
         self.conj = rows.conj()[:, None, :]  # a_v* as a row
         self.norm2 = np.einsum("ij,ij->i", rows.conj(), rows).real
-        self.doubling = self.schedule.parent is not None and _doubles(
-            len(order), len(self.schedule.levels), self.dim, np.iscomplexobj(rows)
+        self.one_point = _one_point(
+            len(order), len(self.schedule.levels), self.width, self.dim, np.iscomplexobj(rows),
+            self.schedule.parent is not None,
         )
+
+    @property
+    def doubling(self) -> bool:
+        return self.one_point == "doubled"
 
     def push(self, starts, t: np.ndarray, omega) -> np.ndarray:
         """Carry one (d, m) block per minimal node through the pass at relaxation ``omega``.
@@ -373,9 +393,10 @@ class _Pass:
 
         ``omega`` is one point ``(V,)`` or a stack ``(V, G)``.  The maps come
         back as a ``(G, n, n + 1)`` stack of ``[B | c]``, with ``n = s d``,
-        each C-contiguous when G is 1.  One point on a tree schedule is
-        assembled by pointer doubling (:meth:`_doubled`) when
-        :func:`_doubles` finds it cheaper than the levels; otherwise the
+        each C-contiguous when G is 1.  One point is assembled as
+        ``one_point`` says: by pointer doubling (:meth:`_doubled`) or by
+        walking the node maps (:meth:`_walked`) where :func:`_one_point`
+        finds them cheaper than the push.  Otherwise, and for a stack, the
         kernel pushes identity columns: minimal node i starts from the
         identity on its own block of columns and a zero constant column, and
         ``t`` selects the constant column, so the pooled blocks stack into
@@ -388,8 +409,10 @@ class _Pass:
         omega = omega.reshape(omega.shape[0], -1)
         points, k = omega.shape[1], self.width - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            if points == 1 and self.doubling:
+            if points == 1 and self.one_point == "doubled":
                 return self._doubled(omega[:, 0])
+            if points == 1 and self.one_point == "walked":
+                return self._walked(omega[:, 0])
             eye = np.eye(k + 1, dtype=self.cols.dtype)
             if points > 1:
                 eye, omega = np.tile(eye, points), np.repeat(omega, k + 1, axis=1)
@@ -397,31 +420,70 @@ class _Pass:
             out = self.push(starts, eye[k], omega)
         return out.reshape(k, points, k + 1).transpose(1, 0, 2)
 
+    def _node_maps(self, omega: np.ndarray) -> np.ndarray:
+        """Every node's update at one point as a homogeneous ``(d + 1)``-square map, stacked.
+
+        Row p holds the update of the node at position p: top rows
+        ``[I | 0] - g_v a_v [a_v* | -b_v]``, ``g_v = omega_v / |a_v|^2``, and
+        bottom row ``[0 | 1]``, so it maps ``[x; t]`` to
+        ``[x + a_v g_v (b_v t - a_v* x); t]``.  Row V, the padding, holds the
+        identity, so the stack is ``(V + 1, d + 1, d + 1)``.
+        """
+        n, d = len(self.rhs), self.dim
+        gain = omega[self.schedule.order] / -self.norm2
+        ext = np.concatenate((self.conj, -self.rhs[:, None, None]), axis=2)  # [a_v* | -b_v]
+        maps = np.zeros((n + 1, d + 1, d + 1), dtype=self.cols.dtype)
+        np.multiply(gain[:, None, None] * self.cols, ext, out=maps[:n, :d])
+        maps.reshape(n + 1, -1)[:, :: d + 2] += 1.0  # the identity, on every diagonal
+        return maps
+
     def _doubled(self, omega: np.ndarray) -> np.ndarray:
         """One point's ``(1, d, d + 1)`` map ``[B | c]`` on a tree schedule, by pointer doubling.
 
-        Node v's update is the homogeneous ``(d + 1)``-square map with top
-        rows ``[I | 0] - g_v a_v [a_v* | -b_v]``, ``g_v = omega_v / |a_v|^2``,
-        and bottom row ``[0 | 1]``; row V, the padding, holds the identity.
-        Each round composes every node's map with the map of its jump target
-        and then jumps twice as far, ``jump <- jump[jump]``, starting from the
-        schedule's ``parent``: after round k a node holds the product of its
-        2^k nearest ancestors' maps and its own, so ``ceil(log2 D)`` rounds
-        over D levels give every node its root-to-node product.  The pool
-        row then sums the maximal nodes' top rows.
+        Each round composes every node's map (:meth:`_node_maps`) with the
+        map of its jump target and then jumps twice as far,
+        ``jump <- jump[jump]``, starting from the schedule's ``parent``:
+        after round k a node holds the product of its 2^k nearest ancestors'
+        maps and its own, so ``ceil(log2 D)`` rounds over D levels give every
+        node its root-to-node product.  The pool row then sums the maximal
+        nodes' top rows.
         """
         sch, d = self.schedule, self.dim
-        n = len(sch.order)
-        gain = (omega[sch.order] / self.norm2)[:, None, None]
-        ext = np.concatenate((self.conj, -self.rhs[:, None, None]), axis=2)  # [a_v* | -b_v]
-        maps = np.empty((n + 1, d + 1, d + 1), dtype=self.cols.dtype)
-        maps[:] = np.eye(d + 1)
-        maps[:n, :d] -= (gain * self.cols) * ext
-        jump = sch.parent
+        maps, jump = self._node_maps(omega), sch.parent
         for _ in range((len(sch.levels) - 1).bit_length()):
             maps, jump = maps @ maps[jump], jump[jump]
         pooled = sch.pool @ maps[sch.maximal, :d].reshape(len(sch.maximal), -1)
         return pooled.reshape(1, d, d + 1)
+
+    def _walked(self, omega: np.ndarray) -> np.ndarray:
+        """One point's ``(1, n, n + 1)`` map ``[B | c]``, ``n = s d``, by walking the node maps.
+
+        The state of a node is its ``(d + 1, n + 1)`` block of the
+        identity columns pushed so far with ``t``, the constant column's
+        selector, as row d; minimal node i starts from ``[I_i | 0]`` over
+        ``[0 | 1]``, where ``I_i`` is the identity on block i's columns.  A
+        level gathers (``copy``) or blends its nodes' predecessor states,
+        then applies every node's map (:meth:`_node_maps`) with one batched
+        product; the pool row then sums the maximal nodes' top rows.  That
+        is two or three numpy calls a level instead of the push's six, for
+        ``(d + 1)^2`` products per column and node instead of ``2 d``.
+        """
+        sch, d, k = self.schedule, self.dim, self.width - 1
+        maps = self._node_maps(omega)
+        x = np.empty((len(sch.order) + 1, d + 1, k + 1), dtype=maps.dtype)
+        x[-1] = 0.0  # the padding row of the level tables
+        z = np.zeros((len(self.sources), d + 1, k + 1), dtype=maps.dtype)
+        z[:, :d, :k] = np.eye(k).reshape(len(self.sources), d, k)
+        z[:, d, k] = 1.0
+        for lv in sch.levels:  # level 0, the minimal nodes, starts from ``z``
+            if lv.copy is not None:
+                z = x[lv.copy]
+            elif lv.pred.size:
+                blocks = x[lv.pred].reshape(*lv.pred.shape, -1)
+                z = (lv.w_d[:, None, :] @ blocks).reshape(len(blocks), d + 1, -1)
+            np.matmul(maps[lv.start : lv.stop], z, out=x[lv.start : lv.stop])
+        pooled = sch.pool @ x[sch.maximal, :d].reshape(len(sch.maximal), -1)
+        return pooled.reshape(1, k, k + 1)
 
     def masses(self) -> np.ndarray:
         """``masses[i, v]``: total weight with which minimal node i pools the chains through v.
@@ -523,14 +585,15 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
-def _worst_norms(blocks: np.ndarray) -> np.ndarray:
+def _worst_norms(blocks: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """The largest norm among the blocks of each iterate of a ``(k, s, m)`` stack.
 
+    ``norms`` are the blocks' plain norms when the caller has taken them.
     When a worst norm is inf, a block of finite entries whose plain norm
     overflowed (past about 1e154, under the caller's ``np.errstate``) is
     scaled by its largest modulus first; every finite plain norm is kept.
     """
-    norms = _norms(blocks)
+    norms = _norms(blocks) if norms is None else norms
     worst = norms.max(axis=1)
     if np.isinf(worst).any():
         over = np.isinf(norms) & np.isfinite(blocks).all(axis=2)
@@ -540,19 +603,41 @@ def _worst_norms(blocks: np.ndarray) -> np.ndarray:
     return worst
 
 
+def _walk_cost(nodes: int, levels: int, columns: int, dim: int, complex_rows: bool) -> float:
+    """The walk's price (see ``_PUSH_LEVEL``): 2-3 calls a level, ``(d + 1)^2`` flops a column."""
+    flops = 1.0 + columns * (dim + 1) ** 2 / _WALK_SQUARE
+    return _WALK_LEVEL * levels + nodes * flops * (_COMPLEX if complex_rows else 1)
+
+
 def _doubles(nodes: int, levels: int, dim: int, complex_rows: bool) -> bool:
     """Whether pointer doubling assembles one point's map on a tree faster than the levels.
 
     Doubling runs ``ceil(log2 D)`` rounds of 3 numpy calls and
-    ``V (d + 1)^3`` flops each; the level kernel runs D levels of about 6
-    calls and ``V d (d + 1)`` flops in all.  So doubling pays on trees of
-    many narrow levels at small d, and complex products cost it about
-    ``_DOUBLING_COMPLEX`` times more than they cost the levels.
+    ``V (d + 1)^3`` flops each; the push runs D levels of about 6 calls and
+    the walk D levels of 2, with ``(d + 1)^2`` products per column and node.
+    So doubling pays on trees of many narrow levels at small d, and complex
+    products cost it, and the walk, about ``_COMPLEX`` times more.
     """
     rounds = (levels - 1).bit_length()
     flops = 1.0 + (dim + 1) ** 3 / _DOUBLING_CUBE
-    work = nodes * rounds * flops * (_DOUBLING_COMPLEX if complex_rows else 1)
-    return work <= _DOUBLING_PER_LEVEL * levels
+    work = nodes * rounds * flops * (_COMPLEX if complex_rows else 1)
+    return work <= min(_PUSH_LEVEL * levels, _walk_cost(nodes, levels, dim + 1, dim, complex_rows))
+
+
+def _one_point(
+    nodes: int, levels: int, columns: int, dim: int, complex_rows: bool, tree: bool
+) -> str:
+    """How :meth:`_Pass.affine` assembles one point: ``"doubled"``, ``"walked"`` or ``"pushed"``.
+
+    ``columns`` is the map's ``s d + 1``.  Doubling needs a tree
+    (:func:`_doubles`); the walk is taken where its price stays at most the
+    push's, which rules out large d, where the walk's ``(d + 1)^2``
+    products per column cost more than the calls it saves.
+    """
+    if tree and _doubles(nodes, levels, dim, complex_rows):
+        return "doubled"
+    walk = _walk_cost(nodes, levels, columns, dim, complex_rows)
+    return "walked" if walk <= _PUSH_LEVEL * levels else "pushed"
 
 
 def solve_route(minimal: int, dim: int, size: int) -> str:
@@ -585,11 +670,16 @@ def solve(
     a longer block would run passes past the stop), writes its steps into
     the rows behind its iterates with one subtraction, takes the worst block
     norm of every iterate and step with one reduction, and cuts the block
-    at the first row that stops.  On the affine route row j is ``[x_j; 1]``
+    at the first row that stops.  Iterate norms only feed the divergence
+    test: when no entry of the block's iterates has a modulus above
+    ``bound / (2 sqrt(d))``, no block norm can pass the bound, and the
+    reduction covers the steps alone; any other block, NaN and inf entries
+    included, takes every norm.  On the affine route row j is ``[x_j; 1]``
     and a pass is one ``[B | c].dot([x_j; 1])`` into the first ``s d``
-    entries of row j + 1, through row views bound once per solve; every
-    norm, estimate and report reads the rows without their last column.
-    The stops are those of one pass at a time:
+    entries of row j + 1, through row views bound once per solve; norms
+    square whole contiguous rows and reduce them without their last column,
+    and every estimate and report reads the rows without it.  The stops are
+    those of one pass at a time:
 
     - ``iterations_used`` is 0, with empty traces, when the first step is
       already under tolerance (the initial estimate was stationary);
@@ -635,9 +725,21 @@ def _iterate(
     steps: list[float] = []
     residuals: list[float] = []
     used, stop = 0, None
+
+    def worst_norms(lo: int, hi: int) -> np.ndarray:
+        """``_worst_norms`` of buffer rows ``lo..hi-1``, squared on the contiguous rows."""
+        h = buf[lo:hi]
+        squares = (h.conj() * h).real[:, :-1].reshape(hi - lo, *state.shape)
+        return _worst_norms(rows[lo:hi], np.sqrt(np.add.reduce(squares, axis=-1)))
+
     # rows from a divergence on may overflow, and norms square past the float range
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = DIVERGENCE_FACTOR * (1.0 + _worst_norms(rows[:1])[0])
+        if config.initial_estimate is None:  # the zero start
+            bound = DIVERGENCE_FACTOR
+        else:
+            bound = DIVERGENCE_FACTOR * (1.0 + _worst_norms(rows[:1])[0])
+        # a block of d entries, none of modulus above ``screen``, has norm at most bound / 2
+        screen = bound / (2.0 * math.sqrt(state.shape[-1]))
         while stop is None and used < config.max_iterations:
             k = min(block, config.max_iterations - used)
             if route == "affine":
@@ -645,15 +747,20 @@ def _iterate(
                     apply(x, out=out)
             else:
                 rows[1] = run.vectors(rows[0], omega)
-            np.subtract(rows[1 : k + 1], rows[:k], out=rows[k + 1 : 2 * k + 1])
-            both = _worst_norms(rows[1 : 2 * k + 1])
-            norms, step = both[:k], both[k:]  # iterate and step norms from one reduction
-            # NaN and inf iterate norms fail ``<= bound``: they diverge
-            stops = ~(norms <= bound) | (step < tol)
+            np.subtract(buf[1 : k + 1], buf[:k], out=buf[k + 1 : 2 * k + 1])
+            buf[k + 1 : 2 * k + 1, -1] = 1.0  # every row keeps the trailing 1 that passes read
+            if np.abs(buf[1 : k + 1]).max() <= screen:  # no iterate can diverge (NaN fails this)
+                norms, step = None, worst_norms(k + 1, 2 * k + 1)
+                stops = step < tol
+            else:
+                both = worst_norms(1, 2 * k + 1)
+                norms, step = both[:k], both[k:]  # iterate and step norms from one reduction
+                # NaN and inf iterate norms fail ``<= bound``: they diverge
+                stops = ~(norms <= bound) | (step < tol)
             first = int(stops.argmax())
             if stops[first]:
                 stop, k = first, first + 1
-                if not norms[stop] <= bound:
+                if norms is not None and not norms[stop] <= bound:
                     raise DivergenceError(
                         f"estimate norm {norms[stop]:.3e} exceeded the divergence bound "
                         f"at iteration {used + k}",

@@ -720,3 +720,28 @@ def test_main_builds_the_parser_once_and_repeats_its_output(tmp_path, capsys):
         runs.append((capsys.readouterr().out, files))
     assert runs[0] == runs[1] and runs[0][1]
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_analyze_reports_an_overflowing_map_with_exit_3(tmp_path, capsys):
+    """A 1,500-deep chain at ω = 8 overflows its map: a message and exit 3, no traceback."""
+    n = 1500
+    cfg = write_config(
+        tmp_path,
+        {
+            "system": {"generator": {"kind": "uniform", "k": n, "d": 3, "seed": 0}},
+            "network": {
+                "type": "tree",
+                "nodes": n,
+                "root": 0,
+                "edges": [{"parent": v - 1, "child": v} for v in range(1, n)],
+            },
+            "relaxation": {"default": 8.0},
+            "output": {"dir": str(tmp_path / "out")},
+        },
+    )
+    assert cli.main(["analyze", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("analyze: the assembled pass map overflowed")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "spectral_report.json").exists()
+    assert cli.main(["solve", "--config", cfg]) == 3

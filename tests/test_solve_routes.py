@@ -475,3 +475,62 @@ def test_large_maps_stay_on_the_engine(monkeypatch, net, dim):
 )
 def test_route_rule_reads_both_bounds(minimal, dim, size, route):
     assert sv.solve_route(minimal, dim, size) == route
+
+
+def _diverging(dim, factor):
+    """A single node and a DAG of two sources into one sink, every row ``e_1``, at one uniform ω.
+
+    Each pass scales the iterates' first entry about the solution 1 by
+    ``-factor``: the single node applies one update a pass, the DAG two.
+    """
+    row = np.eye(dim)[:1]
+    single = (tp.TreeNetwork.from_edges(1, 0, []), sv.LinearSystem(rows=row, rhs=np.ones(1)), 1)
+    dag = tp.DagNetwork.from_cover_edges(3, [(0, 2), (1, 2)])
+    double = (dag, sv.LinearSystem(rows=np.repeat(row, 3, axis=0), rhs=np.ones(3)), 2)
+    for net, system, updates in (single, double):
+        omega = 1.0 + factor ** (1 / updates)
+        yield net, system, sv.RelaxationAssignment.uniform(net.node_count, omega)
+
+
+@pytest.mark.parametrize(
+    "net, system, relax", list(_diverging(3, 1.3)), ids=["single-node", "two-sources-one-sink"]
+)
+def test_a_block_that_crosses_the_bound_mid_block_stops_where_one_pass_at_a_time_does(
+    net, system, relax
+):
+    """1.3^k passes the bound 1e12 near pass 105, inside the second 64-pass block.
+
+    The first block stays under the divergence screen and takes only its
+    step norms; the second takes every norm and stops at the same
+    iteration, on the same last iterate, as ``stepwise_solve`` and
+    ``engine_solve``.
+    """
+    config = sv.SolverConfig(max_iterations=1000)
+    assert assert_same_solve(system, net, relax, config) == "diverged"
+    with pytest.raises(DivergenceError) as err:
+        sv.solve(system, net, relax, config)
+    assert sv.AFFINE_BLOCK + 1 < err.value.iteration < 2 * sv.AFFINE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "start", [None, np.full(4, 1e-3), np.full(4, 1e-3j)], ids=["zero", "real", "complex"]
+)
+def test_entries_above_the_screen_with_every_norm_under_the_bound_do_not_diverge(start):
+    """Iterates converge to a solution whose largest entry, 2.6e11, passes the screen bound / 4.
+
+    Every iterate stays within twice the solution's norm, 2.9e11, of the
+    start, so under the bound of about 1e12: ``solve`` takes the exact
+    norms, runs its whole budget without diverging and equals
+    ``stepwise_solve`` bit for bit.
+    """
+    net = caterpillar(6)
+    rows = np.random.default_rng(4).standard_normal((net.node_count, 4))
+    solution = np.array([2.6e11, 1e11, -1e11, 5e10])
+    system = sv.LinearSystem(rows=rows, rhs=rows @ solution)
+    relax = sv.RelaxationAssignment.uniform(net.node_count, 1.0)
+    config = sv.SolverConfig(max_iterations=150, initial_estimate=start)
+    assert assert_same_solve(system, net, relax, config) == "stopped"
+    report = sv.solve(system, net, relax, config)
+    bound = sv.DIVERGENCE_FACTOR * (1.0 + (0.0 if start is None else np.linalg.norm(start)))
+    assert np.abs(report.final_estimates).max() > bound / (2 * np.sqrt(4))
+    assert max(report.step_norms) < bound and report.iterations_used == 150

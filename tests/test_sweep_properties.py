@@ -239,3 +239,29 @@ def test_degree_eight_chain_axis_over_the_cli_default_range_equals_per_point(dat
     )
     omega = ex._omega_stack(n, [axis], ex.grid_from_spec("0.05:8:0.05", 1), 1.5)
     _check_tensor_route(system, net, omega)
+
+
+def _per_row_csv(result):
+    """The sweep CSV with one ``str.format`` per row, as ``sweep_to_csv`` wrote it before."""
+    naxes = len(result.grid[0])
+    header = ",".join([f"omega_{i + 1}" for i in range(naxes)] + ["rho"])
+    row = ",".join(["{:.10g}"] * naxes + ["{:.12g}"]).format
+    return "\n".join([header, *(row(*pt, rho) for pt, rho in zip(result.grid, result.rho))]) + "\n"
+
+
+AWKWARD_RHO = [-0.0, 0.0, 5e-324, 2.2e-308, 1e-300, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+RHO = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(AWKWARD_RHO)
+OMEGA = st.floats(0.0, 8.0) | st.just(-0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 3).flatmap(
+    lambda axes: st.lists(
+        st.tuples(st.tuples(*[OMEGA] * axes), RHO), min_size=1, max_size=40
+    )
+))
+def test_the_sweep_csv_equals_the_per_row_formatter_byte_for_byte(points):
+    grid = [pt for pt, _ in points]
+    rho = [r if i % 2 else np.float64(r) for i, (_, r) in enumerate(points)]
+    result = ex.SweepResult(grid, rho, 0, 0.0, 0.0)
+    assert ex.sweep_to_csv(result).encode() == _per_row_csv(result).encode()
