@@ -37,12 +37,18 @@ raise :class:`~distkaczmarz.errors.NumericalFailureError` for it by name.
 Everything here is pure construction over immutable inputs and thread-safe.
 The one cache, an affine map's last restriction, is filled by a single
 attribute write of a value computed from the map and the basis alone, so a
-race between threads only computes equal values twice.
+race between threads only computes equal values twice.  A sweep of more than
+one chunk runs its chunks on the caller and one helper thread per further
+CPU of the process's affinity mask, joined before it returns; each chunk
+makes the same numpy calls on the same columns, so its results do not depend
+on how many CPUs ran them (``taskset -c 0`` runs a sweep on one).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -55,8 +61,10 @@ from .numerics import (
     _checked_columns,
     _eigvals,
     _max_modulus,
+    _orthonormal,
     _real_if_exact,
     _sorted_spectrum,
+    _stack,
     as_vector,
     eigenvalues,
     gram,
@@ -92,7 +100,8 @@ ZERO_EIGENVALUE_CUT = 1e-12
 UNIT_EIGENVALUE_TOL = 1e-9
 NULL_VECTOR_TOL = 1e-8
 # Kernel columns per sweep push; a grid point takes s d + 1 of them, so the
-# carried (d, columns) blocks, and with them peak memory, stay flat.
+# carried (d, columns) blocks stay flat, and peak memory holds at most one
+# chunk per CPU, as the chunks run on one thread per CPU.
 SWEEP_CHUNK_COLUMNS = 1536
 # Largest rounding the polynomial sweep route may add to an entry of a
 # restricted map, the accuracy the per-point route is held to; a sweep whose
@@ -170,14 +179,15 @@ class AffineIteration:
         """B on the row space of ``s`` stacked blocks, given an orthonormal basis of one block.
 
         One restriction and one eigensolve per map and basis: the result for
-        the last basis is kept and returned again while the checked columns
-        are equal by value.
+        the last basis is kept and returned again while the stacked columns
+        are equal by value, without checking them again; other columns are
+        checked to be orthonormal first.
         """
-        q = _checked_columns(basis, self.B.shape[0] // s)
+        q = _stack(basis, self.B.shape[0] // s).T
         last = self._restricted
         if last is not None and np.array_equal(last.q, q):
             return last
-        big_q = _block_columns(s, q)
+        big_q = _block_columns(s, _orthonormal(q))
         r = big_q.conj().T @ self.B @ big_q
         out = Restriction(q, big_q, r, _max_modulus(r))
         object.__setattr__(self, "_restricted", out)
@@ -821,6 +831,69 @@ def _interpolated(kernel: _Pass, omega: np.ndarray, restrict):
     return maps
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _chunks_in_order(work, count: int) -> list:
+    """``[work(i) for i in range(count)]`` on the caller and ``min(count, CPUs) - 1`` helpers.
+
+    Each thread claims the next chunk index under a lock, so the chunks are
+    the serial loop's and each result lands at its index.  One chunk, or one
+    CPU, runs the serial loop and starts no thread.  A failing chunk stops
+    further claims; every chunk before it was claimed already and runs to
+    its end, so the first failure in chunk order, the one the serial loop
+    raises, is re-raised.  The caller joins every helper before it returns
+    or raises, so no thread outlives the call.
+    """
+    helpers = min(count, _cpu_count()) - 1
+    if helpers < 1:
+        return [work(i) for i in range(count)]
+    results: list = [None] * count
+    failures: list = [None] * count
+    lock = threading.Lock()
+    claimed = 0
+
+    def claim() -> int:
+        nonlocal claimed
+        with lock:
+            i, claimed = claimed, claimed + 1
+            return i
+
+    def stop() -> None:
+        nonlocal claimed
+        with lock:
+            claimed = count
+
+    def run() -> None:
+        while (i := claim()) < count:
+            try:
+                results[i] = work(i)
+            except Exception as exc:  # re-raised by the caller in chunk order
+                failures[i] = exc
+                stop()
+
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=run)
+            thread.start()
+            threads.append(thread)
+        run()
+    finally:
+        stop()  # an interrupted caller lets the helpers end after their current chunk
+        for thread in threads:
+            thread.join()
+    first = next((exc for exc in failures if exc is not None), None)
+    if first is not None:
+        raise first
+    return results
+
+
 def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> np.ndarray:
     """Spectral radius on the row space of the pass at each column of a ``(V, G)`` omega stack.
 
@@ -839,7 +912,13 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     ``SWEEP_INTERPOLATION_ROUNDING`` (a wide range on an axis of high
     degree); otherwise each chunk of columns is one kernel push and one
     restriction.  Either route ends every chunk of ``SWEEP_CHUNK_COLUMNS``
-    kernel columns' worth of points in one ``eigvals``.
+    kernel columns' worth of points in one ``eigvals``.  The chunks run on
+    the caller and one helper thread per further CPU of the process's
+    affinity mask (numpy releases the GIL in its products and eigensolves);
+    a single chunk starts no thread.  Every chunk makes the same numpy calls
+    on the same columns, so the result does not depend on the CPU count,
+    and a failing chunk raises what the serial loop would: the first
+    failure in chunk order.
     """
     _require_valid(sys, net)
     omega = _checked_omega(omega)
@@ -854,12 +933,11 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
         return qs.conj().T @ _finite(kernel.affine(cols))[..., :-1] @ qs
 
     maps = _interpolated(kernel, omega, restrict) or restrict
-    return np.concatenate(
-        [
-            np.max(np.abs(_eigvals(maps(omega[:, lo : lo + step]))), axis=-1)
-            for lo in range(0, omega.shape[1], step)
-        ]
-    )
+
+    def chunk(i: int) -> np.ndarray:
+        return np.max(np.abs(_eigvals(maps(omega[:, i * step : (i + 1) * step]))), axis=-1)
+
+    return np.concatenate(_chunks_in_order(chunk, -(-omega.shape[1] // step)))
 
 
 def dag_fixed_point(

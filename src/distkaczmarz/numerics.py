@@ -230,7 +230,11 @@ def _checked_columns(basis, dim: int) -> np.ndarray:
     ``dim`` and :class:`PreconditionError` when ``q* q`` is not the identity
     within ``DEFAULT_ORTHO_TOL``.
     """
-    q = _stack(basis, dim).T
+    return _orthonormal(_stack(basis, dim).T)
+
+
+def _orthonormal(q: np.ndarray) -> np.ndarray:
+    """``q``, unless ``q* q`` is off the identity by more than ``DEFAULT_ORTHO_TOL``."""
     if np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) > DEFAULT_ORTHO_TOL:
         raise PreconditionError("basis is not orthonormal within tolerance")
     return q

@@ -24,7 +24,7 @@ from distkaczmarz import closedform as cf
 from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
-from distkaczmarz.errors import NonContractionError
+from distkaczmarz.errors import DimensionError, NonContractionError, PreconditionError
 
 from oracles import fresh_restriction, layered_dag, pushed_condition_values
 
@@ -138,6 +138,32 @@ def test_a_basis_changed_in_place_gets_its_own_restriction():
     basis[0] = [0.0, 1.0]
     assert it.restriction(basis).rho == 0.25
     assert res.rho == 0.5 and not res.R.flags.writeable
+
+
+def test_a_kept_restriction_is_returned_without_the_orthonormality_check(monkeypatch):
+    it = cf.AffineIteration(B=np.diag([0.5, 0.25, 0.125]), c=np.ones(3))
+    checked = []
+    real = cf._orthonormal
+    monkeypatch.setattr(cf, "_orthonormal", lambda q: checked.append(q) or real(q))
+    basis = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+    res = it.restriction(basis)
+    assert len(checked) == 1
+    assert it.restriction([b.copy() for b in basis]) is res
+    assert len(checked) == 1
+    assert it.restriction(basis[:1]) is not res
+    assert len(checked) == 2
+
+
+def test_a_non_orthonormal_basis_raises_after_a_restriction_was_kept():
+    it = cf.AffineIteration(B=np.diag([0.5, 0.25]), c=np.ones(2))
+    res = it.restriction([np.array([1.0, 0.0])])
+    with pytest.raises(PreconditionError, match="not orthonormal"):
+        it.restriction([np.array([2.0, 0.0])])
+    with pytest.raises(PreconditionError, match="not orthonormal"):
+        it.restriction([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
+    with pytest.raises(DimensionError):
+        it.restriction([np.array([1.0, 0.0, 0.0])])
+    assert it.restriction([np.array([1.0, 0.0])]) is res
 
 
 class _Counted:
