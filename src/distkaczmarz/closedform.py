@@ -38,10 +38,12 @@ Everything here is pure construction over immutable inputs and thread-safe.
 The one cache, an affine map's last restriction, is filled by a single
 attribute write of a value computed from the map and the basis alone, so a
 race between threads only computes equal values twice.  A sweep of more than
-one chunk runs its chunks on the caller and one helper thread per further
-CPU of the process's affinity mask, joined before it returns; each chunk
-makes the same numpy calls on the same columns, so its results do not depend
-on how many CPUs ran them (``taskset -c 0`` runs a sweep on one).
+one chunk runs its chunks on the caller and helper threads, joined before it
+returns: all sweeps running at once share one helper per further CPU of the
+process's affinity mask, counted under a lock, and one sweep's helpers hold
+at most ``SWEEP_HELPER_BYTES`` of push state.  Each chunk makes the same
+numpy calls on the same columns, so its results do not depend on how many
+threads ran them (``taskset -c 0`` runs a sweep on one CPU).
 """
 
 from __future__ import annotations
@@ -100,9 +102,12 @@ ZERO_EIGENVALUE_CUT = 1e-12
 UNIT_EIGENVALUE_TOL = 1e-9
 NULL_VECTOR_TOL = 1e-8
 # Kernel columns per sweep push; a grid point takes s d + 1 of them, so the
-# carried (d, columns) blocks stay flat, and peak memory holds at most one
-# chunk per CPU, as the chunks run on one thread per CPU.
+# carried (d, columns) blocks stay flat.
 SWEEP_CHUNK_COLUMNS = 1536
+# Push state, (V + 1) d entries per kernel column, that the helper threads of
+# one sweep may hold together: a sweep starts no more helpers than this
+# holds chunks, so threads add at most this much to one chunk's peak.
+SWEEP_HELPER_BYTES = 1 << 28
 # Largest rounding the polynomial sweep route may add to an entry of a
 # restricted map, the accuracy the per-point route is held to; a sweep whose
 # tensor grid could add more pushes every column instead.
@@ -839,20 +844,38 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunks_in_order(work, count: int) -> list:
-    """``[work(i) for i in range(count)]`` on the caller and ``min(count, CPUs) - 1`` helpers.
+_helper_lock = threading.Lock()
+_helpers_running = 0  # helper threads of every sweep in this process
 
-    Each thread claims the next chunk index under a lock, so the chunks are
-    the serial loop's and each result lands at its index.  One chunk, or one
-    CPU, runs the serial loop and starts no thread.  A failing chunk stops
-    further claims; every chunk before it was claimed already and runs to
-    its end, so the first failure in chunk order, the one the serial loop
-    raises, is re-raised.  The caller joins every helper before it returns
-    or raises, so no thread outlives the call.
+
+def _reserve_helpers(wanted: int) -> int:
+    """Up to ``wanted`` of the ``CPUs - 1`` helper slots the process's running sweeps leave free."""
+    global _helpers_running
+    with _helper_lock:
+        n = max(0, min(wanted, _cpu_count() - 1 - _helpers_running))
+        _helpers_running += n
+        return n
+
+
+def _release_helpers(n: int) -> None:
+    global _helpers_running
+    with _helper_lock:
+        _helpers_running -= n
+
+
+def _chunks_in_order(work, count: int, chunk_bytes: int) -> list:
+    """``[work(i) for i in range(count)]`` on the caller and helper threads.
+
+    The helpers number at most ``count - 1``, the free slots of
+    :func:`_reserve_helpers`, and as many chunks of ``chunk_bytes`` as
+    ``SWEEP_HELPER_BYTES`` holds; with none, the caller runs every chunk in
+    order.  Each thread claims the next chunk index under a lock, so the
+    chunks are the serial loop's and each result lands at its index.  A
+    failing chunk stops further claims; every chunk before it was claimed
+    already and runs to its end, so the first failure in chunk order, the
+    one the serial loop raises, is re-raised.  The caller joins every
+    helper before it returns or raises, so no thread outlives the call.
     """
-    helpers = min(count, _cpu_count()) - 1
-    if helpers < 1:
-        return [work(i) for i in range(count)]
     results: list = [None] * count
     failures: list = [None] * count
     lock = threading.Lock()
@@ -878,6 +901,7 @@ def _chunks_in_order(work, count: int) -> list:
                 stop()
 
     threads: list[threading.Thread] = []
+    helpers = _reserve_helpers(min(count - 1, SWEEP_HELPER_BYTES // chunk_bytes))
     try:
         for _ in range(helpers):
             thread = threading.Thread(target=run)
@@ -888,6 +912,7 @@ def _chunks_in_order(work, count: int) -> list:
         stop()  # an interrupted caller lets the helpers end after their current chunk
         for thread in threads:
             thread.join()
+        _release_helpers(helpers)
     first = next((exc for exc in failures if exc is not None), None)
     if first is not None:
         raise first
@@ -913,12 +938,13 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     degree); otherwise each chunk of columns is one kernel push and one
     restriction.  Either route ends every chunk of ``SWEEP_CHUNK_COLUMNS``
     kernel columns' worth of points in one ``eigvals``.  The chunks run on
-    the caller and one helper thread per further CPU of the process's
-    affinity mask (numpy releases the GIL in its products and eigensolves);
-    a single chunk starts no thread.  Every chunk makes the same numpy calls
-    on the same columns, so the result does not depend on the CPU count,
-    and a failing chunk raises what the serial loop would: the first
-    failure in chunk order.
+    the caller and up to one helper thread per further CPU of the process's
+    affinity mask, fewer while other sweeps hold helpers or when
+    ``SWEEP_HELPER_BYTES`` holds fewer chunks' push state (numpy releases
+    the GIL in its products and eigensolves); a single chunk starts no
+    thread.  Every chunk makes the same numpy calls on the same columns, so
+    the result does not depend on the thread count, and a failing chunk
+    raises what the serial loop would: the first failure in chunk order.
     """
     _require_valid(sys, net)
     omega = _checked_omega(omega)
@@ -937,7 +963,9 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     def chunk(i: int) -> np.ndarray:
         return np.max(np.abs(_eigvals(maps(omega[:, i * step : (i + 1) * step]))), axis=-1)
 
-    return np.concatenate(_chunks_in_order(chunk, -(-omega.shape[1] // step)))
+    entry = np.result_type(kernel.cols, kernel.rhs).itemsize
+    chunk_bytes = (net.node_count + 1) * kernel.dim * step * kernel.width * entry
+    return np.concatenate(_chunks_in_order(chunk, -(-omega.shape[1] // step), chunk_bytes))
 
 
 def dag_fixed_point(

@@ -1,18 +1,20 @@
 """A sweep's eigensolve chunks run on every CPU with the serial loop's bits.
 
 ``closedform.restricted_rho`` splits its stack into chunks of
-``SWEEP_CHUNK_COLUMNS // width`` points and runs them on the caller and one
-helper thread per further CPU.  With the CPU count set to 1, 2 and 3, the
+``SWEEP_CHUNK_COLUMNS // width`` points and runs them on the caller and up to
+one helper thread per further CPU.  With the CPU count set to 1, 2 and 3, the
 result is ``np.array_equal`` to the serial one on the bench's two desks (on
 the interpolated and the stack route) and on a layered DAG stack; a single
 chunk starts no thread; no thread outlives a call, whether it returns or
 raises; and an overflow that only a later chunk reaches raises the serial
-loop's error without a warning.
+loop's error without a warning.  Helpers never hold more than
+``SWEEP_HELPER_BYTES`` of push state, and sweeps running at once share the
+CPUs' helper slots.
 """
 
 import sys
 import threading
-import time
+import types
 import warnings
 
 import numpy as np
@@ -182,31 +184,48 @@ def test_the_first_failure_in_chunk_order_is_raised(monkeypatch, cpus):
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="chunk 1"):
-        cf._chunks_in_order(work, 40)
+        cf._chunks_in_order(work, 40, 1)
     assert {0, 1, 2} <= set(ran)
     assert threading.active_count() == before
-    assert cf._chunks_in_order(lambda i: i * i, 7) == [i * i for i in range(7)]
+    assert cf._chunks_in_order(lambda i: i * i, 7, 1) == [i * i for i in range(7)]
 
 
 def test_a_failure_stops_further_claims(monkeypatch):
-    """Chunk 0 fails while chunk 1 runs on the other thread; no chunk after them starts."""
+    """Chunk 0 fails while chunk 1 runs on the other thread; no chunk after them starts.
+
+    Chunk 1 returns only once the failing thread has released the claim lock
+    after its failure, which it first does at the end of ``stop``.
+    """
     monkeypatch.setattr(cf, "_cpu_count", lambda: 2)
-    ran, started, failed = [], threading.Event(), threading.Event()
+    ran, started, stopped, failing = [], threading.Event(), threading.Event(), []
+
+    class Lock:
+        def __init__(self):
+            self._lock = threading.Lock()
+
+        def __enter__(self):
+            self._lock.acquire()
+
+        def __exit__(self, *exc):
+            self._lock.release()
+            if failing and failing[0] == threading.get_ident():
+                stopped.set()
+
+    monkeypatch.setattr(cf, "threading", types.SimpleNamespace(Thread=threading.Thread, Lock=Lock))
 
     def work(i):
         ran.append(i)
         if i == 0:
             assert started.wait(timeout=30)
-            failed.set()
+            failing.append(threading.get_ident())
             raise ValueError("chunk 0")
         if i == 1:
             started.set()
-            assert failed.wait(timeout=30)
-            time.sleep(0.05)  # the failing thread stops the claims meanwhile
+            assert stopped.wait(timeout=30)
         return i
 
     with pytest.raises(ValueError, match="chunk 0"):
-        cf._chunks_in_order(work, 40)
+        cf._chunks_in_order(work, 40, 1)
     assert sorted(ran) == [0, 1]
 
 
@@ -223,7 +242,7 @@ def test_every_chunk_runs_once_under_frequent_thread_switches(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert cf._chunks_in_order(work, len(runs)) == list(range(len(runs)))
+            assert cf._chunks_in_order(work, len(runs), 1) == list(range(len(runs)))
     finally:
         sys.setswitchinterval(interval)
     assert runs == [5] * len(runs)
@@ -233,3 +252,49 @@ def test_the_cpu_count_reads_the_affinity_mask():
     if hasattr(cf.os, "sched_getaffinity"):
         assert cf._cpu_count() == len(cf.os.sched_getaffinity(0))
     assert cf._cpu_count() >= 1
+
+
+def test_helpers_hold_at_most_the_helper_bytes(monkeypatch):
+    """A chunk above ``SWEEP_HELPER_BYTES`` starts no helper; a cap of three chunks starts three."""
+    monkeypatch.setattr(cf, "_cpu_count", lambda: 8)
+    started = _Started(monkeypatch)
+    size = cf.SWEEP_HELPER_BYTES
+    assert cf._chunks_in_order(lambda i: i, 10, size + 1) == list(range(10))
+    assert started.count == 0
+    assert cf._chunks_in_order(lambda i: i, 10, size // 3) == list(range(10))
+    assert started.count == 3
+
+
+def test_the_push_state_sets_a_sweep_s_helper_bytes(monkeypatch):
+    """Chunks of (V + 1) d kernel columns' entries: a budget of two chunks takes two helpers."""
+    system, net, omega = layered_stack()
+    kernel = sv._Pass(system, net)
+    step = cf.SWEEP_CHUNK_COLUMNS // kernel.width
+    chunk_bytes = (net.node_count + 1) * kernel.dim * step * kernel.width * 8
+    want = serial(monkeypatch, system, net, omega)
+    monkeypatch.setattr(cf, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(cf, "SWEEP_HELPER_BYTES", 2 * chunk_bytes + 1)
+    started = _Started(monkeypatch)
+    assert np.array_equal(cf.restricted_rho(system, net, omega), want)
+    assert started.count == 2
+
+
+def test_sweeps_running_at_once_share_the_helper_slots(monkeypatch):
+    """A sweep started inside another's chunk finds every slot taken; all are free afterwards."""
+    monkeypatch.setattr(cf, "_cpu_count", lambda: 3)
+    started = _Started(monkeypatch)
+    inner = []
+
+    def work(i):
+        if i == 0:
+            inner.append(cf._chunks_in_order(lambda j: j, 5, 1))
+        return i
+
+    assert cf._chunks_in_order(work, 6, 1) == list(range(6))
+    assert inner == [list(range(5))]
+    assert started.count == 2
+    with pytest.raises(ValueError):
+        cf._chunks_in_order(lambda i: int("x") if i == 3 else i, 6, 1)
+    assert cf._helpers_running == 0
+    assert cf._reserve_helpers(5) == 2
+    cf._release_helpers(2)
