@@ -255,11 +255,7 @@ def kaczmarz_update(x, a, b, omega: float) -> np.ndarray:
 
 def project_null(x, a) -> np.ndarray:
     """Orthogonal projection of x onto the hyperplane a*x = 0."""
-    xv, av = as_vector(x), as_vector(a)
-    nrm2 = float(np.vdot(av, av).real)
-    if nrm2 == 0.0:
-        raise DegenerateEquationError("zero row in projection")
-    return xv - (np.vdot(av, xv) / nrm2) * av
+    return kaczmarz_update(x, a, 0.0, 1.0)
 
 
 def project_affine(x, a, b) -> np.ndarray:
@@ -320,7 +316,7 @@ class _Pass:
     :meth:`affine`.  ``one_point`` names how :meth:`affine` assembles one
     point, as :func:`_one_point` prices it: ``"doubled"``
     (:meth:`_doubled`), ``"walked"`` (:meth:`_walked`) or ``"pushed"``
-    (:meth:`push`); ``doubling`` says whether it is the first.  Outside
+    (:meth:`push`).  Outside
     ``topology``, which builds them, only this class reads the schedule's
     padded level tables; :meth:`axis_degrees` answers the sweep's question
     about them.
@@ -342,10 +338,6 @@ class _Pass:
             len(order), len(self.schedule.levels), self.width, self.dim, np.iscomplexobj(rows),
             self.schedule.parent is not None,
         )
-
-    @property
-    def doubling(self) -> bool:
-        return self.one_point == "doubled"
 
     def push(self, starts, t: np.ndarray, omega) -> np.ndarray:
         """Carry one (d, m) block per minimal node through the pass at relaxation ``omega``.
@@ -603,41 +595,28 @@ def _worst_norms(blocks: np.ndarray, norms: np.ndarray | None = None) -> np.ndar
     return worst
 
 
-def _walk_cost(nodes: int, levels: int, columns: int, dim: int, complex_rows: bool) -> float:
-    """The walk's price (see ``_PUSH_LEVEL``): 2-3 calls a level, ``(d + 1)^2`` flops a column."""
-    flops = 1.0 + columns * (dim + 1) ** 2 / _WALK_SQUARE
-    return _WALK_LEVEL * levels + nodes * flops * (_COMPLEX if complex_rows else 1)
-
-
-def _doubles(nodes: int, levels: int, dim: int, complex_rows: bool) -> bool:
-    """Whether pointer doubling assembles one point's map on a tree faster than the levels.
-
-    Doubling runs ``ceil(log2 D)`` rounds of 3 numpy calls and
-    ``V (d + 1)^3`` flops each; the push runs D levels of about 6 calls and
-    the walk D levels of 2, with ``(d + 1)^2`` products per column and node.
-    So doubling pays on trees of many narrow levels at small d, and complex
-    products cost it, and the walk, about ``_COMPLEX`` times more.
-    """
-    rounds = (levels - 1).bit_length()
-    flops = 1.0 + (dim + 1) ** 3 / _DOUBLING_CUBE
-    work = nodes * rounds * flops * (_COMPLEX if complex_rows else 1)
-    return work <= min(_PUSH_LEVEL * levels, _walk_cost(nodes, levels, dim + 1, dim, complex_rows))
-
-
 def _one_point(
     nodes: int, levels: int, columns: int, dim: int, complex_rows: bool, tree: bool
 ) -> str:
     """How :meth:`_Pass.affine` assembles one point: ``"doubled"``, ``"walked"`` or ``"pushed"``.
 
-    ``columns`` is the map's ``s d + 1``.  Doubling needs a tree
-    (:func:`_doubles`); the walk is taken where its price stays at most the
-    push's, which rules out large d, where the walk's ``(d + 1)^2``
-    products per column cost more than the calls it saves.
+    One price table (see ``_PUSH_LEVEL``) for V ``nodes`` on D ``levels``
+    with ``columns`` = ``s d + 1``: the push runs D levels of about 6 numpy
+    calls; the walk D levels of 2-3 calls and ``(d + 1)^2`` products per
+    column and node; doubling, on a tree only, ``ceil(log2 D)`` rounds of 3
+    calls and ``V (d + 1)^3`` flops each.  Complex products cost the walk
+    and doubling about ``_COMPLEX`` times more.  So doubling pays on deep,
+    narrow trees at small d and large d keeps the push.  The cheapest wins,
+    ties going to doubling, then the walk.
     """
-    if tree and _doubles(nodes, levels, dim, complex_rows):
-        return "doubled"
-    walk = _walk_cost(nodes, levels, columns, dim, complex_rows)
-    return "walked" if walk <= _PUSH_LEVEL * levels else "pushed"
+    c = _COMPLEX if complex_rows else 1
+    rounds, side = (levels - 1).bit_length(), dim + 1  # side: a node map's d + 1
+    prices = {
+        "doubled": nodes * rounds * (1.0 + side**3 / _DOUBLING_CUBE) * c if tree else math.inf,
+        "walked": _WALK_LEVEL * levels + nodes * (1.0 + columns * side**2 / _WALK_SQUARE) * c,
+        "pushed": _PUSH_LEVEL * levels,
+    }
+    return min(prices, key=prices.__getitem__)
 
 
 def solve_route(minimal: int, dim: int, size: int) -> str:

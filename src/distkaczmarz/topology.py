@@ -137,6 +137,27 @@ def _kahn(succ: Mapping[int, Iterable[int]], start: int | None = None) -> list[t
     return levels
 
 
+def _reach(succ: Mapping[int, Iterable[int]], order: Sequence[int]) -> tuple[dict, dict, dict]:
+    """The reach table of ``succ`` (node -> successors), from one walk up a topological ``order``.
+
+    Returns ``(bit, strict, deep)`` keyed by node: ``bit[v]`` is ``1 << i``
+    for v at position i of ``order``, and ``strict[u]`` (``deep[u]``) ORs the
+    bits of the nodes u reaches by one or more (two or more) edges.  So
+    ``(u, v)`` is a cover edge exactly when v is a successor of u outside
+    ``deep[u]``.
+    """
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    strict: dict[int, int] = {}
+    deep: dict[int, int] = {}
+    for u in reversed(order):
+        above = below = 0
+        for w in succ[u]:
+            above |= strict[w]
+            below |= bit[w]
+        strict[u], deep[u] = above | below, above
+    return bit, strict, deep
+
+
 # ---------------------------------------------------------------------------
 # Level schedules
 
@@ -710,15 +731,10 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
             out.append(
                 Violation("connectivity", f"nodes {missing} are disconnected", tuple(missing))
             )
-    # bit v of strict[u]: u reaches v by one or more edges; of deep[u]: by two or more
-    strict, deep = [0] * net.node_count, [0] * net.node_count
-    for u in reversed(order):
-        for w in net.successors[u]:
-            strict[u] |= strict[w] | (1 << w)
-            deep[u] |= strict[w]
+    bit, strict, deep = _reach(net.successors, order)
     for u, v in net.edges:
-        if (deep[u] >> v) & 1:  # implied: name the first successor that reaches v
-            w = next(w for w in net.successors[u] if (strict[w] >> v) & 1)
+        if deep[u] & bit[v]:  # implied: name the first successor that reaches v
+            w = next(w for w in net.successors[u] if strict[w] & bit[v])
             out.append(
                 Violation(
                     "cover",
@@ -751,14 +767,8 @@ def hasse_reduce(relation: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     if len(order) != len(succ):
         stuck = len(succ) - len(order)
         raise CycleError(f"relation contains a cycle; {stuck} nodes cannot be ordered")
-    # (u, v) is implied exactly when v lies above another successor of u
-    closure: dict[int, set[int]] = {}
-    covers = set()
-    for u in reversed(order):
-        implied = set().union(*(closure[w] for w in succ[u]))
-        closure[u] = succ[u] | implied
-        covers.update((u, v) for v in succ[u] - implied)
-    return covers
+    bit, _, deep = _reach(succ, order)  # bits by position, so ids of any sign or size work
+    return {(u, v) for u, ups in succ.items() for v in ups if not deep[u] & bit[v]}
 
 
 # ---------------------------------------------------------------------------
@@ -865,20 +875,15 @@ def minimal_distance_diameter(net: DagNetwork) -> int:
     """Diameter of the distance graph on minimal nodes.
 
     Two minimal nodes are adjacent when at least one up-down path joins them,
-    i.e. when they share a reachable maximal node.  A single minimal node has
-    diameter 1 by convention.
+    i.e. when their reach sets share a maximal node, which they do exactly
+    when they share any node.  A single minimal node has diameter 1 by
+    convention; otherwise a cycle raises :class:`CycleError`.
     """
     minimal = net.minimal_nodes
     if len(minimal) <= 1:
         return 1
-    reach = {m: net.reachable_from(m) for m in minimal}
-    maximal = set(net.maximal_nodes)
-    adj: dict[int, set[int]] = {m: set() for m in minimal}
-    for i, m1 in enumerate(minimal):
-        for m2 in minimal[i + 1 :]:
-            if reach[m1] & reach[m2] & maximal:
-                adj[m1].add(m2)
-                adj[m2].add(m1)
+    _, strict, _ = _reach(net.successors, net.order)
+    adj = {m: [n for n in minimal if n != m and strict[m] & strict[n]] for m in minimal}
     diameter = 1
     for src in minimal:
         dist = {src: 0}
@@ -886,7 +891,7 @@ def minimal_distance_diameter(net: DagNetwork) -> int:
         while frontier:
             nxt = []
             for u in frontier:
-                for v in sorted(adj[u]):
+                for v in adj[u]:
                     if v not in dist:
                         dist[v] = dist[u] + 1
                         nxt.append(v)

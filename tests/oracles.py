@@ -16,7 +16,7 @@ import numpy as np
 from distkaczmarz import closedform as cf
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
-from distkaczmarz.errors import DivergenceError
+from distkaczmarz.errors import DivergenceError, InvalidNetworkError
 
 
 def brute_updown_paths(node_count, edges, w_d, w_p, m1, m2, max_len=7):
@@ -102,6 +102,40 @@ def brute_cover_pairs(pairs):
             ):
                 covers.add((u, v))
     return covers
+
+
+def brute_diameter(net):
+    """Diameter of the distance graph on minimal nodes, from one DFS per minimal node.
+
+    Two minimal nodes are adjacent when the maximal nodes their DFS over
+    ``successors`` reaches overlap; then one BFS per minimal node.  A single
+    minimal node has diameter 1, and a disconnected graph raises
+    :class:`InvalidNetworkError`.
+    """
+    minimal = [v for v in range(net.node_count) if not net.predecessors[v]]
+    maximal = {v for v in range(net.node_count) if not net.successors[v]}
+    reach = {}
+    for m in minimal:
+        seen, stack = {m}, [m]
+        while stack:
+            for w in net.successors[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach[m] = seen & maximal
+    diameter = 1
+    for m in minimal:
+        seen, frontier, hops = {m}, {m}, 0
+        while frontier:
+            frontier = {
+                n for n in minimal if n not in seen and any(reach[n] & reach[u] for u in frontier)
+            }
+            seen |= frontier
+            hops += bool(frontier)
+        if len(seen) != len(minimal):
+            raise InvalidNetworkError("distance graph of minimal nodes is disconnected")
+        diameter = max(diameter, hops)
+    return diameter
 
 
 def lstsq_min_norm(matrix, rhs):

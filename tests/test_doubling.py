@@ -4,7 +4,7 @@
 map of its 2^k-th ancestor for ``ceil(log2 D)`` rounds; it must equal the
 node-by-node pass (``oracles.nodewise_push``) within 1e-12 of the largest
 entry on deep, wide and tiny trees, with real, complex or rank-deficient
-rows, at ω from 0 to 8.  ``solver._doubles`` picks it for deep, narrow real
+rows, at ω from 0 to 8.  ``solver._one_point`` picks it for deep, narrow real
 trees at small d only; DAGs and ω stacks keep the level kernel.  A map that
 overflows fails by name on either route, without a floating-point warning
 (the suite turns every warning into an error).
@@ -94,14 +94,14 @@ def _kernel(net, dim, **kinds):
 
 def test_the_rule_doubles_the_deep_bench_tree_only():
     """Caterpillar-121 at d = 8 doubles; recursive-121, d = 32 and complex rows keep the levels."""
-    assert _kernel(caterpillar(121), 8).doubling
+    assert _kernel(caterpillar(121), 8).one_point == "doubled"
     shallow = recursive_tree(121, 0)
     assert len(shallow.levels) <= 11
-    assert not _kernel(shallow, 8).doubling
-    assert not _kernel(caterpillar(121), 32).doubling
-    assert not _kernel(caterpillar(121), 8, complex_entries=True).doubling
-    assert not _kernel(star(200), 4).doubling
-    assert _kernel(chain(1500), 8).doubling
+    assert _kernel(shallow, 8).one_point != "doubled"
+    assert _kernel(caterpillar(121), 32).one_point != "doubled"
+    assert _kernel(caterpillar(121), 8, complex_entries=True).one_point != "doubled"
+    assert _kernel(star(200), 4).one_point != "doubled"
+    assert _kernel(chain(1500), 8).one_point == "doubled"
 
 
 @pytest.mark.parametrize(
@@ -111,14 +111,14 @@ def test_the_rule_doubles_the_deep_bench_tree_only():
 )
 def test_dags_keep_the_level_kernel(net):
     run = sv._Pass(ex.random_dag_system(2, net, dim=2), net)
-    assert net.schedule.parent is None and not run.doubling
+    assert net.schedule.parent is None and run.one_point != "doubled"
 
 
 def test_omega_stacks_keep_the_level_kernel(monkeypatch):
     net = caterpillar(121)
     system = ex.random_tree_system(1, net, dim=3)
     run = sv._Pass(system, net)
-    assert run.doubling
+    assert run.one_point == "doubled"
     calls = []
     monkeypatch.setattr(sv._Pass, "_doubled", lambda *args: calls.append(args))
     stack = np.random.default_rng(0).uniform(0.5, 1.5, (net.node_count, 3))
@@ -152,8 +152,11 @@ def overflowing():
 @pytest.mark.parametrize("doubling", [True, False])
 def test_an_overflowing_map_fails_by_name(overflowing, doubling, monkeypatch):
     system, net, relax = overflowing
-    monkeypatch.setattr(sv, "_doubles", lambda *args: doubling)
-    assert sv._Pass(system, net).doubling is doubling
+    real = sv._one_point
+    monkeypatch.setattr(
+        sv, "_one_point", lambda *args: "doubled" if doubling else real(*args[:5], tree=False)
+    )
+    assert (sv._Pass(system, net).one_point == "doubled") is doubling
     with pytest.raises(NumericalFailureError, match="assembled pass map overflowed"):
         cf.tree_affine(system, net, relax)
     with pytest.raises(NumericalFailureError, match="assembled pass map overflowed"):

@@ -20,6 +20,7 @@ from distkaczmarz.errors import (
 
 from oracles import (
     brute_cover_pairs,
+    brute_diameter,
     brute_updown_paths,
     dfs_updown_paths,
     implied_edge_witnesses,
@@ -358,6 +359,23 @@ class TestHasseReduce:
             # closing the covers reproduces the closure of the input
             assert brute_cover_pairs(brute_cover_pairs(pairs)) == tp.hasse_reduce(pairs)
 
+    def test_ids_of_any_sign_and_size(self):
+        """Reach bits go by position in the order, so negative and large ids work.
+
+        Ids stay within 10**6: a bitset indexed by raw ids then fails fast
+        instead of building huge integers.
+        """
+        assert tp.hasse_reduce({(10**6, -1), (-1, 0), (10**6, 0)}) == {(10**6, -1), (-1, 0)}
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            ids = [int(v) for v in rng.choice(np.arange(-50, 51), n, replace=False)]
+            ids[int(rng.integers(n))] = int(rng.choice([-(10**6), 10**6]))
+            pairs = {(ids[a], ids[b]) for a in range(n) for b in range(a + 1, n)}
+            pairs = {p for p in sorted(pairs) if rng.random() < 0.5}
+            if pairs:
+                assert tp.hasse_reduce(pairs) == brute_cover_pairs(pairs)
+
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
             tp.hasse_reduce({(1, 2), (2, 1)})
@@ -594,6 +612,23 @@ class TestMinimalDistanceDiameter:
             [(0, 4), (1, 4), (2, 5), (2, 6), (3, 6), (4, 7), (5, 7)],
         )
         assert tp.minimal_distance_diameter(net) == 2
+
+    @pytest.mark.parametrize("single_sink", [False, True])
+    def test_matches_brute_force_on_random_dags(self, single_sink):
+        seen = set()
+        for seed in range(150):
+            net = ex.random_dag(seed, max_nodes=12, max_minimal=5, single_sink=single_sink)
+            diameter = brute_diameter(net)
+            assert tp.minimal_distance_diameter(net) == diameter
+            seen.add((len(net.minimal_nodes), diameter))
+        assert {m for m, _ in seen} == {1, 2, 3, 4, 5}
+        assert {d for _, d in seen} == ({1} if single_sink else {1, 2, 3})
+
+    def test_disconnected_distance_graph_raises(self):
+        net = tp.DagNetwork.from_cover_edges(5, [(0, 2), (1, 2), (3, 4)])
+        for diameter in (tp.minimal_distance_diameter, brute_diameter):
+            with pytest.raises(InvalidNetworkError, match="disconnected"):
+                diameter(net)
 
 
 class TestPathCap:

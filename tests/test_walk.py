@@ -12,6 +12,9 @@ the rank-1 push.  A walk that overflows returns inf or NaN entries without
 a floating-point warning (the suite turns every warning into an error).
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -69,8 +72,7 @@ def walk_limit(net, complex_rows):
     sch = net.schedule
     nodes, levels, s = len(sch.order), len(sch.levels), len(sch.sources)
     d = 0
-    push = sv._PUSH_LEVEL * levels
-    while sv._walk_cost(nodes, levels, s * (d + 1) + 1, d + 1, complex_rows) <= push:
+    while sv._one_point(nodes, levels, s * (d + 1) + 1, d + 1, complex_rows, tree=False) == "walked":
         d += 1
     return d
 
@@ -138,6 +140,43 @@ def test_the_rule_walks_the_bench_dags_and_shallow_trees():
     assert sv._Pass(system_for(tree, 8), tree).one_point == "walked"
     assert sv._one_point(121, 10, 9, 8, False, tree=False) == "walked"
     assert sv._one_point(121, 10, 41, 40, False, tree=False) == "pushed"
+
+
+def _cheapest(nodes, levels, columns, dim, complex_rows, tree):
+    """README's prices for one point, V nodes on D levels with m = s d + 1 columns.
+
+    Push ``120 D``, walk ``48 D + V (1 + m (d+1)^2 / 800) c``, doubling (trees
+    only) ``V ceil(log2 D) (1 + (d+1)^3 / 600) c``, with c = 4 for complex rows
+    and 1 for real ones; ties go doubled, then walked, then pushed.
+    """
+    c = 4 if complex_rows else 1
+    prices = {
+        "pushed": 120 * levels,
+        "walked": 48 * levels + nodes * (1 + columns * (dim + 1) ** 2 / 800) * c,
+    }
+    if tree:
+        prices["doubled"] = nodes * math.ceil(math.log2(levels)) * (1 + (dim + 1) ** 3 / 600) * c
+    ties = ["doubled", "walked", "pushed"]
+    return min(prices, key=lambda way: (prices[way], ties.index(way)))
+
+
+def test_the_rule_takes_the_cheapest_of_the_readme_prices():
+    """V up to 5,000, D <= V, s in {1, 2, 4, 16} (1 on trees), d = 1..69, real and complex."""
+    sizes = (1, 2, 3, 7, 10, 31, 64, 121, 500, 1000, 1500, 3000, 5000)
+    depths = (1, 2, 3, 4, 5, 8, 12, 33, 65, 121, 500, 1024, 1500, 5000)
+    seen, count = set(), 0
+    for nodes, levels in ((v, D) for v in sizes for D in depths if D <= v):
+        for tree, ss in ((True, (1,)), (False, (1, 2, 4, 16))):
+            for s, dim, complex_rows in itertools.product(ss, range(1, 70), (False, True)):
+                args = (nodes, levels, s * dim + 1, dim, complex_rows, tree)
+                assert sv._one_point(*args) == _cheapest(*args), args
+                seen.add(_cheapest(*args))
+                count += 1
+    assert count == 71_760 and seen == {"doubled", "walked", "pushed"}
+    # exact ties: doubling and the walk both cost 387 on a tree (the push 720); the walk
+    # and the push both cost 360 on a DAG with complex rows
+    for args, way in (((9, 6, 20, 19, False, True), "doubled"), ((16, 3, 19, 9, True, False), "walked")):
+        assert sv._one_point(*args) == _cheapest(*args) == way
 
 
 def test_omega_stacks_keep_the_push(monkeypatch):
