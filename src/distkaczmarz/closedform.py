@@ -90,6 +90,7 @@ from .topology import (
     ResolvedGroup,
     SubnetworkPartition,
     TreeNetwork,
+    _cover_violations,
     enumerate_updown_paths,
     path_weight,
     resolve_groups,
@@ -344,15 +345,14 @@ def build_p_omega(
 
     Each group contributes the gateway chain from the root followed by the
     weighted average of its internal projection chains.  The groups must
-    cover every leaf exactly once, otherwise the product form cannot equal
-    the pooled iteration matrix.
+    be disjoint and cover every leaf but the root (the cover rule of
+    :func:`validate_subnetworks`), otherwise the product form cannot equal
+    the pooled iteration matrix: a node in two groups has its projection
+    counted twice.
     """
     _require_valid(sys, net, (TreeNetwork,), relax)
     groups = resolve_groups(net, part)
-    covered: list[int] = []
-    for g in groups:
-        covered.extend(g.leaves)
-    if sorted(covered) != [v for v in net.leaves() if v != net.root]:  # the root joins no group
+    if _cover_violations(net, part):
         raise PartitionError("groups must cover every leaf exactly once")
     omega = relax.effective()
     if not groups:  # single-node tree: the root is the only leaf

@@ -449,121 +449,131 @@ class ResolvedGroup:
     is_leaf_group: bool
 
 
-def _tops_and_gateway(net: TreeNetwork, members) -> tuple[list[int], int | None]:
-    """The component tops (ascending) and the one parent they all share, else None."""
-    tops = sorted(v for v in members if net.parent.get(v) not in members)
-    parents = {net.parent.get(t) for t in tops}
-    return tops, (parents.pop() if len(parents) == 1 else None)
+def _cover_violations(net: TreeNetwork, part: SubnetworkPartition) -> list[Violation]:
+    """The cross-group rule: nodes in two groups, then leaves in no group.
 
-
-def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Violation]:
-    """Check the subnetwork conditions for every group.
-
-    Per group: children of members stay inside (downward closure), a leaf
-    member pulls in the complete sibling set of its parent, the connecting
-    paths avoid the root, and the component tops must share a single
-    immediately-preceding vertex (the gateway).  Across groups: pairwise
-    disjointness and coverage of every leaf of the tree.
+    The root joins no group, so it is never an uncovered leaf.
     """
     out: list[Violation] = []
     seen: dict[int, int] = {}
     for gi, members in enumerate(part.groups):
         for v in members:
             if v in seen:
-                out.append(
-                    Violation("disjoint", f"node {v} in groups {seen[v]} and {gi}", (v,))
-                )
+                out.append(Violation("disjoint", f"node {v} in groups {seen[v]} and {gi}", (v,)))
             seen[v] = gi
-        for v in members:
-            if not (0 <= v < net.node_count):
-                out.append(Violation("unknown-node", f"group {gi} references node {v}", (v,)))
-    covered = set().union(*part.groups) if part.groups else set()
-    for leaf in net.leaves():
-        if leaf not in covered:
-            out.append(Violation("coverage", f"leaf {leaf} is in no group", (leaf,)))
+    return out + [
+        Violation("coverage", f"leaf {leaf} is in no group", (leaf,))
+        for leaf in net.leaves()
+        if leaf not in seen and leaf != net.root
+    ]
+
+
+def _group_violations(
+    net: TreeNetwork, gi: int, members
+) -> tuple[list[Violation], ResolvedGroup | Violation]:
+    """One group's violations, and its resolved form or the violation that stops it resolving.
+
+    In order: unknown nodes (named, then left out of the scans), an empty
+    group, the root, children of members outside the group (condition 2),
+    missing siblings of leaf members (condition 1), no unique gateway, and
+    tops joined through the root (condition 3).  An unknown node, an empty
+    group, the root or no unique gateway stops the group resolving, and the
+    first of these found comes back in place of the resolved group; the
+    last three also end the scan.
+    """
+    out = [
+        Violation("unknown-node", f"group {gi} references node {v}", (v,))
+        for v in sorted(members)
+        if not 0 <= v < net.node_count
+    ]
+    stop = out[0] if out else None
+    members = frozenset(v for v in members if 0 <= v < net.node_count)
+    if not members:
+        out.append(Violation("empty", f"group {gi} is empty", ()))
+        return out, stop or out[-1]
+    if net.root in members:
+        out.append(Violation("root", f"group {gi} contains the root", (net.root,)))
+        return out, stop or out[-1]
+    out.extend(
+        Violation("condition-2", f"group {gi}: child {v} of member {u} is missing", (u, v))
+        for u in members
+        for v in net.children.get(u, ())
+        if v not in members
+    )
+    missing: dict[int, list[int]] = {}  # each parent's children outside the group
+    for u in members:
+        p = net.parent.get(u)
+        if p is None or not net.is_leaf(u):
+            continue
+        if p not in missing:
+            missing[p] = [sib for sib in net.children[p] if sib not in members]
+        out.extend(
+            Violation("condition-1", f"group {gi}: sibling {sib} of leaf {u} is missing", (u, sib))
+            for sib in missing[p]
+        )
+    tops = sorted(v for v in members if net.parent.get(v) not in members)
+    parents = {net.parent.get(t) for t in tops}
+    gateway = parents.pop() if len(parents) == 1 else None  # a parentless top has none
+    if gateway is None:
+        out.append(Violation("gateway", f"group {gi} has no unique gateway", tuple(tops)))
+        return out, stop or out[-1]
+    if gateway == net.root and len(tops) > 1:
+        out.append(
+            Violation(
+                "condition-3",
+                f"group {gi}: path between tops {tops[0]} and {tops[1]} passes the root",
+                tuple(tops[:2]),
+            )
+        )
+    return out, stop or ResolvedGroup(
+        members=members,
+        gateway=gateway,
+        tops=tuple(tops),
+        leaves=tuple(sorted(v for v in members if net.is_leaf(v))),
+        is_leaf_group=all(net.is_leaf(v) for v in members),
+    )
+
+
+def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Violation]:
+    """Check the subnetwork conditions: across groups, then each group's.
+
+    Across groups: pairwise disjointness and coverage of every leaf but the
+    root.  Per group, in group order: known nodes, not empty, no root,
+    children of members stay inside (downward closure), a leaf member pulls
+    in the complete sibling set of its parent, the component tops share a
+    unique gateway, and the connecting paths avoid the root.
+    """
+    out = _cover_violations(net, part)
     for gi, members in enumerate(part.groups):
-        members = frozenset(v for v in members if 0 <= v < net.node_count)
-        if not members:
-            out.append(Violation("empty", f"group {gi} is empty", ()))
-            continue
-        if net.root in members:
-            out.append(Violation("root", f"group {gi} contains the root", (net.root,)))
-            continue
-        for u in members:
-            for v in net.children.get(u, ()):
-                if v not in members:
-                    out.append(
-                        Violation(
-                            "condition-2",
-                            f"group {gi}: child {v} of member {u} is missing",
-                            (u, v),
-                        )
-                    )
-        missing: dict[int, list[int]] = {}  # each parent's children outside the group
-        for u in members:
-            p = net.parent.get(u)
-            if p is None or not net.is_leaf(u):
-                continue
-            if p not in missing:
-                missing[p] = [sib for sib in net.children[p] if sib not in members]
-            out.extend(
-                Violation(
-                    "condition-1", f"group {gi}: sibling {sib} of leaf {u} is missing", (u, sib)
-                )
-                for sib in missing[p]
-            )
-        tops, gateway = _tops_and_gateway(net, members)
-        if gateway is None:
-            out.append(
-                Violation(
-                    "gateway",
-                    f"group {gi} has no single immediately-preceding vertex",
-                    tuple(tops),
-                )
-            )
-            continue
-        if gateway == net.root and len(tops) > 1:
-            out.append(
-                Violation(
-                    "condition-3",
-                    f"group {gi}: path between tops {tops[0]} and {tops[1]} passes the root",
-                    tuple(tops[:2]),
-                )
-            )
+        out.extend(_group_violations(net, gi, members)[0])
     return out
 
 
 def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[ResolvedGroup]:
-    """Resolve groups to (gateway, tops, leaves) form; raises when unusable."""
+    """Resolve groups to (gateway, tops, leaves) form.
+
+    Raises :class:`PartitionError` with a group's first unknown-node, empty,
+    root or gateway violation; conditions 1-3 are left to
+    :func:`validate_subnetworks`.
+    """
     resolved = []
     for gi, members in enumerate(part.groups):
-        if not members:
-            raise PartitionError(f"group {gi} is empty")
-        for v in sorted(members):
-            if not 0 <= v < net.node_count:
-                raise PartitionError(f"group {gi} references node {v}")
-        if net.root in members:
-            raise PartitionError(f"group {gi} contains the root")
-        tops, gateway = _tops_and_gateway(net, members)
-        if gateway is None:
-            raise PartitionError(f"group {gi} has no unique gateway")
-        resolved.append(
-            ResolvedGroup(
-                members=frozenset(members),
-                gateway=gateway,
-                tops=tuple(tops),
-                leaves=tuple(sorted(v for v in members if net.is_leaf(v))),
-                is_leaf_group=all(net.is_leaf(v) for v in members),
-            )
-        )
+        group = _group_violations(net, gi, members)[1]
+        if isinstance(group, Violation):
+            raise PartitionError(group.detail)
+        resolved.append(group)
     return resolved
 
 
 def root_subtree_partition(net: TreeNetwork) -> SubnetworkPartition:
     """One group per child of the root, each the full subtree below that child.
 
-    Always covers every leaf (gateway is the root), so the product-form
-    iteration matrix can be assembled for any tree with at least two nodes.
+    Always covers every leaf but the root (gateway is the root), so the
+    product-form iteration matrix can be assembled for any tree, one node
+    included (no group).  The partition validates on every tree, one node
+    included, except where a leaf child of the root has siblings: condition
+    1 then wants them in its group, which no partition of the root's
+    children can give without condition 3 failing.
     """
     groups = []
     for c in net.children.get(net.root, ()):

@@ -174,6 +174,21 @@ def nodes_not_reaching_root(parent, root, node_count):
     return out
 
 
+def brute_resolved_group(net, members):
+    """A group's resolved form read off the parent table alone.
+
+    Tops are the members whose parent is outside the group, the gateway is
+    their one common parent (None when they have none or several), and the
+    leaves are the members that are no node's parent.
+    """
+    members = frozenset(members)
+    tops = tuple(sorted(v for v in members if net.parent.get(v) not in members))
+    parents = {net.parent.get(v) for v in tops}
+    gateway = parents.pop() if len(parents) == 1 else None
+    leaves = tuple(sorted(members.difference(net.parent.values())))
+    return tp.ResolvedGroup(members, gateway, tops, leaves, len(leaves) == len(members))
+
+
 def layered_dag(width, layers):
     """Node i of each layer feeds nodes i and i + 1 (cyclically) of the next.
 

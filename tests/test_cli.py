@@ -271,6 +271,66 @@ class TestAnalyzeCommand:
         assert report["groups"][0]["leaf_bounds"] == bounds
 
 
+    def test_a_dag_config_is_refused_without_a_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, _dag_config())
+        assert cli.main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "analyze currently applies to tree networks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _network_one(tmp_path, groups, scale=1.0):
+        return write_config(
+            tmp_path,
+            {
+                "system": {"generator": {"kind": "uniform", "k": 5, "d": 5, "seed": 7}},
+                "network": {
+                    "type": "tree",
+                    "nodes": 5,
+                    "root": 0,
+                    "edges": [
+                        {"parent": u, "child": v} for u, v in [(0, 1), (0, 2), (1, 3), (1, 4)]
+                    ],
+                },
+                "subnetworks": {"groups": groups},
+                "relaxation": {"groups": [{"nodes": [3, 4], "omega": 3.0}], "scale": scale},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+
+    def test_a_group_without_a_unique_gateway_exits_one(self, tmp_path, capsys):
+        # leaf 2 hangs off the root and leaf 3 off node 1
+        cfg = self._network_one(tmp_path, [[2, 3]])
+        assert cli.main(["analyze", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "config.subnetworks: group 0 has no unique gateway"
+        assert not (tmp_path / "out" / "spectral_report.json").exists()
+
+    def test_a_scaled_assignment_is_also_judged_at_scale_one(self, tmp_path):
+        cfg = self._network_one(tmp_path, [[3, 4]], scale=0.5)
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "spectral_report.json").read_text())
+        assert isinstance(report["unit_scale_admissible"], bool)
+        assert "leaf_bounds" in report["groups"][0]
+        assert report["partition_violations"] == [
+            {"kind": "coverage", "detail": "leaf 2 is in no group"}
+        ]
+
+    def test_a_single_node_tree_has_no_partition_violation(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "system": {"matrix": [[1.0, 2.0]], "rhs": [1.0]},
+                "network": {"type": "tree", "nodes": 1, "root": 0, "edges": []},
+                "subnetworks": {"groups": []},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "spectral_report.json").read_text())
+        assert report["partition_violations"] == []
+        assert report["admissible"] is True
+
+
 class TestSweepCommand:
     def test_single_point_grid(self, tmp_path, capsys):
         cfg = write_config(

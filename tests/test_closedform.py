@@ -5,7 +5,7 @@ from distkaczmarz import closedform as cf
 from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
-from distkaczmarz.errors import ApplicabilityError, NonContractionError
+from distkaczmarz.errors import ApplicabilityError, NonContractionError, PartitionError
 from distkaczmarz.numerics import gram, min_norm_solution, orthonormal_basis, spectral_radius
 
 from oracles import caterpillar, null_space_projector
@@ -138,6 +138,23 @@ class TestProductForm:
         relax = sv.RelaxationAssignment(np.array([1.3]))
         p = cf.build_p_omega(system, net, tp.SubnetworkPartition.of([]), relax)
         assert np.max(np.abs(p - cf.tree_affine(system, net, relax).B)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [{3, 4}],  # leaves 5 and 6 in no group
+            [{3, 4}, {4}, {5, 6}],  # leaf 4 in two groups
+            [{1, 3, 4}, {1}, {2, 5, 6}],  # every leaf once, interior node 1 twice
+        ],
+    )
+    def test_groups_must_be_disjoint_and_cover_every_leaf(self, groups):
+        net = ex.binary7_network()
+        system = ex.random_tree_system(8, net, dim=3)
+        relax = sv.RelaxationAssignment.uniform(7)
+        part = tp.SubnetworkPartition.of(groups)
+        assert len(tp.resolve_groups(net, part)) == len(groups)
+        with pytest.raises(PartitionError, match="groups must cover every leaf exactly once"):
+            cf.build_p_omega(system, net, part, relax)
 
     def test_identity_at_zero_relaxation(self):
         net, system, _ = random_instance(3)

@@ -1,0 +1,164 @@
+"""Inputs the program refuses by name, and verdicts that come out failing.
+
+Each case feeds one entry point an input it cannot handle and checks the
+named error (type and message), or runs a checker on an input built to
+fail it and checks the failing verdict.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from distkaczmarz import closedform as cf
+from distkaczmarz import experiments as ex
+from distkaczmarz import numerics as nm
+from distkaczmarz import solver as sv
+from distkaczmarz import topology as tp
+from distkaczmarz.errors import DimensionError, InvalidNetworkError
+
+
+class TestNetworkConstructors:
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 3)], r"edge \(1, 3\) references an unknown node"),
+            ([(0, 1), (2, 2)], "self-loop at node 2"),
+            ([(0, 1), (1, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
+        ],
+    )
+    def test_dag_cover_edges(self, edges, message):
+        with pytest.raises(InvalidNetworkError, match=message):
+            tp.DagNetwork.from_cover_edges(3, edges)
+
+    @pytest.mark.parametrize("root", [-1, 3])
+    def test_tree_root_outside_the_node_range(self, root):
+        with pytest.raises(InvalidNetworkError, match=rf"root {root} outside \[0, 3\)"):
+            tp.TreeNetwork.from_edges(3, root, [(0, 1), (0, 2)])
+
+    def test_tree_unknown_child(self):
+        with pytest.raises(InvalidNetworkError, match=r"edge \(0, 5\) references an unknown node"):
+            tp.TreeNetwork.from_edges(3, 0, [(0, 1), (0, 5)])
+
+
+class TestRawNetworkInvariants:
+    def test_a_cyclic_dag_is_one_cycle_violation(self):
+        net = tp.DagNetwork(3, ((0, 1), (1, 2), (2, 0)), {}, {})
+        assert [v.kind for v in tp.validate_dag(net)] == ["cycle"]
+
+    def test_a_tree_rooted_outside_its_nodes(self):
+        net = tp.TreeNetwork(3, 7, {1: 0, 2: 0}, {(0, 1): 0.5, (0, 2): 0.5})
+        violations = tp.validate_tree(net)
+        assert [(v.kind, v.where) for v in violations] == [("root", (7,))]
+
+    def test_path_from_root_of_a_disconnected_node(self):
+        net = tp.TreeNetwork(3, 0, {1: 0}, {(0, 1): 1.0})
+        assert net.path_from_root(1) == (0, 1)
+        with pytest.raises(InvalidNetworkError, match="node 2 is not connected to the root"):
+            net.path_from_root(2)
+
+
+class TestPathAndSweepInputs:
+    def test_updown_paths_need_minimal_ends(self):
+        net = ex.figure_dag()
+        m1 = net.minimal_nodes[0]
+        inner = next(v for v in range(net.node_count) if v not in net.minimal_nodes)
+        with pytest.raises(ValueError, match=f"node {inner} is not minimal"):
+            tp.enumerate_updown_paths(net, m1, inner)
+
+    def test_an_empty_sweep_grid(self):
+        net = ex.binary7_network()
+        system = ex.random_tree_system(1, net, dim=3)
+        with pytest.raises(ValueError, match="empty sweep grid"):
+            ex.omega_sweep(system, net, [], [[3, 4]])
+
+    @pytest.mark.parametrize("grid", [[(1.0,)], [(1.0, 1.2), (1.0,)], [(1.0, 1.0, 1.0)]])
+    def test_sweep_tuples_of_the_wrong_length(self, grid):
+        net = ex.binary7_network()
+        system = ex.random_tree_system(1, net, dim=3)
+        with pytest.raises(ValueError, match="grid tuples must match the number of axes"):
+            ex.omega_sweep(system, net, grid, [[3, 4], [5, 6]])
+
+
+class TestSolverAndNumericsInputs:
+    def test_a_dag_solve_needs_one_start_block_per_minimal_node(self):
+        net = ex.figure_dag()
+        s = len(net.minimal_nodes)
+        system = ex.random_tree_system(2, net, dim=3)
+        config = sv.SolverConfig(max_iterations=5, initial_estimate=np.zeros((s + 1, 3)))
+        relax = sv.RelaxationAssignment.uniform(net.node_count)
+        with pytest.raises(DimensionError, match=f"one initial block per minimal node required: {s}"):
+            sv.solve(system, net, relax, config)
+
+    def test_a_two_dimensional_omega(self):
+        with pytest.raises(DimensionError, match="omega must be one value per node"):
+            sv.RelaxationAssignment(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("value", [1.0, [[1.0, 2.0]]])
+    def test_as_vector_needs_one_dimension(self, value):
+        with pytest.raises(DimensionError, match="expected a vector"):
+            nm.as_vector(value)
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0], [[[1.0]]]])
+    def test_as_matrix_needs_two_dimensions(self, value):
+        with pytest.raises(DimensionError, match="expected a matrix"):
+            nm.as_matrix(value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="vector contains non-finite entries"):
+            nm.as_vector([1.0, bad])
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            nm.as_matrix([[1.0, 0.0], [bad, 1.0]])
+
+    def test_min_norm_solution_needs_one_entry_per_row(self):
+        with pytest.raises(DimensionError, match="matrix has 2 rows but right-hand side has 3 entries"):
+            nm.min_norm_solution(np.eye(2), np.ones(3))
+
+
+class TestAnalysisInputs:
+    @pytest.mark.parametrize("entry", [0.0, -1.0])
+    def test_dag_ls_minimizer_needs_a_positive_profile(self, entry):
+        net = ex.figure_dag()
+        system = ex.random_tree_system(3, net, dim=3)
+        bs = cf.dag_block_structure(system, net, sv.RelaxationAssignment.uniform(net.node_count))
+        profile = np.ones(net.node_count)
+        profile[2] = entry
+        with pytest.raises(ValueError, match="the per-node profile must be positive"):
+            cf.dag_ls_minimizer(bs, profile, cf.row_space_basis(system))
+
+    def test_admissible_upper_bound_of_a_non_leaf(self):
+        # 0 -> 1, 1 -> {2, 3}: node 1 is in the group but is no leaf
+        net = tp.TreeNetwork.from_edges(4, 0, [(0, 1), (1, 2), (1, 3)])
+        system = ex.random_tree_system(4, net, dim=3)
+        assert cf.admissible_upper_bound(system, net, {2, 3}, 2) > 0.0
+        with pytest.raises(ValueError, match="node 1 is not a leaf of this group"):
+            cf.admissible_upper_bound(system, net, {2, 3}, 1)
+
+    def test_path_sor_factors_of_an_empty_path(self):
+        system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
+        with pytest.raises(DimensionError, match="empty node path"):
+            cf.path_sor_factors(system, [], sv.RelaxationAssignment.uniform(2))
+
+
+class TestBudgetsAndVerdicts:
+    def test_iteration_budget_at_the_ends(self):
+        assert ex.iteration_budget(1.0) == 20_000
+        assert ex.iteration_budget(1.0, cap=77) == 77
+        assert ex.iteration_budget(0.0) == 1
+
+    def test_the_dichotomy_fails_on_the_identity_map(self):
+        # B = I keeps e1, which the one row spans: two unit eigenvalues, nullity 1
+        system = sv.LinearSystem(rows=np.array([[1.0, 0.0]]), rhs=np.array([0.0]))
+        report = cf.eigen_dichotomy_check(cf.AffineIteration(B=np.eye(2), c=np.zeros(2)), system)
+        assert report.holds is False
+        assert report.unit_count == 2
+        assert report.nullity == 1
+        assert report.unit_vectors_in_null_space is False
+
+    def test_the_leaf_norm_at_zero_relaxation_is_one(self):
+        net = ex.binary7_network()
+        system = ex.random_tree_system(5, net, dim=4)
+        group = next(g for g in ex.binary7_leaf_partition().groups)
+        zero = sv.RelaxationAssignment.uniform(net.node_count, 0.0)
+        assert cf.leaf_norm_formula(system, net, group, zero) == 1.0

@@ -21,6 +21,7 @@ from distkaczmarz.errors import (
 from oracles import (
     brute_cover_pairs,
     brute_diameter,
+    brute_resolved_group,
     brute_updown_paths,
     dfs_updown_paths,
     implied_edge_witnesses,
@@ -217,6 +218,37 @@ class TestPathWeight:
             tp.path_weight(net, 3, 4)
 
 
+def random_partition(rng, net):
+    """Up to four groups: ids in -1..n+1 or known non-root ids, the root at times, overlaps allowed."""
+    n = net.node_count
+    groups = []
+    for _ in range(int(rng.integers(0, 5))):
+        pool = range(-1, n + 2) if rng.random() < 0.3 else range(1, n)
+        size = int(rng.integers(0, min(len(pool), 4) + 1))
+        group = set(rng.choice(pool, size=size).tolist()) if size else set()
+        if rng.random() < 0.1:
+            group.add(net.root)
+        groups.append(group)
+    if rng.random() < 0.3:  # subtrees under the root, then the drawn groups
+        groups = [*tp.root_subtree_partition(net).groups, *groups]
+    return tp.SubnetworkPartition.of(groups)
+
+
+def first_stop(net, groups):
+    """The first group's first unknown node, emptiness, root or missing gateway, as named."""
+    for gi, group in enumerate(groups):
+        unknown = sorted(v for v in group if not 0 <= v < net.node_count)
+        if unknown:
+            return f"group {gi} references node {unknown[0]}"
+        if not group:
+            return f"group {gi} is empty"
+        if net.root in group:
+            return f"group {gi} contains the root"
+        if brute_resolved_group(net, group).gateway is None:
+            return f"group {gi} has no unique gateway"
+    return None
+
+
 class TestSubnetworks:
     def test_running_example_valid(self):
         net = seven_node_tree()
@@ -322,6 +354,79 @@ class TestSubnetworks:
             cf.check_admissibility(system, net, part, relax)
         with pytest.raises(PartitionError, match="group 0 references node 99"):
             cf.subnetwork_norm(system, net, group, relax)
+
+
+    def test_a_single_node_has_no_uncovered_leaf(self):
+        # the root is the only leaf, and the root joins no group
+        net = tp.TreeNetwork.from_edges(1, 0, [])
+        assert tp.validate_subnetworks(net, tp.SubnetworkPartition(())) == []
+        assert tp.resolve_groups(net, tp.SubnetworkPartition(())) == []
+
+    def test_the_root_subtree_partition_validates_unless_a_root_leaf_has_siblings(self):
+        # a leaf child of the root with siblings wants them all in its group
+        # (condition 1), and no partition of the root's children can hold that
+        sizes, flagged = set(), 0
+        for seed in range(80):
+            net = ex.random_tree(seed, 1, 12)
+            kids = net.children[net.root]
+            want = [
+                ("condition-1", (leaf, sib))
+                for leaf in kids
+                if net.is_leaf(leaf)
+                for sib in kids
+                if sib != leaf
+            ]
+            got = tp.validate_subnetworks(net, tp.root_subtree_partition(net))
+            assert sorted((v.kind, v.where) for v in got) == sorted(want)
+            sizes.add(net.node_count)
+            flagged += bool(want)
+        assert {1, 2, 12} <= sizes and 10 <= flagged <= 70
+
+    @pytest.mark.parametrize(
+        "group, kind, where",
+        [(set(), "empty", ()), ({0, 3}, "root", (0,)), ({0}, "root", (0,))],
+    )
+    def test_an_empty_or_root_group_stops_resolving(self, group, kind, where):
+        net = seven_node_tree()
+        part = tp.SubnetworkPartition.of([{3, 4}, group, {5, 6, 7}])
+        detail = "group 1 is empty" if kind == "empty" else "group 1 contains the root"
+        found = [v for v in tp.validate_subnetworks(net, part) if v.kind in ("empty", "root")]
+        assert [(v.kind, v.detail, v.where) for v in found] == [(kind, detail, where)]
+        with pytest.raises(PartitionError, match=f"^{detail}$"):
+            tp.resolve_groups(net, part)
+
+    def test_an_unknown_node_is_named_before_the_group_is_empty(self):
+        net = seven_node_tree()
+        part = tp.SubnetworkPartition.of([{-1, 9}])
+        assert [(v.kind, v.detail) for v in tp.validate_subnetworks(net, part)] == [
+            ("coverage", f"leaf {leaf} is in no group") for leaf in (3, 4, 5, 6, 7)
+        ] + [
+            ("unknown-node", "group 0 references node -1"),
+            ("unknown-node", "group 0 references node 9"),
+            ("empty", "group 0 is empty"),
+        ]
+        with pytest.raises(PartitionError, match="^group 0 references node -1$"):
+            tp.resolve_groups(net, part)
+
+    def test_resolution_stops_exactly_on_its_four_violations(self):
+        stops = ("unknown-node", "empty", "root", "gateway")
+        rng = np.random.default_rng(25)
+        seen = dict.fromkeys(stops, 0) | {"resolved": 0}
+        for seed in range(600):
+            net = ex.random_tree(seed, 1, 12)
+            part = random_partition(rng, net)
+            found = [v for v in tp.validate_subnetworks(net, part) if v.kind in stops]
+            assert (found[0].detail if found else None) == first_stop(net, part.groups)
+            if found:
+                seen[found[0].kind] += 1
+                with pytest.raises(PartitionError) as info:
+                    tp.resolve_groups(net, part)
+                assert str(info.value) == found[0].detail
+            else:
+                seen["resolved"] += 1
+                want = [brute_resolved_group(net, group) for group in part.groups]
+                assert tp.resolve_groups(net, part) == want
+        assert min(seen.values()) >= 20, seen
 
 
 class TestHasseReduce:
