@@ -468,32 +468,48 @@ def _cover_violations(net: TreeNetwork, part: SubnetworkPartition) -> list[Viola
     ]
 
 
-def _group_violations(
-    net: TreeNetwork, gi: int, members
-) -> tuple[list[Violation], ResolvedGroup | Violation]:
-    """One group's violations, and its resolved form or the violation that stops it resolving.
+def _unknown_nodes(net: TreeNetwork, gi: int, members) -> list[Violation]:
+    """A group's nodes outside the node range, ascending, as violations."""
+    unknown = sorted(v for v in members if not 0 <= v < net.node_count)
+    return [Violation("unknown-node", f"group {gi} references node {v}", (v,)) for v in unknown]
+
+
+def _resolve_group(net: TreeNetwork, gi: int, members: frozenset) -> ResolvedGroup | Violation:
+    """A group of known nodes resolved, or the violation that stops it resolving.
+
+    The stops are an empty group, the root, and no unique gateway (tops
+    whose parents differ, or a top without a parent).  Reads only the
+    members, their parents and whether they are leaves, so it is linear in
+    the group size and builds no condition 1-3 violation.
+    """
+    if not members:
+        return Violation("empty", f"group {gi} is empty", ())
+    if net.root in members:
+        return Violation("root", f"group {gi} contains the root", (net.root,))
+    tops = sorted(v for v in members if net.parent.get(v) not in members)
+    parents = {net.parent.get(t) for t in tops}
+    gateway = parents.pop() if len(parents) == 1 else None  # a parentless top has none
+    if gateway is None:
+        return Violation("gateway", f"group {gi} has no unique gateway", tuple(tops))
+    leaves = tuple(sorted(v for v in members if net.is_leaf(v)))
+    return ResolvedGroup(members, gateway, tuple(tops), leaves, len(leaves) == len(members))
+
+
+def _group_violations(net: TreeNetwork, gi: int, members) -> list[Violation]:
+    """One group's violations.
 
     In order: unknown nodes (named, then left out of the scans), an empty
     group, the root, children of members outside the group (condition 2),
     missing siblings of leaf members (condition 1), no unique gateway, and
-    tops joined through the root (condition 3).  An unknown node, an empty
-    group, the root or no unique gateway stops the group resolving, and the
-    first of these found comes back in place of the resolved group; the
-    last three also end the scan.
+    tops joined through the root (condition 3).  The stops of
+    :func:`_resolve_group` end the list: an empty group or the root at
+    once, no unique gateway after the condition scans.
     """
-    out = [
-        Violation("unknown-node", f"group {gi} references node {v}", (v,))
-        for v in sorted(members)
-        if not 0 <= v < net.node_count
-    ]
-    stop = out[0] if out else None
+    out = _unknown_nodes(net, gi, members)
     members = frozenset(v for v in members if 0 <= v < net.node_count)
-    if not members:
-        out.append(Violation("empty", f"group {gi} is empty", ()))
-        return out, stop or out[-1]
-    if net.root in members:
-        out.append(Violation("root", f"group {gi} contains the root", (net.root,)))
-        return out, stop or out[-1]
+    group = _resolve_group(net, gi, members)
+    if isinstance(group, Violation) and group.kind != "gateway":
+        return out + [group]
     out.extend(
         Violation("condition-2", f"group {gi}: child {v} of member {u} is missing", (u, v))
         for u in members
@@ -511,27 +527,13 @@ def _group_violations(
             Violation("condition-1", f"group {gi}: sibling {sib} of leaf {u} is missing", (u, sib))
             for sib in missing[p]
         )
-    tops = sorted(v for v in members if net.parent.get(v) not in members)
-    parents = {net.parent.get(t) for t in tops}
-    gateway = parents.pop() if len(parents) == 1 else None  # a parentless top has none
-    if gateway is None:
-        out.append(Violation("gateway", f"group {gi} has no unique gateway", tuple(tops)))
-        return out, stop or out[-1]
-    if gateway == net.root and len(tops) > 1:
-        out.append(
-            Violation(
-                "condition-3",
-                f"group {gi}: path between tops {tops[0]} and {tops[1]} passes the root",
-                tuple(tops[:2]),
-            )
-        )
-    return out, stop or ResolvedGroup(
-        members=members,
-        gateway=gateway,
-        tops=tuple(tops),
-        leaves=tuple(sorted(v for v in members if net.is_leaf(v))),
-        is_leaf_group=all(net.is_leaf(v) for v in members),
-    )
+    if isinstance(group, Violation):
+        return out + [group]
+    if group.gateway == net.root and len(group.tops) > 1:
+        t0, t1 = group.tops[:2]
+        detail = f"group {gi}: path between tops {t0} and {t1} passes the root"
+        out.append(Violation("condition-3", detail, (t0, t1)))
+    return out
 
 
 def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Violation]:
@@ -541,16 +543,18 @@ def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Vi
     root.  Per group, in group order: known nodes, not empty, no root,
     children of members stay inside (downward closure), a leaf member pulls
     in the complete sibling set of its parent, the component tops share a
-    unique gateway, and the connecting paths avoid the root.
+    unique gateway, and the connecting paths avoid the root.  The list can
+    be quadratic in the group sizes: each leaf member names every missing
+    sibling.
     """
     out = _cover_violations(net, part)
     for gi, members in enumerate(part.groups):
-        out.extend(_group_violations(net, gi, members)[0])
+        out.extend(_group_violations(net, gi, members))
     return out
 
 
 def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[ResolvedGroup]:
-    """Resolve groups to (gateway, tops, leaves) form.
+    """Resolve groups to (gateway, tops, leaves) form, in time linear in the group sizes.
 
     Raises :class:`PartitionError` with a group's first unknown-node, empty,
     root or gateway violation; conditions 1-3 are left to
@@ -558,7 +562,8 @@ def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[Resolved
     """
     resolved = []
     for gi, members in enumerate(part.groups):
-        group = _group_violations(net, gi, members)[1]
+        unknown = _unknown_nodes(net, gi, members)
+        group = unknown[0] if unknown else _resolve_group(net, gi, frozenset(members))
         if isinstance(group, Violation):
             raise PartitionError(group.detail)
         resolved.append(group)

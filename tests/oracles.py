@@ -259,9 +259,10 @@ def per_leaf_group_operator(sys, net, group, relax):
     Each leaf climbs to the top of its component, rebuilds the chain of
     relaxed projections from that top down to itself and weights it by the
     gateway-to-leaf path weight; the terms are summed in ascending leaf
-    order, so the walk in ``group_operator`` must match it bit for bit.
+    order, so the walk in ``group_operator`` must match it bit for bit.  The
+    group is resolved off the parent table, not by the resolver under test.
     """
-    g = tp.resolve_groups(net, tp.SubnetworkPartition.of([group]))[0]
+    g = brute_resolved_group(net, group)
     omega = relax.effective()
     d = sys.ambient_dim
     op = np.zeros((d, d), dtype=np.complex128)

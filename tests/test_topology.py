@@ -197,6 +197,11 @@ class ScanCountingTuple(tuple):
         return super().__iter__()
 
 
+def star(n):
+    """Root 0 with leaves 1 .. n - 1."""
+    return tp.TreeNetwork.from_edges(n, 0, [(0, v) for v in range(1, n)])
+
+
 class TestPathWeight:
     def test_trivial(self):
         net = seven_node_tree()
@@ -412,8 +417,9 @@ class TestSubnetworks:
         stops = ("unknown-node", "empty", "root", "gateway")
         rng = np.random.default_rng(25)
         seen = dict.fromkeys(stops, 0) | {"resolved": 0}
-        for seed in range(600):
-            net = ex.random_tree(seed, 1, 12)
+        # wide stars too, whose drawn groups of a few leaves omit most siblings
+        nets = [ex.random_tree(seed, 1, 12) for seed in range(600)]
+        for net in nets + [star(n) for n in (101, 150, 200, 250, 301, 301)]:
             part = random_partition(rng, net)
             found = [v for v in tp.validate_subnetworks(net, part) if v.kind in stops]
             assert (found[0].detail if found else None) == first_stop(net, part.groups)
@@ -427,6 +433,31 @@ class TestSubnetworks:
                 want = [brute_resolved_group(net, group) for group in part.groups]
                 assert tp.resolve_groups(net, part) == want
         assert min(seen.values()) >= 20, seen
+
+    def test_resolving_builds_no_violation_and_validating_builds_each_once(self, monkeypatch):
+        # 1,000 singleton leaf groups each omit 999 siblings: condition 1 alone
+        # names 999,000 of them, which resolving must never build
+        built = []
+
+        class CountedViolation(tp.Violation):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.kind)
+
+        monkeypatch.setattr(tp, "Violation", CountedViolation)
+        net = star(1001)
+        part = tp.root_subtree_partition(net)
+        system = sv.LinearSystem(rows=np.ones((1001, 2)), rhs=np.ones(1001))
+        relax = sv.RelaxationAssignment.uniform(1001)
+        assert len(tp.resolve_groups(net, part)) == 1000 and built == []
+        for group in part.groups:
+            cf.group_operator(system, net, group, relax)
+        assert built == []
+        cf.build_p_omega(system, net, part, relax)
+        assert built == []
+        small = star(101)
+        violations = tp.validate_subnetworks(small, tp.root_subtree_partition(small))
+        assert built == [v.kind for v in violations] == ["condition-1"] * 9900
 
 
 class TestHasseReduce:
