@@ -9,7 +9,7 @@ Commands
                  eigenvalue split of the iteration matrix (exit 3 when the
                  pass map overflows).
 ``sweep``        spectral radius over a parameter grid, written as CSV, for
-                 tree and DAG networks.
+                 tree and DAG networks (exit 3 when the pass map overflows).
 ``reproduce``    run one of the canonical seeded studies.
 ``config-dump``  print the resolved configuration (defaults applied).
 
@@ -357,9 +357,19 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _write_json(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    ex._write_atomic(path, json.dumps(payload, indent=2))
+def _write_report(args, cfg: RunConfig, name: str, payload: dict, table=None) -> None:
+    """Write ``payload`` as the JSON report ``name`` in the output dir, and ``table`` if asked.
+
+    The output dir is ``--out`` or else the config's.  ``table`` is
+    ``(file name, header, rows)``, with ``rows`` an iterable of CSV lines
+    that is read only when ``--format`` or else the config asks for csv.
+    """
+    out_dir = args.out or cfg.output_dir
+    os.makedirs(out_dir or ".", exist_ok=True)
+    ex._write_atomic(os.path.join(out_dir, name), json.dumps(payload, indent=2))
+    if table is not None and (args.format or cfg.output_format) == "csv":
+        csv_name, header, rows = table
+        ex._write_atomic(os.path.join(out_dir, csv_name), "\n".join([header, *rows]))
 
 
 def _estimate_out(state) -> Any:
@@ -370,7 +380,6 @@ def _estimate_out(state) -> Any:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    out_dir = args.out or cfg.output_dir
     try:
         report = solve(cfg.system, cfg.network, cfg.relaxation, cfg.solver)
     except DivergenceError as exc:
@@ -381,7 +390,7 @@ def cmd_solve(args) -> int:
             "last_iterate": _estimate_out(exc.last_iterate),
             "config": cfg.resolved,
         }
-        _write_json(os.path.join(out_dir, "solve_report.json"), payload)
+        _write_report(args, cfg, "solve_report.json", payload)
         print(f"diverged at iteration {exc.iteration}; report written")
         return EXIT_DIVERGED
     payload = {
@@ -395,12 +404,10 @@ def cmd_solve(args) -> int:
         "observed_rate": report.observed_rate,
         "config": cfg.resolved,
     }
-    _write_json(os.path.join(out_dir, "solve_report.json"), payload)
-    if (args.format or cfg.output_format) == "csv":
-        lines = ["iteration,step_norm,residual_norm"]
-        for i, (s, r) in enumerate(zip(report.step_norms, report.residual_norms), 1):
-            lines.append(f"{i},{s:.12g},{r:.12g}")
-        ex._write_atomic(os.path.join(out_dir, "solve_trace.csv"), "\n".join(lines))
+    norms = enumerate(zip(report.step_norms, report.residual_norms), 1)
+    rows = (f"{i},{s:.12g},{r:.12g}" for i, (s, r) in norms)
+    trace = ("solve_trace.csv", "iteration,step_norm,residual_norm", rows)
+    _write_report(args, cfg, "solve_report.json", payload, trace)
     last_step = report.step_norms[-1] if report.step_norms else 0.0
     last_res = report.residual_norms[-1] if report.residual_norms else max(
         map(cfg.system.residual_norm, np.atleast_2d(report.final_estimates))
@@ -417,7 +424,6 @@ def cmd_analyze(args) -> int:
     if not isinstance(cfg.network, TreeNetwork):
         print("analyze currently applies to tree networks", file=_sys.stderr)
         return EXIT_CONFIG
-    out_dir = args.out or cfg.output_dir
     part = cfg.partition or SubnetworkPartition(())
     sys_, net, relax = cfg.system, cfg.network, cfg.relaxation
     payload: dict = {"config": cfg.resolved}
@@ -457,12 +463,9 @@ def cmd_analyze(args) -> int:
     payload["unit_eigenvalue_count"] = dichotomy.unit_count
     payload["nullity"] = dichotomy.nullity
     payload["dichotomy_holds"] = dichotomy.holds
-    _write_json(os.path.join(out_dir, "spectral_report.json"), payload)
-    if (args.format or cfg.output_format) == "csv":
-        lines = ["re,im,modulus"]
-        for z in dichotomy.eigenvalues:
-            lines.append(f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}")
-        ex._write_atomic(os.path.join(out_dir, "eigenvalues.csv"), "\n".join(lines))
+    rows = (f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}" for z in dichotomy.eigenvalues)
+    eigen = ("eigenvalues.csv", "re,im,modulus", rows)
+    _write_report(args, cfg, "spectral_report.json", payload, eigen)
     print(
         f"admissible={admissibility.admissible} rho_restricted={dichotomy.rho_restricted:.6f}"
     )
@@ -480,19 +483,20 @@ def cmd_sweep(args) -> int:
         _expect(1 <= len(axes) <= 2, path, "expected one or two groups to derive sweep axes from")
         for i in range(len(axes)):
             _built(f"{path}[{i}]", ex.check_sweep_axes, axes[: i + 1], cfg.network.node_count)
-    grid_spec = args.grid or ",".join(["0.05:8:0.05"] * len(axes))
     try:
-        grid = ex.grid_from_spec(grid_spec, len(axes))
+        _checked_omega(args.baseline)
+    except ValueError as exc:
+        print(f"--baseline: {exc}", file=_sys.stderr)
+        return EXIT_CONFIG
+    try:  # restricted_rho checks the grid's omega values with the baseline's rule
+        grid = ex.grid_from_spec(args.grid or ",".join(["0.05:8:0.05"] * len(axes)), len(axes))
+        result = ex.omega_sweep(cfg.system, cfg.network, grid, axes, baseline=args.baseline)
     except ValueError as exc:
         print(f"--grid: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    for flag, values in (("--grid", grid), ("--baseline", args.baseline)):
-        try:
-            _checked_omega(values)
-        except ValueError as exc:
-            print(f"{flag}: {exc}", file=_sys.stderr)
-            return EXIT_CONFIG
-    result = ex.omega_sweep(cfg.system, cfg.network, grid, axes, baseline=args.baseline)
+    except NumericalFailureError as exc:  # such as a pass map that overflows
+        print(f"sweep: {exc}", file=_sys.stderr)
+        return EXIT_DIVERGED
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     ex._write_atomic(os.path.join(out_dir, "sweep.csv"), ex.sweep_to_csv(result))
@@ -532,19 +536,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run the iteration and write a report")
-    p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--format", choices=("json", "csv"), default=None,
-                         help="csv adds a per-iteration trace table")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_an = sub.add_parser("analyze", help="admissibility and spectral analysis")
-    p_an.add_argument("--config", required=True)
-    p_an.add_argument("--out", default=None)
-    p_an.add_argument("--format", choices=("json", "csv"), default=None,
-                      help="csv adds the eigenvalue table")
-    p_an.set_defaults(func=cmd_analyze)
+    for name, func, what, csv_adds in (
+        ("solve", cmd_solve, "run the iteration and write a report", "a per-iteration trace table"),
+        ("analyze", cmd_analyze, "admissibility and spectral analysis", "the eigenvalue table"),
+    ):
+        p_report = sub.add_parser(name, help=what)
+        p_report.add_argument("--config", required=True)
+        p_report.add_argument("--out", default=None)
+        p_report.add_argument("--format", choices=("json", "csv"), default=None,
+                              help=f"csv adds {csv_adds}")
+        p_report.set_defaults(func=func)
 
     p_sw = sub.add_parser("sweep", help="spectral radius over a parameter grid")
     p_sw.add_argument("--config", required=True)

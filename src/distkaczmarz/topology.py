@@ -12,16 +12,18 @@ each group: its weights are all given or all omitted, omitted weights are
 uniform over the group, and a valid network has positive weights summing
 to 1 per group, and a weight keyed by a pair that is no edge is a
 violation.  A tree is the DAG with one minimal node, so both network types
-build and check their tables with the same helpers.  A tree is kept as one
-edge table (each node's parent and each edge's weight); its child lists
-are derived from it.
+build and check their tables with the same helpers, check their edge ends
+with one rule, walk them with one reachability walk and weigh a chain of
+edges with one product.  A tree is kept as one edge table (each node's
+parent and each edge's weight); its child lists are derived from it.
 
 One walk, Kahn's algorithm run a level at a time, lays out either network:
 level 0 is the root or the minimal nodes, and level k holds the nodes
 whose last predecessor is on level k - 1, ties by ascending id.  Each
-network caches those ``levels``, and its ``order`` (the levels one after
-another), its validation, its path counts and its pass schedule all read
-them.
+network caches those ``levels``.  One layout base, which both network
+types inherit, derives from them the ``order`` (the levels one after
+another) and the pass schedule, and caches the validation; the validation
+and the path counts read the levels too.
 
 Networks are immutable after construction; all queries are read-only.  A
 network copies every table it is given into a read-only mapping view, so
@@ -36,6 +38,7 @@ runs on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -108,6 +111,33 @@ def _weight_violations(table: Mapping, groups, what: str) -> list[Violation]:
         if e not in edges:
             out.append(Violation("weight-key", f"{what} weight keyed {e} names no edge", e))
     return out
+
+
+def _check_ends(u: int, v: int, node_count: int) -> None:
+    """Raise :class:`InvalidNetworkError` unless edge ``(u, v)`` joins two distinct known nodes."""
+    if not (0 <= u < node_count and 0 <= v < node_count):
+        raise InvalidNetworkError(f"edge ({u}, {v}) references an unknown node")
+    if u == v:
+        raise InvalidNetworkError(f"self-loop at node {u}")
+
+
+def _reached(start: int, step) -> set[int]:
+    """The nodes reached from ``start`` (included) by repeated ``step(node)``, the next nodes.
+
+    Depth first; a node joins the set when it leaves the stack.
+    """
+    out, stack = set(), [start]
+    while stack:
+        u = stack.pop()
+        if u not in out:
+            out.add(u)
+            stack.extend(step(u))
+    return out
+
+
+def _chain_weight(table: Mapping, tails: Sequence[int], heads: Sequence[int]) -> float:
+    """The product of the weights ``table[(tails[i], heads[i])]`` in chain order, from 1.0."""
+    return math.prod([table[e] for e in zip(tails, heads)], start=1.0)
 
 
 def _kahn(succ: Mapping[int, Iterable[int]], start: int | None = None) -> list[tuple[int, ...]]:
@@ -270,18 +300,53 @@ def _schedule(levels: Sequence[tuple[int, ...]], ins: Sequence[tuple]) -> Schedu
     )
 
 
+class _Layout:
+    """What a tree and a DAG lay out alike from their Kahn ``levels``.
+
+    Each network type gives its ``node_count`` and ``levels``, the name of
+    its validator in ``_validator`` and each node's in-edges in
+    ``_in_edges(v)``: one ``(u, w_d, w_p)`` per predecessor u of v.
+    """
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The levels one after another: topological, ties by ascending id within a level."""
+        return tuple(v for level in self.levels for v in level)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """What :func:`validate_tree` or :func:`validate_dag` returns for this network, found once.
+
+        The validator is looked up by name when called, so the module's
+        current binding of it runs.
+        """
+        return tuple(globals()[self._validator](self))
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The pass's level schedule over each node's in-edges; needs a valid network.
+
+        Raises :class:`InvalidNetworkError` when the levels miss a node (a
+        tree node the root does not reach).
+        """
+        if len(self.order) != self.node_count:
+            raise InvalidNetworkError("the root's levels do not hold every node")
+        return _schedule(self.levels, [self._in_edges(v) for v in range(self.node_count)])
+
+
 # ---------------------------------------------------------------------------
 # Trees
 
 
 @dataclass(frozen=True)
-class TreeNetwork:
+class TreeNetwork(_Layout):
     """A rooted tree kept as one edge table: each node's ``parent`` and each edge's weight.
 
     ``edge_weight[(parent[v], v)]`` is the pooling weight of the edge into
     v.  ``children``, the child lists, is a read-only view derived from
     ``parent`` on first use.  The root's levels are the nodes by depth
     below it, and the pass's level order is their concatenation ``order``.
+    In the pass schedule each edge has dispersion weight 1.
     """
 
     node_count: int
@@ -290,6 +355,7 @@ class TreeNetwork:
     edge_weight: Mapping[tuple[int, int], float]
 
     __hash__ = None  # read-only mapping fields do not hash
+    _validator = "validate_tree"
 
     def __post_init__(self):
         object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
@@ -312,10 +378,7 @@ class TreeNetwork:
                 u, v, w = edge[0], edge[1], None
             else:
                 u, v, w = edge
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise InvalidNetworkError(f"edge ({u}, {v}) references an unknown node")
-            if u == v:
-                raise InvalidNetworkError(f"self-loop at node {u}")
+            _check_ends(u, v, node_count)
             if v in parent:
                 raise InvalidNetworkError(f"node {v} has two parents")
             if v == root:
@@ -348,29 +411,10 @@ class TreeNetwork:
         """
         return tuple(_kahn(self.children, self.root)) if self.root in self.children else ()
 
-    @cached_property
-    def order(self) -> tuple[int, ...]:
-        """The levels one after another: the root, then the nodes by depth, ties by ascending id."""
-        return tuple(v for level in self.levels for v in level)
-
-    @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        """What :func:`validate_tree` returns for this network, found once."""
-        return tuple(validate_tree(self))
-
-    @cached_property
-    def schedule(self) -> Schedule:
-        """The pass's level schedule: the root alone on level 0, every edge of dispersion weight 1.
-
-        Needs a valid tree; raises :class:`InvalidNetworkError` when the
-        root's levels miss a node.
-        """
-        if len(self.order) != self.node_count:
-            raise InvalidNetworkError("the root's levels do not hold every node")
-        ins: list[tuple] = [()] * self.node_count
-        for v in self.order[1:]:
-            ins[v] = ((self.parent[v], 1.0, self.edge_weight[(self.parent[v], v)]),)
-        return _schedule(self.levels, ins)
+    def _in_edges(self, v: int) -> tuple:
+        """The edge into v from its parent, of dispersion weight 1; none into the root."""
+        u = None if v == self.root else self.parent[v]
+        return () if u is None else ((u, 1.0, self.edge_weight[(u, v)]),)
 
     def is_leaf(self, v: int) -> bool:
         return not self.children.get(v, ())
@@ -417,10 +461,7 @@ def path_weight(net: TreeNetwork, u: int, v: int) -> float:
     if u not in path:
         raise AncestryError(f"node {u} is not an ancestor of node {v}")
     start = path.index(u)
-    w = 1.0
-    for a, b in zip(path[start:], path[start + 1 :]):
-        w *= net.edge_weight[(a, b)]
-    return w
+    return _chain_weight(net.edge_weight, path[start:], path[start + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +621,9 @@ def root_subtree_partition(net: TreeNetwork) -> SubnetworkPartition:
     1 then wants them in its group, which no partition of the root's
     children can give without condition 3 failing.
     """
-    groups = []
-    for c in net.children.get(net.root, ()):
-        stack, acc = [c], set()
-        while stack:
-            v = stack.pop()
-            acc.add(v)
-            stack.extend(net.children.get(v, ()))
-        groups.append(frozenset(acc))
-    return SubnetworkPartition(tuple(groups))
+    below = net.children
+    tops = below.get(net.root, ())
+    return SubnetworkPartition(tuple(frozenset(_reached(c, below.__getitem__)) for c in tops))
 
 
 def leaf_sibling_partition(net: TreeNetwork) -> SubnetworkPartition:
@@ -610,7 +645,7 @@ def leaf_sibling_partition(net: TreeNetwork) -> SubnetworkPartition:
 
 
 @dataclass(frozen=True)
-class DagNetwork:
+class DagNetwork(_Layout):
     """Directed acyclic network on cover edges with dispersion/pooling weights."""
 
     node_count: int
@@ -619,6 +654,7 @@ class DagNetwork:
     w_p: Mapping[tuple[int, int], float]
 
     __hash__ = None  # read-only mapping fields do not hash
+    _validator = "validate_dag"
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
@@ -641,10 +677,7 @@ class DagNetwork:
                 wd = wp = None
             else:
                 u, v, wd, wp = edge
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise InvalidNetworkError(f"edge ({u}, {v}) references an unknown node")
-            if u == v:
-                raise InvalidNetworkError(f"self-loop at node {u}")
+            _check_ends(u, v, node_count)
             if (u, v) in wd_in:
                 raise InvalidNetworkError(f"duplicate edge ({u}, {v})")
             edge_list.append((u, v))
@@ -687,24 +720,9 @@ class DagNetwork:
             raise CycleError("edge set contains a cycle")
         return levels
 
-    @cached_property
-    def order(self) -> tuple[int, ...]:
-        """The levels one after another: topological, ties by ascending id within a level."""
-        return tuple(v for level in self.levels for v in level)
-
-    @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        """What :func:`validate_dag` returns for this network, found once."""
-        return tuple(validate_dag(self))
-
-    @cached_property
-    def schedule(self) -> Schedule:
-        """The pass's level schedule over the cached in-lists; needs a valid DAG."""
-        ins = [
-            tuple((u, self.w_d[(u, v)], self.w_p[(u, v)]) for u in self.predecessors[v])
-            for v in range(self.node_count)
-        ]
-        return _schedule(self.levels, ins)
+    def _in_edges(self, v: int) -> tuple:
+        """v's in-edges over the cached in-list, with their dispersion and pooling weights."""
+        return tuple((u, self.w_d[(u, v)], self.w_p[(u, v)]) for u in self.predecessors[v])
 
     @cached_property
     def minimal_nodes(self) -> tuple[int, ...]:
@@ -715,14 +733,7 @@ class DagNetwork:
         return tuple(v for v in range(self.node_count) if not self.successors[v])
 
     def reachable_from(self, v: int) -> set[int]:
-        out, stack = {v}, [v]
-        while stack:
-            u = stack.pop()
-            for w in self.successors[u]:
-                if w not in out:
-                    out.add(w)
-                    stack.append(w)
-        return out
+        return _reached(v, self.successors.__getitem__)
 
 
 def validate_dag(net: DagNetwork) -> list[Violation]:
@@ -734,13 +745,7 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
         out.append(Violation("cycle", "edge set contains a cycle", ()))
         return out
     if net.node_count > 1:
-        seen, stack = {0}, [0]
-        while stack:
-            u = stack.pop()
-            for w in net.successors[u] + net.predecessors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        seen = _reached(0, lambda u: net.successors[u] + net.predecessors[u])
         if len(seen) != net.node_count:
             missing = sorted(set(range(net.node_count)) - seen)
             out.append(
@@ -870,18 +875,10 @@ def enumerate_updown_paths(net: DagNetwork, m1: int, m2: int) -> list[UpDownPath
     _require_enumerable(sum(up1[p] * up2[p] for p in net.maximal_nodes), "up-down paths")
     paths: list[UpDownPath] = []
     for asc in _ascending_chains(net, m1):
-        peak = asc[-1]
-        w_up = 1.0
-        for a, b in zip(asc, asc[1:]):
-            w_up *= net.w_d[(a, b)]
-        for desc in _chains(peak, net.predecessors, lambda v: v == m2):
-            w_down = 1.0
-            for a, b in zip(desc, desc[1:]):
-                w_down *= net.w_p[(b, a)]
-            nodes = asc + desc[1:]
-            paths.append(
-                UpDownPath(nodes=nodes, peak_index=len(asc) - 1, weight=w_up * w_down)
-            )
+        w_up = _chain_weight(net.w_d, asc, asc[1:])
+        for desc in _chains(asc[-1], net.predecessors, lambda v: v == m2):
+            w_down = _chain_weight(net.w_p, desc[1:], desc)  # each edge keyed (lower, upper)
+            paths.append(UpDownPath(asc + desc[1:], len(asc) - 1, w_up * w_down))
     paths.sort(key=lambda p: p.nodes)
     return paths
 
@@ -934,11 +931,8 @@ def enumerate_dispersion_paths(net: DagNetwork):
     up_mass: list[float] = []
     for m in minimal:
         for chain in _ascending_chains(net, m):
-            w = 1.0
-            for a, b in zip(chain, chain[1:]):
-                w *= net.w_d[(a, b)]
             paths.append(DispersionPath(nodes=chain))
-            up_mass.append(w)
+            up_mass.append(_chain_weight(net.w_d, chain, chain[1:]))
     descent = np.zeros((net.node_count, len(minimal)))  # pooling mass down to each minimal node
     descent[list(minimal), range(len(minimal))] = 1.0
     for v in net.order:

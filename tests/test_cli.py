@@ -456,6 +456,7 @@ class TestSweepCommand:
             (["--baseline", "-1"], "--baseline: "),
             (["--baseline", "nan"], "--baseline: "),
             (["--grid", "0:1e308:1e-308"], "--grid: "),
+            (["--grid=-1:1:0.5", "--baseline", "-1"], "--baseline: "),
         ],
     )
     def test_negative_or_non_finite_omega_named(self, tmp_path, capsys, flags, prefix):
@@ -783,7 +784,11 @@ def test_main_builds_the_parser_once_and_repeats_its_output(tmp_path, capsys):
 
 
 def test_analyze_reports_an_overflowing_map_with_exit_3(tmp_path, capsys):
-    """A 1,500-deep chain at ω = 8 overflows its map: a message and exit 3, no traceback."""
+    """A 1,500-deep chain at ω = 8 overflows its map: a message and exit 3, no traceback.
+
+    ``analyze`` at ω = 8 and ``sweep`` over ω in {7, 8} on every node below
+    the root each print one stderr line and write no report.
+    """
     n = 1500
     cfg = write_config(
         tmp_path,
@@ -796,12 +801,17 @@ def test_analyze_reports_an_overflowing_map_with_exit_3(tmp_path, capsys):
                 "edges": [{"parent": v - 1, "child": v} for v in range(1, n)],
             },
             "relaxation": {"default": 8.0},
+            "sweep": {"axes": [list(range(1, n))]},
             "output": {"dir": str(tmp_path / "out")},
         },
     )
-    assert cli.main(["analyze", "--config", cfg]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("analyze: the assembled pass map overflowed")
-    assert "Traceback" not in err
-    assert not (tmp_path / "out" / "spectral_report.json").exists()
+    for argv, report in (
+        (["analyze"], "spectral_report.json"),
+        (["sweep", "--grid", "7:8:1"], "sweep.csv"),
+    ):
+        assert cli.main([*argv, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: the assembled pass map overflowed")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out" / report).exists()
     assert cli.main(["solve", "--config", cfg]) == 3

@@ -8,11 +8,15 @@ ascending id, ``order`` is the levels one after another and equals the
 pass schedule's order, tree connectivity violations are exactly the nodes
 whose parent walk misses the root, a tree rebuilt from its own tables lays
 out the same, and the root-to-node path weights equal the kernel's masses.
+A tree and its one-source DAG twin (dispersion weights 1, the tree's
+weights for pooling) share one layout, so their schedules, maps, solves and
+sweeps are equal bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from distkaczmarz import closedform as cf
 from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
@@ -144,3 +148,26 @@ def test_path_weights_are_the_kernel_masses(seed, size):
     masses = sv._Pass(system, net).masses()
     weights = [tp.path_weight(net, net.root, v) for v in range(net.node_count)]
     np.testing.assert_allclose(masses[0], weights, rtol=1e-12, atol=0.0)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), complex_rows=st.booleans())
+def test_a_tree_and_its_dag_twin_run_bit_for_bit_alike(seed, dim, complex_rows):
+    net = ex.random_tree(seed, 1, 14)
+    edges = [(u, v, 1.0, w) for (u, v), w in net.edge_weight.items()]
+    twin = tp.DagNetwork.from_cover_edges(net.node_count, edges)
+    assert twin.violations == () and twin.schedule == net.schedule
+    system = ex.random_tree_system(seed, net, dim=dim, complex_entries=complex_rows)
+    rng = np.random.default_rng(seed)
+    relax = sv.RelaxationAssignment(rng.uniform(0.2, 1.8, net.node_count))
+    tree_map = cf.tree_affine(system, net, relax)
+    dag_map = cf.dag_block_structure(system, twin, relax).aggregate
+    assert np.array_equal(tree_map.B, dag_map.B) and np.array_equal(tree_map.c, dag_map.c)
+    config = sv.SolverConfig(max_iterations=25)
+    tree_run, dag_run = sv.solve(system, net, relax, config), sv.solve(system, twin, relax, config)
+    (dag_estimate,) = dag_run.final_estimates
+    assert np.array_equal(tree_run.final_estimates, dag_estimate)
+    assert np.array_equal(tree_run.step_norms, dag_run.step_norms)
+    omega = rng.uniform(0.2, 1.8, (net.node_count, 7))
+    rho = cf.restricted_rho(system, net, omega)
+    assert np.array_equal(rho, cf.restricted_rho(system, twin, omega))
