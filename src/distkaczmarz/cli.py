@@ -38,7 +38,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys as _sys
 from dataclasses import dataclass, field
 from typing import Any
@@ -274,6 +273,12 @@ def _parse_relaxation(raw: dict, node_count: int, path: str) -> tuple[Relaxation
     return relax, resolved
 
 
+def _check_axes(axes: list, path: str, node_count: int) -> None:
+    """Check the sweep ``axes`` one prefix at a time; a bad axis i is reported at ``path[i]``."""
+    for i in range(len(axes)):
+        _built(f"{path}[{i}]", ex.check_sweep_axes, axes[: i + 1], node_count)
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -321,11 +326,9 @@ def load_config(path: str) -> RunConfig:
     sweep = _get(raw, "sweep", "config", _object, default=None)
     if sweep is not None:
         axes = _get(sweep, "axes", "config.sweep", _list, 1, 2, "expected one or two axes")
-        sweep_axes = []
-        for i, a in enumerate(axes):
-            path = f"config.sweep.axes[{i}]"
-            sweep_axes.append(tuple(sorted(_nodes(a, path, n))))
-            _built(path, ex.check_sweep_axes, sweep_axes, n)
+        path = "config.sweep.axes"
+        sweep_axes = [tuple(sorted(_nodes(a, f"{path}[{i}]", n))) for i, a in enumerate(axes)]
+        _check_axes(sweep_axes, path, n)
     output_raw = _get(raw, "output", "config", _object, default={})
     out_dir = _get(output_raw, "dir", "config.output", _string, default=".")
     out_format = _get(
@@ -364,12 +367,11 @@ def _write_report(args, cfg: RunConfig, name: str, payload: dict, table=None) ->
     ``(file name, header, rows)``, with ``rows`` an iterable of CSV lines
     that is read only when ``--format`` or else the config asks for csv.
     """
-    out_dir = args.out or cfg.output_dir
-    os.makedirs(out_dir or ".", exist_ok=True)
-    ex._write_atomic(os.path.join(out_dir, name), json.dumps(payload, indent=2))
+    files = {name: json.dumps(payload, indent=2)}
     if table is not None and (args.format or cfg.output_format) == "csv":
         csv_name, header, rows = table
-        ex._write_atomic(os.path.join(out_dir, csv_name), "\n".join([header, *rows]))
+        files[csv_name] = "\n".join([header, *rows])
+    ex._write_files(args.out or cfg.output_dir, files)
 
 
 def _estimate_out(state) -> Any:
@@ -481,8 +483,7 @@ def cmd_sweep(args) -> int:
         axes = [tuple(sorted(g)) for g in cfg.partition.groups]
         path = "config.subnetworks.groups"
         _expect(1 <= len(axes) <= 2, path, "expected one or two groups to derive sweep axes from")
-        for i in range(len(axes)):
-            _built(f"{path}[{i}]", ex.check_sweep_axes, axes[: i + 1], cfg.network.node_count)
+        _check_axes(axes, path, cfg.network.node_count)
     try:
         _checked_omega(args.baseline)
     except ValueError as exc:
@@ -497,9 +498,7 @@ def cmd_sweep(args) -> int:
     except NumericalFailureError as exc:  # such as a pass map that overflows
         print(f"sweep: {exc}", file=_sys.stderr)
         return EXIT_DIVERGED
-    out_dir = args.out or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    ex._write_atomic(os.path.join(out_dir, "sweep.csv"), ex.sweep_to_csv(result))
+    ex._write_files(args.out or cfg.output_dir, {"sweep.csv": ex.sweep_to_csv(result)})
     best = ", ".join(f"omega_{i + 1}={v:g}" for i, v in enumerate(result.argmin))
     print(f"argmin: {best} rho={result.min_rho:.6f} baseline={result.baseline_rho:.6f}")
     return EXIT_OK

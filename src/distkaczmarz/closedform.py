@@ -72,7 +72,6 @@ from .numerics import (
     gram,
     orthonormal_basis,
     operator_norm_on_span,
-    read_only_copy,
     spectral_radius_on_span,
     value_dataclass,
 )
@@ -147,19 +146,14 @@ class Restriction:
 
     ``q`` holds the checked ``(d, r)`` basis columns, ``Q = kron(I_s, q)``
     the stacked columns and ``R = Q* B Q`` the restricted map, all three
-    read-only.  ``q`` is copied, as it may view the caller's basis; ``Q``
-    and ``R`` are taken as built and marked read-only in place.  ``rho`` is
-    the largest modulus of R's eigenvalues, 0 for an empty basis.
+    read-only copies of the caller's arrays.  ``rho`` is the largest
+    modulus of R's eigenvalues, 0 for an empty basis.
     """
 
     q: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     rho: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", read_only_copy(self.q))
-        self.Q.flags.writeable = self.R.flags.writeable = False
 
 
 @value_dataclass
@@ -174,8 +168,6 @@ class AffineIteration:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "B", read_only_copy(self.B))
-        object.__setattr__(self, "c", read_only_copy(self.c))
         object.__setattr__(self, "_restricted", None)
 
     def apply(self, x) -> np.ndarray:
@@ -207,7 +199,7 @@ class PathSorFactors:
     ``D`` holds the squared row norms, ``Omega`` the relaxation parameters,
     ``L`` the strictly lower triangle of pairwise row inner products, and
     ``A_path``/``b_path`` the stacked equations, all in path order.  The
-    arrays are taken as built and marked read-only in place.
+    arrays are read-only copies of the caller's.
     """
 
     nodes: tuple[int, ...]
@@ -216,10 +208,6 @@ class PathSorFactors:
     L: np.ndarray
     A_path: np.ndarray
     b_path: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.D, self.Omega, self.L, self.A_path, self.b_path):
-            a.flags.writeable = False
 
     def solve_coefficients(self, x) -> np.ndarray:
         """Expansion coefficients c with chain(x) = x + A_path* c."""
@@ -554,7 +542,7 @@ class DichotomyReport:
     """Eigenvalue split of the iteration matrix: unit eigenvalues against
     strictly contracting ones, with the measured margin.  ``eigenvalues``
     lists the checked spectrum in :class:`~distkaczmarz.numerics.Spectrum`
-    order, taken as built and marked read-only in place."""
+    order, as a read-only copy of the caller's array."""
 
     unit_count: int
     nullity: int
@@ -564,9 +552,6 @@ class DichotomyReport:
     rho_restricted: float
     holds: bool
     eigenvalues: np.ndarray = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        self.eigenvalues.flags.writeable = False
 
 
 def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyReport:

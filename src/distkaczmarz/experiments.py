@@ -448,6 +448,13 @@ def _write_atomic(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_files(out_dir: str, files: dict[str, str]) -> None:
+    """Write each ``name: text`` of ``files``, in order, into ``out_dir`` ("" is the current dir)."""
+    os.makedirs(out_dir or ".", exist_ok=True)
+    for name, text in files.items():
+        _write_atomic(os.path.join(out_dir, name), text)
+
+
 def sweep_to_csv(result: SweepResult) -> str:
     """RFC-4180-style CSV with a '.' decimal separator regardless of locale.
 
@@ -611,10 +618,7 @@ def reproduce(experiment_id: str, seed: int, out_dir: str | None = None) -> dict
             }
         ]
     if out_dir is not None:
-        target_dir = os.path.join(out_dir, experiment_id)
-        os.makedirs(target_dir, exist_ok=True)
-        for name, text in bundle["csv"].items():
-            _write_atomic(os.path.join(target_dir, name), text)
         payload = {k: v for k, v in bundle.items() if k != "csv"}
-        _write_atomic(os.path.join(target_dir, "results.json"), json.dumps(payload, indent=2))
+        files = {**bundle["csv"], "results.json": json.dumps(payload, indent=2)}
+        _write_files(os.path.join(out_dir, experiment_id), files)
     return bundle

@@ -27,6 +27,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -56,7 +57,7 @@ def as_vector(x) -> np.ndarray:
 def read_only_copy(a) -> np.ndarray:
     """A copy of ``a`` that cannot be written, for immutable value objects."""
     out = np.array(a)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -68,11 +69,26 @@ def value_dataclass(cls=None, *, frozen: bool = True):
     lists of arrays and plain values alike, by value.  Value classes are
     unhashable, as arrays are: the generated ``__hash__`` of a frozen one
     would raise on every instance that holds an array.
+
+    A frozen one stores a :func:`read_only_copy` of every array field, once
+    its ``__init__`` and ``__post_init__`` have run, so building it never
+    changes the caller's arrays and later writes to them never reach it.
     """
     if cls is None:
         return lambda c: value_dataclass(c, frozen=frozen)
     cls = dataclass(frozen=frozen)(cls)
     names = [f.name for f in fields(cls) if f.compare]
+    if frozen:
+        init, every = cls.__init__, [f.name for f in fields(cls)]
+
+        @functools.wraps(init)
+        def __init__(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            for n in every:
+                if isinstance(a := getattr(self, n), np.ndarray):
+                    object.__setattr__(self, n, read_only_copy(a))
+
+        cls.__init__ = __init__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -99,14 +115,11 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
 class Spectrum:
     """Eigenvalues (with multiplicity, sorted by decreasing modulus) and their max modulus.
 
-    ``eigenvalues`` is taken as built and marked read-only in place.
+    ``eigenvalues`` is a read-only copy of the caller's array.
     """
 
     eigenvalues: np.ndarray
     radius: float
-
-    def __post_init__(self):
-        self.eigenvalues.flags.writeable = False
 
 
 def eigenvalues(m) -> Spectrum:

@@ -69,7 +69,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
-from .numerics import _real_if_exact, as_matrix, as_vector, read_only_copy, value_dataclass
+from .numerics import _real_if_exact, as_matrix, as_vector, value_dataclass
 from .topology import DagNetwork, TreeNetwork
 
 DIVERGENCE_FACTOR = 1e12
@@ -129,8 +129,8 @@ class LinearSystem:
         if np.any(norms == 0.0):
             bad = int(np.argmin(norms))
             raise DegenerateEquationError(f"row {bad} has zero norm")
-        object.__setattr__(self, "rows", read_only_copy(rows))
-        object.__setattr__(self, "rhs", read_only_copy(rhs))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def node_count(self) -> int:
@@ -172,7 +172,7 @@ class RelaxationAssignment:
             raise DimensionError("omega must be one value per node")
         if not (0.0 < self.scale <= 1.0):
             raise ValueError("scale must lie in (0, 1]")
-        object.__setattr__(self, "omega", read_only_copy(om))
+        object.__setattr__(self, "omega", om)
 
     @classmethod
     def uniform(cls, node_count: int, value: float = 1.0, scale: float = 1.0):
@@ -204,9 +204,8 @@ class SolverConfig:
         tol = self.step_tolerance
         if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
             raise ValueError(f"step_tolerance must be a positive finite number, got {tol!r}")
-        if self.initial_estimate is not None:
-            start = _real_if_exact(np.asarray(self.initial_estimate))
-            object.__setattr__(self, "initial_estimate", read_only_copy(start))
+        if (start := self.initial_estimate) is not None:
+            object.__setattr__(self, "initial_estimate", _real_if_exact(np.asarray(start)))
 
 
 @value_dataclass(frozen=False)

@@ -121,6 +121,15 @@ def _check_ends(u: int, v: int, node_count: int) -> None:
         raise InvalidNetworkError(f"self-loop at node {u}")
 
 
+def _edge(edge, weights: int) -> tuple:
+    """``(u, v, *w)`` from an edge of 2 or ``2 + weights`` entries; a pair's weights are None."""
+    if len(edge) == 2:
+        return (*edge, *[None] * weights)
+    if len(edge) != 2 + weights:
+        raise InvalidNetworkError(f"edge {tuple(edge)} needs 2 or {2 + weights} entries")
+    return tuple(edge)
+
+
 def _reached(start: int, step) -> set[int]:
     """The nodes reached from ``start`` (included) by repeated ``step(node)``, the next nodes.
 
@@ -238,20 +247,15 @@ class Schedule:
     parent: np.ndarray | None
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 def _schedule(levels: Sequence[tuple[int, ...]], ins: Sequence[tuple]) -> Schedule:
     """The level schedule from a network's Kahn ``levels`` and each node's in-edges.
 
     ``ins[v]`` holds one ``(u, w_d, w_p)`` per predecessor u of v.  The
-    padded tables of all levels are laid out in one flat array each, so a
-    level is a few views.  One walk down the levels gives every node's
-    descent masses, the pooling-weighted sums of its predecessors', with
-    one gather and one product per level.
+    padded tables of all levels are laid out in one flat array each, and
+    each :class:`Level` stores read-only copies of its slices.  One walk
+    down the levels gives every node's descent masses, the
+    pooling-weighted sums of its predecessors', with one gather and one
+    product per level.
     """
     n = len(ins)
     order = [v for nodes in levels for v in nodes]
@@ -268,8 +272,8 @@ def _schedule(levels: Sequence[tuple[int, ...]], ins: Sequence[tuple]) -> Schedu
         copies = k == 1 and all([ins[v][0][1] == 1.0 for v in nodes])
         bounds.append((start, start + len(nodes), k, copies))
         start += len(nodes)
-    pred = _frozen([pos[u] for u, _, _ in flat], np.intp)
-    w_d = _frozen([w for _, w, _ in flat], float)
+    pred = np.array([pos[u] for u, _, _ in flat], np.intp)
+    w_d = np.array([w for _, w, _ in flat], float)
     w_p = np.array([w for _, _, w in flat])
     sources = levels[0]
     descent = np.eye(n + 1, len(sources))  # a minimal node descends to itself with mass 1
@@ -285,16 +289,16 @@ def _schedule(levels: Sequence[tuple[int, ...]], ins: Sequence[tuple]) -> Schedu
             descent[start:stop] = (w_p[lo:hi].reshape(stop - start, 1, k) @ descent[lv.pred])[:, 0]
         tables.append(lv)
     has_out = set(pred.tolist())
-    maximal = _frozen([p for p in range(n) if p not in has_out], np.intp)
+    maximal = np.array([p for p in range(n) if p not in has_out], np.intp)
     parent = None
     if len(sources) == 1 and all(lv.copy is not None for lv in tables[1:]):
-        parent = _frozen([n, *pred.tolist(), n], np.intp)  # a copy level's pred is its parents
+        parent = np.array([n, *pred.tolist(), n], np.intp)  # a copy level's pred is its parents
     return Schedule(
-        order=_frozen(order, np.intp),
+        order=np.array(order, np.intp),
         sources=sources,
         levels=tuple(tables),
         maximal=maximal,
-        pool=_frozen(descent[maximal].T, float),
+        pool=descent[maximal].T,
         size=n + sum(map(len, ins)),
         parent=parent,
     )
@@ -374,10 +378,7 @@ class TreeNetwork(_Layout):
         parent: dict[int, int] = {}
         given: dict[tuple[int, int], float | None] = {}
         for edge in edges:
-            if len(edge) == 2:
-                u, v, w = edge[0], edge[1], None
-            else:
-                u, v, w = edge
+            u, v, w = _edge(edge, 1)
             _check_ends(u, v, node_count)
             if v in parent:
                 raise InvalidNetworkError(f"node {v} has two parents")
@@ -672,11 +673,7 @@ class DagNetwork(_Layout):
         wd_in: dict[tuple[int, int], float | None] = {}
         wp_in: dict[tuple[int, int], float | None] = {}
         for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                wd = wp = None
-            else:
-                u, v, wd, wp = edge
+            u, v, wd, wp = _edge(edge, 2)
             _check_ends(u, v, node_count)
             if (u, v) in wd_in:
                 raise InvalidNetworkError(f"duplicate edge ({u}, {v})")

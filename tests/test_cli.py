@@ -517,6 +517,23 @@ def test_a_loaded_network_is_validated_once(tmp_path, monkeypatch):
     assert len(calls) == 1 and calls[0] is run.network
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["solve"], "solve_report.json"),
+        (["analyze"], "spectral_report.json"),
+        (["sweep", "--grid", "0.5:1.5:0.5"], "sweep.csv"),
+    ],
+)
+def test_an_empty_output_dir_is_the_current_dir(tmp_path, monkeypatch, capsys, argv, name):
+    """Every command writes into the current directory when ``output.dir`` is ``""``."""
+    cfg = identity_config(tmp_path, sweep={"axes": [[1]]}, output={"dir": ""})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([argv[0], "--config", cfg, *argv[1:]]) == 0
+    assert (tmp_path / name).is_file()
+    assert capsys.readouterr().err == ""
+
+
 class TestReproduceCommand:
     def test_unknown_id_lists_valid(self, tmp_path, capsys):
         assert cli.main(["reproduce", "tableX", "--out", str(tmp_path)]) == 1

@@ -25,11 +25,21 @@ class TestNetworkConstructors:
             ([(0, 1), (1, 3)], r"edge \(1, 3\) references an unknown node"),
             ([(0, 1), (2, 2)], "self-loop at node 2"),
             ([(0, 1), (1, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
+            ([(0, 1), (1, 2, 0.5)], r"edge \(1, 2, 0.5\) needs 2 or 4 entries"),
         ],
     )
     def test_dag_cover_edges(self, edges, message):
         with pytest.raises(InvalidNetworkError, match=message):
             tp.DagNetwork.from_cover_edges(3, edges)
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [((0, 2, 0.5, 9), r"edge \(0, 2, 0.5, 9\) needs 2 or 3 entries"),
+         ((2,), r"edge \(2,\) needs 2 or 3 entries")],
+    )
+    def test_tree_edges_of_the_wrong_arity(self, edge, message):
+        with pytest.raises(InvalidNetworkError, match=message):
+            tp.TreeNetwork.from_edges(3, 0, [(0, 1), edge])
 
     @pytest.mark.parametrize("root", [-1, 3])
     def test_tree_root_outside_the_node_range(self, root):

@@ -5,9 +5,11 @@ on arrays of more than one element; the package's dataclasses that hold
 arrays compare them with ``np.array_equal`` instead, and are unhashable; a
 dataclass that claims to be hashable hashes equal instances alike.
 A frozen dataclass is immutable all the way down: its array fields cannot
-be written and its mapping fields are read-only views.  The walk below
-covers every dataclass the package defines, so a new one must be listed
-here.
+be written and its mapping fields are read-only views.  A frozen value
+class stores copies of the caller's arrays, so later writes to them never
+reach it.  The walk below covers every dataclass the package defines, so a
+new one must be listed here, and a new frozen value class in
+``FROM_ARRAYS`` too.
 """
 
 import collections.abc
@@ -159,3 +161,60 @@ DIFFERENT = {
 def test_instances_that_differ_in_an_array_compare_unequal(pair):
     a, b = pair
     assert a != b and not a == b
+
+
+# One builder per frozen value class, and a maker of the caller's arrays it is built from.
+FROM_ARRAYS = {
+    nm.Spectrum: (lambda e: nm.Spectrum(e, 2.0), lambda: [np.array([2.0 + 0j, 1.0])]),
+    cf.Restriction: (
+        lambda q, big_q, r: cf.Restriction(q, big_q, r, 0.5),
+        lambda: [np.eye(2)[:, :1], np.eye(2)[:, :1], np.array([[0.5]])],
+    ),
+    cf.AffineIteration: (cf.AffineIteration, lambda: [0.5 * np.eye(2), np.ones(2)]),
+    cf.PathSorFactors: (
+        lambda *arrays: cf.PathSorFactors((0, 1), *arrays),
+        lambda: [np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2), np.ones(2)],
+    ),
+    cf.DichotomyReport: (
+        lambda e: cf.DichotomyReport(1, 1, True, 0.5, 0.5, 0.5, True, e),
+        lambda: [np.array([1.0 + 0j, 0.5])],
+    ),
+    sv.LinearSystem: (sv.LinearSystem, lambda: [np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2)]),
+    sv.RelaxationAssignment: (sv.RelaxationAssignment, lambda: [np.array([1.0, 0.5])]),
+    sv.SolverConfig: (lambda x: sv.SolverConfig(5, initial_estimate=x), lambda: [np.ones(2)]),
+    tp.Level: (
+        lambda pred, w_d, copy: tp.Level(1, 3, pred, w_d, copy),
+        lambda: [np.zeros((2, 1), np.intp), np.ones((2, 1)), np.zeros(2, np.intp)],
+    ),
+    tp.Schedule: (
+        lambda order, maximal, pool, parent: tp.Schedule(order, (0,), (), maximal, pool, 5, parent),
+        lambda: [np.arange(3), np.array([1, 2]), np.ones((1, 2)), np.array([3, 0, 0, 3])],
+    ),
+}
+
+
+def test_every_frozen_value_class_is_built_from_arrays():
+    frozen = {
+        c for c in _package_dataclasses()
+        if c.__dataclass_params__.frozen and c.__eq__.__qualname__.startswith("value_dataclass")
+    }
+    assert {c.__qualname__ for c in frozen} == {c.__qualname__ for c in FROM_ARRAYS}
+    for c in frozen:  # the freezing __init__ keeps the generated signature
+        assert list(inspect.signature(c).parameters) == [f.name for f in dataclasses.fields(c)]
+
+
+@pytest.mark.parametrize("cls", FROM_ARRAYS, ids=lambda c: c.__qualname__)
+def test_a_value_object_stores_read_only_copies_of_the_callers_arrays(cls):
+    """Building one leaves the caller's arrays writeable, and later writes to them never reach it."""
+    build, arrays = FROM_ARRAYS[cls]
+    given = arrays()
+    value, snapshot = build(*given), build(*arrays())
+    names = [f.name for f in dataclasses.fields(cls) if isinstance(getattr(value, f.name), np.ndarray)]
+    assert len(names) == len(given)
+    assert all(a.flags.writeable for a in given)
+    assert not any(getattr(value, n).flags.writeable for n in names)
+    for a in given:
+        a[...] = 7
+    assert value == snapshot
+    for n in names:  # compare=False fields too
+        assert np.array_equal(getattr(value, n), getattr(snapshot, n)), n
