@@ -51,8 +51,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -421,23 +420,23 @@ def admissible_upper_bound(sys: LinearSystem, net: TreeNetwork, group, leaf: int
     return bounds[leaf]
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class GroupVerdict:
     nodes: tuple[int, ...]
     alpha: float
     passed: bool
     leaf_bounds: Mapping[int, float] | None = None  # a leaf group's admissible_upper_bound per leaf
 
-    __hash__ = None  # a read-only mapping field does not hash
 
-
-@dataclass(frozen=True)
+@value_dataclass
 class AdmissibilityReport:
     """Outcome of the two admissibility conditions.
 
-    ``node_verdicts``, a read-only mapping, maps every node outside all
-    groups to its effective relaxation parameter and whether it lies in
-    (0, 2); ``groups`` carries the restricted norms.
+    ``node_verdicts`` maps every node outside all groups to its effective
+    relaxation parameter and whether it lies in (0, 2); ``groups`` carries
+    the restricted norms.  As a value class the report keeps a read-only
+    view of a copy of the caller's dict, and each :class:`GroupVerdict`
+    one of its ``leaf_bounds``.
     ``unit_scale_admissible`` records the same check at scale 1 when a
     down-scaled assignment was supplied (a pass at scale 1 carries over to
     any scale in (0, 1]).
@@ -447,8 +446,6 @@ class AdmissibilityReport:
     groups: tuple[GroupVerdict, ...]
     admissible: bool
     unit_scale_admissible: bool | None = None
-
-    __hash__ = None  # a read-only mapping field does not hash
 
 
 def check_admissibility(
@@ -468,7 +465,7 @@ def check_admissibility(
     verdicts, unit_groups_pass = [], True
     for g in groups:
         alpha, *unit_alpha = _group_norms(sys, net, g, relaxations)
-        bounds = MappingProxyType(_leaf_bounds(sys, net, g)) if g.is_leaf_group else None
+        bounds = _leaf_bounds(sys, net, g) if g.is_leaf_group else None
         verdicts.append(GroupVerdict(tuple(sorted(g.members)), alpha, alpha < 1.0, bounds))
         unit_groups_pass &= all(a < 1.0 for a in unit_alpha)
     admissible = all(ok for _, ok in node_verdicts.values()) and all(
@@ -478,7 +475,7 @@ def check_admissibility(
     if relax.scale != 1.0:
         unit = unit_groups_pass and all(0.0 < relax.omega[v] < 2.0 for v in free)
     return AdmissibilityReport(
-        node_verdicts=MappingProxyType(node_verdicts),
+        node_verdicts=node_verdicts,
         groups=tuple(verdicts),
         admissible=admissible,
         unit_scale_admissible=unit,
@@ -663,7 +660,7 @@ def sampled_block_norm_lower_bound(
     return max((block_infinity_norm(arr @ zk.ravel(), n) for zk in z), default=0.0)
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class BlockStructure:
     """The pass as a block map over the stacked minimal-node estimates.
 
@@ -677,7 +674,7 @@ class BlockStructure:
     are all read from ``aggregate``: the first two share its one cached
     :meth:`~AffineIteration.restriction` per basis, and the conditions are
     its block-row sums, so no analysis pushes the kernel again.  Equality
-    compares the map, nodes and system by value and the kernel by identity.
+    compares every field by value, the kernel by its tables.
     """
 
     aggregate: AffineIteration
@@ -685,8 +682,6 @@ class BlockStructure:
     block_size: int
     system: LinearSystem = field(repr=False)
     kernel: _Pass = field(repr=False)
-
-    __hash__ = None  # the map and the system are value classes, which do not hash
 
     @property
     def s(self) -> int:

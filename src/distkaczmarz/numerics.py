@@ -28,7 +28,9 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,11 +56,19 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def read_only_copy(a) -> np.ndarray:
-    """A copy of ``a`` that cannot be written, for immutable value objects."""
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+def _frozen(value):
+    """``value`` as a frozen value class stores it.
+
+    An array becomes a read-only copy (``np.array`` keeps its memory
+    order, so every later product sees the same bits), a mapping a
+    read-only view of a copy, and anything else stays as given.
+    """
+    if isinstance(value, np.ndarray):
+        value = np.array(value)
+        value.setflags(write=False)
+    elif isinstance(value, Mapping):
+        value = MappingProxyType(dict(value))
+    return value
 
 
 def value_dataclass(cls=None, *, frozen: bool = True):
@@ -66,29 +76,39 @@ def value_dataclass(cls=None, *, frozen: bool = True):
 
     The generated ``__eq__`` compares tuples of fields, which raises on an
     array of more than one element.  ``np.array_equal`` compares arrays,
-    lists of arrays and plain values alike, by value.  Value classes are
-    unhashable, as arrays are: the generated ``__hash__`` of a frozen one
-    would raise on every instance that holds an array.
+    lists of arrays, mapping views and plain values alike, by value.  Value
+    classes are unhashable, as arrays are: the generated ``__hash__`` of a
+    frozen one would raise on every instance that holds an array or a
+    mapping view.
 
-    A frozen one stores a :func:`read_only_copy` of every array field, once
-    its ``__init__`` and ``__post_init__`` have run, so building it never
-    changes the caller's arrays and later writes to them never reach it.
+    This is the package's one freeze rule.  A frozen one stores every field
+    through :func:`_frozen` once its ``__init__`` and ``__post_init__`` have
+    run: a read-only copy of each array and a read-only view of a copy of
+    each mapping, so building it never changes the caller's arrays or
+    dicts and later writes to them never reach it.  Its ``__reduce__``
+    rebuilds it through ``__init__`` from its init fields, mappings handed
+    back as plain dicts, so ``copy.copy``, ``copy.deepcopy`` and pickle
+    keep the freeze; a copy starts without the caches of the original,
+    which it computes again on first use.
     """
     if cls is None:
         return lambda c: value_dataclass(c, frozen=frozen)
     cls = dataclass(frozen=frozen)(cls)
     names = [f.name for f in fields(cls) if f.compare]
     if frozen:
-        init, every = cls.__init__, [f.name for f in fields(cls)]
+        init, every = cls.__init__, fields(cls)
 
         @functools.wraps(init)
         def __init__(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            for n in every:
-                if isinstance(a := getattr(self, n), np.ndarray):
-                    object.__setattr__(self, n, read_only_copy(a))
+            for f in every:
+                object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
 
-        cls.__init__ = __init__
+        def __reduce__(self):
+            args = [getattr(self, f.name) for f in every if f.init]
+            return self.__class__, tuple(dict(a) if isinstance(a, Mapping) else a for a in args)
+
+        cls.__init__, cls.__reduce__ = __init__, __reduce__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

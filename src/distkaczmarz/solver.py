@@ -338,6 +338,12 @@ class _Pass:
             self.schedule.parent is not None,
         )
 
+    def __eq__(self, other):
+        """Kernels compare by value, as value classes do: equal tables make equal kernels."""
+        return isinstance(other, _Pass) and all(
+            np.array_equal(a, getattr(other, k)) for k, a in vars(self).items()
+        )
+
     def push(self, starts, t: np.ndarray, omega) -> np.ndarray:
         """Carry one (d, m) block per minimal node through the pass at relaxation ``omega``.
 

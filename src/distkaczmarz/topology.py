@@ -25,15 +25,19 @@ types inherit, derives from them the ``order`` (the levels one after
 another) and the pass schedule, and caches the validation; the validation
 and the path counts read the levels too.
 
-Networks are immutable after construction; all queries are read-only.  A
-network copies every table it is given into a read-only mapping view, so
-a write to a table raises ``TypeError`` and a later write to the caller's
-dict changes nothing.  A network caches what it derives on first use: its
-adjacency lists (a tree's ``children``, a DAG's ``predecessors`` and
-``successors``), its ``levels`` and ``order``, its list of violations
-(``violations``, what ``validate_tree`` or ``validate_dag`` returns) and
-its level schedule (``schedule``), the tables the solver's pass kernel
-runs on.
+Networks are immutable after construction; all queries are read-only.
+Both network types are value classes
+(:func:`~distkaczmarz.numerics.value_dataclass`, the package's one freeze
+rule): a network copies every table it is given into a read-only mapping
+view, so a write to a table raises ``TypeError`` and a later write to the
+caller's dict changes nothing.  A network caches what it derives on first
+use: its adjacency lists (a tree's ``children``, a DAG's ``predecessors``
+and ``successors``, read-only views too), its ``levels`` and ``order``,
+its list of violations (``violations``, what ``validate_tree`` or
+``validate_dag`` returns) and its level schedule (``schedule``), the
+tables the solver's pass kernel runs on.  A copy or a pickle of a network
+is rebuilt from its fields, so it starts without those caches and
+computes them again on first use.
 """
 
 from __future__ import annotations
@@ -41,14 +45,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import AncestryError, ApplicabilityError, CycleError, InvalidNetworkError
 from .errors import PartitionError
-from .numerics import value_dataclass
+from .numerics import _frozen, value_dataclass
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_ENUMERATED_PATHS = 100_000  # path enumerations above this count refuse to start
@@ -342,7 +345,7 @@ class _Layout:
 # Trees
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class TreeNetwork(_Layout):
     """A rooted tree kept as one edge table: each node's ``parent`` and each edge's weight.
 
@@ -358,12 +361,7 @@ class TreeNetwork(_Layout):
     parent: Mapping[int, int]
     edge_weight: Mapping[tuple[int, int], float]
 
-    __hash__ = None  # read-only mapping fields do not hash
     _validator = "validate_tree"
-
-    def __post_init__(self):
-        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
-        object.__setattr__(self, "edge_weight", MappingProxyType(dict(self.edge_weight)))
 
     @classmethod
     def from_edges(cls, node_count: int, root: int, edges: Iterable) -> "TreeNetwork":
@@ -389,7 +387,7 @@ class TreeNetwork(_Layout):
         net = cls(node_count, root, parent, {})
         # each weight group is a parent's cached child list, so the table comes after it
         weights = _resolve_weights(_out_groups(net.children), given, "child edge")
-        object.__setattr__(net, "edge_weight", MappingProxyType(weights))
+        object.__setattr__(net, "edge_weight", _frozen(weights))
         return net
 
     @cached_property
@@ -402,7 +400,7 @@ class TreeNetwork(_Layout):
         for v, u in sorted(self.parent.items()):
             if u in kids and v in kids and v != self.root:
                 kids[u].append(v)
-        return MappingProxyType({u: tuple(vs) for u, vs in kids.items()})
+        return _frozen({u: tuple(vs) for u, vs in kids.items()})
 
     @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:
@@ -471,13 +469,21 @@ def path_weight(net: TreeNetwork, u: int, v: int) -> float:
 
 @dataclass(frozen=True)
 class SubnetworkPartition:
-    """Disjoint node groups used to assign aggressive relaxation parameters."""
+    """Disjoint node groups used to assign aggressive relaxation parameters.
+
+    ``groups`` is kept as a tuple of frozensets, whatever iterables of
+    node ids it is given, so a partition is hashable and never shares a
+    mutable set with its caller.
+    """
 
     groups: tuple[frozenset[int], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "groups", tuple(map(frozenset, self.groups)))
+
     @classmethod
     def of(cls, groups: Iterable[Iterable[int]]) -> "SubnetworkPartition":
-        return cls(tuple(frozenset(g) for g in groups))
+        return cls(groups)
 
 
 @dataclass(frozen=True)
@@ -605,7 +611,7 @@ def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[Resolved
     resolved = []
     for gi, members in enumerate(part.groups):
         unknown = _unknown_nodes(net, gi, members)
-        group = unknown[0] if unknown else _resolve_group(net, gi, frozenset(members))
+        group = unknown[0] if unknown else _resolve_group(net, gi, members)
         if isinstance(group, Violation):
             raise PartitionError(group.detail)
         resolved.append(group)
@@ -624,7 +630,7 @@ def root_subtree_partition(net: TreeNetwork) -> SubnetworkPartition:
     """
     below = net.children
     tops = below.get(net.root, ())
-    return SubnetworkPartition(tuple(frozenset(_reached(c, below.__getitem__)) for c in tops))
+    return SubnetworkPartition([_reached(c, below.__getitem__) for c in tops])
 
 
 def leaf_sibling_partition(net: TreeNetwork) -> SubnetworkPartition:
@@ -633,19 +639,15 @@ def leaf_sibling_partition(net: TreeNetwork) -> SubnetworkPartition:
     Parents with any non-leaf child contribute no group, so the partition may
     leave some leaves uncovered; callers decide whether that is acceptable.
     """
-    groups = []
-    for u in range(net.node_count):
-        kids = net.children.get(u, ())
-        if kids and all(net.is_leaf(v) for v in kids):
-            groups.append(frozenset(kids))
-    return SubnetworkPartition(tuple(groups))
+    groups = [kids for kids in net.children.values() if kids and all(map(net.is_leaf, kids))]
+    return SubnetworkPartition(groups)
 
 
 # ---------------------------------------------------------------------------
 # DAGs
 
 
-@dataclass(frozen=True)
+@value_dataclass
 class DagNetwork(_Layout):
     """Directed acyclic network on cover edges with dispersion/pooling weights."""
 
@@ -654,13 +656,10 @@ class DagNetwork(_Layout):
     w_d: Mapping[tuple[int, int], float]
     w_p: Mapping[tuple[int, int], float]
 
-    __hash__ = None  # read-only mapping fields do not hash
     _validator = "validate_dag"
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        object.__setattr__(self, "w_d", MappingProxyType(dict(self.w_d)))
-        object.__setattr__(self, "w_p", MappingProxyType(dict(self.w_p)))
 
     @classmethod
     def from_cover_edges(cls, node_count: int, edges: Iterable) -> "DagNetwork":
@@ -685,8 +684,8 @@ class DagNetwork(_Layout):
         # each weight group is a node's cached in- or out-list, so the tables come after them
         w_d = _resolve_weights(_in_groups(net.predecessors), wd_in, "dispersion")
         w_p = _resolve_weights(_out_groups(net.successors), wp_in, "pooling")
-        object.__setattr__(net, "w_d", MappingProxyType(w_d))
-        object.__setattr__(net, "w_p", MappingProxyType(w_p))
+        object.__setattr__(net, "w_d", _frozen(w_d))
+        object.__setattr__(net, "w_p", _frozen(w_p))
         net.order  # raises CycleError on cycles
         return net
 
@@ -696,7 +695,7 @@ class DagNetwork(_Layout):
         preds: dict[int, list[int]] = {v: [] for v in range(self.node_count)}
         for u, v in self.edges:
             preds[v].append(u)
-        return MappingProxyType({v: tuple(sorted(ups)) for v, ups in preds.items()})
+        return _frozen({v: tuple(sorted(ups)) for v, ups in preds.items()})
 
     @cached_property
     def successors(self) -> Mapping[int, tuple[int, ...]]:
@@ -704,7 +703,7 @@ class DagNetwork(_Layout):
         succ: dict[int, list[int]] = {v: [] for v in range(self.node_count)}
         for u, v in self.edges:
             succ[u].append(v)
-        return MappingProxyType({v: tuple(sorted(downs)) for v, downs in succ.items()})
+        return _frozen({v: tuple(sorted(downs)) for v, downs in succ.items()})
 
     @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:

@@ -311,6 +311,15 @@ class TestSubnetworks:
         part = tp.leaf_sibling_partition(net)
         assert set(map(frozenset, part.groups)) == {frozenset({3, 4}), frozenset({5, 6, 7})}
 
+    def test_a_partition_built_directly_holds_frozensets_of_its_own(self):
+        groups = [{1, 2}, [3, 4]]
+        direct, of = tp.SubnetworkPartition(groups), tp.SubnetworkPartition.of(groups)
+        assert direct == of and hash(direct) == hash(of)
+        assert type(direct.groups) is tuple
+        assert all(type(g) is frozenset for g in direct.groups)
+        groups[0].add(9)
+        assert direct.groups == (frozenset({1, 2}), frozenset({3, 4}))
+
     def test_no_unique_gateway_raises(self):
         # 0 -> 1, 1 -> {2, 3}, 2 -> 4, 3 -> 5: {4, 5} has two preceding nodes
         net = tp.TreeNetwork.from_edges(

@@ -6,17 +6,21 @@ arrays compare them with ``np.array_equal`` instead, and are unhashable; a
 dataclass that claims to be hashable hashes equal instances alike.
 A frozen dataclass is immutable all the way down: its array fields cannot
 be written and its mapping fields are read-only views.  A frozen value
-class stores copies of the caller's arrays, so later writes to them never
-reach it.  The walk below covers every dataclass the package defines, so a
-new one must be listed here, and a new frozen value class in
-``FROM_ARRAYS`` too.
+class stores copies of the caller's arrays and dicts, so later writes to
+them never reach it, and it keeps that freeze through ``copy.copy``,
+``copy.deepcopy`` and pickle.  The walk below covers every dataclass the
+package defines, so a new one must be listed here, and a new frozen value
+class in ``FROM_ARRAYS`` too.
 """
 
 import collections.abc
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -63,13 +67,11 @@ def tree_map():
     return cf.tree_affine(system(), tree(), relax())
 
 
-BLOCKS = cf.dag_block_structure(dag_system(), dag(), dag_relax())
-
-
 def block_structure():
-    """A fresh map and system around one kernel, which block structures compare by identity."""
-    fresh = cf.AffineIteration(BLOCKS.aggregate.B, BLOCKS.aggregate.c)
-    return dataclasses.replace(BLOCKS, aggregate=fresh, system=dag_system())
+    return cf.dag_block_structure(dag_system(), dag(), dag_relax())
+
+
+BLOCKS = block_structure()
 
 
 # One maker per dataclass; each call builds a new instance from new arrays.
@@ -135,7 +137,7 @@ def test_distinct_equal_instances_compare_equal(cls):
             assert not isinstance(value, collections.abc.MutableMapping), f.name
 
 
-# One instance per class that holds arrays, and one that differs from it in an array.
+# One instance per class that holds arrays or mappings, and one that differs from it in one.
 DIFFERENT = {
     "AffineIteration": (tree_map(), cf.AffineIteration(tree_map().B, tree_map().c + 1.0)),
     "AffineIteration, other size": (tree_map(), cf.AffineIteration(np.eye(3), np.zeros(3))),
@@ -154,6 +156,15 @@ DIFFERENT = {
     "Level": (tree().schedule.levels[1], dag().schedule.levels[1]),
     "Schedule": (tree().schedule, dag().schedule),
     "Restriction": (MAKERS[cf.Restriction](), tree_map().restriction([np.array([1.0, 0.0])])),
+    "TreeNetwork, a mapping": (tree(), tp.TreeNetwork.from_edges(3, 0, [(0, 1, 0.3), (0, 2, 0.7)])),
+    "DagNetwork, a mapping": (
+        dag(),
+        tp.DagNetwork.from_cover_edges(4, [(0, 2, 0.4, 1.0), (1, 2, 0.6, 1.0), (2, 3, 1.0, 1.0)]),
+    ),
+    "GroupVerdict, a mapping": (
+        cf.GroupVerdict((1, 2), 0.5, True, {1: 2.0, 2: 2.0}),
+        cf.GroupVerdict((1, 2), 0.5, True, {1: 2.0, 2: 3.0}),
+    ),
 }
 
 
@@ -163,7 +174,9 @@ def test_instances_that_differ_in_an_array_compare_unequal(pair):
     assert a != b and not a == b
 
 
-# One builder per frozen value class, and a maker of the caller's arrays it is built from.
+# One builder per frozen value class, and a maker of the caller's arrays and dicts it is
+# built from: one for each array or mapping the instance holds, in its own fields or in
+# the fields of the value objects it holds.
 FROM_ARRAYS = {
     nm.Spectrum: (lambda e: nm.Spectrum(e, 2.0), lambda: [np.array([2.0 + 0j, 1.0])]),
     cf.Restriction: (
@@ -190,7 +203,58 @@ FROM_ARRAYS = {
         lambda order, maximal, pool, parent: tp.Schedule(order, (0,), (), maximal, pool, 5, parent),
         lambda: [np.arange(3), np.array([1, 2]), np.ones((1, 2)), np.array([3, 0, 0, 3])],
     ),
+    tp.TreeNetwork: (
+        lambda parent, weights: tp.TreeNetwork(3, 0, parent, weights),
+        lambda: [{1: 0, 2: 0}, {(0, 1): 0.5, (0, 2): 0.5}],
+    ),
+    tp.DagNetwork: (
+        lambda w_d, w_p: tp.DagNetwork(4, [[0, 2], [1, 2], [2, 3]], w_d, w_p),
+        lambda: [{(0, 2): 0.5, (1, 2): 0.5, (2, 3): 1.0}, {(0, 2): 1.0, (1, 2): 1.0, (2, 3): 1.0}],
+    ),
+    cf.GroupVerdict: (
+        lambda bounds: cf.GroupVerdict((1, 2), 0.5, True, bounds),
+        lambda: [{1: 2.0, 2: 2.0}],
+    ),
+    cf.AdmissibilityReport: (
+        lambda verdicts, bounds: cf.AdmissibilityReport(
+            verdicts, (cf.GroupVerdict((1, 2), 0.5, True, bounds),), True
+        ),
+        lambda: [{0: (1.0, True)}, {1: 2.0, 2: 2.0}],
+    ),
+    cf.BlockStructure: (
+        lambda b, c, rows, rhs: cf.BlockStructure(
+            cf.AffineIteration(b, c), (0, 1), 2, sv.LinearSystem(rows, rhs), BLOCKS.kernel
+        ),
+        lambda: [np.eye(4), np.ones(4), dag_system().rows.copy(), np.ones(4)],
+    ),
 }
+
+
+def _held(value, at=""):
+    """``(path, x)`` for every array and mapping that ``value`` holds.
+
+    The walk reads the fields of ``value`` and of the frozen value objects it
+    holds, directly or in a tuple; ``at`` prefixes the paths.
+    """
+    out = []
+    for f in dataclasses.fields(value):
+        items = getattr(value, f.name)
+        for i, x in enumerate(items if isinstance(items, tuple) else (items,)):
+            path = f"{at}{f.name}[{i}]"
+            if isinstance(x, (np.ndarray, collections.abc.Mapping)):
+                out.append((path, x))
+            elif dataclasses.is_dataclass(x) and type(x).__dataclass_params__.frozen:
+                out += _held(x, f"{path}.")
+    return out
+
+
+def _assert_frozen(value):
+    """Every array ``value`` holds is read-only, and every mapping a read-only view."""
+    for path, x in _held(value):
+        if isinstance(x, np.ndarray):
+            assert not x.flags.writeable, path
+        else:
+            assert type(x) is MappingProxyType, path
 
 
 def test_every_frozen_value_class_is_built_from_arrays():
@@ -205,16 +269,64 @@ def test_every_frozen_value_class_is_built_from_arrays():
 
 @pytest.mark.parametrize("cls", FROM_ARRAYS, ids=lambda c: c.__qualname__)
 def test_a_value_object_stores_read_only_copies_of_the_callers_arrays(cls):
-    """Building one leaves the caller's arrays writeable, and later writes to them never reach it."""
+    """Building one leaves the caller's arrays and dicts writeable, and later writes never reach it.
+
+    Its arrays are read-only and its mappings read-only views.
+    """
     build, arrays = FROM_ARRAYS[cls]
     given = arrays()
     value, snapshot = build(*given), build(*arrays())
-    names = [f.name for f in dataclasses.fields(cls) if isinstance(getattr(value, f.name), np.ndarray)]
-    assert len(names) == len(given)
-    assert all(a.flags.writeable for a in given)
-    assert not any(getattr(value, n).flags.writeable for n in names)
+    held = _held(value)
+    assert len(held) == len(given)
+    assert all(a.flags.writeable for a in given if isinstance(a, np.ndarray))
+    _assert_frozen(value)
+    for path, x in held:
+        if isinstance(x, collections.abc.Mapping):
+            with pytest.raises(TypeError):
+                x[next(iter(x))] = 7
     for a in given:
-        a[...] = 7
+        if isinstance(a, np.ndarray):
+            a[...] = 7
+        else:
+            a.clear()
     assert value == snapshot
-    for n in names:  # compare=False fields too
-        assert np.array_equal(getattr(value, n), getattr(snapshot, n)), n
+    for (path, x), (_, y) in zip(held, _held(snapshot), strict=True):  # compare=False fields too
+        assert np.array_equal(x, y), path
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+def _round_trips():
+    return [
+        pytest.param(c, how, id=f"{c.__qualname__}-{name}")
+        for c in FROM_ARRAYS
+        for name, how in COPIERS.items()
+    ]
+
+
+@pytest.mark.parametrize("cls, how", _round_trips())
+def test_copies_and_pickles_keep_the_value_and_the_freeze(cls, how):
+    value = MAKERS[cls]()
+    again = how(value)
+    assert type(again) is cls and again is not value
+    assert again == value
+    _assert_frozen(again)
+    for (path, x), (_, y) in zip(_held(value), _held(again), strict=True):
+        assert np.array_equal(x, y), path
+
+
+@pytest.mark.parametrize("how", COPIERS.values(), ids=list(COPIERS))
+def test_a_copy_starts_without_the_caches_of_the_original(how):
+    it, basis = tree_map(), cf.row_space_basis(system())
+    kept = it.restriction(basis)
+    net = dag()
+    assert net.violations == () and net.schedule is not None
+    it_again, net_again = how(it), how(net)
+    assert it_again._restricted is None and it_again.restriction(basis) == kept
+    assert not {"levels", "order", "violations", "schedule"} & set(vars(net_again))
+    assert net_again.schedule == net.schedule and net_again.violations == ()
