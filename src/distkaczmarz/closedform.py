@@ -16,11 +16,12 @@ of the sweep's point count and its maps are small enough to interpolate within
 ``SWEEP_INTERPOLATION_ROUNDING``; any other sweep hands the kernel one chunk
 of relaxation columns per push.  The DAG stationarity conditions and
 least-squares targets, per-path sums in the paper, are block-row sums of the
-assembled map and per-node path masses, so no analysis enumerates paths or
-pushes the kernel a second time.  The paper's alternative forms stay as
-independent cross-checks of its lemmas: the successive over-relaxation
-factorization along dispersion paths, the product of relaxed projections
-grouped by subnetworks, and the up-down path sums of the DAG block matrix.
+assembled map and the per-node path masses of the network's schedule, so
+no analysis enumerates paths or pushes the kernel a second time.  The
+paper's alternative forms stay as independent cross-checks of its lemmas:
+the successive over-relaxation factorization along dispersion paths, the
+product of relaxed projections grouped by subnetworks, and the up-down path
+sums of the DAG block matrix.
 Block norms read one block view, a vector as ``(s, n)`` and a matrix as
 ``(r, c, n, n)``.  The module also computes restricted operator norms, fixed
 points and admissibility verdicts, in time linear in the group sizes (one
@@ -88,6 +89,7 @@ from .topology import (
     ResolvedGroup,
     SubnetworkPartition,
     TreeNetwork,
+    _checked_network,
     _cover_violations,
     enumerate_updown_paths,
     path_weight,
@@ -265,7 +267,7 @@ def _block_map(
     kernel = _Pass(sys, net) if kernel is None else kernel
     (m,) = _finite(kernel.affine(relax.effective()))
     aggregate = AffineIteration(m[:, :-1], m[:, -1])
-    return BlockStructure(aggregate, kernel.sources, sys.ambient_dim, sys, kernel)
+    return BlockStructure(aggregate, kernel.sources, sys.ambient_dim, sys, net)
 
 
 def tree_affine(
@@ -284,6 +286,7 @@ def tree_affine(
 
 
 def _as_resolved(net: TreeNetwork, group) -> ResolvedGroup:
+    _checked_network(net)
     if isinstance(group, ResolvedGroup):
         return group
     return resolve_groups(net, SubnetworkPartition.of([group]))[0]
@@ -514,7 +517,7 @@ def weighted_ls_minimizer(
     one-block case of :func:`dag_ls_minimizer`.
     """
     _require_valid(sys, net, (TreeNetwork,), relax)
-    return _ls_blocks(sys, relax.omega * _Pass(sys, net).masses(), row_space_basis(sys))[0]
+    return _ls_blocks(sys, relax.omega * net.schedule.masses, row_space_basis(sys))[0]
 
 
 def _fixed_point_on(it: AffineIteration, res: Restriction) -> np.ndarray:
@@ -554,20 +557,25 @@ class DichotomyReport:
 def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyReport:
     """Verify every eigenvalue is 1 (on the null space) or strictly inside the disc.
 
-    Two eigenproblems: ``eig(B)`` for the check, whose eigenvalues the
-    report lists, and the map's row-space :meth:`~AffineIteration.restriction`
-    for ``rho_restricted``.  A B with zero imaginary part goes to the real
+    ``it`` is a tree's map or a DAG's block map, one block of d entries per
+    minimal node (a tree's map is the one-block case); a unit eigenvector
+    is in the null space when every block is, ``|A v_i|`` summed in squares
+    against ``|v|``.  Two eigenproblems: ``eig(B)`` for the check, whose
+    eigenvalues the report lists, and the map's row-space
+    :meth:`~AffineIteration.restriction` on the blocks for
+    ``rho_restricted``.  A B with zero imaginary part goes to the real
     solver, as in :func:`~distkaczmarz.numerics.eigenvalues`.
     """
+    d, a_t = sys.ambient_dim, sys.system_matrix().T
+    s = len(_blocks(it.B.diagonal(), d))  # DimensionError unless B's side splits into d-blocks
     vals, vecs = np.linalg.eig(_real_if_exact(it.B))
-    mat = sys.system_matrix()
     basis = row_space_basis(sys)
-    nullity = sys.ambient_dim - len(basis)
+    nullity = d - len(basis)
     unit = np.abs(vals - 1.0) <= UNIT_EIGENVALUE_TOL
     in_null = True
     for k in np.nonzero(unit)[0]:
-        v = vecs[:, k]
-        if float(np.linalg.norm(mat @ v)) > NULL_VECTOR_TOL * float(np.linalg.norm(v)):
+        v = vecs[:, k].reshape(s, d)  # one row per block
+        if float(np.linalg.norm(v @ a_t)) > NULL_VECTOR_TOL * float(np.linalg.norm(v)):
             in_null = False
     others = np.abs(vals[~unit])
     max_other = float(np.max(others)) if others.size else 0.0
@@ -578,7 +586,7 @@ def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyRe
         unit_vectors_in_null_space=in_null,
         max_other_modulus=max_other,
         margin=1.0 - max_other,
-        rho_restricted=it.restriction(basis).rho,
+        rho_restricted=it.restriction(basis, s).rho,
         holds=holds,
         eigenvalues=_sorted_spectrum(vals.astype(np.complex128)),
     )
@@ -668,20 +676,22 @@ class BlockStructure:
     relaxation: block i is the estimate that minimal node i pools; a tree's
     map has one block, its root's.  The paper writes block i as
     ``sum_j w[i, j] chain_j``, a pooled sum of per-path SOR maps; the kernel
-    carries that sum without enumerating the paths, and ``masses`` holds
-    the per-node totals of the pooled weights.
+    carries that sum without enumerating the paths, and ``masses``, the
+    per-node totals of the pooled weights, is the network's: its schedule's
+    :attr:`~distkaczmarz.topology.Schedule.masses`.
     The restricted radius, the fixed point and the stationarity conditions
     are all read from ``aggregate``: the first two share its one cached
     :meth:`~AffineIteration.restriction` per basis, and the conditions are
-    its block-row sums, so no analysis pushes the kernel again.  Equality
-    compares every field by value, the kernel by its tables.
+    its block-row sums, so no analysis pushes the kernel again.  Every
+    field is a value, so equality compares them all by value and a copy or
+    a pickle compares equal.
     """
 
     aggregate: AffineIteration
     minimal_nodes: tuple[int, ...]
     block_size: int
     system: LinearSystem = field(repr=False)
-    kernel: _Pass = field(repr=False)
+    network: TreeNetwork | DagNetwork = field(repr=False)
 
     @property
     def s(self) -> int:
@@ -690,7 +700,7 @@ class BlockStructure:
     @property
     def masses(self) -> np.ndarray:
         """``masses[i, v]``: sum of ``w[i, j]`` over the dispersion paths j through v."""
-        return self.kernel.masses()
+        return self.network.schedule.masses
 
     def condition_values(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Weighted stationarity conditions, one n-vector per minimal node.
@@ -789,7 +799,7 @@ def _interpolated(kernel: _Pass, omega: np.ndarray, restrict):
         return None
     nodes = [
         _interpolation_nodes(omega[rows[0]], deg)
-        for rows, deg in zip(axes, kernel.axis_degrees(axes))
+        for rows, deg in zip(axes, kernel.schedule.axis_degrees(axes))
     ]
     points = math.prod(len(x) for x in nodes)
     if points * points > g:

@@ -24,7 +24,6 @@ from . import closedform as cf
 from .closedform import restricted_rho
 from .errors import NonContractionError
 from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _iterate, _Pass, solve
-from .solver import _require_valid
 from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce
 
 RNG_NAME = "numpy.random.default_rng(PCG64)"
@@ -354,15 +353,14 @@ def lsq_limit_study(
     the accuracy/speed trade-off as the scale shrinks; the solve iterates
     the scale's map as assembled for its fixed point, so each scale
     assembles its map once.  The pass kernel does not depend on the
-    relaxation, so one kernel serves every scale and the target, which is
-    :func:`~distkaczmarz.closedform.weighted_ls_minimizer` on the study's
-    one row-space basis.  Scales at which the iteration does not contract
-    are recorded and skipped.
+    relaxation, so one kernel serves every scale.  The target is
+    :func:`~distkaczmarz.closedform.weighted_ls_minimizer`, whose path
+    masses the network's schedule holds.  Scales at which the iteration
+    does not contract are recorded and skipped.
     """
-    _require_valid(sys, net, (TreeNetwork,), relax)
+    target = cf.weighted_ls_minimizer(sys, net, relax)  # validates the tree and the assignment
     kernel = _Pass(sys, net)
     basis = cf.row_space_basis(sys)
-    target = cf._ls_blocks(sys, relax.omega * kernel.masses(), basis)[0]  # weighted_ls_minimizer
     rows = []
     for s in s_values:
         scaled = relax.scaled(s)

@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
 from .numerics import _real_if_exact, as_matrix, as_vector, value_dataclass
-from .topology import DagNetwork, TreeNetwork
+from .topology import DagNetwork, TreeNetwork, _checked_network
 
 DIVERGENCE_FACTOR = 1e12
 # ``solve`` iterates the assembled map while it costs at most a few passes to
@@ -289,9 +289,7 @@ def _require_valid(sys: LinearSystem, net, expected=(TreeNetwork, DagNetwork), r
     Given ``relax``, it must also hold one value per node.  The verdict is
     the one the network caches, so a network is validated once.
     """
-    if not isinstance(net, expected):
-        names = " or ".join(t.__name__ for t in expected)
-        raise TypeError(f"expected a {names}, got {type(net).__name__}")
+    _checked_network(net, expected)
     if sys.node_count != net.node_count:
         raise DimensionError("system and network disagree on the node count")
     if relax is not None:
@@ -315,10 +313,11 @@ class _Pass:
     :meth:`affine`.  ``one_point`` names how :meth:`affine` assembles one
     point, as :func:`_one_point` prices it: ``"doubled"``
     (:meth:`_doubled`), ``"walked"`` (:meth:`_walked`) or ``"pushed"``
-    (:meth:`push`).  Outside
-    ``topology``, which builds them, only this class reads the schedule's
-    padded level tables; :meth:`axis_degrees` answers the sweep's question
-    about them.
+    (:meth:`push`).  The kernel holds only what a pass needs: what
+    depends on the network alone, such as the path masses and a sweep
+    axis's degree, is a walk of the schedule that ``topology`` builds, and
+    outside ``topology`` only this class reads the schedule's padded level
+    tables.
     """
 
     def __init__(self, sys: LinearSystem, net: TreeNetwork | DagNetwork):
@@ -336,12 +335,6 @@ class _Pass:
         self.one_point = _one_point(
             len(order), len(self.schedule.levels), self.width, self.dim, np.iscomplexobj(rows),
             self.schedule.parent is not None,
-        )
-
-    def __eq__(self, other):
-        """Kernels compare by value, as value classes do: equal tables make equal kernels."""
-        return isinstance(other, _Pass) and all(
-            np.array_equal(a, getattr(other, k)) for k, a in vars(self).items()
         )
 
     def push(self, starts, t: np.ndarray, omega) -> np.ndarray:
@@ -481,40 +474,6 @@ class _Pass:
             np.matmul(maps[lv.start : lv.stop], z, out=x[lv.start : lv.stop])
         pooled = sch.pool @ x[sch.maximal, :d].reshape(len(sch.maximal), -1)
         return pooled.reshape(1, k, k + 1)
-
-    def masses(self) -> np.ndarray:
-        """``masses[i, v]``: total weight with which minimal node i pools the chains through v.
-
-        A maximal node keeps its descent masses, the schedule's ``pool``;
-        walking the levels down, every other node takes the
-        dispersion-weighted sum of its successors' (the ascent to any node
-        carries mass 1).  O(s (V + E)) without enumerating paths; on a tree
-        ``masses[0, v]`` is the root-to-v path weight.
-        """
-        sch = self.schedule
-        mass = np.zeros((len(sch.order) + 1, len(sch.sources)))  # row V: the padding row
-        mass[sch.maximal] = sch.pool.T
-        for lv in reversed(sch.levels):
-            np.add.at(mass, lv.pred, lv.w_d[:, :, None] * mass[lv.start : lv.stop, None, :])
-        out = np.empty((len(sch.sources), len(sch.order)))
-        out[:, sch.order] = mass[:-1].T
-        return out
-
-    def axis_degrees(self, axes: Sequence[Sequence[int]]) -> list[int]:
-        """Most nodes of each axis on one dispersion chain: the map's degree in that axis's omega.
-
-        ``axes`` holds node ids.  Level by level, a node's count per axis is
-        the largest of its predecessors' (the padding row counts 0) plus its
-        own membership.
-        """
-        sch = self.schedule
-        count = np.zeros((len(sch.order) + 1, len(axes)), dtype=np.intp)
-        position = np.argsort(sch.order)
-        for k, rows in enumerate(axes):
-            count[position[rows], k] = 1
-        for lv in sch.levels:  # in level order every predecessor is final
-            count[lv.start : lv.stop] += count[lv.pred].max(axis=1, initial=0)
-        return count.max(axis=0).tolist()
 
 
 def tree_iterate(

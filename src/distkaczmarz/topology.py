@@ -35,7 +35,9 @@ use: its adjacency lists (a tree's ``children``, a DAG's ``predecessors``
 and ``successors``, read-only views too), its ``levels`` and ``order``,
 its list of violations (``violations``, what ``validate_tree`` or
 ``validate_dag`` returns) and its level schedule (``schedule``), the
-tables the solver's pass kernel runs on.  A copy or a pickle of a network
+tables the solver's pass kernel runs on; the schedule caches the
+network's path masses, which weigh the least-squares targets, and
+answers a sweep's degree question.  A copy or a pickle of a network
 is rebuilt from its fields, so it starts without those caches and
 computes them again on first use.
 """
@@ -238,7 +240,11 @@ class Schedule:
     every later level: ``parent[p]`` is the position of the one predecessor
     of the node at position p, and V for the source and for the padding
     row V; the pass's pointer doubling jumps along it.  It is None on any
-    other schedule.  All arrays are read-only.
+    other schedule.  All arrays are read-only.  The facts that depend on
+    the network alone are walks of these levels here, not in the
+    system-specific pass kernel: :attr:`masses`, the path masses, walked on
+    first read and not by the build, and :meth:`axis_degrees`, a sweep
+    axis's degree.  A copy or a pickle drops the cached masses.
     """
 
     order: np.ndarray
@@ -248,6 +254,39 @@ class Schedule:
     pool: np.ndarray
     size: int
     parent: np.ndarray | None
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """``masses[i, v]``: total weight with which minimal node i pools the chains through v.
+
+        A maximal node keeps its descent masses, ``pool``; walking the
+        levels down, every other node takes the dispersion-weighted sum of
+        its successors' (the ascent to any node carries mass 1).
+        O(s (V + E)) without enumerating paths; on a tree ``masses[0, v]``
+        is the root-to-v path weight.  Computed on first read, read-only.
+        """
+        mass = np.zeros((len(self.order) + 1, len(self.sources)))  # row V: the padding row
+        mass[self.maximal] = self.pool.T
+        for lv in reversed(self.levels):
+            np.add.at(mass, lv.pred, lv.w_d[:, :, None] * mass[lv.start : lv.stop, None, :])
+        out = np.empty((len(self.sources), len(self.order)))
+        out[:, self.order] = mass[:-1].T
+        return _frozen(out)
+
+    def axis_degrees(self, axes: Sequence[Sequence[int]]) -> list[int]:
+        """Most nodes of each axis on one dispersion chain: the pass map's degree in its omega.
+
+        ``axes`` holds node ids.  Level by level, a node's count per axis is
+        the largest of its predecessors' (the padding row counts 0) plus its
+        own membership.
+        """
+        count = np.zeros((len(self.order) + 1, len(axes)), dtype=np.intp)
+        position = np.argsort(self.order)
+        for k, rows in enumerate(axes):
+            count[position[rows], k] = 1
+        for lv in self.levels:  # in level order every predecessor is final
+            count[lv.start : lv.stop] += count[lv.pred].max(axis=1, initial=0)
+        return count.max(axis=0).tolist()
 
 
 def _schedule(levels: Sequence[tuple[int, ...]], ins: Sequence[tuple]) -> Schedule:
@@ -463,6 +502,18 @@ def path_weight(net: TreeNetwork, u: int, v: int) -> float:
     return _chain_weight(net.edge_weight, path[start:], path[start + 1 :])
 
 
+def _checked_network(net, expected: tuple = (TreeNetwork,)):
+    """``net`` if it is of an ``expected`` network type, else ``TypeError`` naming the types.
+
+    The one network-type rule: every route for one network type (a tree by
+    default) or for either checks its network here.
+    """
+    if not isinstance(net, expected):
+        names = " or ".join(t.__name__ for t in expected)
+        raise TypeError(f"expected a {names}, got {type(net).__name__}")
+    return net
+
+
 # ---------------------------------------------------------------------------
 # Subnetwork partitions
 
@@ -595,7 +646,7 @@ def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Vi
     be quadratic in the group sizes: each leaf member names every missing
     sibling.
     """
-    out = _cover_violations(net, part)
+    out = _cover_violations(_checked_network(net), part)
     for gi, members in enumerate(part.groups):
         out.extend(_group_violations(net, gi, members))
     return out
@@ -608,6 +659,7 @@ def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[Resolved
     root or gateway violation; conditions 1-3 are left to
     :func:`validate_subnetworks`.
     """
+    _checked_network(net)
     resolved = []
     for gi, members in enumerate(part.groups):
         unknown = _unknown_nodes(net, gi, members)
@@ -628,7 +680,7 @@ def root_subtree_partition(net: TreeNetwork) -> SubnetworkPartition:
     1 then wants them in its group, which no partition of the root's
     children can give without condition 3 failing.
     """
-    below = net.children
+    below = _checked_network(net).children
     tops = below.get(net.root, ())
     return SubnetworkPartition([_reached(c, below.__getitem__) for c in tops])
 
@@ -639,8 +691,8 @@ def leaf_sibling_partition(net: TreeNetwork) -> SubnetworkPartition:
     Parents with any non-leaf child contribute no group, so the partition may
     leave some leaves uncovered; callers decide whether that is acceptable.
     """
-    groups = [kids for kids in net.children.values() if kids and all(map(net.is_leaf, kids))]
-    return SubnetworkPartition(groups)
+    below = _checked_network(net).children.values()
+    return SubnetworkPartition([kids for kids in below if kids and all(map(net.is_leaf, kids))])
 
 
 # ---------------------------------------------------------------------------

@@ -504,5 +504,5 @@ def pushed_condition_values(bs, omega, blocks):
     (chain_j(z_i) - z_i)``, as each row of w sums to 1.
     """
     z = np.column_stack([np.asarray(b, dtype=np.complex128) for b in blocks])
-    pooled = bs.kernel.push([z] * bs.s, np.ones(bs.s), omega)
+    pooled = sv._Pass(bs.system, bs.network).push([z] * bs.s, np.ones(bs.s), omega)
     return [pooled[i][:, i] - z[:, i] for i in range(bs.s)]

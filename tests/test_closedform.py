@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -459,17 +461,19 @@ class TestWeightedLeastSquares:
         net = ex.random_tree(63, max_nodes=14)
         system = ex.random_tree_system(163, net, dim=4, consistent=False)
         relax = sv.RelaxationAssignment.uniform(net.node_count, 1.0)
-        masses = sv._Pass(system, net).masses()
+        masses = net.schedule.masses
         want = [tp.path_weight(net, net.root, v) for v in range(net.node_count)]
         assert np.allclose(masses, [want], rtol=0.0, atol=1e-15)
         before = cf.weighted_ls_minimizer(system, net, relax)
+        fresh = copy.deepcopy(net)  # a copy drops the cached schedule and its masses
+        assert "schedule" not in vars(fresh)
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-node path_weight call")
 
         monkeypatch.setattr(cf, "path_weight", refuse)
         monkeypatch.setattr(tp, "path_weight", refuse)
-        assert np.array_equal(cf.weighted_ls_minimizer(system, net, relax), before)
+        assert np.array_equal(cf.weighted_ls_minimizer(system, fresh, relax), before)
 
     def test_local_minimality_of_functional(self):
         rng = np.random.default_rng(62)

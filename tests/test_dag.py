@@ -229,7 +229,8 @@ class TestPathFreeRoute:
             net, system, relax, rng = varied_instance(seed)
             bs = cf.dag_block_structure(system, net, relax)
             ref = pathwise_blocks(system, net, relax)
-            assert np.max(np.abs(bs.masses - ref.masses(net.node_count))) <= 1e-12
+            assert bs.masses is net.schedule.masses  # the network's, walked once
+            assert np.max(np.abs(net.schedule.masses - ref.masses(net.node_count))) <= 1e-12
             x = rng.standard_normal(4 * bs.s) + 1j * rng.standard_normal(4 * bs.s)
             pooled = stacked([row @ x + c for row, c in ref.per_minimal])
             err = np.linalg.norm(bs.aggregate.apply(x) - pooled)

@@ -7,7 +7,7 @@ and layered DAGs, the levels are the longest-path depths with ties by
 ascending id, ``order`` is the levels one after another and equals the
 pass schedule's order, tree connectivity violations are exactly the nodes
 whose parent walk misses the root, a tree rebuilt from its own tables lays
-out the same, and the root-to-node path weights equal the kernel's masses.
+out the same, and the root-to-node path weights equal the schedule's masses.
 A tree and its one-source DAG twin (dispersion weights 1, the tree's
 weights for pooling) share one layout, so their schedules, maps, solves and
 sweeps are equal bit for bit.
@@ -144,8 +144,7 @@ def test_a_tree_rebuilt_from_its_tables_lays_out_the_same(net):
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 60))
 def test_path_weights_are_the_kernel_masses(seed, size):
     net = ex.random_tree(seed, 2, size)
-    system = ex.random_tree_system(seed, net, dim=2)
-    masses = sv._Pass(system, net).masses()
+    masses = net.schedule.masses
     weights = [tp.path_weight(net, net.root, v) for v in range(net.node_count)]
     np.testing.assert_allclose(masses[0], weights, rtol=1e-12, atol=0.0)
 

@@ -71,9 +71,6 @@ def block_structure():
     return cf.dag_block_structure(dag_system(), dag(), dag_relax())
 
 
-BLOCKS = block_structure()
-
-
 # One maker per dataclass; each call builds a new instance from new arrays.
 MAKERS = {
     cli.RunConfig: lambda: cli.RunConfig(
@@ -221,11 +218,15 @@ FROM_ARRAYS = {
         ),
         lambda: [{0: (1.0, True)}, {1: 2.0, 2: 2.0}],
     ),
-    cf.BlockStructure: (
-        lambda b, c, rows, rhs: cf.BlockStructure(
-            cf.AffineIteration(b, c), (0, 1), 2, sv.LinearSystem(rows, rhs), BLOCKS.kernel
+    cf.BlockStructure: (  # the network's two weight tables are held too
+        lambda b, c, rows, rhs, w_d, w_p: cf.BlockStructure(
+            cf.AffineIteration(b, c), (0, 1), 2, sv.LinearSystem(rows, rhs),
+            tp.DagNetwork(4, [[0, 2], [1, 2], [2, 3]], w_d, w_p),
         ),
-        lambda: [np.eye(4), np.ones(4), dag_system().rows.copy(), np.ones(4)],
+        lambda: [
+            np.eye(4), np.ones(4), dag_system().rows.copy(), np.ones(4),
+            {(0, 2): 0.5, (1, 2): 0.5, (2, 3): 1.0}, {(0, 2): 1.0, (1, 2): 1.0, (2, 3): 1.0},
+        ],
     ),
 }
 
