@@ -10,11 +10,15 @@ is block 0 of the per-block normal equations that :func:`dag_ls_minimizer`
 solves, each in the minimal-norm sense.  The sweep route
 :func:`restricted_rho` builds one kernel per sweep.  B is a polynomial in
 each sweep axis's relaxation, of degree at most the axis's node count on one
-dispersion chain, so a sweep pushes the tensor grid of one more node than
-that per axis and interpolates whenever that grid has at most the square root
-of the sweep's point count and its maps are small enough to interpolate within
-``SWEEP_INTERPOLATION_ROUNDING``; any other sweep hands the kernel one chunk
-of relaxation columns per push.  The DAG stationarity conditions and
+dispersion chain, so a sweep may push the tensor grid of one more node than
+that per axis and interpolate.  One price table (``_SWEEP_LEVEL``, fitted on
+trees and DAGs of 5 to 2,000 nodes) weighs the stack route's numpy calls and
+pushed entries against interpolation's set-up, grid push and per-point
+combination; a sweep interpolates when the grid is priced cheaper and its
+maps are small enough to interpolate within ``SWEEP_INTERPOLATION_ROUNDING``,
+and any other sweep hands the kernel one chunk of relaxation columns per
+push.  A small sweep is priced to the stack before any axis is found.  The
+DAG stationarity conditions and
 least-squares targets, per-path sums in the paper, are block-row sums of the
 assembled map and the per-node path masses of the network's schedule, so
 no analysis enumerates paths or pushes the kernel a second time.  The
@@ -113,6 +117,24 @@ SWEEP_HELPER_BYTES = 1 << 28
 # restricted map, the accuracy the per-point route is held to; a sweep whose
 # tensor grid could add more pushes every column instead.
 SWEEP_INTERPOLATION_ROUNDING = 1e-12
+# ``_point_budget`` prices the two sweep routes for G points of m = s d + 1
+# kernel columns on V nodes on D levels, with n = s r the restricted side, in
+# units of one entry of push state, (V + 1) d of them per column:
+#   stack        chunks (SWEEP_LEVEL D + SWEEP_CHUNK) + G m (V + 1) d
+#   interpolate  SWEEP_SETUP + SWEEP_SETUP_ROW (V + 1) + SWEEP_LEVEL D + SWEEP_CHUNK
+#                + M m (V + 1) d + G (SWEEP_COLUMN + M n^2 / SWEEP_COMBINE)
+# for a tensor grid of M points.  Fitted, by least squares on the log times,
+# to both routes' times less the shared eigensolve on 128 sweeps: network I
+# and the 7-node tree at d = 3..7, random recursive trees of 30 to 2,000 nodes
+# and caterpillars of 31 and 121 at d = 2..8, layered DAGs of 12 to 28 nodes,
+# complex and rank-deficient rows, one or two axes and G = 5..1,601 (2-vCPU
+# x86_64, OpenBLAS on one thread): a unit is about 5 ns, a push level 5 us.
+_SWEEP_LEVEL = 1000
+_SWEEP_CHUNK = 8000
+_SWEEP_SETUP = 23000
+_SWEEP_SETUP_ROW = 450
+_SWEEP_COLUMN = 50
+_SWEEP_COMBINE = 13
 # Re-exported for the bare-matrix analyses (bench/workloads.py); this read is
 # the import's use that tests/test_imports.py requires of every module.
 spectral_radius_on_span = spectral_radius_on_span
@@ -212,14 +234,30 @@ class PathSorFactors:
 
     def solve_coefficients(self, x) -> np.ndarray:
         """Expansion coefficients c with chain(x) = x + A_path* c."""
-        rhs = self.Omega @ (self.b_path - self.A_path @ as_vector(x))
-        return np.linalg.solve(self.D + self.Omega @ self.L, rhs)
+        x = as_vector(x)
+        with np.errstate(all="ignore"):
+            return _finite(self._solved(self.Omega @ (self.b_path - self.A_path @ x)))
 
     def affine(self) -> AffineIteration:
         """The chain of relaxed projections as an explicit affine map."""
-        g = self.A_path.conj().T @ np.linalg.solve(self.D + self.Omega @ self.L, self.Omega)
-        b = np.eye(self.A_path.shape[1], dtype=np.complex128) - g @ self.A_path
-        return AffineIteration(B=b, c=g @ self.b_path)
+        with np.errstate(all="ignore"):
+            g = self.A_path.conj().T @ self._solved(self.Omega)
+            b = np.eye(self.A_path.shape[1], dtype=np.complex128) - g @ self.A_path
+            c = g @ self.b_path
+        return AffineIteration(B=_finite(b), c=_finite(c))
+
+    def _solved(self, rhs: np.ndarray) -> np.ndarray:
+        """``(D + Omega L)^-1 rhs``; NaN where the solve breaks down.
+
+        ``D + Omega L`` is lower triangular with the squared row norms on its
+        diagonal, so elimination breaks down only when its entries pass the
+        float range, as the chain's map does at a large relaxation; the
+        callers then raise :class:`NumericalFailureError` for the NaN.
+        """
+        try:
+            return np.linalg.solve(self.D + self.Omega @ self.L, rhs)
+        except np.linalg.LinAlgError:
+            return np.full(np.shape(rhs), np.nan)
 
 
 def path_sor_factors(
@@ -516,8 +554,13 @@ def weighted_ls_minimizer(
     result is the scale-free target of the slowed-down iteration.  It is the
     one-block case of :func:`dag_ls_minimizer`.
     """
+    return _weighted_ls_on(sys, net, relax, row_space_basis(sys))
+
+
+def _weighted_ls_on(sys: LinearSystem, net: TreeNetwork, relax, basis) -> np.ndarray:
+    """:func:`weighted_ls_minimizer` over the span of a row-space ``basis`` the caller holds."""
     _require_valid(sys, net, (TreeNetwork,), relax)
-    return _ls_blocks(sys, relax.omega * net.schedule.masses, row_space_basis(sys))[0]
+    return _ls_blocks(sys, relax.omega * net.schedule.masses, basis)[0]
 
 
 def _fixed_point_on(it: AffineIteration, res: Restriction) -> np.ndarray:
@@ -779,22 +822,39 @@ def _lagrange_weights(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.prod((t[:, None, None] - others) / (nodes[:, None] - others), axis=2)
 
 
-def _interpolated(kernel: _Pass, omega: np.ndarray, restrict):
+def _point_budget(kernel: _Pass, columns: int, step: int, side: int) -> float:
+    """The most tensor-grid points at which interpolating ``columns`` points is the cheaper route.
+
+    One price table (see ``_SWEEP_LEVEL``): the stack pushes every point in
+    chunks of ``step``; interpolation pays its set-up, one push of its grid
+    and a combination of the grid's maps, ``side`` square, per point.
+    """
+    rows = len(kernel.rhs) + 1  # the push state's, its padding row included
+    push = _SWEEP_LEVEL * len(kernel.schedule.levels) + _SWEEP_CHUNK
+    stack = -(-columns // step) * push + columns * kernel.width * rows * kernel.dim
+    setup = _SWEEP_SETUP + _SWEEP_SETUP_ROW * rows + push
+    per_point = kernel.width * rows * kernel.dim + columns * side * side / _SWEEP_COMBINE
+    return (stack - setup - columns * _SWEEP_COLUMN) / per_point
+
+
+def _interpolated(kernel: _Pass, omega: np.ndarray, restrict, budget: float):
     """Restricted maps at any slice of ``omega`` from the maps at one tensor grid, or None.
 
     ``restrict`` maps a ``(V, g)`` omega stack to its ``g`` restricted
     maps; it is called once, on the tensor grid.  The result takes a
     ``(V, g)`` slice of ``omega`` to the Lagrange combinations of those
-    maps.  None when the grid's ``M`` points exceed ``sqrt(G)``; as every
-    axis has degree at least 1, more than ``log4 G`` axes rule the grid out
-    before any degree is computed.  None as well when the combinations could
-    round an entry by more than ``SWEEP_INTERPOLATION_ROUNDING``: that
-    rounding is at most about eps times the tensor grid's Lebesgue constant
-    times the largest entry of its maps, and B grows like ``|1 - omega|^D``
-    in an axis of degree D.
+    maps.  None when the grid's ``M`` points exceed the :func:`_point_budget`
+    ``budget``; as every axis has at least 2 points, a budget below 2 rules
+    out every grid before any axis is found, and more than ``log2`` of the
+    budget axes rule it out before any degree is computed.  None as well
+    when the combinations could round an entry by more than
+    ``SWEEP_INTERPOLATION_ROUNDING``: that rounding is at most about eps
+    times the tensor grid's Lebesgue constant times the largest entry of its
+    maps, and B grows like ``|1 - omega|^D`` in an axis of degree D.
     """
-    g = omega.shape[1]
-    axes = _sweep_axes(omega, (g.bit_length() - 1) // 2)
+    if budget < 2:
+        return None
+    axes = _sweep_axes(omega, int(budget).bit_length() - 1)
     if axes is None:
         return None
     nodes = [
@@ -802,7 +862,7 @@ def _interpolated(kernel: _Pass, omega: np.ndarray, restrict):
         for rows, deg in zip(axes, kernel.schedule.axis_degrees(axes))
     ]
     points = math.prod(len(x) for x in nodes)
-    if points * points > g:
+    if points > budget:
         return None
     grid = np.repeat(omega[:, :1], points, axis=1)
     for rows, values in zip(axes, np.meshgrid(*nodes, indexing="ij")):
@@ -920,14 +980,23 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     group).  B is therefore exact on the tensor grid of ``D_k + 1`` nodes
     per axis: the axis's own values if it has at most that many, else the
     Chebyshev-Lobatto points of its range (for degree 1 its min and max, so
-    the weights are convex).  When that grid has ``M`` points with
-    ``M^2 <= G``, its ``M`` maps are pushed and restricted once, and each
-    column's restricted map is their Lagrange combination, unless those maps
-    are so large that the combinations could round an entry by more than
-    ``SWEEP_INTERPOLATION_ROUNDING`` (a wide range on an axis of high
-    degree); otherwise each chunk of columns is one kernel push and one
-    restriction.  Either route ends every chunk of ``SWEEP_CHUNK_COLUMNS``
-    kernel columns' worth of points in one ``eigvals``.  The chunks run on
+    the weights are convex).  One price (``_SWEEP_LEVEL``) bounds the grid:
+    the stack route costs a chunk's push levels per chunk plus the
+    ``G (s d + 1) (V + 1) d`` entries it pushes; interpolation costs its
+    set-up, one push of the grid's ``M`` points and a combination of ``M``
+    maps per column, so the price allows at most :func:`_point_budget`
+    points.  A budget below the 2 points of one axis sends the sweep to the
+    stack before any axis, degree or node is computed, as on the bench's
+    65-column desk probes; a sweep of 1,601 columns on the same desks, or
+    of 41 on a 2,000-node tree at d = 8, interpolates.  When the grid has
+    at most that many points, its ``M`` maps are pushed and restricted
+    once, and each column's restricted map is their Lagrange combination,
+    unless those maps are so large that the combinations could round an
+    entry by more than ``SWEEP_INTERPOLATION_ROUNDING`` (a wide range on an
+    axis of high degree); otherwise each chunk of columns is one kernel
+    push and one restriction.  Either route ends every chunk of
+    ``SWEEP_CHUNK_COLUMNS`` kernel columns' worth of points in one
+    ``eigvals``.  The chunks run on
     the caller and up to one helper thread per further CPU of the process's
     affinity mask, fewer while other sweeps hold helpers or when
     ``SWEEP_HELPER_BYTES`` holds fewer chunks' push state (numpy releases
@@ -948,7 +1017,8 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     def restrict(cols: np.ndarray) -> np.ndarray:
         return qs.conj().T @ _finite(kernel.affine(cols))[..., :-1] @ qs
 
-    maps = _interpolated(kernel, omega, restrict) or restrict
+    budget = _point_budget(kernel, omega.shape[1], step, qs.shape[1])
+    maps = _interpolated(kernel, omega, restrict, budget) or restrict
 
     def chunk(i: int) -> np.ndarray:
         return np.max(np.abs(_eigvals(maps(omega[:, i * step : (i + 1) * step]))), axis=-1)
@@ -982,9 +1052,13 @@ def dag_ls_minimizer(
     over the row space, where ``C_j`` carries the positive per-node profile
     ``c`` along path j.  Grouped by node, node v's residual carries weight
     ``masses[i, v] c_v / |a_v|^2``.  Singular normal matrices (paths that
-    never pool into block i) are solved in the minimal-norm sense.
+    never pool into block i) are solved in the minimal-norm sense.  A
+    profile of any other shape than one value per node raises
+    :class:`DimensionError`.
     """
-    c = np.asarray(c, dtype=float)
+    c, v = np.asarray(c, dtype=float), bs.system.node_count
+    if c.shape != (v,):
+        raise DimensionError(f"the per-node profile has shape {c.shape}, expected ({v},)")
     if np.any(c <= 0.0):
         raise ValueError("the per-node profile must be positive")
     return _ls_blocks(bs.system, c * bs.masses, row_basis)

@@ -353,14 +353,15 @@ def lsq_limit_study(
     the accuracy/speed trade-off as the scale shrinks; the solve iterates
     the scale's map as assembled for its fixed point, so each scale
     assembles its map once.  The pass kernel does not depend on the
-    relaxation, so one kernel serves every scale.  The target is
-    :func:`~distkaczmarz.closedform.weighted_ls_minimizer`, whose path
-    masses the network's schedule holds.  Scales at which the iteration
-    does not contract are recorded and skipped.
+    relaxation, so one kernel serves every scale, and one row-space basis,
+    one SVD of the rows, serves the target and every fixed point.  The
+    target is :func:`~distkaczmarz.closedform.weighted_ls_minimizer`, whose
+    path masses the network's schedule holds.  Scales at which the
+    iteration does not contract are recorded and skipped.
     """
-    target = cf.weighted_ls_minimizer(sys, net, relax)  # validates the tree and the assignment
-    kernel = _Pass(sys, net)
     basis = cf.row_space_basis(sys)
+    target = cf._weighted_ls_on(sys, net, relax, basis)  # validates the tree and the assignment
+    kernel = _Pass(sys, net)
     rows = []
     for s in s_values:
         scaled = relax.scaled(s)

@@ -786,6 +786,7 @@ class DagNetwork(_Layout):
 
 def validate_dag(net: DagNetwork) -> list[Violation]:
     """Check acyclicity, weak connectivity, cover-only edges and weight sums."""
+    _checked_network(net, (DagNetwork,))
     out: list[Violation] = []
     try:
         order = net.order
@@ -939,7 +940,7 @@ def minimal_distance_diameter(net: DagNetwork) -> int:
     when they share any node.  A single minimal node has diameter 1 by
     convention; otherwise a cycle raises :class:`CycleError`.
     """
-    minimal = net.minimal_nodes
+    minimal = _checked_network(net, (DagNetwork,)).minimal_nodes
     if len(minimal) <= 1:
         return 1
     _, strict, _ = _reach(net.successors, net.order)
@@ -972,7 +973,7 @@ def enumerate_dispersion_paths(net: DagNetwork):
     and ``w[i, j] > 0`` exactly when a descent to minimal node i exists.
     More than :data:`MAX_ENUMERATED_PATHS` paths raise :class:`ApplicabilityError`.
     """
-    minimal = net.minimal_nodes
+    minimal = _checked_network(net, (DagNetwork,)).minimal_nodes
     count = _chain_counts(net, minimal)
     _require_enumerable(sum(count[p] for p in net.maximal_nodes), "dispersion paths")
     paths: list[DispersionPath] = []

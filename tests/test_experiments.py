@@ -307,8 +307,8 @@ def spies(monkeypatch):
 
 
 class TestSweepRoutes:
-    """A sweep pushes a small tensor grid when ``M^2 <= G`` and its maps interpolate within
-    rounding, else every grid point."""
+    """A sweep pushes a small tensor grid when the price finds interpolation cheaper and its
+    maps interpolate within rounding, else every grid point."""
 
     @pytest.mark.parametrize("desk, points", [(_leaf_desk, 4), (_interior_desk, 9)])
     def test_desk_sweep_pushes_one_small_tensor_grid(self, desk, points, spies):
@@ -319,17 +319,64 @@ class TestSweepRoutes:
         assert spies["affine"] == [points]
 
     def test_large_grid_maps_fall_back_to_the_stack_route(self, spies):
-        """An 8-node chain axis over the CLI default range: B at omega = 8 is near 7^8."""
+        """An 8-node chain axis over the CLI default range at ten times its density.
+
+        1,600 points price the tensor grid of 9 below the stack, but B at
+        omega = 8 is near 7^8, so the rounding guard pushes every point.
+        """
         net = tp.TreeNetwork.from_edges(8, 0, [(i, i + 1) for i in range(7)])
         system = ex.generate_system(ex.GeneratorSpec("uniform", 8, 4, seed=1)).system
-        grid = ex.grid_from_spec("0.05:8:0.05", 1)
+        grid = ex.grid_from_spec("0.005:8:0.005", 1)
         result = ex.omega_sweep(system, net, grid, axes=[tuple(range(8))])
-        assert spies["affine"] == [9, 161]
+        assert spies["affine"][0] == 9 and sum(spies["affine"][1:]) == 1601
         basis = cf.row_space_basis(system)
-        for i in range(len(grid)):
+        for i in range(0, len(grid), 7):
             relax = sv.RelaxationAssignment(np.full(8, grid[i][0]))
             want = cf.spectral_radius_on_span(cf.tree_affine(system, net, relax).B, basis)
             assert abs(result.rho[i] - want) <= 1e-12 * max(1.0, want)
+
+    def test_the_default_range_on_a_small_grid_is_priced_to_the_stack(self, spies):
+        """The same chain over the CLI default range: 161 points push cheaper than 9 and set-up."""
+        net = tp.TreeNetwork.from_edges(8, 0, [(i, i + 1) for i in range(7)])
+        system = ex.generate_system(ex.GeneratorSpec("uniform", 8, 4, seed=1)).system
+        ex.omega_sweep(system, net, ex.grid_from_spec("0.05:8:0.05", 1), axes=[tuple(range(8))])
+        assert spies["affine"] == [161]
+
+    @pytest.mark.parametrize("desk", [_leaf_desk, _interior_desk])
+    def test_desk_probes_push_every_point_without_interpolation_set_up(
+        self, desk, spies, monkeypatch
+    ):
+        """The bench's 65-column probe sweeps are priced to the stack before any axis is found."""
+
+        def refuse(*args):
+            raise AssertionError("interpolation set-up on a sweep priced to the stack")
+
+        for owner, name in [(cf, "_sweep_axes"), (cf, "_interpolation_nodes"),
+                            (tp.Schedule, "axis_degrees")]:
+            monkeypatch.setattr(owner, name, refuse)
+        system, net, axes = desk()
+        result = ex.omega_sweep(system, net, ex.grid_from_spec("1:8:1,1:8:1"), axes=axes)
+        assert len(result.rho) == 64 and spies["affine"] == [65]
+
+    def test_a_large_tree_interpolates_a_small_grid(self, spies):
+        """A 2,000-node random recursive tree at d = 8: 41 points push 2 instead."""
+        rng = np.random.default_rng(2000)
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, 2000)]
+        net = tp.TreeNetwork.from_edges(2000, 0, edges)
+        system = ex.random_tree_system(3, net, dim=8)
+        leaves = tuple(v for v in range(2000) if not net.children.get(v))
+        result = ex.omega_sweep(system, net, ex.grid_from_spec("0.1:4:0.1", 1), axes=[leaves])
+        assert len(result.rho) == 40 and spies["affine"] == [2]
+
+    @pytest.mark.parametrize("desk", [_leaf_desk, _interior_desk])
+    @pytest.mark.parametrize("spec", ["1:8:1,1:8:1", "0.2:2:0.2,0.2:2:0.2"])
+    def test_priced_routes_agree_with_the_polynomial_route(self, desk, spec, monkeypatch):
+        system, net, axes = desk()
+        omega = ex._omega_stack(net.node_count, axes, ex.grid_from_spec(spec), 1.5)
+        got = cf.restricted_rho(system, net, omega)
+        monkeypatch.setattr(cf, "_point_budget", lambda *args: 1e9)
+        want = cf.restricted_rho(system, net, omega)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_random_chain_stack_takes_the_stack_route(self, spies):
         net = tp.TreeNetwork.from_edges(200, 0, [(i, i + 1) for i in range(199)])
@@ -350,7 +397,9 @@ class TestSweepRoutes:
         assert len(result.rho) == 25_600
         step = cf.SWEEP_CHUNK_COLUMNS // (system.ambient_dim + 1)
         assert sum(spies["eigvals"]) == 25_601 and max(spies["eigvals"]) == step
-        assert (sum(spies["affine"]) == 25_601) == (route == "stack")
+        # the chain's tensor grid of 13 x 13 is priced below the stack but fails the rounding
+        # guard, so every point is pushed after it
+        assert (sum(spies["affine"][1:]) == 25_601) == (route == "stack")
 
     @pytest.mark.parametrize("desk, points", [(_leaf_desk, 4), (_interior_desk, 9)])
     def test_tensor_route_materialises_no_weights_per_grid_point(self, desk, points):

@@ -15,7 +15,7 @@ from distkaczmarz import experiments as ex
 from distkaczmarz import numerics as nm
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
-from distkaczmarz.errors import DimensionError, InvalidNetworkError
+from distkaczmarz.errors import DimensionError, InvalidNetworkError, NumericalFailureError
 
 
 class TestNetworkConstructors:
@@ -137,6 +137,13 @@ class TestAnalysisInputs:
         with pytest.raises(ValueError, match="the per-node profile must be positive"):
             cf.dag_ls_minimizer(bs, profile, cf.row_space_basis(system))
 
+    def test_dag_ls_minimizer_needs_one_profile_value_per_node(self):
+        net = ex.figure_dag()
+        system = ex.random_tree_system(3, net, dim=3)
+        bs = cf.dag_block_structure(system, net, sv.RelaxationAssignment.uniform(net.node_count))
+        with pytest.raises(DimensionError, match=r"shape \(2,\), expected \(6,\)"):
+            cf.dag_ls_minimizer(bs, np.ones(bs.s), cf.row_space_basis(system))
+
     def test_admissible_upper_bound_of_a_non_leaf(self):
         # 0 -> 1, 1 -> {2, 3}: node 1 is in the group but is no leaf
         net = tp.TreeNetwork.from_edges(4, 0, [(0, 1), (1, 2), (1, 3)])
@@ -144,6 +151,26 @@ class TestAnalysisInputs:
         assert cf.admissible_upper_bound(system, net, {2, 3}, 2) > 0.0
         with pytest.raises(ValueError, match="node 1 is not a leaf of this group"):
             cf.admissible_upper_bound(system, net, {2, 3}, 1)
+
+    @pytest.mark.parametrize("leaf", [3, 4, 5, 6])
+    @pytest.mark.parametrize("dim", [1, 3, 9])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_an_overflowing_path_sor_form_is_a_numerical_failure(
+        self, leaf, dim, complex_entries, rank_deficient
+    ):
+        """At omega = 1e200 a 3-node chain's map passes the float range; no warning escapes."""
+        net = ex.binary7_network()
+        system = ex.random_tree_system(
+            5, net, dim=dim, complex_entries=complex_entries, rank_deficient=rank_deficient
+        )
+        factors = cf.path_sor_factors(
+            system, net.path_from_root(leaf), sv.RelaxationAssignment.uniform(7, 1e200)
+        )
+        with pytest.raises(NumericalFailureError, match="overflowed"):
+            factors.affine()
+        with pytest.raises(NumericalFailureError, match="overflowed"):
+            factors.solve_coefficients(np.zeros(dim))
 
     def test_path_sor_factors_of_an_empty_path(self):
         system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))

@@ -9,8 +9,9 @@ network, a value class, instead of a kernel, so it and its copies and
 pickles compare equal by value.
 
 Two rules ride along: the dichotomy check reads a DAG's block map one block
-per minimal node, and every tree-only entry point given a ``DagNetwork``
-raises the one network-type ``TypeError``.
+per minimal node, and every tree-only entry point given a ``DagNetwork``,
+like every DAG-only one given a ``TreeNetwork``, raises the one
+network-type ``TypeError``.
 """
 
 import copy
@@ -104,7 +105,8 @@ def test_the_limit_study_takes_its_target_from_the_minimizer(monkeypatch):
         calls.append(args)
         return want
 
-    monkeypatch.setattr(cf, "weighted_ls_minimizer", spy)
+    # the minimizer over the study's own basis
+    monkeypatch.setattr(cf, "_weighted_ls_on", spy)
     rows = ex.lsq_limit_study(system, net, relax, [1.0, 0.5])
     assert len(calls) == 1 and len(rows) == 2
     basis = cf.row_space_basis(system)
@@ -164,7 +166,7 @@ def test_the_dichotomy_names_a_map_that_splits_into_no_blocks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Tree-only entry points name the network type they expect
+# Tree-only and DAG-only entry points name the network type they expect
 
 
 def _tree_only_routes():
@@ -196,3 +198,33 @@ def _tree_only_routes():
 def test_tree_only_entry_points_reject_a_dag_by_type(name):
     with pytest.raises(TypeError, match="expected a TreeNetwork, got DagNetwork"):
         _tree_only_routes()[name]()
+
+
+def _dag_only_routes():
+    net = ex.binary7_network()
+    return {
+        "minimal_distance_diameter": lambda: tp.minimal_distance_diameter(net),
+        "enumerate_dispersion_paths": lambda: tp.enumerate_dispersion_paths(net),
+        "validate_dag": lambda: tp.validate_dag(net),
+    }
+
+
+@pytest.mark.parametrize("name", list(_dag_only_routes()))
+def test_dag_only_entry_points_reject_a_tree_by_type(name):
+    with pytest.raises(TypeError, match="expected a DagNetwork, got TreeNetwork"):
+        _dag_only_routes()[name]()
+
+
+def test_the_limit_study_runs_one_svd_of_the_rows(monkeypatch):
+    net = ex.binary7_network()
+    system = ex.random_tree_system(3, net, dim=5)
+    relax = sv.RelaxationAssignment.uniform(7, 1.0)
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rows = ex.lsq_limit_study(system, net, relax, [1.0, 0.5, 0.25])
+    assert len(rows) == 3 and shapes == [system.rows.shape]

@@ -167,9 +167,11 @@ def _check_tensor_route(system, net, omega):
     """A tensor grid of at most sqrt(G) points is pushed first, and every column equals its
     per-point rho.
 
-    When the grid's maps are too large to interpolate within the rounding
-    the per-point route is held to, the sweep then pushes every column.
-    Returns the points of every push.
+    The price of ``closedform._point_budget`` pushes every column of sweeps
+    this small, so the budget is pinned to sqrt(G) points here to run the
+    polynomial route on them.  When the grid's maps are too large to
+    interpolate within the rounding the per-point route is held to, the
+    sweep then pushes every column.  Returns the points of every push.
     """
     pushed = []
     affine = sv._Pass.affine
@@ -178,7 +180,10 @@ def _check_tensor_route(system, net, omega):
         pushed.append(cols.shape[1])
         return affine(kernel, cols)
 
-    with mock.patch.object(sv._Pass, "affine", spy):
+    def budget(kernel, columns, step, side):
+        return columns**0.5
+
+    with mock.patch.object(sv._Pass, "affine", spy), mock.patch.object(cf, "_point_budget", budget):
         rho = ex.restricted_rho(system, net, omega)
     assert pushed[0] ** 2 <= omega.shape[1]
     assert len(pushed) == 1 or sum(pushed[1:]) == omega.shape[1]
