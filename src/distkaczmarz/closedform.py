@@ -1,14 +1,15 @@
 """Closed-form one-iteration maps and the analysis built on them.
 
 The dispersion/pooling pass of the solver is an affine map ``x -> B x + c``.
-One builder takes it from the solver's pass kernel, built once per system and
-network and pushed over identity columns at the given relaxation, as a block
-map over the stacked minimal-node estimates: :func:`dag_block_structure`
+One builder takes it from the solver's pass kernel, which the system keeps
+for its network (:func:`~distkaczmarz.solver._kernel`), pushed over
+identity columns at the given relaxation, as a block map over the stacked
+minimal-node estimates: :func:`dag_block_structure`
 returns that map and :func:`tree_affine` its one block, the root's.  The
 least-squares targets are the same one-block case: :func:`weighted_ls_minimizer`
 is block 0 of the per-block normal equations that :func:`dag_ls_minimizer`
 solves, each in the minimal-norm sense.  The sweep route
-:func:`restricted_rho` builds one kernel per sweep.  B is a polynomial in
+:func:`restricted_rho` pushes the same kernel.  B is a polynomial in
 each sweep axis's relaxation, of degree at most the axis's node count on one
 dispersion chain, so a sweep may push the tensor grid of one more node than
 that per axis and interpolate.  One price table (``_SWEEP_LEVEL``, fitted on
@@ -32,7 +33,8 @@ points and admissibility verdicts, in time linear in the group sizes (one
 walk per group; one stacked-rows norm gives a leaf group's bounds).
 Every restriction to the row space (tree and DAG spectral radii, fixed
 points, least-squares targets) works on one checked column matrix of an
-orthonormal basis; the DAG's stacked row space is ``kron(I_s, q)``.  An
+orthonormal basis, the system's one SVD basis (:func:`row_space_basis`);
+the DAG's stacked row space is ``kron(I_s, q)``.  An
 :class:`AffineIteration` restricts itself once per basis, so one ``Q* B Q``
 and one eigensolve serve both its restricted radius and its fixed point.
 A map whose assembly overflowed, such as a deep chain at a large
@@ -40,9 +42,12 @@ relaxation, holds inf or NaN entries; the builders and the sweep route
 raise :class:`~distkaczmarz.errors.NumericalFailureError` for it by name.
 
 Everything here is pure construction over immutable inputs and thread-safe.
-The one cache, an affine map's last restriction, is filled by a single
-attribute write of a value computed from the map and the basis alone, so a
-race between threads only computes equal values twice.  A sweep of more than
+The caches are filled by single attribute writes of values computed from
+immutable inputs alone, so a race between threads only computes equal
+values twice: an affine map keeps its last restriction, and the system,
+outside its fields, its row-space basis and the kernel of its last network
+(:class:`~distkaczmarz.solver.LinearSystem`).  No cache is a field, so
+equality, repr, copies and pickles never see one.  A sweep of more than
 one chunk runs its chunks on the caller and helper threads, joined before it
 returns: all sweeps running at once share one helper per further CPU of the
 process's affinity mask, counted under a lock, and one sweep's helpers hold
@@ -83,6 +88,7 @@ from .solver import (
     LinearSystem,
     RelaxationAssignment,
     _checked_omega,
+    _kernel,
     _Pass,
     _require_assignment,
     _require_valid,
@@ -149,8 +155,12 @@ def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.nda
 
 
 def row_space_basis(sys: LinearSystem) -> list[np.ndarray]:
-    """Orthonormal basis of the span of the equation vectors a_v (one SVD)."""
-    return orthonormal_basis(sys.rows)
+    """Orthonormal basis of the span of the equation vectors a_v, as read-only rows.
+
+    The rows of the system's :attr:`~distkaczmarz.solver.LinearSystem.row_basis`,
+    one SVD per system, in a fresh list.
+    """
+    return list(sys.row_basis)
 
 
 def _block_columns(s: int, q: np.ndarray) -> np.ndarray:
@@ -290,19 +300,16 @@ def _finite(maps: np.ndarray) -> np.ndarray:
     return maps
 
 
-def _block_map(
-    sys: LinearSystem, net, kind: type, relax: RelaxationAssignment, kernel: _Pass | None = None
-) -> BlockStructure:
+def _block_map(sys: LinearSystem, net, kind: type, relax: RelaxationAssignment) -> BlockStructure:
     """The pass over a valid network of type ``kind`` as a block map, from one kernel assembly.
 
     The kernel's :meth:`~distkaczmarz.solver._Pass.affine` gives the block
     rows of ``[B | c]``, one block per minimal node; a tree is the one-block
-    case, whose only minimal node is the root.  ``kernel`` is the system's
-    and network's when the caller has built it.  Raises
+    case, whose only minimal node is the root.  Raises
     :class:`NumericalFailureError` when the map overflows.
     """
     _require_valid(sys, net, (kind,), relax)
-    kernel = _Pass(sys, net) if kernel is None else kernel
+    kernel = _kernel(sys, net)
     (m,) = _finite(kernel.affine(relax.effective()))
     aggregate = AffineIteration(m[:, :-1], m[:, -1])
     return BlockStructure(aggregate, kernel.sources, sys.ambient_dim, sys, net)
@@ -554,13 +561,8 @@ def weighted_ls_minimizer(
     result is the scale-free target of the slowed-down iteration.  It is the
     one-block case of :func:`dag_ls_minimizer`.
     """
-    return _weighted_ls_on(sys, net, relax, row_space_basis(sys))
-
-
-def _weighted_ls_on(sys: LinearSystem, net: TreeNetwork, relax, basis) -> np.ndarray:
-    """:func:`weighted_ls_minimizer` over the span of a row-space ``basis`` the caller holds."""
     _require_valid(sys, net, (TreeNetwork,), relax)
-    return _ls_blocks(sys, relax.omega * net.schedule.masses, basis)[0]
+    return _ls_blocks(sys, relax.omega * net.schedule.masses, row_space_basis(sys))[0]
 
 
 def _fixed_point_on(it: AffineIteration, res: Restriction) -> np.ndarray:
@@ -782,18 +784,25 @@ def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> f
 
 
 def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
-    """The rows of an omega stack that vary, grouped by equality; None past ``most`` groups."""
-    axes: list[list[int]] = []
-    for v in np.flatnonzero(omega.min(axis=1) != omega.max(axis=1)).tolist():
-        row = omega[v]
-        same = next((ax for ax in axes if np.array_equal(omega[ax[0]], row)), None)
+    """The rows of an omega stack that vary, grouped by equality; None past ``most`` groups.
+
+    Rows are grouped by their bytes, so equal rows of the nonnegative stack
+    share a key once -0.0 is folded into 0.0 (``-0.0 + 0.0`` is 0.0), which
+    only a row whose least value is 0 needs.  The groups come in the order
+    of their first rows, and only their keys and one row's are held at once.
+    """
+    low = omega.min(axis=1)
+    axes: dict[bytes, list[int]] = {}
+    for v in np.flatnonzero(low != omega.max(axis=1)).tolist():
+        row = omega[v] + 0.0 if low[v] == 0.0 else omega[v]
+        same = axes.get(key := row.tobytes())
         if same is not None:
             same.append(v)
         elif len(axes) == most:
             return None
         else:
-            axes.append([v])
-    return axes
+            axes[key] = [v]
+    return list(axes.values())
 
 
 def _interpolation_nodes(row: np.ndarray, degree: int) -> np.ndarray:
@@ -972,9 +981,10 @@ def _chunks_in_order(work, count: int, chunk_bytes: int) -> list:
 def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> np.ndarray:
     """Spectral radius on the row space of the pass at each column of a ``(V, G)`` omega stack.
 
-    Network, parameters and the basis ``kron(I_s, q)`` are checked once and
-    the kernel is built once.  Rows that vary and are equal to each other
-    form one sweep axis; constant rows are the baseline.  A dispersion chain
+    Network, parameters and the basis ``kron(I_s, q)`` are checked once,
+    and the system's kernel for ``net`` serves every chunk.  Rows that vary
+    and are equal to each other form one sweep axis; constant rows are the
+    baseline.  A dispersion chain
     passes each node at most once, so B is a polynomial in axis k's omega of
     degree ``D_k``, the most nodes of the axis on one chain (1 for a leaf
     group).  B is therefore exact on the tensor grid of ``D_k + 1`` nodes
@@ -1009,7 +1019,7 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     omega = _checked_omega(omega)
     if omega.ndim != 2 or omega.shape[0] != net.node_count or omega.shape[1] < 1:
         raise DimensionError(f"omega must be a ({net.node_count}, G >= 1) stack, got {omega.shape}")
-    kernel = _Pass(sys, net)
+    kernel = _kernel(sys, net)
     q = _checked_columns(row_space_basis(sys), sys.ambient_dim)
     qs = _block_columns(len(kernel.sources), q)
     step = max(1, SWEEP_CHUNK_COLUMNS // kernel.width)

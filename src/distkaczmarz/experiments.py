@@ -23,7 +23,7 @@ import numpy as np
 from . import closedform as cf
 from .closedform import restricted_rho
 from .errors import NonContractionError
-from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _iterate, _Pass, solve
+from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _iterate, _kernel, solve
 from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce
 
 RNG_NAME = "numpy.random.default_rng(PCG64)"
@@ -85,7 +85,7 @@ def generate_system(spec: GeneratorSpec) -> GeneratedSystem:
         matrix = np.eye(spec.d) + spec.epsilon * rng.uniform(-1.0, 1.0, size=(spec.d, spec.d))
     rhs = rng.uniform(0.0, 1.0, size=spec.k)
     regenerated = 0
-    for i in range(spec.k):
+    for i in np.flatnonzero(np.linalg.norm(matrix, axis=1) == 0.0).tolist():  # in row order
         while not np.linalg.norm(matrix[i]):
             matrix[i] = rng.uniform(0.0, 1.0, size=spec.d)
             regenerated += 1
@@ -352,20 +352,20 @@ def lsq_limit_study(
     Also records how many iterations ``solve`` needs at each scale, showing
     the accuracy/speed trade-off as the scale shrinks; the solve iterates
     the scale's map as assembled for its fixed point, so each scale
-    assembles its map once.  The pass kernel does not depend on the
-    relaxation, so one kernel serves every scale, and one row-space basis,
-    one SVD of the rows, serves the target and every fixed point.  The
-    target is :func:`~distkaczmarz.closedform.weighted_ls_minimizer`, whose
-    path masses the network's schedule holds.  Scales at which the
-    iteration does not contract are recorded and skipped.
+    assembles its map once.  Neither the pass kernel nor the row-space
+    basis depends on the relaxation: the system keeps both, so one kernel
+    serves every scale and one SVD of the rows the target and every fixed
+    point.  The target is
+    :func:`~distkaczmarz.closedform.weighted_ls_minimizer`, whose path
+    masses the network's schedule holds.  Scales at which the iteration
+    does not contract are recorded and skipped.
     """
-    basis = cf.row_space_basis(sys)
-    target = cf._weighted_ls_on(sys, net, relax, basis)  # validates the tree and the assignment
-    kernel = _Pass(sys, net)
+    target = cf.weighted_ls_minimizer(sys, net, relax)  # validates the tree and the assignment
+    basis, kernel = cf.row_space_basis(sys), _kernel(sys, net)
     rows = []
     for s in s_values:
         scaled = relax.scaled(s)
-        it = cf._block_map(sys, net, TreeNetwork, scaled, kernel).aggregate
+        it = cf._block_map(sys, net, TreeNetwork, scaled).aggregate
         try:
             fp = cf.fixed_point(it, basis)
         except NonContractionError:

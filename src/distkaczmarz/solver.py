@@ -10,7 +10,10 @@ estimates of the maximal nodes, weighted by the pooling weights along every
 descent.  A tree runs as the DAG whose only minimal node is the root.
 
 Every pass goes through one kernel, built once per system and network and
-handed the effective relaxation on each call.  It runs the network's level
+handed the effective relaxation on each call: :func:`_kernel` keeps it on
+the system, for the last network the system ran on, as the system keeps
+its row-space basis, so the analyses and solves of one system and network
+share one kernel and one SVD.  It runs the network's level
 schedule (:class:`~distkaczmarz.topology.Schedule`, cached on the network),
 whose level order is the network's ``order``, its Kahn levels one after
 another: the nodes of one level never depend on each other, so each level
@@ -53,7 +56,10 @@ entry modulus cannot put any block norm past the bound reduces its step
 norms alone.
 
 A solve run owns its state and is single threaded; distinct runs over the
-same immutable system and network may execute concurrently.  Every pass
+same immutable system and network may execute concurrently.  They share
+the system's kernel, whose tables do not depend on the relaxation and whose
+calls allocate their own state; two threads that fill an empty slot only
+build equal kernels twice.  Every pass
 runs the same numpy operations over the same level layout, and the pooled
 sum is one matrix product in a fixed order of the maximal nodes, so
 repeated runs give identical results.
@@ -64,12 +70,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
-from .numerics import _real_if_exact, as_matrix, as_vector, value_dataclass
+from .numerics import _frozen, _real_if_exact, _stack, as_matrix, as_vector, orthonormal_basis
+from .numerics import value_dataclass
 from .topology import DagNetwork, TreeNetwork, _checked_network
 
 DIVERGENCE_FACTOR = 1e12
@@ -108,6 +116,12 @@ class LinearSystem:
     ``float64`` when no entry of either has a nonzero imaginary part (also
     when they are given as ``complex128``), else both ``complex128``; every
     pass, map and estimate built from the system takes that dtype.
+
+    A system keeps what it derives without the relaxation, outside its
+    fields as a network keeps its schedule: its row-space basis
+    (:attr:`row_basis`) and the pass kernel of the last network it ran on
+    (:func:`_kernel`).  Equality, repr, copies and pickles see only the
+    fields, so a copy starts without them.
     """
 
     rows: np.ndarray
@@ -139,6 +153,15 @@ class LinearSystem:
     @property
     def ambient_dim(self) -> int:
         return self.rows.shape[1]
+
+    @cached_property
+    def row_basis(self) -> np.ndarray:
+        """Orthonormal basis of the span of the rows, as the rows of a read-only ``(r, d)`` array.
+
+        One SVD (:func:`~distkaczmarz.numerics.orthonormal_basis`) on first
+        read; a race between threads only computes equal values twice.
+        """
+        return _frozen(_stack(orthonormal_basis(self.rows), self.ambient_dim))
 
     def system_matrix(self) -> np.ndarray:
         """The matrix A with rows a_v*; A @ x stacks the values <x, a_v>."""
@@ -317,7 +340,9 @@ class _Pass:
     depends on the network alone, such as the path masses and a sweep
     axis's degree, is a walk of the schedule that ``topology`` builds, and
     outside ``topology`` only this class reads the schedule's padded level
-    tables.
+    tables.  Its tables do not depend on the relaxation and every call
+    allocates its own state, so threads share one kernel; build it with
+    :func:`_kernel`, which keeps it on the system.
     """
 
     def __init__(self, sys: LinearSystem, net: TreeNetwork | DagNetwork):
@@ -476,6 +501,21 @@ class _Pass:
         return pooled.reshape(1, k, k + 1)
 
 
+def _kernel(sys: LinearSystem, net: TreeNetwork | DagNetwork) -> _Pass:
+    """The pass kernel of ``sys`` on ``net``, built once and kept on the system.
+
+    One slot holds the last network and its kernel; a network that is not
+    that object itself (``is``) builds a new kernel in its place.  The slot
+    is replaced by a single attribute write, so a race between threads only
+    builds equal kernels twice.
+    """
+    held = sys.__dict__.get("_pass")
+    if held is None or held[0] is not net:
+        held = (net, _Pass(sys, net))
+        object.__setattr__(sys, "_pass", held)
+    return held[1]
+
+
 def tree_iterate(
     sys: LinearSystem,
     net: TreeNetwork,
@@ -486,7 +526,7 @@ def tree_iterate(
     """One dispersion/pooling pass over a rooted tree."""
     if not validated:
         _require_valid(sys, net, (TreeNetwork,), relax)
-    return _Pass(sys, net).vectors([as_vector(x)], relax.effective())[0]
+    return _kernel(sys, net).vectors([as_vector(x)], relax.effective())[0]
 
 
 def dag_iterate(
@@ -509,7 +549,7 @@ def dag_iterate(
     minimal = net.minimal_nodes
     if len(blocks) != len(minimal):
         raise DimensionError(f"expected {len(minimal)} estimate blocks, got {len(blocks)}")
-    return list(_Pass(sys, net).vectors([as_vector(b) for b in blocks], relax.effective()))
+    return list(_kernel(sys, net).vectors([as_vector(b) for b in blocks], relax.effective()))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +673,7 @@ def solve(
       Iterates after it may overflow; they are never reported.
     """
     _require_valid(sys, net, relax=relax)
-    return _iterate(sys, _Pass(sys, net), relax.effective(), isinstance(net, TreeNetwork), config)
+    return _iterate(sys, _kernel(sys, net), relax.effective(), isinstance(net, TreeNetwork), config)
 
 
 def _iterate(

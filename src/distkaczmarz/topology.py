@@ -458,7 +458,7 @@ class TreeNetwork(_Layout):
         return not self.children.get(v, ())
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.node_count) if self.is_leaf(v))
+        return tuple(v for v, kids in self.children.items() if not kids)
 
     def path_from_root(self, v: int) -> tuple[int, ...]:
         """Node sequence root .. v inclusive."""

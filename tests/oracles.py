@@ -506,3 +506,40 @@ def pushed_condition_values(bs, omega, blocks):
     z = np.column_stack([np.asarray(b, dtype=np.complex128) for b in blocks])
     pooled = sv._Pass(bs.system, bs.network).push([z] * bs.s, np.ones(bs.s), omega)
     return [pooled[i][:, i] - z[:, i] for i in range(bs.s)]
+
+
+def pairwise_sweep_axes(omega, most):
+    """The varying rows of an omega stack grouped by one ``np.array_equal`` per row and axis.
+
+    ``closedform._sweep_axes`` as it compared each varying row with the
+    first row of every axis found so far; None past ``most`` axes.
+    """
+    axes = []
+    for v in np.flatnonzero(omega.min(axis=1) != omega.max(axis=1)).tolist():
+        same = next((ax for ax in axes if np.array_equal(omega[ax[0]], omega[v])), None)
+        if same is not None:
+            same.append(v)
+        elif len(axes) == most:
+            return None
+        else:
+            axes.append([v])
+    return axes
+
+
+def rowwise_generated_system(spec, rng):
+    """``experiments.generate_system`` with one norm per row, from the generator ``rng``.
+
+    Every row is tested in turn and a zero row is redrawn until it is not,
+    so the redraws take the generator's draws in row order.
+    """
+    if spec.kind == "uniform":
+        matrix = rng.uniform(0.0, 1.0, size=(spec.k, spec.d))
+    else:
+        matrix = np.eye(spec.d) + spec.epsilon * rng.uniform(-1.0, 1.0, size=(spec.d, spec.d))
+    rhs = rng.uniform(0.0, 1.0, size=spec.k)
+    regenerated = 0
+    for i in range(spec.k):
+        while not np.linalg.norm(matrix[i]):
+            matrix[i] = rng.uniform(0.0, 1.0, size=spec.d)
+            regenerated += 1
+    return sv.LinearSystem(rows=matrix, rhs=rhs), regenerated

@@ -14,6 +14,24 @@ from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.errors import DimensionError, DivergenceError
 
+from oracles import rowwise_generated_system
+
+
+class _ZeroingRng:
+    """A seeded generator whose first matrix has zero ``rows`` and whose every other redraw is zero."""
+
+    def __init__(self, seed, rows):
+        self.rng, self.rows, self.calls = np.random.Generator(np.random.PCG64(seed)), list(rows), 0
+
+    def uniform(self, low, high, size):
+        x = self.rng.uniform(low, high, size=size)
+        self.calls += 1  # call 1 draws the matrix, call 2 the right-hand side, later ones redraws
+        if self.calls == 1:
+            x[self.rows] = 0.0
+        elif self.calls % 2 == 1:
+            x[:] = 0.0
+        return x
+
 
 class TestGenerateSystem:
     def test_same_seed_identical(self):
@@ -23,6 +41,16 @@ class TestGenerateSystem:
         assert np.array_equal(a.system.rows, b.system.rows)
         assert np.array_equal(a.system.rhs, b.system.rhs)
         assert a.regenerated_rows == 0
+
+    @pytest.mark.parametrize("zeros", [(), (0,), (2, 3), (0, 5, 9)])
+    def test_zero_rows_are_redrawn_in_row_order(self, zeros, monkeypatch):
+        """Zeroed rows, some redrawn as zero again, take the draws of the row-by-row loop."""
+        spec = ex.GeneratorSpec(kind="uniform", k=10, d=3, seed=4)
+        want, regenerated = rowwise_generated_system(spec, _ZeroingRng(spec.seed, zeros))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroingRng(seed, zeros))
+        got = ex.generate_system(spec)
+        assert got.system == want and got.regenerated_rows == regenerated
+        assert regenerated == 2 * len(zeros)  # each zero row's first redraw is zero again
 
     def test_near_orthogonal_zero_epsilon_is_identity(self):
         spec = ex.GeneratorSpec(kind="near-orthogonal", k=4, d=4, seed=1, epsilon=0.0)
@@ -221,7 +249,7 @@ class TestOmegaSweep:
         checked = counting("basis", nm._checked_columns)
         for module in (nm, cf):
             monkeypatch.setattr(module, "_checked_columns", checked)
-        monkeypatch.setattr(cf, "_Pass", counting("kernel", sv._Pass))
+        monkeypatch.setattr(sv, "_Pass", counting("kernel", sv._Pass))  # built by sv._kernel
         grid = ex.grid_from_spec("0.1:4:0.1,0.1:4:0.1")
         assert len(grid) == 1600
         result = ex.omega_sweep(system, net, grid, axes=axes)

@@ -105,8 +105,7 @@ def test_the_limit_study_takes_its_target_from_the_minimizer(monkeypatch):
         calls.append(args)
         return want
 
-    # the minimizer over the study's own basis
-    monkeypatch.setattr(cf, "_weighted_ls_on", spy)
+    monkeypatch.setattr(cf, "weighted_ls_minimizer", spy)
     rows = ex.lsq_limit_study(system, net, relax, [1.0, 0.5])
     assert len(calls) == 1 and len(rows) == 2
     basis = cf.row_space_basis(system)

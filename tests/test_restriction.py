@@ -13,6 +13,7 @@ agree with one more kernel push.  Counting tests pin the eigensolves and
 kernel pushes of each analysis.
 """
 
+import copy
 import dataclasses
 import json
 
@@ -232,7 +233,7 @@ def test_the_limit_study_assembles_each_contractive_scale_once(monkeypatch):
     system = ex.generate_system(ex.GeneratorSpec("uniform", 7, 7, 3)).system
     relax = sv.RelaxationAssignment.uniform(7, 1.0)
     scales = [1.0, 0.5, 0.25]
-    want = _limit_rows_by_solve(system, net, relax, scales)
+    want = _limit_rows_by_solve(copy.copy(system), net, relax, scales)  # leaves system cold
     counted = _Counted(monkeypatch)
     rows = ex.lsq_limit_study(system, net, relax, scales)
     assert all(row.contractive for row in rows)

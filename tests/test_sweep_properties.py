@@ -19,6 +19,8 @@ from distkaczmarz import experiments as ex  # noqa: E402
 from distkaczmarz import solver as sv  # noqa: E402
 from distkaczmarz import topology as tp  # noqa: E402
 
+from oracles import pairwise_sweep_axes  # noqa: E402
+
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=8)
 
 
@@ -270,3 +272,18 @@ def test_the_sweep_csv_equals_the_per_row_formatter_byte_for_byte(points):
     rho = [r if i % 2 else np.float64(r) for i, (_, r) in enumerate(points)]
     result = ex.SweepResult(grid, rho, 0, 0.0, 0.0)
     assert ex.sweep_to_csv(result).encode() == _per_row_csv(result).encode()
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_sweep_axes_group_as_the_pairwise_comparison_did(data):
+    """Rows drawn from a few pool rows, their zeros of either sign, under any cap on the axes."""
+    g = data.draw(st.integers(1, 5))
+    pool = data.draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=g, max_size=g),
+                              min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    omega = np.array([pool[i] for i in picks])
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=omega.size, max_size=omega.size))
+    omega *= np.reshape(signs, omega.shape) ** (omega == 0.0)  # -0.0 where a zero draws -1
+    most = data.draw(st.integers(0, 5))
+    assert cf._sweep_axes(omega, most) == pairwise_sweep_axes(omega, most)

@@ -120,6 +120,7 @@ class TestTreeValidation:
             net = tp.TreeNetwork(n, root, parent, {})
             got = [v.where[0] for v in tp.validate_tree(net) if v.kind == "connectivity"]
             assert got == nodes_not_reaching_root(parent, root, n)
+            assert net.leaves() == tuple(v for v in range(n) if net.is_leaf(v))
 
 
 @pytest.mark.parametrize("table", ["parent", "children", "edge_weight"])
