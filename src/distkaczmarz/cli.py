@@ -5,9 +5,10 @@ Commands
 ``solve``        run the iteration and write a solve report (exit 0 on
                  convergence, 2 when the iteration budget runs out, 3 on
                  divergence).
-``analyze``      admissibility verdicts, per-leaf relaxation bounds and the
-                 eigenvalue split of the iteration matrix (exit 3 when the
-                 pass map overflows).
+``analyze``      admissibility verdicts and the eigenvalue split of the
+                 iteration matrix, for tree and DAG networks; subnetwork
+                 groups and their per-leaf relaxation bounds apply to trees
+                 only (exit 3 when a map overflows).
 ``sweep``        spectral radius over a parameter grid, written as CSV, for
                  tree and DAG networks (exit 3 when the pass map overflows).
 ``reproduce``    run one of the canonical seeded studies.
@@ -423,9 +424,6 @@ def cmd_solve(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    if not isinstance(cfg.network, TreeNetwork):
-        print("analyze currently applies to tree networks", file=_sys.stderr)
-        return EXIT_CONFIG
     part = cfg.partition or SubnetworkPartition(())
     sys_, net, relax = cfg.system, cfg.network, cfg.relaxation
     payload: dict = {"config": cfg.resolved}
@@ -436,7 +434,7 @@ def cmd_analyze(args) -> int:
         ]
     try:
         admissibility = cf.check_admissibility(sys_, net, part, relax)
-        dichotomy = cf.eigen_dichotomy_check(cf.tree_affine(sys_, net, relax), sys_)
+        dichotomy = cf.eigen_dichotomy_check(cf.dag_block_structure(sys_, net, relax).aggregate, sys_)
     except PartitionError as exc:
         print(f"config.subnetworks: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -38,8 +38,10 @@ the DAG's stacked row space is ``kron(I_s, q)``.  An
 :class:`AffineIteration` restricts itself once per basis, so one ``Q* B Q``
 and one eigensolve serve both its restricted radius and its fixed point.
 A map whose assembly overflowed, such as a deep chain at a large
-relaxation, holds inf or NaN entries; the builders and the sweep route
-raise :class:`~distkaczmarz.errors.NumericalFailureError` for it by name.
+relaxation, holds inf or NaN entries; the builders, the sweep route and the
+paper's chain-product forms raise
+:class:`~distkaczmarz.errors.NumericalFailureError` for it by name, and so
+does a fixed-point solve that breaks down.
 
 Everything here is pure construction over immutable inputs and thread-safe.
 The caches are filled by single attribute writes of values computed from
@@ -300,15 +302,15 @@ def _finite(maps: np.ndarray) -> np.ndarray:
     return maps
 
 
-def _block_map(sys: LinearSystem, net, kind: type, relax: RelaxationAssignment) -> BlockStructure:
-    """The pass over a valid network of type ``kind`` as a block map, from one kernel assembly.
+def _block_map(sys: LinearSystem, net, relax: RelaxationAssignment) -> BlockStructure:
+    """The pass over a valid tree or DAG as a block map, from one kernel assembly.
 
     The kernel's :meth:`~distkaczmarz.solver._Pass.affine` gives the block
     rows of ``[B | c]``, one block per minimal node; a tree is the one-block
     case, whose only minimal node is the root.  Raises
     :class:`NumericalFailureError` when the map overflows.
     """
-    _require_valid(sys, net, (kind,), relax)
+    _require_valid(sys, net, relax=relax)
     kernel = _kernel(sys, net)
     (m,) = _finite(kernel.affine(relax.effective()))
     aggregate = AffineIteration(m[:, :-1], m[:, -1])
@@ -318,12 +320,13 @@ def _block_map(sys: LinearSystem, net, kind: type, relax: RelaxationAssignment) 
 def tree_affine(
     sys: LinearSystem, net: TreeNetwork, relax: RelaxationAssignment
 ) -> AffineIteration:
-    """The dispersion/pooling pass as ``x -> B x + c``: the root's one-block map.
+    """The dispersion/pooling pass over a tree as ``x -> B x + c``: the root's one-block map.
 
-    The paper's form, the leaf-weighted sum of path SOR maps, equals it and
-    stays a cross-check.
+    It is the ``aggregate`` of :func:`dag_block_structure` on the same tree,
+    from the same builder; only a tree is taken here.  The paper's form, the
+    leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
     """
-    return _block_map(sys, net, TreeNetwork, relax).aggregate
+    return _block_map(sys, _checked_network(net), relax).aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +341,15 @@ def _as_resolved(net: TreeNetwork, group) -> ResolvedGroup:
 
 
 def _chain_matrix(sys: LinearSystem, nodes: Sequence[int], omega: np.ndarray) -> np.ndarray:
-    """Product of relaxed projections along ``nodes``, first node applied first."""
+    """Product of relaxed projections along ``nodes``, first node applied first.
+
+    Raises :class:`NumericalFailureError` when the product overflows.
+    """
     out = np.eye(sys.ambient_dim, dtype=sys.rows.dtype)
-    for v in nodes:
-        out = relaxed_projection_matrix(sys, v, omega[v]) @ out
-    return out
+    with np.errstate(all="ignore"):
+        for v in nodes:
+            out = relaxed_projection_matrix(sys, v, omega[v]) @ out
+    return _finite(out)
 
 
 def group_operator(
@@ -351,7 +358,8 @@ def group_operator(
     """Weighted average of projection chains through one subnetwork's trees.
 
     One walk down from the component tops builds each member's projection
-    once; the leaf terms are added in ascending leaf order.
+    once; the leaf terms are added in ascending leaf order.  Raises
+    :class:`NumericalFailureError` when a chain overflows.
     """
     _require_assignment(sys, relax)
     g = _as_resolved(net, group)
@@ -360,14 +368,16 @@ def group_operator(
     terms = {}
     eye = np.eye(d, dtype=sys.rows.dtype)
     stack = [(top, net.edge_weight[(g.gateway, top)], eye) for top in g.tops]
-    while stack:
-        v, w, chain = stack.pop()
-        chain = relaxed_projection_matrix(sys, v, omega[v]) @ chain
-        kids = net.children.get(v, ())
-        if not kids:
-            terms[v] = w * chain
-        stack.extend((c, w * net.edge_weight[(v, c)], chain) for c in kids if c in g.members)
-    return sum((terms[leaf] for leaf in g.leaves), np.zeros((d, d), dtype=sys.rows.dtype))
+    with np.errstate(all="ignore"):
+        while stack:
+            v, w, chain = stack.pop()
+            chain = relaxed_projection_matrix(sys, v, omega[v]) @ chain
+            kids = net.children.get(v, ())
+            if not kids:
+                terms[v] = w * chain
+            stack.extend((c, w * net.edge_weight[(v, c)], chain) for c in kids if c in g.members)
+        total = sum((terms[leaf] for leaf in g.leaves), np.zeros((d, d), dtype=sys.rows.dtype))
+    return _finite(total)
 
 
 def build_p_omega(
@@ -383,7 +393,8 @@ def build_p_omega(
     be disjoint and cover every leaf but the root (the cover rule of
     :func:`validate_subnetworks`), otherwise the product form cannot equal
     the pooled iteration matrix: a node in two groups has its projection
-    counted twice.
+    counted twice.  Raises :class:`NumericalFailureError` when a chain or
+    their product overflows.
     """
     _require_valid(sys, net, (TreeNetwork,), relax)
     groups = resolve_groups(net, part)
@@ -394,13 +405,11 @@ def build_p_omega(
         return relaxed_projection_matrix(sys, net.root, omega[net.root])
     d = sys.ambient_dim
     p = np.zeros((d, d), dtype=sys.rows.dtype)
-    for g in groups:
-        gateway_chain = net.path_from_root(g.gateway)
-        prod = _chain_matrix(sys, gateway_chain, omega)
-        p += path_weight(net, net.root, g.gateway) * (
-            group_operator(sys, net, g, relax) @ prod
-        )
-    return p
+    with np.errstate(all="ignore"):
+        for g in groups:
+            prod = _chain_matrix(sys, net.path_from_root(g.gateway), omega)
+            p += path_weight(net, net.root, g.gateway) * (group_operator(sys, net, g, relax) @ prod)
+    return _finite(p)
 
 
 def subnetwork_norm(
@@ -502,9 +511,21 @@ def check_admissibility(
     part: SubnetworkPartition,
     relax: RelaxationAssignment,
 ) -> AdmissibilityReport:
-    _require_valid(sys, net, (TreeNetwork,), relax)
-    groups = resolve_groups(net, part)
-    grouped = set().union(*(g.members for g in groups)) if groups else set()
+    """Judge the two admissibility conditions of ``relax`` on a tree or a DAG.
+
+    Condition 1 asks every node outside the groups for an effective
+    relaxation in (0, 2); condition 2 asks each group's restricted norm
+    (:func:`subnetwork_norm`) to be below 1, and a leaf group also reports
+    each leaf's :func:`admissible_upper_bound`.  Groups are subtrees, so an
+    empty partition is the only one a DAG takes, and condition 1 then covers
+    every node; a non-empty one on a DAG raises the ``TypeError`` of
+    :func:`resolve_groups`.  A down-scaled assignment is also judged at
+    scale 1.  Raises :class:`NumericalFailureError` when a group's map
+    overflows.
+    """
+    _require_valid(sys, net, relax=relax)
+    groups = resolve_groups(net, part) if part.groups else []
+    grouped = set().union(*(g.members for g in groups))
     free = [v for v in range(net.node_count) if v not in grouped]
     omega = relax.effective()
     node_verdicts = {v: (float(omega[v]), bool(0.0 < omega[v] < 2.0)) for v in free}
@@ -566,11 +587,25 @@ def weighted_ls_minimizer(
 
 
 def _fixed_point_on(it: AffineIteration, res: Restriction) -> np.ndarray:
-    """Fixed point of ``it`` on the span of ``res.Q``: one solve of ``(I - R) eta = Q* c``."""
+    """Fixed point of ``it`` on the span of ``res.Q``: one solve of ``(I - R) eta = Q* c``.
+
+    Raises :class:`NonContractionError` when ``rho >= 1``, and
+    :class:`NumericalFailureError` when ``I - R`` is singular to working
+    precision, as it can be at a radius just below 1.
+    """
     if res.rho >= 1.0:
         raise NonContractionError(f"restricted spectral radius {res.rho:.6f} >= 1")
     eye = np.eye(res.R.shape[0], dtype=res.R.dtype)
-    return res.Q @ np.linalg.solve(eye - res.R, res.Q.conj().T @ it.c)
+    try:
+        eta = np.linalg.solve(eye - res.R, res.Q.conj().T @ it.c)
+    except np.linalg.LinAlgError:
+        eta = None
+    if eta is None or not np.isfinite(eta).all():
+        raise NumericalFailureError(
+            "the fixed-point solve broke down: I - R is singular to working precision"
+            f" at restricted spectral radius {res.rho!r}"
+        )
+    return res.Q @ eta
 
 
 def fixed_point(it: AffineIteration, row_space_basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -644,11 +679,15 @@ def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyRe
 def _ascending_affine(
     sys: LinearSystem, nodes: Sequence[int], omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linear part and constant of the relaxed update chain along ``nodes``."""
+    """Linear part and constant of the relaxed update chain along ``nodes``.
+
+    Raises :class:`NumericalFailureError` when either overflows.
+    """
     lin = _chain_matrix(sys, nodes, omega)
     const = np.zeros(sys.ambient_dim, dtype=np.complex128)
-    for v in nodes:
-        const = relaxed_q(const, sys.rows[v], sys.rhs[v], omega[v])
+    with np.errstate(all="ignore"):
+        for v in nodes:
+            const = _finite(relaxed_q(const, sys.rows[v], sys.rhs[v], omega[v]))
     return lin, const
 
 
@@ -768,14 +807,15 @@ class BlockStructure:
 
 
 def dag_block_structure(
-    sys: LinearSystem, net: DagNetwork, relax: RelaxationAssignment
+    sys: LinearSystem, net: TreeNetwork | DagNetwork, relax: RelaxationAssignment
 ) -> BlockStructure:
-    """The block map of the DAG iteration from one run of the pass kernel.
+    """The block map of the iteration on a DAG or a tree from one run of the pass kernel.
 
-    The paper's form, the pooled per-path SOR maps, equals it and stays a
-    cross-check.
+    A tree is the one-block DAG: its map has one block, the root's, and its
+    ``aggregate`` is :func:`tree_affine`.  The paper's form, the pooled
+    per-path SOR maps, equals it and stays a cross-check.
     """
-    return _block_map(sys, net, DagNetwork, relax)
+    return _block_map(sys, net, relax)
 
 
 def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> float:

@@ -365,7 +365,7 @@ def lsq_limit_study(
     rows = []
     for s in s_values:
         scaled = relax.scaled(s)
-        it = cf._block_map(sys, net, TreeNetwork, scaled).aggregate
+        it = cf.tree_affine(sys, net, scaled)
         try:
             fp = cf.fixed_point(it, basis)
         except NonContractionError:

@@ -6,6 +6,7 @@ import pytest
 
 from distkaczmarz import cli
 from distkaczmarz import closedform as cf
+from distkaczmarz import experiments as ex
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 
@@ -271,11 +272,53 @@ class TestAnalyzeCommand:
         assert report["groups"][0]["leaf_bounds"] == bounds
 
 
-    def test_a_dag_config_is_refused_without_a_report(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, _dag_config())
-        assert cli.main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-        assert "analyze currently applies to tree networks" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    _COMPLEX_ROWS = np.random.default_rng(3).standard_normal((6, 3, 2)).round(3).tolist()
+
+    @pytest.mark.parametrize(
+        "system, relaxation, d",
+        [
+            ({"generator": {"kind": "uniform", "k": 6, "d": 4, "seed": 7}}, {}, 4),
+            (
+                {"matrix": _COMPLEX_ROWS, "rhs": [[1.0, -0.5]] * 6},
+                {"default": 1.5, "omega": {"4": 0.5}},
+                3,
+            ),
+        ],
+        ids=["dag6", "complex"],
+    )
+    def test_a_dag_config_gets_the_report_of_a_tree_without_groups(
+        self, tmp_path, system, relaxation, d
+    ):
+        """The figure DAG's report: every node under condition 1, no groups, the block map's split."""
+        edges = [(0, 2), (0, 3), (1, 3), (2, 4), (2, 5), (3, 5)]
+        cfg = write_config(
+            tmp_path,
+            {
+                "system": system,
+                "network": {
+                    "type": "dag",
+                    "nodes": 6,
+                    "edges": [{"from": u, "to": v} for u, v in edges],
+                },
+                "relaxation": relaxation,
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+        report = json.loads((out / "spectral_report.json").read_text())
+        assert list(report) == [
+            "config", "admissible", "condition1", "groups", "rho_restricted", "eigenvalues",
+            "unit_eigenvalue_count", "nullity", "dichotomy_holds",
+        ]
+        assert sorted(report["condition1"], key=int) == [str(v) for v in range(6)]
+        assert report["groups"] == [] and report["dichotomy_holds"] is True
+        loaded = cli.load_config(cfg)
+        bs = cf.dag_block_structure(loaded.system, loaded.network, loaded.relaxation)
+        rho = cf.dag_restricted_rho(bs, cf.row_space_basis(loaded.system))
+        assert report["rho_restricted"] == rho < 1.0
+        rows = (out / "eigenvalues.csv").read_text().splitlines()
+        assert rows[0] == "re,im,modulus"
+        assert len(rows) == 1 + len(report["eigenvalues"]) == 1 + 2 * d  # two minimal nodes
 
     @staticmethod
     def _network_one(tmp_path, groups, scale=1.0):
@@ -832,3 +875,106 @@ def test_analyze_reports_an_overflowing_map_with_exit_3(tmp_path, capsys):
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out" / report).exists()
     assert cli.main(["solve", "--config", cfg]) == 3
+
+
+def test_analyze_reports_an_overflowing_group_with_exit_3(tmp_path, capsys):
+    """A 40-node chain at ω = 1e8 with one group below the root: its group map overflows.
+
+    The group norm of condition 2 is the first map formed, so the command
+    names the overflow on one stderr line, exits 3 and writes no report.
+    """
+    n = 40
+    cfg = write_config(
+        tmp_path,
+        {
+            "system": {"generator": {"kind": "uniform", "k": n, "d": 1, "seed": 0}},
+            "network": {
+                "type": "tree",
+                "nodes": n,
+                "root": 0,
+                "edges": [{"parent": v - 1, "child": v} for v in range(1, n)],
+            },
+            "subnetworks": {"groups": [list(range(1, n))]},
+            "relaxation": {"default": 1e8},
+            "output": {"dir": str(tmp_path / "out")},
+        },
+    )
+    assert cli.main(["analyze", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("analyze: the assembled pass map overflowed")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "spectral_report.json").exists()
+
+
+def _generated_networks():
+    """The family's networks: a config ``network`` section, subnetworks and sweep axes each."""
+    def tree(net):
+        edges = [{"parent": u, "child": v} for (u, v) in sorted(net.edge_weight)]
+        groups = [sorted(g) for g in tp.root_subtree_partition(net).groups]
+        section = {"type": "tree", "nodes": net.node_count, "root": net.root, "edges": edges}
+        return section, {"subnetworks": {"groups": groups}}, max(len(groups), 1)
+
+    def dag(net):
+        edges = [{"from": u, "to": v} for (u, v) in net.edges]
+        section = {"type": "dag", "nodes": net.node_count, "edges": edges}
+        return section, {"sweep": {"axes": [[net.node_count - 1]]}}, 1
+
+    star = tp.TreeNetwork.from_edges(6, 0, [(0, v) for v in range(1, 6)])
+    chain = tp.TreeNetwork.from_edges(40, 0, [(v - 1, v) for v in range(1, 40)])
+    return {
+        "binary7": tree(ex.binary7_network()),
+        "chain40": tree(chain),
+        "star6": tree(star),
+        "one-node": tree(tp.TreeNetwork.from_edges(1, 0, [])),
+        "figure-dag": dag(ex.figure_dag()),
+        "random-dag": dag(ex.random_dag(5)),
+    }
+
+
+@pytest.mark.parametrize("network", list(_generated_networks()))
+def test_every_command_on_generated_configs_exits_with_a_code(tmp_path, capsys, network):
+    """solve, analyze, sweep and config-dump on 48 configs of one network end in exit 0 to 3.
+
+    d in {1, 3}, real or ``[re, im]`` rows, default ω in {1e-300, 0.5,
+    1.999, 2, 3.5, 1e8} and scale 1 or 0.5.  Warnings are errors here, so a
+    leaked warning fails the run as a traceback would.
+    """
+    section, extra, axes = _generated_networks()[network]
+    n = section["nodes"]
+    grid = ",".join(["0.5:1.5:0.5"] * axes)
+    failures = []
+    for d in (1, 3):
+        for complex_rows in (False, True):
+            rng = np.random.default_rng(d)
+            rows = rng.standard_normal((n, d, 2 if complex_rows else 1)).round(6)
+            matrix = rows.tolist() if complex_rows else rows[..., 0].tolist()
+            for omega in (1e-300, 0.5, 1.999, 2.0, 3.5, 1e8):
+                for scale in (1.0, 0.5):
+                    out = tmp_path / "out"
+                    cfg = write_config(
+                        tmp_path,
+                        {
+                            "system": {"matrix": matrix, "rhs": rng.standard_normal(n).tolist()},
+                            "network": section,
+                            "relaxation": {"default": omega, "scale": scale},
+                            "solver": {"max_iterations": 20},
+                            "output": {"dir": str(out)},
+                            **extra,
+                        },
+                    )
+                    for argv in (
+                        ["solve", "--config", cfg],
+                        ["analyze", "--config", cfg],
+                        ["sweep", "--config", cfg, "--grid", grid],
+                        ["config-dump", "--config", cfg],
+                    ):
+                        label = (argv[0], d, complex_rows, omega, scale)
+                        try:
+                            code = cli.main(argv)
+                        except Exception as exc:  # a traceback, or a warning made an error
+                            failures.append((label, repr(exc)))
+                            continue
+                        if code not in (0, 1, 2, 3):
+                            failures.append((label, code))
+    capsys.readouterr()
+    assert failures == []

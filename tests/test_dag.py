@@ -479,3 +479,28 @@ class TestProjectionLimit:
                 norm_in = cf.block_infinity_norm(z, n)
                 norm_out = cf.block_infinity_norm(power @ z, n)
                 assert norm_out < norm_in
+
+
+class TestTreeIsTheOneBlockDag:
+    """A tree's block map is its affine map, and every DAG analysis reads it bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "rows", [{}, {"complex_entries": True}, {"rank_deficient": True}],
+        ids=["real", "complex", "rank-deficient"],
+    )
+    def test_dag_analyses_of_a_tree_are_the_tree_analyses(self, seed, rows):
+        net = ex.random_tree(seed + 300, min_nodes=3)
+        system = ex.random_tree_system(seed + 301, net, dim=3, consistent=False, **rows)
+        omega = np.random.default_rng(seed + 302).uniform(0.3, 1.7, net.node_count)
+        relax = sv.RelaxationAssignment(omega)
+        basis = cf.row_space_basis(system)
+        it = cf.tree_affine(system, net, relax)
+        bs = cf.dag_block_structure(system, net, relax)
+        assert bs.minimal_nodes == (net.root,) and bs.aggregate == it
+        assert cf.dag_restricted_rho(bs, basis) == it.restriction(basis).rho < 1.0
+        (block,), residual = cf.dag_fixed_point(bs, basis)
+        assert np.array_equal(block, cf.fixed_point(it, basis))
+        assert residual < 1e-12
+        (target,) = cf.dag_ls_minimizer(bs, relax.omega, basis)
+        assert np.array_equal(target, cf.weighted_ls_minimizer(system, net, relax))

@@ -172,6 +172,58 @@ class TestAnalysisInputs:
         with pytest.raises(NumericalFailureError, match="overflowed"):
             factors.solve_coefficients(np.zeros(dim))
 
+    @pytest.mark.parametrize(
+        "route", ["group_operator", "subnetwork_norm", "check_admissibility", "build_p_omega",
+                  "dag_block_p"],
+    )
+    def test_an_overflowing_chain_product_is_a_numerical_failure(self, route):
+        """At omega = 1e8 the 39 nodes below a 40-node chain's root overflow their product.
+
+        Each form raises by name with no warning, the pathwise DAG block map
+        on the same chain as a DAG included.
+        """
+        n = 40
+        chain = tp.TreeNetwork.from_edges(n, 0, [(v - 1, v) for v in range(1, n)])
+        system, relax = ex.random_tree_system(0, chain, 1), sv.RelaxationAssignment.uniform(n, 1e8)
+        group = set(range(1, n))
+        call = {
+            "group_operator": lambda: cf.group_operator(system, chain, group, relax),
+            "subnetwork_norm": lambda: cf.subnetwork_norm(system, chain, group, relax),
+            "check_admissibility": lambda: cf.check_admissibility(
+                system, chain, tp.SubnetworkPartition.of([group]), relax
+            ),
+            "build_p_omega": lambda: cf.build_p_omega(
+                system, chain, tp.root_subtree_partition(chain), relax
+            ),
+            "dag_block_p": lambda: cf.dag_block_p(
+                system, tp.DagNetwork.from_cover_edges(n, sorted(chain.edge_weight)), relax
+            ),
+        }[route]
+        with pytest.raises(NumericalFailureError, match="overflowed"):
+            call()
+
+    @pytest.mark.parametrize("omega", [1e110, 1e200])
+    def test_an_overflowing_product_form_is_a_numerical_failure(self, omega):
+        """binary7 at d = 1: at 1e200 a 2-node chain overflows, at 1e110 only the gateway product."""
+        net = ex.binary7_network()
+        system, relax = ex.random_tree_system(0, net, 1), sv.RelaxationAssignment.uniform(7, omega)
+        part = tp.root_subtree_partition(net)
+        if omega == 1e110:
+            for group in part.groups:
+                assert np.isfinite(cf.group_operator(system, net, group, relax)).all()
+        with pytest.raises(NumericalFailureError, match="overflowed"):
+            cf.build_p_omega(system, net, part, relax)
+
+    def test_a_fixed_point_solve_that_breaks_down_is_a_numerical_failure(self):
+        """At omega = 1e-300 the radius rounds to just below 1 and I - R is singular."""
+        net = ex.figure_dag()
+        system = ex.random_tree_system(3, net, 1, complex_entries=True)
+        bs = cf.dag_block_structure(system, net, sv.RelaxationAssignment.uniform(6, 1e-300))
+        basis = cf.row_space_basis(system)
+        assert cf.dag_restricted_rho(bs, basis) < 1.0
+        with pytest.raises(NumericalFailureError, match="fixed-point solve broke down"):
+            cf.dag_fixed_point(bs, basis)
+
     def test_path_sor_factors_of_an_empty_path(self):
         system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
         with pytest.raises(DimensionError, match="empty node path"):

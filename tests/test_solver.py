@@ -100,21 +100,24 @@ class TestRequireValid:
         system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
         relax = sv.RelaxationAssignment.uniform(2)
         part = tp.SubnetworkPartition.of([])
+        groups = tp.SubnetworkPartition.of([{1}])
         tree_routes = [
             lambda net: sv.tree_iterate(system, net, relax, np.zeros(2)),
             lambda net: cf.tree_affine(system, net, relax),
             lambda net: cf.build_p_omega(system, net, part, relax),
-            lambda net: cf.check_admissibility(system, net, part, relax),
+            lambda net: cf.check_admissibility(system, net, groups, relax),
+            lambda net: tp.resolve_groups(net, groups),
             lambda net: cf.weighted_ls_minimizer(system, net, relax),
         ]
         dag_routes = [
             lambda net: sv.dag_iterate(system, net, relax, [np.zeros(2)]),
             lambda net: cf.dag_block_p(system, net, relax),
-            lambda net: cf.dag_block_structure(system, net, relax),
         ]
         either_routes = [
             lambda net: sv.solve(system, net, relax),
             lambda net: ex.restricted_rho(system, net, np.ones((2, 1))),
+            lambda net: cf.check_admissibility(system, net, part, relax),
+            lambda net: cf.dag_block_structure(system, net, relax),
         ]
         for route in tree_routes + dag_routes + either_routes:
             with pytest.raises(TypeError):
@@ -128,6 +131,10 @@ class TestRequireValid:
             for route in routes:
                 with pytest.raises(TypeError, match=message):
                     route(wrong)
+        # and a route for either type takes both
+        for net in (chain(2), dag):
+            for route in either_routes:
+                route(net)
 
     @pytest.mark.parametrize("values", [1, 4])
     def test_every_route_rejects_a_wrong_length_assignment(self, values):

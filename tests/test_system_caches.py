@@ -124,10 +124,9 @@ def _results(system, net):
     v = net.node_count
     relax = sv.RelaxationAssignment(np.linspace(0.6, 1.2, v))
     omega = np.repeat(np.linspace(0.5, 1.5, v)[:, None], 7, axis=1) * np.linspace(0.8, 1.2, 7)
-    kind = tp.TreeNetwork if isinstance(net, tp.TreeNetwork) else tp.DagNetwork
     return (
         sv.solve(system, net, relax),
-        cf._block_map(system, net, kind, relax).aggregate,
+        cf._block_map(system, net, relax).aggregate,
         cf.restricted_rho(system, net, omega).tobytes(),
         [r.tobytes() for r in cf.row_space_basis(system)],
     )
