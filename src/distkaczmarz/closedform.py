@@ -40,8 +40,10 @@ and one eigensolve serve both its restricted radius and its fixed point.
 A map whose assembly overflowed, such as a deep chain at a large
 relaxation, holds inf or NaN entries; the builders, the sweep route and the
 paper's chain-product forms raise
-:class:`~distkaczmarz.errors.NumericalFailureError` for it by name, and so
-does a fixed-point solve that breaks down.
+:class:`~distkaczmarz.errors.NumericalFailureError` naming the map that
+overflowed (the assembled pass map, a group map, a chain of relaxed
+projections, the product form or the path SOR form), and so does a
+fixed-point solve that breaks down.
 
 Everything here is pure construction over immutable inputs and thread-safe.
 The caches are filled by single attribute writes of values computed from
@@ -78,7 +80,8 @@ from .numerics import (
     _real_if_exact,
     _sorted_spectrum,
     _stack,
-    as_vector,
+    _vector,
+    as_matrix,
     eigenvalues,
     gram,
     orthonormal_basis,
@@ -90,6 +93,7 @@ from .solver import (
     LinearSystem,
     RelaxationAssignment,
     _checked_omega,
+    _estimates,
     _kernel,
     _Pass,
     _require_assignment,
@@ -103,6 +107,7 @@ from .topology import (
     TreeNetwork,
     _checked_network,
     _cover_violations,
+    _is_node,
     enumerate_updown_paths,
     path_weight,
     resolve_groups,
@@ -148,9 +153,19 @@ _SWEEP_COMBINE = 13
 spectral_radius_on_span = spectral_radius_on_span
 
 
+def _node(sys: LinearSystem, v) -> int:
+    """``v`` as an ``int`` if it is a node id of ``sys``, else :class:`DimensionError`."""
+    if not _is_node(v, sys.node_count):
+        raise DimensionError(f"node {v!r} is not in 0..{sys.node_count - 1}")
+    return int(v)
+
+
 def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.ndarray:
-    """Matrix of the relaxed projection onto the null space of node v's row."""
-    a = sys.rows[v]
+    """Matrix of the relaxed projection onto the null space of node v's row.
+
+    ``v`` must be a node id of ``sys`` (:class:`DimensionError` otherwise).
+    """
+    a = sys.rows[_node(sys, v)]
     nrm2 = float(np.vdot(a, a).real)
     d = sys.ambient_dim
     return np.eye(d, dtype=a.dtype) - (omega / nrm2) * np.outer(a, a.conj())
@@ -206,7 +221,8 @@ class AffineIteration:
         object.__setattr__(self, "_restricted", None)
 
     def apply(self, x) -> np.ndarray:
-        return self.B @ as_vector(x) + self.c
+        """``B x + c`` of one finite vector of the map's side, else a named error."""
+        return self.B @ _vector(x, self.B.shape[1]) + self.c
 
     def restriction(self, basis: Sequence[np.ndarray], s: int = 1) -> Restriction:
         """B on the row space of ``s`` stacked blocks, given an orthonormal basis of one block.
@@ -214,9 +230,14 @@ class AffineIteration:
         One restriction and one eigensolve per map and basis: the result for
         the last basis is kept and returned again while the stacked columns
         are equal by value, without checking them again; other columns are
-        checked to be orthonormal first.
+        checked to be orthonormal first.  ``s`` must be a positive integer
+        that divides the map's side, and the basis vectors must have the
+        block length, the side over ``s``; otherwise :class:`DimensionError`.
         """
-        q = _stack(basis, self.B.shape[0] // s).T
+        side = self.B.shape[0]
+        if not _splits(side, s):
+            raise DimensionError(f"a map of side {side} does not split into {s!r} blocks")
+        q = _stack(basis, side // s).T
         last = self._restricted
         if last is not None and np.array_equal(last.q, q):
             return last
@@ -246,9 +267,10 @@ class PathSorFactors:
 
     def solve_coefficients(self, x) -> np.ndarray:
         """Expansion coefficients c with chain(x) = x + A_path* c."""
-        x = as_vector(x)
+        x = _vector(x, self.A_path.shape[1])
         with np.errstate(all="ignore"):
-            return _finite(self._solved(self.Omega @ (self.b_path - self.A_path @ x)))
+            coeff = self._solved(self.Omega @ (self.b_path - self.A_path @ x))
+        return _finite(coeff, "the path SOR coefficients")
 
     def affine(self) -> AffineIteration:
         """The chain of relaxed projections as an explicit affine map."""
@@ -256,7 +278,7 @@ class PathSorFactors:
             g = self.A_path.conj().T @ self._solved(self.Omega)
             b = np.eye(self.A_path.shape[1], dtype=np.complex128) - g @ self.A_path
             c = g @ self.b_path
-        return AffineIteration(B=_finite(b), c=_finite(c))
+        return AffineIteration(B=_finite(b, "the path SOR map"), c=_finite(c, "the path SOR map"))
 
     def _solved(self, rhs: np.ndarray) -> np.ndarray:
         """``(D + Omega L)^-1 rhs``; NaN where the solve breaks down.
@@ -275,9 +297,13 @@ class PathSorFactors:
 def path_sor_factors(
     sys: LinearSystem, node_path: Sequence[int], relax: RelaxationAssignment
 ) -> PathSorFactors:
-    """Factor matrices for the relaxed projection chain along ``node_path``."""
+    """Factor matrices for the relaxed projection chain along ``node_path``.
+
+    The path is a nonempty sequence of node ids of ``sys``; any other entry
+    raises :class:`DimensionError`.
+    """
     _require_assignment(sys, relax)
-    nodes = tuple(int(v) for v in node_path)
+    nodes = tuple(_node(sys, v) for v in node_path)
     if not nodes:
         raise DimensionError("empty node path")
     omega = relax.effective()
@@ -293,12 +319,13 @@ def path_sor_factors(
     )
 
 
-def _finite(maps: np.ndarray) -> np.ndarray:
-    """``maps`` as assembled; raises :class:`NumericalFailureError` when an entry overflowed."""
+def _finite(maps: np.ndarray, name: str) -> np.ndarray:
+    """``maps`` as assembled, or :class:`NumericalFailureError` naming the map ``name``.
+
+    The error is raised when an entry overflowed, a NaN included.
+    """
     if not np.isfinite(maps).all():
-        raise NumericalFailureError(
-            "the assembled pass map overflowed: its entries pass the float range"
-        )
+        raise NumericalFailureError(f"{name} overflowed: its entries pass the float range")
     return maps
 
 
@@ -312,7 +339,7 @@ def _block_map(sys: LinearSystem, net, relax: RelaxationAssignment) -> BlockStru
     """
     _require_valid(sys, net, relax=relax)
     kernel = _kernel(sys, net)
-    (m,) = _finite(kernel.affine(relax.effective()))
+    (m,) = _finite(kernel.affine(relax.effective()), "the assembled pass map")
     aggregate = AffineIteration(m[:, :-1], m[:, -1])
     return BlockStructure(aggregate, kernel.sources, sys.ambient_dim, sys, net)
 
@@ -349,7 +376,7 @@ def _chain_matrix(sys: LinearSystem, nodes: Sequence[int], omega: np.ndarray) ->
     with np.errstate(all="ignore"):
         for v in nodes:
             out = relaxed_projection_matrix(sys, v, omega[v]) @ out
-    return _finite(out)
+    return _finite(out, "the chain of relaxed projections")
 
 
 def group_operator(
@@ -377,7 +404,7 @@ def group_operator(
                 terms[v] = w * chain
             stack.extend((c, w * net.edge_weight[(v, c)], chain) for c in kids if c in g.members)
         total = sum((terms[leaf] for leaf in g.leaves), np.zeros((d, d), dtype=sys.rows.dtype))
-    return _finite(total)
+    return _finite(total, f"the group map at gateway {g.gateway}")
 
 
 def build_p_omega(
@@ -409,7 +436,7 @@ def build_p_omega(
         for g in groups:
             prod = _chain_matrix(sys, net.path_from_root(g.gateway), omega)
             p += path_weight(net, net.root, g.gateway) * (group_operator(sys, net, g, relax) @ prod)
-    return _finite(p)
+    return _finite(p, "the product-form iteration matrix")
 
 
 def subnetwork_norm(
@@ -687,7 +714,8 @@ def _ascending_affine(
     const = np.zeros(sys.ambient_dim, dtype=np.complex128)
     with np.errstate(all="ignore"):
         for v in nodes:
-            const = _finite(relaxed_q(const, sys.rows[v], sys.rhs[v], omega[v]))
+            const = relaxed_q(const, sys.rows[v], sys.rhs[v], omega[v])
+            const = _finite(const, "the constant of an ascending chain")
     return lin, const
 
 
@@ -717,12 +745,24 @@ def dag_block_p(
     return AffineIteration(B=big_b.reshape(n * s, n * s), c=big_c.ravel())
 
 
+def _splits(side: int, n) -> bool:
+    """Whether ``n`` is a positive integer, not a bool, that divides ``side``.
+
+    An integer is a Python ``int`` or a numpy integer, as for a node id
+    (:func:`~distkaczmarz.topology._is_node`).
+    """
+    return (type(n) is int or isinstance(n, np.integer)) and n >= 1 and side % n == 0
+
+
 def _blocks(m, block_size: int) -> np.ndarray:
-    """``m`` in blocks of ``block_size``: a vector as ``(s, n)``, a matrix as ``(r, c, n, n)``."""
+    """``m`` in blocks of ``block_size``: a vector as ``(s, n)``, a matrix as ``(r, c, n, n)``.
+
+    ``block_size`` must be a positive integer that divides every side of ``m``.
+    """
     arr = np.asarray(m, dtype=np.complex128)
+    if arr.ndim not in (1, 2) or not all(_splits(k, block_size) for k in arr.shape):
+        raise DimensionError(f"shape {arr.shape} does not split into blocks of size {block_size!r}")
     n = int(block_size)
-    if n < 1 or arr.ndim not in (1, 2) or any(k % n for k in arr.shape):
-        raise DimensionError(f"shape {arr.shape} does not split into blocks of size {n}")
     if arr.ndim == 1:
         return arr.reshape(-1, n)
     return arr.reshape(arr.shape[0] // n, n, arr.shape[1] // n, n).swapaxes(1, 2)
@@ -743,8 +783,12 @@ def block_infinity_norm(m, block_size: int) -> float:
 def sampled_block_norm_lower_bound(
     m, block_size: int, samples: int = 20, seed: int = 0
 ) -> float:
-    """Lower bound for the induced block norm from random unit block vectors."""
-    arr = np.asarray(m, dtype=np.complex128)
+    """Lower bound for the induced block norm from random unit block vectors.
+
+    ``m`` must be a finite matrix whose sides split into blocks of
+    ``block_size``; any other shape raises :class:`DimensionError` naming it.
+    """
+    arr = as_matrix(m).astype(np.complex128, copy=False)
     _, cols, n, _ = _blocks(arr, block_size).shape
     g = np.random.default_rng(seed).standard_normal((samples, 2, cols * n))
     z = (g[:, 0] + 1j * g[:, 1]).reshape(samples, cols, n)
@@ -795,10 +839,12 @@ class BlockStructure:
         - z_i`` and each row of w sums to 1, so the value is the pass from
         ``z_i`` on every minimal node, read off the assembled map:
         ``(sum_j B_ij - I) z_i + c_i``, one block-row sum and one batched
-        product.
+        product.  ``blocks`` are read by the estimate rule of
+        :func:`~distkaczmarz.solver._estimates`: one finite vector of length
+        d per minimal node, else a named error.
         """
         s, n = self.s, self.block_size
-        z = np.stack([as_vector(blocks[i]) for i in range(s)])[:, :, None]
+        z = _estimates(self.system, s, blocks)[:, :, None]
         rows = self.aggregate.B.reshape(s, n, s, n).sum(axis=2)  # rows[i] = sum_j B_ij
         return list((rows @ z - z)[:, :, 0] + self.aggregate.c.reshape(s, n))
 
@@ -1065,7 +1111,7 @@ def restricted_rho(sys: LinearSystem, net: TreeNetwork | DagNetwork, omega) -> n
     step = max(1, SWEEP_CHUNK_COLUMNS // kernel.width)
 
     def restrict(cols: np.ndarray) -> np.ndarray:
-        return qs.conj().T @ _finite(kernel.affine(cols))[..., :-1] @ qs
+        return qs.conj().T @ _finite(kernel.affine(cols), "the assembled pass map")[..., :-1] @ qs
 
     budget = _point_budget(kernel, omega.shape[1], step, qs.shape[1])
     maps = _interpolated(kernel, omega, restrict, budget) or restrict
@@ -1104,11 +1150,12 @@ def dag_ls_minimizer(
     ``masses[i, v] c_v / |a_v|^2``.  Singular normal matrices (paths that
     never pool into block i) are solved in the minimal-norm sense.  A
     profile of any other shape than one value per node raises
-    :class:`DimensionError`.
+    :class:`DimensionError`, and one with an entry that is not finite and
+    positive (NaN, inf, 0 or below) raises ``ValueError`` before any solve.
     """
     c, v = np.asarray(c, dtype=float), bs.system.node_count
     if c.shape != (v,):
         raise DimensionError(f"the per-node profile has shape {c.shape}, expected ({v},)")
-    if np.any(c <= 0.0):
-        raise ValueError("the per-node profile must be positive")
+    if not ((0.0 < c) & (c < math.inf)).all():  # NaN fails both comparisons
+        raise ValueError("the per-node profile must be positive and finite")
     return _ls_blocks(bs.system, c * bs.masses, row_basis)

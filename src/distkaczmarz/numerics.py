@@ -56,6 +56,14 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _vector(x, n: int) -> np.ndarray:
+    """:func:`as_vector` of ``x``, which must have length ``n``, else :class:`DimensionError`."""
+    v = as_vector(x)
+    if v.shape[0] != n:
+        raise DimensionError(f"expected a vector of length {n}, got shape {v.shape}")
+    return v
+
+
 def _frozen(value):
     """``value`` as a frozen value class stores it.
 

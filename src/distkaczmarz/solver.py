@@ -76,8 +76,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
-from .numerics import _frozen, _real_if_exact, _stack, as_matrix, as_vector, orthonormal_basis
-from .numerics import value_dataclass
+from .numerics import _frozen, _real_if_exact, _stack, _vector, as_matrix, as_vector
+from .numerics import orthonormal_basis, value_dataclass
 from .topology import DagNetwork, TreeNetwork, _checked_network
 
 DIVERGENCE_FACTOR = 1e12
@@ -168,7 +168,8 @@ class LinearSystem:
         return self.rows.conj()
 
     def residual_norm(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.system_matrix() @ x - self.rhs))
+        """``|A x - b|`` of one finite estimate of length d, else a named error."""
+        return float(np.linalg.norm(self.system_matrix() @ _vector(x, self.ambient_dim) - self.rhs))
 
 
 def _checked_omega(omega) -> np.ndarray:
@@ -267,8 +268,9 @@ class SolveReport:
 
 
 def kaczmarz_update(x, a, b, omega: float) -> np.ndarray:
-    """Relaxed Kaczmarz step: x + omega * (b - a*x) / |a|^2 * a."""
-    xv, av = as_vector(x), as_vector(a)
+    """Relaxed Kaczmarz step: x + omega * (b - a*x) / |a|^2 * a; x and a of one length."""
+    av = as_vector(a)
+    xv = _vector(x, len(av))
     nrm2 = float(np.vdot(av, av).real)
     if nrm2 == 0.0:
         raise DegenerateEquationError("zero row in Kaczmarz update")
@@ -287,8 +289,7 @@ def project_affine(x, a, b) -> np.ndarray:
 
 def relaxed_p(x, a, omega: float) -> np.ndarray:
     """(1 - omega) x + omega * project_null(x, a)."""
-    xv = as_vector(x)
-    return (1.0 - omega) * xv + omega * project_null(xv, a)
+    return (1.0 - omega) * as_vector(x) + omega * project_null(x, a)
 
 
 def relaxed_q(x, a, b, omega: float) -> np.ndarray:
@@ -523,10 +524,14 @@ def tree_iterate(
     x,
     validated: bool = False,
 ) -> np.ndarray:
-    """One dispersion/pooling pass over a rooted tree."""
+    """One dispersion/pooling pass over a rooted tree from the root's estimate ``x``.
+
+    ``x`` is read by the estimate rule of :func:`_estimates`: one finite
+    vector of length d, else a named error.
+    """
     if not validated:
         _require_valid(sys, net, (TreeNetwork,), relax)
-    return _kernel(sys, net).vectors([as_vector(x)], relax.effective())[0]
+    return _kernel(sys, net).vectors(_estimates(sys, 1, [x]), relax.effective())[0]
 
 
 def dag_iterate(
@@ -542,38 +547,44 @@ def dag_iterate(
     interior and maximal nodes first blend their parents' estimates with the
     dispersion weights.  Pooling hands each minimal node the maximal nodes'
     estimates weighted by the pooling weights along every descent, so
-    interior nodes relay without a second update.
+    interior nodes relay without a second update.  ``blocks`` are read by
+    the estimate rule of :func:`_estimates`: one finite vector of length d
+    per minimal node, else a named error.
     """
     if not validated:
         _require_valid(sys, net, (DagNetwork,), relax)
-    minimal = net.minimal_nodes
-    if len(blocks) != len(minimal):
-        raise DimensionError(f"expected {len(minimal)} estimate blocks, got {len(blocks)}")
-    return list(_kernel(sys, net).vectors([as_vector(b) for b in blocks], relax.effective()))
+    run = _kernel(sys, net)
+    return list(run.vectors(_estimates(sys, len(run.sources), blocks), relax.effective()))
 
 
 # ---------------------------------------------------------------------------
 # Driver
 
 
+def _estimates(sys: LinearSystem, s: int, blocks) -> np.ndarray:
+    """The one estimate rule: exactly ``s`` finite vectors of length d, stacked ``(s, d)``.
+
+    Each block goes through :func:`~distkaczmarz.numerics._vector`; a wrong
+    count or length raises :class:`DimensionError`.  The stack takes the
+    promotion of the system's dtype and the blocks', so a complex estimate
+    on a real system runs in complex arithmetic.
+    """
+    if len(blocks) != s:
+        raise DimensionError(f"one estimate per minimal node required: {s}, got {len(blocks)}")
+    x = np.array([_vector(b, sys.ambient_dim) for b in blocks])
+    return x.astype(np.result_type(sys.rows, x), copy=False)
+
+
 def _initial_blocks(sys: LinearSystem, tree: bool, s: int, init) -> np.ndarray:
     """One starting estimate per minimal node, stacked ``(s, d)``; a tree's only one is its root.
 
-    The blocks take the promotion of the system's dtype and the start's, so
-    a complex start on a real system iterates in complex arithmetic.
+    No start is the zero estimate; one vector starts every minimal node, and
+    a tree takes one vector only.  Any other start goes through
+    :func:`_estimates` as one block per minimal node.
     """
-    d = sys.ambient_dim
     if init is None:
-        return np.zeros((s, d), dtype=sys.rows.dtype)
-    init = np.asarray(init)
-    if init.ndim == 1 or tree:  # a tree takes one vector only
-        init = [init] * s
-    elif init.shape[0] != s:
-        raise DimensionError(f"one initial block per minimal node required: {s}, got {init.shape[0]}")
-    blocks = np.array([as_vector(b) for b in init])
-    if blocks.shape[1] != d:
-        raise DimensionError(f"initial estimates must have length {d}, got {blocks.shape[1]}")
-    return blocks.astype(np.result_type(sys.rows, blocks), copy=False)
+        return np.zeros((s, sys.ambient_dim), dtype=sys.rows.dtype)
+    return _estimates(sys, s, [init] * s if np.ndim(init) < 2 or tree else init)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

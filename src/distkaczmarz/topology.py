@@ -118,9 +118,19 @@ def _weight_violations(table: Mapping, groups, what: str) -> list[Violation]:
     return out
 
 
+def _is_node(v, node_count: int) -> bool:
+    """Whether ``v`` is a node id: an integer, not a bool, in ``0 .. node_count - 1``.
+
+    An integer is a Python ``int`` or a numpy integer.  The exact type test
+    comes first: an ``isinstance`` against ``numbers.Integral`` costs about
+    1 us, which every edge of a network build would pay twice.
+    """
+    return (type(v) is int or isinstance(v, np.integer)) and 0 <= v < node_count
+
+
 def _check_ends(u: int, v: int, node_count: int) -> None:
     """Raise :class:`InvalidNetworkError` unless edge ``(u, v)`` joins two distinct known nodes."""
-    if not (0 <= u < node_count and 0 <= v < node_count):
+    if not (_is_node(u, node_count) and _is_node(v, node_count)):
         raise InvalidNetworkError(f"edge ({u}, {v}) references an unknown node")
     if u == v:
         raise InvalidNetworkError(f"self-loop at node {u}")
@@ -410,7 +420,7 @@ class TreeNetwork(_Layout):
         the weight uniformly.  Mixing explicit and omitted weights under one
         parent is rejected.
         """
-        if not (0 <= root < node_count):
+        if not _is_node(root, node_count):
             raise InvalidNetworkError(f"root {root} outside [0, {node_count})")
         parent: dict[int, int] = {}
         given: dict[tuple[int, int], float | None] = {}
@@ -476,12 +486,14 @@ class TreeNetwork(_Layout):
 def validate_tree(net: TreeNetwork) -> list[Violation]:
     """Check the tree invariants; returns all violations (empty iff valid).
 
-    The root must be a node without a parent entry, every node must be on
-    one of the root's levels, and the weights must be keyed by the edges
-    ``(parent[v], v)``, positive and summing to 1 per parent.
+    The root must be a node id without a parent entry, every node must be
+    on one of the root's levels, and the weights must be keyed by the edges
+    ``(parent[v], v)``, positive and summing to 1 per parent.  Any other
+    network type raises the ``TypeError`` of :func:`_checked_network`.
     """
+    _checked_network(net)
     out: list[Violation] = []
-    if not (0 <= net.root < net.node_count):
+    if not _is_node(net.root, net.node_count):
         out.append(Violation("root", f"root {net.root} outside node range", (net.root,)))
         return out
     if net.root in net.parent:

@@ -901,7 +901,7 @@ def test_analyze_reports_an_overflowing_group_with_exit_3(tmp_path, capsys):
     )
     assert cli.main(["analyze", "--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("analyze: the assembled pass map overflowed")
+    assert err.startswith("analyze: the group map at gateway 0 overflowed")
     assert "Traceback" not in err and err.count("\n") == 1
     assert not (tmp_path / "out" / "spectral_report.json").exists()
 

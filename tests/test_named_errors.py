@@ -97,7 +97,8 @@ class TestSolverAndNumericsInputs:
         system = ex.random_tree_system(2, net, dim=3)
         config = sv.SolverConfig(max_iterations=5, initial_estimate=np.zeros((s + 1, 3)))
         relax = sv.RelaxationAssignment.uniform(net.node_count)
-        with pytest.raises(DimensionError, match=f"one initial block per minimal node required: {s}"):
+        message = f"one estimate per minimal node required: {s}, got {s + 1}"
+        with pytest.raises(DimensionError, match=message):
             sv.solve(system, net, relax, config)
 
     def test_a_two_dimensional_omega(self):
@@ -228,6 +229,110 @@ class TestAnalysisInputs:
         system = sv.LinearSystem(rows=np.eye(2), rhs=np.ones(2))
         with pytest.raises(DimensionError, match="empty node path"):
             cf.path_sor_factors(system, [], sv.RelaxationAssignment.uniform(2))
+
+
+def _boundary_cases():
+    """``(id, call, error, message)``: each malformed input at the estimate and node-id boundary.
+
+    binary7 with d = 3 (V = 7) and the figure DAG with d = 3 (s = 2 minimal
+    nodes).  Vector entry points take a wrong length, a 2-D estimate and
+    NaN and inf entries; block entry points also one block short and one
+    too many; node-id entry points -1, V, 2.5 and True; block counts 0, -1
+    and one that does not divide the map's side.
+    """
+    tree = ex.binary7_network()
+    system, relax = ex.random_tree_system(1, tree, 3), sv.RelaxationAssignment.uniform(7)
+    dag = ex.figure_dag()
+    dsys, drelax = ex.random_dag_system(2, dag, 3), sv.RelaxationAssignment.uniform(6)
+    bs = cf.dag_block_structure(dsys, dag, drelax)
+    it = cf.tree_affine(system, tree, relax)
+    factors = cf.path_sor_factors(system, tree.path_from_root(3), relax)
+    a = system.rows[0]
+
+    def solve(sys_, net, rlx, start):
+        return sv.solve(sys_, net, rlx, sv.SolverConfig(max_iterations=2, initial_estimate=start))
+
+    vector_calls = {
+        "tree_iterate": lambda x: sv.tree_iterate(system, tree, relax, x),
+        "solve-tree": lambda x: solve(system, tree, relax, x),
+        "apply": it.apply,
+        "residual_norm": system.residual_norm,
+        "kaczmarz_update": lambda x: sv.kaczmarz_update(x, a, 1.0, 1.0),
+        "relaxed_p": lambda x: sv.relaxed_p(x, a, 1.0),
+        "relaxed_q": lambda x: sv.relaxed_q(x, a, 1.0, 1.0),
+        "project_null": lambda x: sv.project_null(x, a),
+        "project_affine": lambda x: sv.project_affine(x, a, 1.0),
+        "solve_coefficients": factors.solve_coefficients,
+    }
+    block_calls = {
+        "dag_iterate": lambda xs: sv.dag_iterate(dsys, dag, drelax, xs),
+        "solve-dag": lambda xs: solve(dsys, dag, drelax, np.array(xs)),
+        "condition_values": bs.condition_values,
+        "condition_residual": bs.condition_residual,
+    }
+    short = (DimensionError, r"expected a vector of length 3, got shape \(2,\)")
+    flat = (DimensionError, r"expected a vector, got shape \(1, 3\)")
+    nan = (ValueError, "vector contains non-finite entries")
+    bad_vectors = {
+        "length": (np.ones(2), short),
+        "2-d": (np.ones((1, 3)), flat),
+        "nan": (np.array([1.0, np.nan, 0.0]), nan),
+        "inf": (np.array([1.0, 0.0, -np.inf]), nan),
+    }
+    cases = []
+    for name, call in vector_calls.items():
+        for what, (x, (error, message)) in bad_vectors.items():
+            cases.append((f"{name}-{what}", lambda call=call, x=x: call(x), error, message))
+    cases.append(("kaczmarz_update-row-length",
+                  lambda: sv.kaczmarz_update(np.ones(2), np.ones(3), 1, 1), *short))
+    for name, call in block_calls.items():
+        for what, (x, (error, message)) in bad_vectors.items():
+            xs = [np.zeros_like(x), x]  # one shape, so a DAG solve's start is one array
+            cases.append((f"{name}-{what}", lambda call=call, xs=xs: call(xs), error, message))
+        for count in (1, 3):
+            xs = [np.zeros(3)] * count
+            message = f"one estimate per minimal node required: 2, got {count}"
+            cases.append((f"{name}-{count}-blocks", lambda call=call, xs=xs: call(xs),
+                          DimensionError, message))
+    for node in (-1, 7, 2.5, True):
+        message = rf"node {node!r} is not in 0\.\.6"
+        cases.append((f"path_sor_factors-{node!r}",
+                      lambda node=node: cf.path_sor_factors(system, [0, node], relax),
+                      DimensionError, message))
+        cases.append((f"relaxed_projection_matrix-{node!r}",
+                      lambda node=node: cf.relaxed_projection_matrix(system, node, 1.0),
+                      DimensionError, message))
+        end = 3 if node == 7 else node  # V = 3 for the tree built from edges
+        cases.append((f"from_edges-{node!r}",
+                      lambda end=end: tp.TreeNetwork.from_edges(3, 0, [(0, 1), (0, end)]),
+                      InvalidNetworkError, rf"edge \(0, {end!r}\) references an unknown node"))
+    three = cf.AffineIteration(B=0.5 * np.eye(3), c=np.ones(3))
+    for s in (0, -1, 2):
+        cases.append((f"restriction-s={s}", lambda s=s: three.restriction([np.ones(1)], s),
+                      DimensionError, rf"a map of side 3 does not split into {s} blocks"))
+    cases.append(("validate_tree-dag", lambda: tp.validate_tree(dag),
+                  TypeError, "expected a TreeNetwork, got DagNetwork"))
+    cases.append(("sampled_block_norm_lower_bound-vector",
+                  lambda: cf.sampled_block_norm_lower_bound(np.ones(4), 2),
+                  DimensionError, r"expected a matrix, got shape \(4,\)"))
+    basis = cf.row_space_basis(dsys)
+    for what, value in (("nan", np.nan), ("inf", np.inf)):
+        cases.append((f"dag_ls_minimizer-{what}",
+                      lambda value=value: cf.dag_ls_minimizer(bs, np.full(6, value), basis),
+                      ValueError, "the per-node profile must be positive and finite"))
+    return cases
+
+
+_BOUNDARY = _boundary_cases()
+
+
+@pytest.mark.parametrize("case", _BOUNDARY, ids=[c[0] for c in _BOUNDARY])
+def test_every_malformed_input_at_the_boundary_raises_a_named_error(case, capfd):
+    """Each malformed input ends in its named error and message; stdout and stderr stay empty."""
+    _, call, error, message = case
+    with pytest.raises(error, match=message):
+        call()
+    assert capfd.readouterr() == ("", "")
 
 
 class TestBudgetsAndVerdicts:
