@@ -50,7 +50,8 @@ The caches are filled by single attribute writes of values computed from
 immutable inputs alone, so a race between threads only computes equal
 values twice: an affine map keeps its last restriction, and the system,
 outside its fields, its row-space basis and the kernel of its last network
-(:class:`~distkaczmarz.solver.LinearSystem`).  No cache is a field, so
+(:class:`~distkaczmarz.solver.LinearSystem`), which keeps its last one-point
+map for the solve that follows an analysis.  No cache is a field, so
 equality, repr, copies and pickles never see one.  A sweep of more than
 one chunk runs its chunks on the caller and helper threads, joined before it
 returns: all sweeps running at once share one helper per further CPU of the
@@ -332,14 +333,15 @@ def _finite(maps: np.ndarray, name: str) -> np.ndarray:
 def _block_map(sys: LinearSystem, net, relax: RelaxationAssignment) -> BlockStructure:
     """The pass over a valid tree or DAG as a block map, from one kernel assembly.
 
-    The kernel's :meth:`~distkaczmarz.solver._Pass.affine` gives the block
-    rows of ``[B | c]``, one block per minimal node; a tree is the one-block
-    case, whose only minimal node is the root.  Raises
+    The kernel's :meth:`~distkaczmarz.solver._Pass.pass_map` gives the
+    block rows of ``[B | c]``, one block per minimal node, and keeps them
+    for a ``solve`` at the same relaxation; a tree is the one-block case,
+    whose only minimal node is the root.  Raises
     :class:`NumericalFailureError` when the map overflows.
     """
     _require_valid(sys, net, relax=relax)
     kernel = _kernel(sys, net)
-    (m,) = _finite(kernel.affine(relax.effective()), "the assembled pass map")
+    m = _finite(kernel.pass_map(relax.effective()), "the assembled pass map")
     aggregate = AffineIteration(m[:, :-1], m[:, -1])
     return BlockStructure(aggregate, kernel.sources, sys.ambient_dim, sys, net)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import closedform as cf
 from .closedform import restricted_rho
 from .errors import NonContractionError
-from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _iterate, _kernel, solve
+from .solver import LinearSystem, RelaxationAssignment, SolverConfig, solve
 from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce
 
 RNG_NAME = "numpy.random.default_rng(PCG64)"
@@ -350,8 +350,9 @@ def lsq_limit_study(
     """Distance of the down-scaled fixed point to the weighted LS minimizer.
 
     Also records how many iterations ``solve`` needs at each scale, showing
-    the accuracy/speed trade-off as the scale shrinks; the solve iterates
-    the scale's map as assembled for its fixed point, so each scale
+    the accuracy/speed trade-off as the scale shrinks; the solve reads the
+    scale's map that its fixed point assembled, kept by the system's pass
+    kernel (:meth:`~distkaczmarz.solver._Pass.pass_map`), so each scale
     assembles its map once.  Neither the pass kernel nor the row-space
     basis depends on the relaxation: the system keeps both, so one kernel
     serves every scale and one SVD of the rows the target and every fixed
@@ -361,7 +362,7 @@ def lsq_limit_study(
     does not contract are recorded and skipped.
     """
     target = cf.weighted_ls_minimizer(sys, net, relax)  # validates the tree and the assignment
-    basis, kernel = cf.row_space_basis(sys), _kernel(sys, net)
+    basis = cf.row_space_basis(sys)
     rows = []
     for s in s_values:
         scaled = relax.scaled(s)
@@ -373,8 +374,7 @@ def lsq_limit_study(
             continue
         budget = iteration_budget(it.restriction(basis).rho, target=1e-12)
         config = SolverConfig(max_iterations=budget, step_tolerance=1e-12)
-        pass_map = np.column_stack((it.B, it.c))  # the [B | c] that solve would assemble
-        report = _iterate(sys, kernel, scaled.effective(), True, config, pass_map=pass_map)
+        report = solve(sys, net, scaled, config)
         rows.append(
             LimitRow(
                 scale=s,

@@ -40,12 +40,15 @@ rows are complex, and takes the cheapest; omega stacks and one-column
 pushes keep the push.  Maps are assembled without floating-point warnings:
 one that overflows holds inf or NaN entries.
 ``tree_iterate`` and ``dag_iterate`` run the push on one column; ``solve``
-assembles the pass map ``x -> B x + c`` once, as the one matrix
-``[B | c]``, and iterates it in homogeneous form: each iterate row carries
-a trailing 1, so a pass is one ``[B | c].dot([x; 1])`` into the next row
-of a buffer.  When :func:`solve_route` finds that one pass is cheaper than
-assembling or applying ``B``, ``solve`` runs the kernel on one column per
-iteration instead.
+reads the pass map ``x -> B x + c`` as the one matrix ``[B | c]`` and
+iterates it in homogeneous form: each iterate row carries a trailing 1, so
+a pass is one ``[B | c].dot([x; 1])`` into the next row of a buffer.  The
+kernel keeps the last one-point map it assembled (:meth:`_Pass.pass_map`),
+keyed by the effective relaxation's bits, so an analysis and a solve of
+one system, network and relaxation assemble it once.  When
+:func:`solve_route` finds that one pass is cheaper than assembling or
+applying ``B``, ``solve`` runs the kernel on one column per iteration
+instead, and the kernel keeps no map.
 Either way ``solve`` has one loop: it fills a block of iterates, one pass
 per row, writes the block's steps behind them with one subtraction, and
 takes the norms that decide the stop for the whole block with one
@@ -59,7 +62,9 @@ A solve run owns its state and is single threaded; distinct runs over the
 same immutable system and network may execute concurrently.  They share
 the system's kernel, whose tables do not depend on the relaxation and whose
 calls allocate their own state; two threads that fill an empty slot only
-build equal kernels twice.  Every pass
+build equal kernels twice, and two that need the maps of different
+relaxations only assemble them twice, since the map slot is replaced by
+one attribute write and a call returns the map it read or made.  Every pass
 runs the same numpy operations over the same level layout, and the pooled
 sum is one matrix product in a fixed order of the maximal nodes, so
 repeated runs give identical results.
@@ -120,8 +125,9 @@ class LinearSystem:
     A system keeps what it derives without the relaxation, outside its
     fields as a network keeps its schedule: its row-space basis
     (:attr:`row_basis`) and the pass kernel of the last network it ran on
-    (:func:`_kernel`).  Equality, repr, copies and pickles see only the
-    fields, so a copy starts without them.
+    (:func:`_kernel`), with that kernel's last one-point map
+    (:meth:`_Pass.pass_map`).  Equality, repr, copies and pickles see only
+    the fields, so a copy starts without them.
     """
 
     rows: np.ndarray
@@ -215,6 +221,8 @@ class SolverConfig:
 
     ``initial_estimate`` is a read-only copy, narrowed to its real part when
     its imaginary part is exactly zero, as :class:`LinearSystem` narrows.
+    Blocks of different shapes raise :class:`DimensionError` naming their
+    shapes; :func:`solve` reads every other start by the estimate rule.
     """
 
     max_iterations: int = 10_000
@@ -229,7 +237,12 @@ class SolverConfig:
         if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
             raise ValueError(f"step_tolerance must be a positive finite number, got {tol!r}")
         if (start := self.initial_estimate) is not None:
-            object.__setattr__(self, "initial_estimate", _real_if_exact(np.asarray(start)))
+            try:
+                start = np.asarray(start)
+            except ValueError:  # numpy's inhomogeneous shape: blocks of different shapes
+                shapes = [np.asarray(b, dtype=object).shape for b in start]
+                raise DimensionError(f"initial estimate blocks differ in shape: {shapes}") from None
+            object.__setattr__(self, "initial_estimate", _real_if_exact(start))
 
 
 @value_dataclass(frozen=False)
@@ -343,7 +356,9 @@ class _Pass:
     outside ``topology`` only this class reads the schedule's padded level
     tables.  Its tables do not depend on the relaxation and every call
     allocates its own state, so threads share one kernel; build it with
-    :func:`_kernel`, which keeps it on the system.
+    :func:`_kernel`, which keeps it on the system.  One slot does depend on
+    the relaxation: :meth:`pass_map` keeps the last one-point map it
+    assembled, where :func:`solve_route` would iterate it.
     """
 
     def __init__(self, sys: LinearSystem, net: TreeNetwork | DagNetwork):
@@ -362,6 +377,7 @@ class _Pass:
             len(order), len(self.schedule.levels), self.width, self.dim, np.iscomplexobj(rows),
             self.schedule.parent is not None,
         )
+        self.last_map = None  # (omega.tobytes(), [B | c]) of the last kept point
 
     def push(self, starts, t: np.ndarray, omega) -> np.ndarray:
         """Carry one (d, m) block per minimal node through the pass at relaxation ``omega``.
@@ -435,6 +451,26 @@ class _Pass:
             starts = eye[:k].reshape(len(self.sources), self.dim, -1)
             out = self.push(starts, eye[k], omega)
         return out.reshape(k, points, k + 1).transpose(1, 0, 2)
+
+    def pass_map(self, omega: np.ndarray) -> np.ndarray:
+        """One point's ``[B | c]`` from :meth:`affine`, read-only and kept for the last ``omega``.
+
+        An ``omega`` equal bit for bit to that of the kept map returns that
+        map without assembling it again.  A map is kept only where
+        :func:`solve_route` takes the affine route, so a map that ``solve``
+        would not iterate, such as a wide DAG's, does not outlive its
+        caller.  The slot is replaced by a single attribute write and the
+        map returned is the one this call read or made, so threads at
+        different relaxations only assemble twice.
+        """
+        key, held = omega.tobytes(), self.last_map
+        if held is not None and held[0] == key:
+            return held[1]
+        (m,) = self.affine(omega)
+        m.flags.writeable = False
+        if solve_route(len(self.sources), self.dim, self.size) == "affine":
+            self.last_map = (key, m)
+        return m
 
     def _node_maps(self, omega: np.ndarray) -> np.ndarray:
         """Every node's update at one point as a homogeneous ``(d + 1)``-square map, stacked.
@@ -670,7 +706,9 @@ def solve(
     reduction covers the steps alone; any other block, NaN and inf entries
     included, takes every norm.  On the affine route row j is ``[x_j; 1]``
     and a pass is one ``[B | c].dot([x_j; 1])`` into the first ``s d``
-    entries of row j + 1, through row views bound once per solve; norms
+    entries of row j + 1, through row views bound once per solve; the map
+    is the kernel's kept one when an analysis at the same relaxation
+    assembled it (:meth:`_Pass.pass_map`), else assembled and kept; norms
     square whole contiguous rows and reduce them without their last column,
     and every estimate and report reads the rows without it.  The stops are
     those of one pass at a time:
@@ -684,22 +722,7 @@ def solve(
       Iterates after it may overflow; they are never reported.
     """
     _require_valid(sys, net, relax=relax)
-    return _iterate(sys, _kernel(sys, net), relax.effective(), isinstance(net, TreeNetwork), config)
-
-
-def _iterate(
-    sys: LinearSystem,
-    run: _Pass,
-    omega: np.ndarray,
-    tree: bool,
-    config: SolverConfig,
-    pass_map: np.ndarray | None = None,
-) -> SolveReport:
-    """The block loop of :func:`solve` on a built kernel ``run`` at effective relaxation ``omega``.
-
-    ``pass_map`` is the pass's ``[B | c]`` when the caller has assembled it;
-    the affine route assembles it otherwise, and the engine route ignores it.
-    """
+    run, omega, tree = _kernel(sys, net), relax.effective(), isinstance(net, TreeNetwork)
     public = (lambda blocks: blocks[0]) if tree else list  # one tree estimate
     state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)
     route = solve_route(len(run.sources), run.dim, run.size)
@@ -709,11 +732,9 @@ def _iterate(
     rows = buf[:, :-1].reshape(len(buf), *state.shape)  # one block per minimal node
     rows[0] = state
     if route == "affine":
-        if pass_map is None:
-            (pass_map,) = run.affine(omega)
         # cast once to the iterates' dtype: a complex start on a real system would
         # otherwise cast the map on every pass
-        apply = pass_map.astype(buf.dtype, copy=False).dot
+        apply = run.pass_map(omega).astype(buf.dtype, copy=False).dot
         passes = list(zip(buf[:block], buf[1 : block + 1, :-1]))
     a_t, tol = sys.system_matrix().T, config.step_tolerance
     steps: list[float] = []

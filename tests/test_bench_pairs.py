@@ -80,8 +80,9 @@ UNSOUND = "FAIL (a run is not correct or failed operations)"
         (1.0, [_run(1.0), _run(1.0, failed=2)], UNSOUND),
         (1.0, [_run(math.nan), _run(math.nan)], "FAIL (worse than its bound)"),
         (0.0, [_run(1.0), _run(1.0)], "FAIL (worse than its bound)"),  # ratio inf
+        (1.0, [_run(1.0), _run(math.inf)], "FAIL (worse than its bound)"),  # inf quartiles
     ],
-    ids=["not-correct", "failed-operations", "nan-ratio", "inf-ratio"],
+    ids=["not-correct", "failed-operations", "nan-ratio", "inf-ratio", "inf-sample"],
 )
 def test_judge_fails_an_unsound_run_and_a_non_finite_ratio(parent, change, verdict):
     metric = {"name": "m", "better": "higher", "bound": 0.25}

@@ -294,6 +294,8 @@ def _boundary_cases():
             message = f"one estimate per minimal node required: 2, got {count}"
             cases.append((f"{name}-{count}-blocks", lambda call=call, xs=xs: call(xs),
                           DimensionError, message))
+    cases.append(("solve-dag-ragged", lambda: solve(dsys, dag, drelax, [np.zeros(3), np.ones(2)]),
+                  DimensionError, r"initial estimate blocks differ in shape: \[\(3,\), \(2,\)\]"))
     for node in (-1, 7, 2.5, True):
         message = rf"node {node!r} is not in 0\.\.6"
         cases.append((f"path_sor_factors-{node!r}",

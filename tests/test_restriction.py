@@ -208,7 +208,7 @@ def test_the_limit_study_solves_one_eigenproblem_per_contractive_scale(monkeypat
 
 
 def _limit_rows_by_solve(system, net, relax, scales):
-    """The limit study with one public ``solve`` per scale, which assembles the map again."""
+    """The limit study with one public ``solve`` per scale, which reads the map ``tree_affine`` kept."""
     target = cf.weighted_ls_minimizer(system, net, relax)
     basis = cf.row_space_basis(system)
     rows = []

@@ -1,13 +1,17 @@
-"""A system keeps its ω-free facts: the row-space basis and one pass kernel per network.
+"""A system keeps its ω-free facts, the row-space basis and one pass kernel, and its last map.
 
 ``LinearSystem.row_basis`` is one SVD on the first read, kept read-only;
 ``closedform.row_space_basis`` hands out a fresh list of its rows.
 ``solver._kernel`` keeps the kernel of the last network the system ran on,
 matched by identity, so every analysis and solve of one system and network
-builds one kernel.  Neither cache is a field: equality and repr ignore
-them, and a copy or a pickle starts without them.  Results read through
-warm caches equal those of a cold system bit for bit, also when threads
-share one system.
+builds one kernel.  The kernel keeps its last one-point map, read-only,
+keyed by the effective relaxation's bits (``_Pass.pass_map``), where
+``solve_route`` takes the affine route: an analysis and then a solve of one
+system, network and relaxation assemble the map once, and an engine-route
+map is not kept.  No cache is a field: equality and repr ignore them, and
+a copy or a pickle starts without them.  Results read through warm caches
+equal those of a cold system bit for bit, also when threads share one
+system at two relaxations and on two networks.
 """
 
 import copy
@@ -119,10 +123,54 @@ def test_one_kernel_serves_every_analysis_of_a_dag(monkeypatch):
     assert built == [net, other, net]
 
 
-def _results(system, net):
+def _count_assemblies(monkeypatch):
+    made = []
+    affine = sv._Pass.affine
+
+    def counting(self, omega):
+        made.append(omega.shape)
+        return affine(self, omega)
+
+    monkeypatch.setattr(sv._Pass, "affine", counting)
+    return made
+
+
+@pytest.mark.parametrize("case, analyze", [(_tree_case, cf.tree_affine), (_dag_case, cf.dag_block_structure)])
+def test_a_solve_after_an_analysis_at_one_relaxation_assembles_once(monkeypatch, case, analyze):
+    system, net = case()
+    relax = sv.RelaxationAssignment.uniform(net.node_count, 0.9)
+    made = _count_assemblies(monkeypatch)
+    analyze(system, net, relax)
+    first = sv.solve(system, net, relax)
+    assert len(made) == 1 and first.route == "affine"
+    sv.solve(system, net, relax.scaled(0.5))  # another effective relaxation assembles again
+    assert len(made) == 2
+    key, kept = vars(system)["_pass"][1].last_map
+    cold = cf.dag_block_structure(copy.copy(system), net, relax.scaled(0.5)).aggregate
+    assert key == relax.scaled(0.5).effective().tobytes()
+    assert np.array_equal(kept, np.column_stack((cold.B, cold.c)))
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 1.0
+
+
+def test_an_engine_route_map_is_not_kept(monkeypatch):
+    net = tp.TreeNetwork.from_edges(3, 0, [(0, 1, 0.5), (0, 2, 0.5)])
+    system = ex.random_tree_system(5, net, dim=65, consistent=True)
+    relax = sv.RelaxationAssignment.uniform(3, 1.0)
+    made = _count_assemblies(monkeypatch)
+    it = cf.tree_affine(system, net, relax)
+    run = vars(system)["_pass"][1]
+    assert sv.solve_route(len(run.sources), run.dim, run.size) == "engine"
+    assert run.last_map is None and len(made) == 1
+    cf.tree_affine(system, net, relax)
+    assert len(made) == 2 and it.B.shape == (65, 65)
+
+
+def _results(system, net, scale=1.0):
     """Every cached path once: a solve, the block map, a sweep and the basis."""
     v = net.node_count
-    relax = sv.RelaxationAssignment(np.linspace(0.6, 1.2, v))
+    relax = sv.RelaxationAssignment(np.linspace(0.6, 1.2, v), scale)
     omega = np.repeat(np.linspace(0.5, 1.5, v)[:, None], 7, axis=1) * np.linspace(0.8, 1.2, 7)
     return (
         sv.solve(system, net, relax),
@@ -142,15 +190,20 @@ def test_warm_and_cold_results_are_bit_identical(case):
 
 @pytest.mark.parametrize("case", [_tree_case, _dag_case])
 def test_threads_sharing_one_system_read_the_cold_results(case):
-    """More threads than cores and a tiny switch interval, two networks taking turns in the slot."""
+    """More threads than cores and a tiny switch interval; two networks and two relaxations take turns.
+
+    The networks turn over the system's kernel slot and the relaxations the
+    kernel's map slot.
+    """
     system, net = case()
-    nets = [net, copy.copy(net)]
-    cold = _results(copy.copy(system), net)
+    nets, scales = [net, copy.copy(net)], (1.0, 0.5)
+    cold = {scale: _results(copy.copy(system), net, scale) for scale in scales}
     failures = []
 
     def work():
         for i in range(20):
-            if _results(system, nets[i % 2]) != cold:
+            scale = scales[i // 2 % 2]
+            if _results(system, nets[i % 2], scale) != cold[scale]:
                 failures.append(i)
 
     interval = sys.getswitchinterval()

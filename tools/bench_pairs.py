@@ -49,6 +49,21 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, smoke: bool) 
     return json.loads(lines[-1])
 
 
+def _quartiles(a: np.ndarray) -> list[float]:
+    """Median, first and third quartile by numpy's linear rule, without its warning on inf samples.
+
+    ``np.percentile`` computes ``inf - inf`` at an inf sample and reports
+    NaN with a ``RuntimeWarning``; here a quantile between two equal
+    samples is that sample, and one between a finite and an infinite
+    sample is infinite.
+    """
+    s = np.sort(a)
+    pos = np.array([0.5, 0.25, 0.75]) * (len(s) - 1)
+    lo, hi = s[np.floor(pos).astype(int)], s[np.ceil(pos).astype(int)]
+    with np.errstate(invalid="ignore"):
+        return np.where(lo == hi, lo, lo + (hi - lo) * (pos % 1.0)).tolist()
+
+
 def judge(metric: dict, parent: list[dict], change: list[dict]) -> dict:
     """One metric's row over the pairs of runs of one workload."""
     name, lower = metric["name"], metric["better"] == "lower"
@@ -63,8 +78,8 @@ def judge(metric: dict, parent: list[dict], change: list[dict]) -> dict:
     worse = ratio > 1.0 + metric["bound"] if lower else ratio < 1.0 - metric["bound"]
     return {
         **row,
-        "parent": np.percentile(a, [50, 25, 75]).tolist(),
-        "change": np.percentile(b, [50, 25, 75]).tolist(),
+        "parent": _quartiles(a),
+        "change": _quartiles(b),
         "wins": int(np.sum(b < a if lower else b > a)),
         "pairs": len(a),
         "ratio": ratio,
