@@ -74,6 +74,7 @@ import numpy as np
 from .errors import ApplicabilityError, DimensionError, NonContractionError, NumericalFailureError
 from .errors import PartitionError
 from .numerics import (
+    _checked,
     _checked_columns,
     _eigvals,
     _max_modulus,
@@ -106,7 +107,6 @@ from .topology import (
     ResolvedGroup,
     SubnetworkPartition,
     TreeNetwork,
-    _checked_network,
     _cover_violations,
     _is_node,
     enumerate_updown_paths,
@@ -166,7 +166,7 @@ def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.nda
 
     ``v`` must be a node id of ``sys`` (:class:`DimensionError` otherwise).
     """
-    a = sys.rows[_node(sys, v)]
+    a = _checked(sys, LinearSystem).rows[_node(sys, v)]
     nrm2 = float(np.vdot(a, a).real)
     d = sys.ambient_dim
     return np.eye(d, dtype=a.dtype) - (omega / nrm2) * np.outer(a, a.conj())
@@ -178,7 +178,7 @@ def row_space_basis(sys: LinearSystem) -> list[np.ndarray]:
     The rows of the system's :attr:`~distkaczmarz.solver.LinearSystem.row_basis`,
     one SVD per system, in a fresh list.
     """
-    return list(sys.row_basis)
+    return list(_checked(sys, LinearSystem).row_basis)
 
 
 def _block_columns(s: int, q: np.ndarray) -> np.ndarray:
@@ -355,7 +355,7 @@ def tree_affine(
     from the same builder; only a tree is taken here.  The paper's form, the
     leaf-weighted sum of path SOR maps, equals it and stays a cross-check.
     """
-    return _block_map(sys, _checked_network(net), relax).aggregate
+    return _block_map(sys, _checked(net, TreeNetwork), relax).aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def tree_affine(
 
 
 def _as_resolved(net: TreeNetwork, group) -> ResolvedGroup:
-    _checked_network(net)
+    _checked(net, TreeNetwork)
     if isinstance(group, ResolvedGroup):
         return group
     return resolve_groups(net, SubnetworkPartition.of([group]))[0]
@@ -445,7 +445,7 @@ def subnetwork_norm(
     sys: LinearSystem, net: TreeNetwork, group, relax: RelaxationAssignment
 ) -> float:
     """Operator norm of the group map restricted to the span of its rows."""
-    return _group_norms(sys, net, _as_resolved(net, group), (relax,))[0]
+    return _group_norms(_checked(sys, LinearSystem), net, _as_resolved(net, group), (relax,))[0]
 
 
 def _group_norms(sys: LinearSystem, net: TreeNetwork, g: ResolvedGroup, relaxations) -> list[float]:
@@ -473,8 +473,8 @@ def leaf_norm_formula(
     stacks ``w(gateway, leaf) * omega_leaf / |a_leaf|^2`` and G is the Gram
     matrix of the leaf rows.  Only applicable to groups made of leaves.
     """
-    g, weights, norms2 = _leaf_group(sys, net, group, "Gram-spectrum norm")
     _require_assignment(sys, relax)
+    g, weights, norms2 = _leaf_group(sys, net, group, "Gram-spectrum norm")
     diag = weights * relax.effective()[list(g.leaves)] / norms2
     spec = eigenvalues(np.diag(diag) @ gram([sys.rows[v] for v in g.leaves]))
     vals = spec.eigenvalues
@@ -500,7 +500,7 @@ def admissible_upper_bound(sys: LinearSystem, net: TreeNetwork, group, leaf: int
     matrix is the squared largest singular value of their stacked rows, so
     no L x L spectrum is formed.
     """
-    bounds = _leaf_bounds(sys, net, group)
+    bounds = _leaf_bounds(_checked(sys, LinearSystem), net, group)
     if leaf not in bounds:
         raise ValueError(f"node {leaf} is not a leaf of this group")
     return bounds[leaf]
@@ -547,13 +547,14 @@ def check_admissibility(
     (:func:`subnetwork_norm`) to be below 1, and a leaf group also reports
     each leaf's :func:`admissible_upper_bound`.  Groups are subtrees, so an
     empty partition is the only one a DAG takes, and condition 1 then covers
-    every node; a non-empty one on a DAG raises the ``TypeError`` of
-    :func:`resolve_groups`.  A down-scaled assignment is also judged at
+    every node; a non-empty one on a DAG raises the type rule's
+    ``TypeError`` (:func:`~distkaczmarz.numerics._checked`), as an argument
+    of any other type does.  A down-scaled assignment is also judged at
     scale 1.  Raises :class:`NumericalFailureError` when a group's map
     overflows.
     """
     _require_valid(sys, net, relax=relax)
-    groups = resolve_groups(net, part) if part.groups else []
+    groups = resolve_groups(net, part) if _checked(part, SubnetworkPartition).groups else []
     grouped = set().union(*(g.members for g in groups))
     free = [v for v in range(net.node_count) if v not in grouped]
     omega = relax.effective()
@@ -643,7 +644,7 @@ def fixed_point(it: AffineIteration, row_space_basis: Sequence[np.ndarray]) -> n
     Requires the restricted spectral radius to be below 1; otherwise the
     iteration does not contract there and no limit exists.
     """
-    return _fixed_point_on(it, it.restriction(row_space_basis))
+    return _fixed_point_on(it, _checked(it, AffineIteration).restriction(row_space_basis))
 
 
 @value_dataclass
@@ -675,7 +676,8 @@ def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyRe
     ``rho_restricted``.  A B with zero imaginary part goes to the real
     solver, as in :func:`~distkaczmarz.numerics.eigenvalues`.
     """
-    d, a_t = sys.ambient_dim, sys.system_matrix().T
+    _checked(it, AffineIteration)
+    d, a_t = _checked(sys, LinearSystem).ambient_dim, sys.system_matrix().T
     s = len(_blocks(it.B.diagonal(), d))  # DimensionError unless B's side splits into d-blocks
     vals, vecs = np.linalg.eig(_real_if_exact(it.B))
     basis = row_space_basis(sys)
@@ -868,7 +870,7 @@ def dag_block_structure(
 
 def dag_restricted_rho(bs: BlockStructure, row_basis: Sequence[np.ndarray]) -> float:
     """Spectral radius of the block map restricted to the stacked row space; 0 on an empty basis."""
-    return bs.aggregate.restriction(row_basis, bs.s).rho
+    return _checked(bs, BlockStructure).aggregate.restriction(row_basis, bs.s).rho
 
 
 def _sweep_axes(omega: np.ndarray, most: int) -> list[list[int]] | None:
@@ -1136,7 +1138,7 @@ def dag_fixed_point(
     :class:`NonContractionError` when the restricted block map does not
     contract.
     """
-    res = bs.aggregate.restriction(row_basis, bs.s)
+    res = _checked(bs, BlockStructure).aggregate.restriction(row_basis, bs.s)
     blocks = np.split(_fixed_point_on(bs.aggregate, res), bs.s)
     return blocks, bs.condition_residual(blocks)
 
@@ -1155,7 +1157,7 @@ def dag_ls_minimizer(
     :class:`DimensionError`, and one with an entry that is not finite and
     positive (NaN, inf, 0 or below) raises ``ValueError`` before any solve.
     """
-    c, v = np.asarray(c, dtype=float), bs.system.node_count
+    c, v = np.asarray(c, dtype=float), _checked(bs, BlockStructure).system.node_count
     if c.shape != (v,):
         raise DimensionError(f"the per-node profile has shape {c.shape}, expected ({v},)")
     if not ((0.0 < c) & (c < math.inf)).all():  # NaN fails both comparisons

@@ -23,6 +23,7 @@ import numpy as np
 from . import closedform as cf
 from .closedform import restricted_rho
 from .errors import NonContractionError
+from .numerics import _checked
 from .solver import LinearSystem, RelaxationAssignment, SolverConfig, solve
 from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce
 
@@ -78,7 +79,7 @@ class GeneratedSystem(NamedTuple):
 
 def generate_system(spec: GeneratorSpec) -> GeneratedSystem:
     """Deterministic system for a spec; zero rows are redrawn (and counted)."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(_checked(spec, GeneratorSpec).seed)
     if spec.kind == "uniform":
         matrix = rng.uniform(0.0, 1.0, size=(spec.k, spec.d))
     else:
@@ -135,7 +136,7 @@ def random_tree_system(
 ) -> LinearSystem:
     """Random system on a tree's or DAG's nodes; consistent ones hide an exact solution."""
     rng = np.random.default_rng(seed)
-    k = net.node_count
+    k = _checked(net, TreeNetwork, DagNetwork).node_count
     rows = _draw_rows(rng, k, dim, complex_entries, well_conditioned)
     if rank_deficient and k >= 2:
         # duplicate a scaled row so the row span loses a dimension
@@ -300,7 +301,7 @@ def omega_sweep(
         raise ValueError("empty sweep grid")
     if any(len(pt) != len(axes) for pt in grid):
         raise ValueError("grid tuples must match the number of axes")
-    check_sweep_axes(axes, net.node_count)
+    check_sweep_axes(axes, _checked(net, TreeNetwork, DagNetwork).node_count)
     rho = restricted_rho(sys, net, _omega_stack(net.node_count, axes, grid, baseline)).tolist()
     baseline_rho = rho.pop()
     argmin = int(np.argmin(rho))
@@ -325,7 +326,7 @@ def compare_structures(
     """Side-by-side 1-d sweeps with one shared parameter over each structure."""
     return tuple(
         omega_sweep(sys, net, grid, [tuple(sorted(set().union(*part.groups)))], baseline=baseline)
-        for part in (structure_a, structure_b)
+        for part in [_checked(p, SubnetworkPartition) for p in (structure_a, structure_b)]
     )
 
 

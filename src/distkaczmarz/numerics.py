@@ -22,6 +22,12 @@ LAPACK solver, which is about twice as fast on small matrices and returns
 conjugate pairs exactly.  :func:`spectral_radius` reads the largest modulus
 straight from the solver's output; only :func:`eigenvalues` sorts.
 
+Next to the freeze rule :func:`value_dataclass` sits the package's one type
+rule, :func:`_checked`: every entry point that takes a value object (a
+system, a network, a relaxation, a partition, a map or a block structure)
+checks it there before its first attribute read, so a wrong argument ends
+in a ``TypeError`` that names the class it needs.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -76,6 +82,19 @@ def _frozen(value):
         value.setflags(write=False)
     elif isinstance(value, Mapping):
         value = MappingProxyType(dict(value))
+    return value
+
+
+def _checked(value, *types):
+    """``value`` if it is an instance of one of ``types``, else ``TypeError`` naming them.
+
+    The package's one type rule.  ``types`` are concrete classes: an
+    ``isinstance`` against an ABC such as ``numbers.Real`` costs about four
+    times as much, which an entry point on a hot path would pay per call.
+    """
+    if not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"expected a {names}, got {type(value).__name__}")
     return value
 
 

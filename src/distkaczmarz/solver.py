@@ -81,9 +81,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
-from .numerics import _frozen, _real_if_exact, _stack, _vector, as_matrix, as_vector
+from .numerics import _checked, _frozen, _real_if_exact, _stack, _vector, as_matrix, as_vector
 from .numerics import orthonormal_basis, value_dataclass
-from .topology import DagNetwork, TreeNetwork, _checked_network
+from .topology import DagNetwork, TreeNetwork
 
 DIVERGENCE_FACTOR = 1e12
 # ``solve`` iterates the assembled map while it costs at most a few passes to
@@ -178,6 +178,11 @@ class LinearSystem:
         return float(np.linalg.norm(self.system_matrix() @ _vector(x, self.ambient_dim) - self.rhs))
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number and not a bool, as a scale or a step tolerance must be."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _checked_omega(omega) -> np.ndarray:
     """Relaxation parameters as a float array of any shape; each must be finite and nonnegative."""
     om = np.asarray(omega, dtype=float)
@@ -200,8 +205,8 @@ class RelaxationAssignment:
         om = _checked_omega(self.omega)
         if om.ndim != 1:
             raise DimensionError("omega must be one value per node")
-        if not (0.0 < self.scale <= 1.0):
-            raise ValueError("scale must lie in (0, 1]")
+        if not (_is_real(self.scale) and 0.0 < self.scale <= 1.0):
+            raise ValueError(f"scale must be a number in (0, 1], got {self.scale!r}")
         object.__setattr__(self, "omega", om)
 
     @classmethod
@@ -234,7 +239,7 @@ class SolverConfig:
         if not isinstance(it, numbers.Integral) or isinstance(it, bool) or it < 1:
             raise ValueError(f"max_iterations must be a positive integer, got {it!r}")
         tol = self.step_tolerance
-        if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
+        if not (_is_real(tol) and 0.0 < tol < math.inf):
             raise ValueError(f"step_tolerance must be a positive finite number, got {tol!r}")
         if (start := self.initial_estimate) is not None:
             try:
@@ -315,19 +320,26 @@ def relaxed_q(x, a, b, omega: float) -> np.ndarray:
 
 
 def _require_assignment(sys: LinearSystem, relax: RelaxationAssignment) -> None:
-    """Raise unless ``relax`` holds one value per equation of ``sys``."""
-    if relax.omega.shape[0] != sys.node_count:
+    """Raise unless ``sys`` is a system and ``relax`` an assignment of one value per equation.
+
+    Either of another type raises the ``TypeError`` of
+    :func:`~distkaczmarz.numerics._checked`.
+    """
+    _checked(sys, LinearSystem)
+    if _checked(relax, RelaxationAssignment).omega.shape[0] != sys.node_count:
         raise DimensionError(f"{relax.omega.shape[0]} relaxation values for {sys.node_count} nodes")
 
 
 def _require_valid(sys: LinearSystem, net, expected=(TreeNetwork, DagNetwork), relax=None) -> None:
     """Raise unless ``net`` is a valid network of an ``expected`` type, one node per equation.
 
-    Given ``relax``, it must also hold one value per node.  The verdict is
-    the one the network caches, so a network is validated once.
+    ``sys`` must be a :class:`LinearSystem` and, given, ``relax`` a
+    :class:`RelaxationAssignment` of one value per node; a wrong type of
+    any of the three raises the ``TypeError`` of
+    :func:`~distkaczmarz.numerics._checked`.  The verdict is the one the
+    network caches, so a network is validated once.
     """
-    _checked_network(net, expected)
-    if sys.node_count != net.node_count:
+    if _checked(sys, LinearSystem).node_count != _checked(net, *expected).node_count:
         raise DimensionError("system and network disagree on the node count")
     if relax is not None:
         _require_assignment(sys, relax)
@@ -685,7 +697,7 @@ def solve_route(minimal: int, dim: int, size: int) -> str:
 
 def solve(
     sys: LinearSystem,
-    net,
+    net: TreeNetwork | DagNetwork,
     relax: RelaxationAssignment,
     config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
@@ -722,6 +734,7 @@ def solve(
       Iterates after it may overflow; they are never reported.
     """
     _require_valid(sys, net, relax=relax)
+    _checked(config, SolverConfig)
     run, omega, tree = _kernel(sys, net), relax.effective(), isinstance(net, TreeNetwork)
     public = (lambda blocks: blocks[0]) if tree else list  # one tree estimate
     state = _initial_blocks(sys, tree, len(run.sources), config.initial_estimate)

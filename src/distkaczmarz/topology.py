@@ -25,6 +25,11 @@ types inherit, derives from them the ``order`` (the levels one after
 another) and the pass schedule, and caches the validation; the validation
 and the path counts read the levels too.
 
+Every entry point checks its network, and a partition route its
+:class:`SubnetworkPartition`, by the package's one type rule
+(:func:`~distkaczmarz.numerics._checked`), and reads node ids, network
+edges and partition members alike, by one predicate (:func:`_is_node`).
+
 Networks are immutable after construction; all queries are read-only.
 Both network types are value classes
 (:func:`~distkaczmarz.numerics.value_dataclass`, the package's one freeze
@@ -53,7 +58,7 @@ import numpy as np
 
 from .errors import AncestryError, ApplicabilityError, CycleError, InvalidNetworkError
 from .errors import PartitionError
-from .numerics import _frozen, value_dataclass
+from .numerics import _checked, _frozen, value_dataclass
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_ENUMERATED_PATHS = 100_000  # path enumerations above this count refuse to start
@@ -489,9 +494,9 @@ def validate_tree(net: TreeNetwork) -> list[Violation]:
     The root must be a node id without a parent entry, every node must be
     on one of the root's levels, and the weights must be keyed by the edges
     ``(parent[v], v)``, positive and summing to 1 per parent.  Any other
-    network type raises the ``TypeError`` of :func:`_checked_network`.
+    type raises the ``TypeError`` of :func:`~distkaczmarz.numerics._checked`.
     """
-    _checked_network(net)
+    _checked(net, TreeNetwork)
     out: list[Violation] = []
     if not _is_node(net.root, net.node_count):
         out.append(Violation("root", f"root {net.root} outside node range", (net.root,)))
@@ -505,6 +510,7 @@ def validate_tree(net: TreeNetwork) -> list[Violation]:
 
 def path_weight(net: TreeNetwork, u: int, v: int) -> float:
     """Product of edge weights along the unique path from ancestor u down to v."""
+    _checked(net, TreeNetwork)
     if u == v:
         return 1.0
     path = net.path_from_root(v)
@@ -512,18 +518,6 @@ def path_weight(net: TreeNetwork, u: int, v: int) -> float:
         raise AncestryError(f"node {u} is not an ancestor of node {v}")
     start = path.index(u)
     return _chain_weight(net.edge_weight, path[start:], path[start + 1 :])
-
-
-def _checked_network(net, expected: tuple = (TreeNetwork,)):
-    """``net`` if it is of an ``expected`` network type, else ``TypeError`` naming the types.
-
-    The one network-type rule: every route for one network type (a tree by
-    default) or for either checks its network here.
-    """
-    if not isinstance(net, expected):
-        names = " or ".join(t.__name__ for t in expected)
-        raise TypeError(f"expected a {names}, got {type(net).__name__}")
-    return net
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +530,18 @@ class SubnetworkPartition:
 
     ``groups`` is kept as a tuple of frozensets, whatever iterables of
     node ids it is given, so a partition is hashable and never shares a
-    mutable set with its caller.
+    mutable set with its caller.  A group that is not iterable, such as a
+    node id of groups given flat, raises ``TypeError`` naming the group.
     """
 
     groups: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(map(frozenset, self.groups)))
+        groups = tuple(self.groups)
+        for gi, group in enumerate(groups):
+            if not isinstance(group, Iterable):
+                raise TypeError(f"group {gi} is not an iterable of node ids: {group!r}")
+        object.__setattr__(self, "groups", tuple(map(frozenset, groups)))
 
     @classmethod
     def of(cls, groups: Iterable[Iterable[int]]) -> "SubnetworkPartition":
@@ -563,12 +562,14 @@ class ResolvedGroup:
 def _cover_violations(net: TreeNetwork, part: SubnetworkPartition) -> list[Violation]:
     """The cross-group rule: nodes in two groups, then leaves in no group.
 
-    The root joins no group, so it is never an uncovered leaf.
+    The root joins no group, so it is never an uncovered leaf.  Members
+    that are no node id (:func:`_is_node`) are left to :func:`_unknown_nodes`:
+    a float 4.0 or a ``True`` covers no node.
     """
     out: list[Violation] = []
     seen: dict[int, int] = {}
     for gi, members in enumerate(part.groups):
-        for v in members:
+        for v in (v for v in members if _is_node(v, net.node_count)):
             if v in seen:
                 out.append(Violation("disjoint", f"node {v} in groups {seen[v]} and {gi}", (v,)))
             seen[v] = gi
@@ -580,9 +581,14 @@ def _cover_violations(net: TreeNetwork, part: SubnetworkPartition) -> list[Viola
 
 
 def _unknown_nodes(net: TreeNetwork, gi: int, members) -> list[Violation]:
-    """A group's nodes outside the node range, ascending, as violations."""
-    unknown = sorted(v for v in members if not 0 <= v < net.node_count)
-    return [Violation("unknown-node", f"group {gi} references node {v}", (v,)) for v in unknown]
+    """A group's members that are no node id (:func:`_is_node`), as violations.
+
+    They come sorted by type name, then ascending within a type, so ids of
+    different types are never compared.
+    """
+    unknown = [v for v in members if not _is_node(v, net.node_count)]
+    unknown.sort(key=lambda v: (type(v).__name__, v))
+    return [Violation("unknown-node", f"group {gi} references node {v!r}", (v,)) for v in unknown]
 
 
 def _resolve_group(net: TreeNetwork, gi: int, members: frozenset) -> ResolvedGroup | Violation:
@@ -617,7 +623,7 @@ def _group_violations(net: TreeNetwork, gi: int, members) -> list[Violation]:
     once, no unique gateway after the condition scans.
     """
     out = _unknown_nodes(net, gi, members)
-    members = frozenset(v for v in members if 0 <= v < net.node_count)
+    members = frozenset(v for v in members if _is_node(v, net.node_count))
     group = _resolve_group(net, gi, members)
     if isinstance(group, Violation) and group.kind != "gateway":
         return out + [group]
@@ -658,7 +664,7 @@ def validate_subnetworks(net: TreeNetwork, part: SubnetworkPartition) -> list[Vi
     be quadratic in the group sizes: each leaf member names every missing
     sibling.
     """
-    out = _cover_violations(_checked_network(net), part)
+    out = _cover_violations(_checked(net, TreeNetwork), _checked(part, SubnetworkPartition))
     for gi, members in enumerate(part.groups):
         out.extend(_group_violations(net, gi, members))
     return out
@@ -671,9 +677,9 @@ def resolve_groups(net: TreeNetwork, part: SubnetworkPartition) -> list[Resolved
     root or gateway violation; conditions 1-3 are left to
     :func:`validate_subnetworks`.
     """
-    _checked_network(net)
+    _checked(net, TreeNetwork)
     resolved = []
-    for gi, members in enumerate(part.groups):
+    for gi, members in enumerate(_checked(part, SubnetworkPartition).groups):
         unknown = _unknown_nodes(net, gi, members)
         group = unknown[0] if unknown else _resolve_group(net, gi, members)
         if isinstance(group, Violation):
@@ -692,7 +698,7 @@ def root_subtree_partition(net: TreeNetwork) -> SubnetworkPartition:
     1 then wants them in its group, which no partition of the root's
     children can give without condition 3 failing.
     """
-    below = _checked_network(net).children
+    below = _checked(net, TreeNetwork).children
     tops = below.get(net.root, ())
     return SubnetworkPartition([_reached(c, below.__getitem__) for c in tops])
 
@@ -703,7 +709,7 @@ def leaf_sibling_partition(net: TreeNetwork) -> SubnetworkPartition:
     Parents with any non-leaf child contribute no group, so the partition may
     leave some leaves uncovered; callers decide whether that is acceptable.
     """
-    below = _checked_network(net).children.values()
+    below = _checked(net, TreeNetwork).children.values()
     return SubnetworkPartition([kids for kids in below if kids and all(map(net.is_leaf, kids))])
 
 
@@ -798,7 +804,7 @@ class DagNetwork(_Layout):
 
 def validate_dag(net: DagNetwork) -> list[Violation]:
     """Check acyclicity, weak connectivity, cover-only edges and weight sums."""
-    _checked_network(net, (DagNetwork,))
+    _checked(net, DagNetwork)
     out: list[Violation] = []
     try:
         order = net.order
@@ -827,9 +833,9 @@ def validate_dag(net: DagNetwork) -> list[Violation]:
     return out + _weight_violations(net.w_p, _out_groups(net.successors), "pooling")
 
 
-def topological_order(net: DagNetwork) -> list[int]:
+def topological_order(net: TreeNetwork | DagNetwork) -> list[int]:
     """A copy of ``net.order``: the Kahn levels one after another, ascending within a level."""
-    return list(net.order)
+    return list(_checked(net, TreeNetwork, DagNetwork).order)
 
 
 def hasse_reduce(relation: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -927,7 +933,7 @@ def enumerate_updown_paths(net: DagNetwork, m1: int, m2: int) -> list[UpDownPath
     lexicographically on their node sequences.  The paths are counted first;
     more than :data:`MAX_ENUMERATED_PATHS` raise :class:`ApplicabilityError`.
     """
-    minimal = set(net.minimal_nodes)
+    minimal = set(_checked(net, DagNetwork).minimal_nodes)
     if m1 not in minimal:
         raise ValueError(f"node {m1} is not minimal")
     if m2 not in minimal:
@@ -952,7 +958,7 @@ def minimal_distance_diameter(net: DagNetwork) -> int:
     when they share any node.  A single minimal node has diameter 1 by
     convention; otherwise a cycle raises :class:`CycleError`.
     """
-    minimal = _checked_network(net, (DagNetwork,)).minimal_nodes
+    minimal = _checked(net, DagNetwork).minimal_nodes
     if len(minimal) <= 1:
         return 1
     _, strict, _ = _reach(net.successors, net.order)
@@ -985,7 +991,7 @@ def enumerate_dispersion_paths(net: DagNetwork):
     and ``w[i, j] > 0`` exactly when a descent to minimal node i exists.
     More than :data:`MAX_ENUMERATED_PATHS` paths raise :class:`ApplicabilityError`.
     """
-    minimal = _checked_network(net, (DagNetwork,)).minimal_nodes
+    minimal = _checked(net, DagNetwork).minimal_nodes
     count = _chain_counts(net, minimal)
     _require_enumerable(sum(count[p] for p in net.maximal_nodes), "dispersion paths")
     paths: list[DispersionPath] = []

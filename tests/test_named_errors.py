@@ -5,17 +5,23 @@ named error (type and message), or runs a checker on an input built to
 fail it and checks the failing verdict.
 """
 
+import dataclasses
+import inspect
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
 
+import distkaczmarz
 from distkaczmarz import closedform as cf
 from distkaczmarz import experiments as ex
 from distkaczmarz import numerics as nm
 from distkaczmarz import solver as sv
 from distkaczmarz import topology as tp
 from distkaczmarz.errors import DimensionError, InvalidNetworkError, NumericalFailureError
+from distkaczmarz.errors import PartitionError
 
 
 class TestNetworkConstructors:
@@ -238,7 +244,10 @@ def _boundary_cases():
     nodes).  Vector entry points take a wrong length, a 2-D estimate and
     NaN and inf entries; block entry points also one block short and one
     too many; node-id entry points -1, V, 2.5 and True; block counts 0, -1
-    and one that does not divide the map's side.
+    and one that does not divide the map's side.  Partition routes take a
+    group member that is no node id (4.0, True, "4" and 4.5), a partition
+    its groups given flat, and an assignment a scale that is no number;
+    :func:`_wrong_type_cases` adds one wrong-typed value per value argument.
     """
     tree = ex.binary7_network()
     system, relax = ex.random_tree_system(1, tree, 3), sv.RelaxationAssignment.uniform(7)
@@ -322,6 +331,175 @@ def _boundary_cases():
         cases.append((f"dag_ls_minimizer-{what}",
                       lambda value=value: cf.dag_ls_minimizer(bs, np.full(6, value), basis),
                       ValueError, "the per-node profile must be positive and finite"))
+    for member in (4.0, True, "4", 4.5):  # binary7's leaves 3 and 4, the second no node id
+        part = tp.SubnetworkPartition([[3, member]])
+        message = rf"^group 0 references node {re.escape(repr(member))}$"
+        for name, call in (
+            ("resolve_groups", lambda part=part: tp.resolve_groups(tree, part)),
+            ("check_admissibility",
+             lambda part=part: cf.check_admissibility(system, tree, part, relax)),
+            ("build_p_omega", lambda part=part: cf.build_p_omega(system, tree, part, relax)),
+        ):
+            cases.append((f"{name}-member-{member!r}", call, PartitionError, message))
+    cases.append(("SubnetworkPartition-flat", lambda: tp.SubnetworkPartition([3, 4]),
+                  TypeError, "group 0 is not an iterable of node ids: 3"))
+    for scale in (True, "1"):
+        cases.append((f"RelaxationAssignment-scale-{scale!r}",
+                      lambda scale=scale: sv.RelaxationAssignment(np.ones(7), scale),
+                      ValueError, re.escape(f"scale must be a number in (0, 1], got {scale!r}")))
+    return cases + _wrong_type_cases()
+
+
+def _wrong_type_cases():
+    """``<callable>-<param>-type``: each value argument of the public API given a wrong type.
+
+    Every case calls one entry point with valid arguments but one, and
+    expects the type rule's ``TypeError``, which names the classes the
+    argument may be and the type it got.
+    """
+    tree = ex.binary7_network()
+    system, relax = ex.random_tree_system(1, tree, 3), sv.RelaxationAssignment.uniform(7)
+    dag = ex.figure_dag()
+    dsys, drelax = ex.random_dag_system(2, dag, 3), sv.RelaxationAssignment.uniform(6)
+    bs, dbasis = cf.dag_block_structure(dsys, dag, drelax), cf.row_space_basis(dsys)
+    it, basis = cf.tree_affine(system, tree, relax), cf.row_space_basis(system)
+    part, other = ex.binary7_leaf_partition(), ex.binary7_extended_partition()
+    m1, m2 = dag.minimal_nodes
+    tree_call = {"sys": system, "net": tree, "relax": relax}
+    dag_call = {"sys": dsys, "net": dag, "relax": drelax}
+    calls = {
+        "solve": (sv.solve, {**tree_call, "config": sv.SolverConfig(max_iterations=2)}),
+        "tree_iterate": (sv.tree_iterate, {**tree_call, "x": np.zeros(3)}),
+        "dag_iterate": (sv.dag_iterate, {**dag_call, "blocks": [np.zeros(3)] * 2}),
+        "admissible_upper_bound": (cf.admissible_upper_bound,
+                                   {"sys": system, "net": tree, "group": {3, 4}, "leaf": 3}),
+        "build_p_omega": (cf.build_p_omega, {**tree_call, "part": part}),
+        "check_admissibility": (cf.check_admissibility, {**tree_call, "part": part}),
+        "dag_block_p": (cf.dag_block_p, dag_call),
+        "dag_block_structure": (cf.dag_block_structure, dag_call),
+        "dag_fixed_point": (cf.dag_fixed_point, {"bs": bs, "row_basis": dbasis}),
+        "dag_ls_minimizer": (cf.dag_ls_minimizer, {"bs": bs, "c": np.ones(6), "row_basis": dbasis}),
+        "dag_restricted_rho": (cf.dag_restricted_rho, {"bs": bs, "row_basis": dbasis}),
+        "eigen_dichotomy_check": (cf.eigen_dichotomy_check, {"it": it, "sys": system}),
+        "fixed_point": (cf.fixed_point, {"it": it, "row_space_basis": basis}),
+        "group_operator": (cf.group_operator, {**tree_call, "group": {3, 4}}),
+        "leaf_norm_formula": (cf.leaf_norm_formula, {**tree_call, "group": {3, 4}}),
+        "path_sor_factors": (cf.path_sor_factors,
+                             {"sys": system, "node_path": [0, 1, 3], "relax": relax}),
+        "relaxed_projection_matrix": (cf.relaxed_projection_matrix,
+                                      {"sys": system, "v": 3, "omega": 1.0}),
+        "restricted_rho": (cf.restricted_rho,
+                           {"sys": system, "net": tree, "omega": np.ones((7, 1))}),
+        "row_space_basis": (cf.row_space_basis, {"sys": system}),
+        "subnetwork_norm": (cf.subnetwork_norm, {**tree_call, "group": {3, 4}}),
+        "tree_affine": (cf.tree_affine, tree_call),
+        "weighted_ls_minimizer": (cf.weighted_ls_minimizer, tree_call),
+        "compare_structures": (ex.compare_structures, {"sys": system, "net": tree, "grid": [(1.0,)],
+                                                       "structure_a": part, "structure_b": other}),
+        "generate_system": (ex.generate_system, {"spec": ex.GeneratorSpec("uniform", 3, 3, 0)}),
+        "lsq_limit_study": (ex.lsq_limit_study, {**tree_call, "s_values": [1.0]}),
+        "omega_sweep": (ex.omega_sweep,
+                        {"sys": system, "net": tree, "grid": [(1.0,)], "axes": [[3, 4]]}),
+        "random_tree_system": (ex.random_tree_system, {"seed": 0, "net": tree, "dim": 3}),
+        "enumerate_dispersion_paths": (tp.enumerate_dispersion_paths, {"net": dag}),
+        "enumerate_updown_paths": (tp.enumerate_updown_paths, {"net": dag, "m1": m1, "m2": m2}),
+        "leaf_sibling_partition": (tp.leaf_sibling_partition, {"net": tree}),
+        "minimal_distance_diameter": (tp.minimal_distance_diameter, {"net": dag}),
+        "path_weight": (tp.path_weight, {"net": tree, "u": 0, "v": 3}),
+        "resolve_groups": (tp.resolve_groups, {"net": tree, "part": part}),
+        "root_subtree_partition": (tp.root_subtree_partition, {"net": tree}),
+        "topological_order": (tp.topological_order, {"net": tree}),
+        "validate_dag": (tp.validate_dag, {"net": dag}),
+        "validate_subnetworks": (tp.validate_subnetworks, {"net": tree, "part": part}),
+        "validate_tree": (tp.validate_tree, {"net": tree}),
+    }
+    either = "TreeNetwork or DagNetwork"
+    groups, rows, omega = [{3, 4}, {5, 6}], system.rows, relax.omega
+    wrong = {  # (callable, parameter): (the classes it needs, a wrong value)
+        ("solve", "sys"): ("LinearSystem", rows),
+        ("solve", "net"): (either, {}),
+        ("solve", "relax"): ("RelaxationAssignment", omega),
+        ("solve", "config"): ("SolverConfig", {}),
+        ("tree_iterate", "sys"): ("LinearSystem", rows),
+        ("tree_iterate", "net"): ("TreeNetwork", dag),
+        ("tree_iterate", "relax"): ("RelaxationAssignment", omega),
+        ("dag_iterate", "sys"): ("LinearSystem", dsys.rows),
+        ("dag_iterate", "net"): ("DagNetwork", tree),
+        ("dag_iterate", "relax"): ("RelaxationAssignment", drelax.omega),
+        ("admissible_upper_bound", "sys"): ("LinearSystem", rows),
+        ("admissible_upper_bound", "net"): ("TreeNetwork", dag),
+        ("build_p_omega", "sys"): ("LinearSystem", rows),
+        ("build_p_omega", "net"): ("TreeNetwork", dag),
+        ("build_p_omega", "part"): ("SubnetworkPartition", groups),
+        ("build_p_omega", "relax"): ("RelaxationAssignment", omega),
+        ("check_admissibility", "sys"): ("LinearSystem", rows),
+        ("check_admissibility", "net"): (either, {}),  # a DAG takes the empty partition
+        ("check_admissibility", "part"): ("SubnetworkPartition", groups),
+        ("check_admissibility", "relax"): ("RelaxationAssignment", omega),
+        ("dag_block_p", "sys"): ("LinearSystem", dsys.rows),
+        ("dag_block_p", "net"): ("DagNetwork", tree),
+        ("dag_block_p", "relax"): ("RelaxationAssignment", drelax.omega),
+        ("dag_block_structure", "sys"): ("LinearSystem", dsys.rows),
+        ("dag_block_structure", "net"): (either, {}),
+        ("dag_block_structure", "relax"): ("RelaxationAssignment", drelax.omega),
+        ("dag_fixed_point", "bs"): ("BlockStructure", bs.aggregate),
+        ("dag_ls_minimizer", "bs"): ("BlockStructure", bs.aggregate),
+        ("dag_restricted_rho", "bs"): ("BlockStructure", bs.aggregate.B),
+        ("eigen_dichotomy_check", "it"): ("AffineIteration", it.B),
+        ("eigen_dichotomy_check", "sys"): ("LinearSystem", rows),
+        ("fixed_point", "it"): ("AffineIteration", it.B),
+        ("group_operator", "sys"): ("LinearSystem", rows),
+        ("group_operator", "net"): ("TreeNetwork", dag),
+        ("group_operator", "relax"): ("RelaxationAssignment", omega),
+        ("leaf_norm_formula", "sys"): ("LinearSystem", rows),
+        ("leaf_norm_formula", "net"): ("TreeNetwork", dag),
+        ("leaf_norm_formula", "relax"): ("RelaxationAssignment", omega),
+        ("path_sor_factors", "sys"): ("LinearSystem", rows),
+        ("path_sor_factors", "relax"): ("RelaxationAssignment", omega),
+        ("relaxed_projection_matrix", "sys"): ("LinearSystem", rows),
+        ("restricted_rho", "sys"): ("LinearSystem", rows),
+        ("restricted_rho", "net"): (either, {}),
+        ("row_space_basis", "sys"): ("LinearSystem", rows),
+        ("subnetwork_norm", "sys"): ("LinearSystem", rows),
+        ("subnetwork_norm", "net"): ("TreeNetwork", dag),
+        ("subnetwork_norm", "relax"): ("RelaxationAssignment", omega),
+        ("tree_affine", "sys"): ("LinearSystem", rows),
+        ("tree_affine", "net"): ("TreeNetwork", dag),
+        ("tree_affine", "relax"): ("RelaxationAssignment", omega),
+        ("weighted_ls_minimizer", "sys"): ("LinearSystem", rows),
+        ("weighted_ls_minimizer", "net"): ("TreeNetwork", dag),
+        ("weighted_ls_minimizer", "relax"): ("RelaxationAssignment", omega),
+        ("compare_structures", "sys"): ("LinearSystem", rows),
+        ("compare_structures", "net"): (either, {}),  # the sweeps take a DAG too
+        ("compare_structures", "structure_a"): ("SubnetworkPartition", groups),
+        ("compare_structures", "structure_b"): ("SubnetworkPartition", groups),
+        ("generate_system", "spec"): ("GeneratorSpec", {}),
+        ("lsq_limit_study", "sys"): ("LinearSystem", rows),
+        ("lsq_limit_study", "net"): ("TreeNetwork", dag),
+        ("lsq_limit_study", "relax"): ("RelaxationAssignment", omega),
+        ("omega_sweep", "sys"): ("LinearSystem", rows),
+        ("omega_sweep", "net"): (either, {}),
+        ("random_tree_system", "net"): (either, rows),
+        ("enumerate_dispersion_paths", "net"): ("DagNetwork", tree),
+        ("enumerate_updown_paths", "net"): ("DagNetwork", tree),
+        ("leaf_sibling_partition", "net"): ("TreeNetwork", dag),
+        ("minimal_distance_diameter", "net"): ("DagNetwork", tree),
+        ("path_weight", "net"): ("TreeNetwork", dag),
+        ("resolve_groups", "net"): ("TreeNetwork", dag),
+        ("resolve_groups", "part"): ("SubnetworkPartition", groups),
+        ("root_subtree_partition", "net"): ("TreeNetwork", dag),
+        ("topological_order", "net"): (either, {}),
+        ("validate_dag", "net"): ("DagNetwork", tree),
+        ("validate_subnetworks", "net"): ("TreeNetwork", dag),
+        ("validate_subnetworks", "part"): ("SubnetworkPartition", groups),
+        ("validate_tree", "net"): ("TreeNetwork", {}),
+    }
+    cases = []
+    for (name, param), (needs, value) in wrong.items():
+        call, kwargs = calls[name]
+        cases.append((f"{name}-{param}-type",
+                      lambda call=call, kwargs={**kwargs, param: value}: call(**kwargs),
+                      TypeError, rf"^expected a {needs}, got {type(value).__name__}$"))
     return cases
 
 
@@ -335,6 +513,61 @@ def test_every_malformed_input_at_the_boundary_raises_a_named_error(case, capfd)
     with pytest.raises(error, match=message):
         call()
     assert capfd.readouterr() == ("", "")
+
+
+def _value_classes(hint) -> set[type]:
+    """The package's value classes, its frozen dataclasses, that an annotation names."""
+    if isinstance(hint, type) and not typing.get_args(hint):  # list[X] is a type on 3.10
+        ours = hint.__module__.startswith("distkaczmarz.") and dataclasses.is_dataclass(hint)
+        return {hint} if ours and hint.__dataclass_params__.frozen else set()
+    return set().union(*map(_value_classes, typing.get_args(hint)))
+
+
+def _annotated_value_pairs() -> set[tuple[str, str]]:
+    """``(callable, parameter)`` for every parameter of the public API annotated with a value class.
+
+    The public API is ``distkaczmarz.__all__`` (a class by its constructor)
+    and the non-underscore functions of ``solver``, ``closedform``,
+    ``topology`` and ``experiments``; an alias counts once, by its name.
+    """
+    public = [getattr(distkaczmarz, name) for name in distkaczmarz.__all__]
+    for module in (sv, cf, tp, ex):
+        public += [f for name, f in vars(module).items()
+                   if not name.startswith("_") and inspect.isfunction(f)]
+    pairs = set()
+    for obj in public:
+        hints = typing.get_type_hints(obj.__init__ if isinstance(obj, type) else obj)
+        pairs |= {(obj.__name__, param) for param, hint in hints.items()
+                  if param != "return" and _value_classes(hint)}
+    return pairs
+
+
+def test_every_value_argument_of_the_public_api_has_a_wrong_type_case():
+    """Each annotated pair has a ``<callable>-<param>-type`` boundary case, and no case is stray."""
+    pairs = {f"{name}-{param}-type" for name, param in _annotated_value_pairs()}
+    cases = {case[0] for case in _BOUNDARY if case[0].endswith("-type")}
+    assert sorted(pairs - cases) == [], "annotated value arguments without a wrong-type case"
+    assert sorted(cases - pairs) == [], "wrong-type cases that name no annotated value argument"
+
+
+@pytest.mark.parametrize("member", [4.0, True, "4", 4.5])
+def test_a_member_that_is_no_node_id_is_an_unknown_node_violation(member):
+    """binary7 with the group {3, member}: the member is named once and left out of the scans."""
+    net = ex.binary7_network()
+    found = tp.validate_subnetworks(net, tp.SubnetworkPartition([[3, member], [5, 6]]))
+    assert [(v.kind, v.detail, v.where) for v in found] == [
+        ("coverage", "leaf 4 is in no group", (4,)),
+        ("unknown-node", f"group 0 references node {member!r}", (member,)),
+        ("condition-1", "group 0: sibling 4 of leaf 3 is missing", (3, 4)),
+    ]
+
+
+def test_unknown_ids_of_different_types_are_sorted_without_comparing_them():
+    net = ex.binary7_network()
+    part = tp.SubnetworkPartition([[3, 4, 9, "x", -1, 2.5]])
+    assert [v.where for v in tp.validate_subnetworks(net, part) if v.kind == "unknown-node"] == [
+        (2.5,), (-1,), (9,), ("x",)
+    ]
 
 
 class TestBudgetsAndVerdicts:
