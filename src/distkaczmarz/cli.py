@@ -48,6 +48,7 @@ import numpy as np
 from . import closedform as cf
 from . import experiments as ex
 from .errors import DivergenceError, NumericalFailureError, PartitionError
+from .numerics import _is_int, _is_real
 from .solver import LinearSystem, RelaxationAssignment, SolverConfig, _checked_omega, solve
 from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, validate_subnetworks
 
@@ -92,31 +93,24 @@ def _built(path: str, make, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
-# One reader per JSON type: each checks a value at ``path`` and returns it.
+# One reader per JSON type: each checks a value at ``path`` and returns it.  Numbers and
+# integers read the package's scalar rule (``numerics._is_real`` and ``numerics._is_int``).
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A finite integer or float; too large for a float counts as infinite."""
-    return (_is_integer(value) or isinstance(value, float)) and abs(value) <= _sys.float_info.max
-
-
-def _number(value, path: str) -> float:
-    _expect(_is_number(value), path, "expected a finite number")
+def _number(value, path: str, message: str = "expected a finite number") -> float:
+    """A finite real number; an integer too large for a float counts as infinite."""
+    _expect(_is_real(value) and abs(value) <= _sys.float_info.max, path, message)
     return float(value)
 
 
 def _integer(value, path: str, low: int) -> int:
-    if not (_is_integer(value) and value >= low):
+    if not _is_int(value, low, math.inf):
         raise ConfigError(path, f"expected a {'positive' if low else 'nonnegative'} integer")
     return value
 
 
 def _node(value, path: str, nodes: int) -> int:
-    _expect(_is_integer(value) and 0 <= value < nodes, path, "expected a node id in range")
+    _expect(_is_int(value, 0, nodes), path, "expected a node id in range")
     return value
 
 
@@ -127,8 +121,7 @@ def _nodes(value, path: str, nodes: int) -> list[int]:
 
 def _complex(value, path: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
-    _expect(all(map(_is_number, parts)), path, "expected a real number or an [re, im] pair")
-    return complex(*parts)
+    return complex(*[_number(x, path, "expected a real number or an [re, im] pair") for x in parts])
 
 
 def _string(value, path: str, choices: tuple = ()) -> str:

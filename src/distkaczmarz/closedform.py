@@ -77,9 +77,12 @@ from .numerics import (
     _checked,
     _checked_columns,
     _eigvals,
+    _is_int,
+    _is_real,
     _max_modulus,
     _orthonormal,
     _real_if_exact,
+    _require_counts,
     _sorted_spectrum,
     _stack,
     _vector,
@@ -108,7 +111,7 @@ from .topology import (
     SubnetworkPartition,
     TreeNetwork,
     _cover_violations,
-    _is_node,
+    _node,
     enumerate_updown_paths,
     path_weight,
     resolve_groups,
@@ -154,19 +157,15 @@ _SWEEP_COMBINE = 13
 spectral_radius_on_span = spectral_radius_on_span
 
 
-def _node(sys: LinearSystem, v) -> int:
-    """``v`` as an ``int`` if it is a node id of ``sys``, else :class:`DimensionError`."""
-    if not _is_node(v, sys.node_count):
-        raise DimensionError(f"node {v!r} is not in 0..{sys.node_count - 1}")
-    return int(v)
-
-
 def relaxed_projection_matrix(sys: LinearSystem, v: int, omega: float) -> np.ndarray:
     """Matrix of the relaxed projection onto the null space of node v's row.
 
-    ``v`` must be a node id of ``sys`` (:class:`DimensionError` otherwise).
+    ``v`` must be a node id of ``sys`` (:class:`DimensionError` otherwise) and
+    ``omega`` a real number (``ValueError`` otherwise).
     """
-    a = _checked(sys, LinearSystem).rows[_node(sys, v)]
+    a = _checked(sys, LinearSystem).rows[_node(v, sys.node_count)]
+    if not _is_real(omega):
+        raise ValueError(f"omega must be a real number, got {omega!r}")
     nrm2 = float(np.vdot(a, a).real)
     d = sys.ambient_dim
     return np.eye(d, dtype=a.dtype) - (omega / nrm2) * np.outer(a, a.conj())
@@ -304,7 +303,7 @@ def path_sor_factors(
     raises :class:`DimensionError`.
     """
     _require_assignment(sys, relax)
-    nodes = tuple(_node(sys, v) for v in node_path)
+    nodes = tuple(_node(v, sys.node_count) for v in node_path)
     if not nodes:
         raise DimensionError("empty node path")
     omega = relax.effective()
@@ -501,8 +500,8 @@ def admissible_upper_bound(sys: LinearSystem, net: TreeNetwork, group, leaf: int
     no L x L spectrum is formed.
     """
     bounds = _leaf_bounds(_checked(sys, LinearSystem), net, group)
-    if leaf not in bounds:
-        raise ValueError(f"node {leaf} is not a leaf of this group")
+    if not (_is_int(leaf, 0, sys.node_count) and leaf in bounds):
+        raise ValueError(f"node {leaf!r} is not a leaf of this group")
     return bounds[leaf]
 
 
@@ -536,7 +535,7 @@ class AdmissibilityReport:
 
 def check_admissibility(
     sys: LinearSystem,
-    net: TreeNetwork,
+    net: TreeNetwork | DagNetwork,
     part: SubnetworkPartition,
     relax: RelaxationAssignment,
 ) -> AdmissibilityReport:
@@ -670,14 +669,17 @@ def eigen_dichotomy_check(it: AffineIteration, sys: LinearSystem) -> DichotomyRe
     ``it`` is a tree's map or a DAG's block map, one block of d entries per
     minimal node (a tree's map is the one-block case); a unit eigenvector
     is in the null space when every block is, ``|A v_i|`` summed in squares
-    against ``|v|``.  Two eigenproblems: ``eig(B)`` for the check, whose
+    against ``|v|``, with A's rows scaled to unit length: the pass reads
+    each row as ``a_v / |a_v|``, so scaling every row leaves the verdict as
+    it leaves B.  Two eigenproblems: ``eig(B)`` for the check, whose
     eigenvalues the report lists, and the map's row-space
     :meth:`~AffineIteration.restriction` on the blocks for
     ``rho_restricted``.  A B with zero imaginary part goes to the real
     solver, as in :func:`~distkaczmarz.numerics.eigenvalues`.
     """
     _checked(it, AffineIteration)
-    d, a_t = _checked(sys, LinearSystem).ambient_dim, sys.system_matrix().T
+    d, a = _checked(sys, LinearSystem).ambient_dim, sys.system_matrix()
+    a_t = (a / np.linalg.norm(a, axis=1)[:, None]).T  # the unit rows the pass reads
     s = len(_blocks(it.B.diagonal(), d))  # DimensionError unless B's side splits into d-blocks
     vals, vecs = np.linalg.eig(_real_if_exact(it.B))
     basis = row_space_basis(sys)
@@ -750,12 +752,8 @@ def dag_block_p(
 
 
 def _splits(side: int, n) -> bool:
-    """Whether ``n`` is a positive integer, not a bool, that divides ``side``.
-
-    An integer is a Python ``int`` or a numpy integer, as for a node id
-    (:func:`~distkaczmarz.topology._is_node`).
-    """
-    return (type(n) is int or isinstance(n, np.integer)) and n >= 1 and side % n == 0
+    """Whether ``n`` is a positive integer by the scalar rule that divides ``side``."""
+    return _is_int(n, 1, math.inf) and side % n == 0
 
 
 def _blocks(m, block_size: int) -> np.ndarray:
@@ -791,7 +789,10 @@ def sampled_block_norm_lower_bound(
 
     ``m`` must be a finite matrix whose sides split into blocks of
     ``block_size``; any other shape raises :class:`DimensionError` naming it.
+    ``samples`` and ``seed`` must be nonnegative integers (``ValueError``
+    naming the first that is not).
     """
+    _require_counts(samples=samples, seed=seed)
     arr = as_matrix(m).astype(np.complex128, copy=False)
     _, cols, n, _ = _blocks(arr, block_size).shape
     g = np.random.default_rng(seed).standard_normal((samples, 2, cols * n))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -23,7 +22,7 @@ import numpy as np
 from . import closedform as cf
 from .closedform import restricted_rho
 from .errors import NonContractionError
-from .numerics import _checked
+from .numerics import _checked, _is_int, _is_real, _require_counts
 from .solver import LinearSystem, RelaxationAssignment, SolverConfig, solve
 from .topology import DagNetwork, SubnetworkPartition, TreeNetwork, hasse_reduce
 
@@ -47,7 +46,10 @@ class GeneratorSpec:
     ``uniform`` draws every entry of the k x d matrix and the right-hand
     side from [0, 1).  ``near-orthogonal`` perturbs the identity,
     ``I + epsilon * E`` with E uniform over [-1, 1], and is always square.
-    Every spec draws from ``RNG_NAME`` seeded with ``seed``.
+    Every spec draws from ``RNG_NAME`` seeded with ``seed``.  ``k`` and
+    ``d`` are positive integers, ``seed`` a nonnegative one and ``epsilon``
+    a finite real number, by the scalar rule; a field of another kind raises
+    ``ValueError`` naming it.
     """
 
     kind: str
@@ -59,12 +61,12 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "near-orthogonal"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.k < 1 or self.d < 1:
-            raise ValueError("k and d must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
+        for name in ("k", "d"):
+            if not _is_int(value := getattr(self, name), 1, math.inf):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        _require_counts(seed=self.seed)
+        if not (_is_real(self.epsilon) and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be a finite real number, got {self.epsilon!r}")
         if self.kind == "near-orthogonal":
             if self.k != self.d:
                 raise ValueError("near-orthogonal systems are square")
@@ -95,6 +97,7 @@ def generate_system(spec: GeneratorSpec) -> GeneratedSystem:
 
 def random_tree(seed: int, min_nodes: int = 2, max_nodes: int = 10) -> TreeNetwork:
     """Random recursive tree with positive child weights normalized per parent."""
+    _require_counts(seed=seed, min_nodes=min_nodes, max_nodes=max_nodes)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(min_nodes, max_nodes + 1))
     edges = []
@@ -135,8 +138,9 @@ def random_tree_system(
     well_conditioned: bool = False,
 ) -> LinearSystem:
     """Random system on a tree's or DAG's nodes; consistent ones hide an exact solution."""
-    rng = np.random.default_rng(seed)
     k = _checked(net, TreeNetwork, DagNetwork).node_count
+    _require_counts(seed=seed, dim=dim)
+    rng = np.random.default_rng(seed)
     rows = _draw_rows(rng, k, dim, complex_entries, well_conditioned)
     if rank_deficient and k >= 2:
         # duplicate a scaled row so the row span loses a dimension
@@ -167,6 +171,7 @@ def random_dag(
     which forces consensus pooling (every minimal node pools the same
     maximal estimate).
     """
+    _require_counts(seed=seed, min_nodes=min_nodes, max_nodes=max_nodes, max_minimal=max_minimal)
     attempt = 0
     while True:
         rng = np.random.default_rng((seed, attempt))
@@ -202,7 +207,16 @@ random_dag_system = random_tree_system  # the same draws on a DAG's nodes
 
 
 def iteration_budget(rho: float, target: float = 1e-9, cap: int = 20_000) -> int:
-    """Iterations needed for a contraction factor ``rho`` to shrink below target."""
+    """Iterations needed for a contraction factor ``rho`` to shrink below target, at most ``cap``.
+
+    ``rho`` and ``target`` must be real numbers and ``cap`` a positive
+    integer; an argument of another kind raises ``ValueError`` naming it.
+    """
+    for name, value in (("rho", rho), ("target", target)):
+        if not _is_real(value):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not _is_int(cap, 1, math.inf):
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
     if not (0.0 < rho < 1.0):
         return cap if rho >= 1.0 else 1
     return min(cap, max(1, math.ceil(math.log(target) / math.log(rho))))
@@ -232,8 +246,11 @@ def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float
     """Cartesian grid from comma-separated ``start:stop:step`` axis specs.
 
     Every axis count and their product are checked against
-    ``GRID_POINT_LIMIT`` before any list is built.
+    ``GRID_POINT_LIMIT`` before any list is built.  ``axis_count``, given,
+    must be a nonnegative integer.
     """
+    if axis_count is not None:
+        _require_counts(axis_count=axis_count)
     spans = []
     for part in spec.split(","):
         pieces = part.split(":")
@@ -259,16 +276,18 @@ def grid_from_spec(spec: str, axis_count: int | None = None) -> list[tuple[float
 
 
 def check_sweep_axes(axes: Sequence[Sequence[int]], node_count: int) -> None:
-    """Raise ValueError unless every axis drives at least one node id and no node is on two axes."""
+    """Raise ValueError unless every axis drives at least one node id and no node is on two axes.
+
+    ``node_count`` and the node ids read the scalar rule.
+    """
+    _require_counts(node_count=node_count)
     owner: dict[int, int] = {}
     for k, nodes in enumerate(axes):
         if not len(nodes):
             raise ValueError(f"sweep axis {k} drives no node")
         for v in nodes:
-            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool)):
-                raise ValueError(f"sweep axis {k}: node {v!r} is not an integer node id")
-            if not 0 <= v < node_count:
-                raise ValueError(f"sweep axis {k}: node {v} is not in 0..{node_count - 1}")
+            if not _is_int(v, 0, node_count):
+                raise ValueError(f"sweep axis {k}: node {v!r} is not in 0..{node_count - 1}")
             if owner.setdefault(int(v), k) != k:
                 raise ValueError(f"sweep axis {k}: node {v} is already on axis {owner[int(v)]}")
 
@@ -292,10 +311,13 @@ def omega_sweep(
 
     Each grid axis drives one nonempty set of node ids, and no node is on
     two axes (otherwise ValueError names the axis and the node); all
-    remaining nodes sit at the uniform baseline.  The whole grid, plus the
-    baseline as one extra column, runs as one stack through
-    :func:`restricted_rho`; results are stored in grid order.
+    remaining nodes sit at the uniform baseline, which must be a real number
+    (``ValueError`` otherwise).  The whole grid, plus the baseline as one
+    extra column, runs as one stack through :func:`restricted_rho`; results
+    are stored in grid order.
     """
+    if not _is_real(baseline):
+        raise ValueError(f"baseline must be a real number, got {baseline!r}")
     grid = [tuple(pt) for pt in grid]
     if not grid:
         raise ValueError("empty sweep grid")
@@ -317,13 +339,16 @@ def omega_sweep(
 
 def compare_structures(
     sys: LinearSystem,
-    net: TreeNetwork,
+    net: TreeNetwork | DagNetwork,
     structure_a: SubnetworkPartition,
     structure_b: SubnetworkPartition,
     grid: Sequence[tuple[float, ...]],
     baseline: float = 1.5,
 ) -> tuple[SweepResult, SweepResult]:
-    """Side-by-side 1-d sweeps with one shared parameter over each structure."""
+    """Side-by-side 1-d sweeps with one shared parameter over each structure.
+
+    Each sweep is an :func:`omega_sweep`, which checks ``baseline``.
+    """
     return tuple(
         omega_sweep(sys, net, grid, [tuple(sorted(set().union(*part.groups)))], baseline=baseline)
         for part in [_checked(p, SubnetworkPartition) for p in (structure_a, structure_b)]
@@ -534,6 +559,7 @@ def reproduce(experiment_id: str, seed: int, out_dir: str | None = None) -> dict
         raise ValueError(
             f"unknown experiment {experiment_id!r}; valid ids: {', '.join(EXPERIMENT_IDS)}"
         )
+    _require_counts(seed=seed)
     bundle: dict = {
         "experiment": experiment_id,
         "seed": seed,

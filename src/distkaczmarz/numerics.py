@@ -26,7 +26,14 @@ Next to the freeze rule :func:`value_dataclass` sits the package's one type
 rule, :func:`_checked`: every entry point that takes a value object (a
 system, a network, a relaxation, a partition, a map or a block structure)
 checks it there before its first attribute read, so a wrong argument ends
-in a ``TypeError`` that names the class it needs.
+in a ``TypeError`` that names the class it needs.  Beside it sits the one
+scalar rule, two predicates that every integer and real argument reads:
+:func:`_is_int` for node ids, counts, seeds and block counts, and
+:func:`_is_real` for relaxation values, tolerances and baselines.  An entry
+point that takes such an argument raises a ``ValueError`` naming the
+parameter and the value's repr when the rule refuses it (for a seed, a size
+or a node count, by :func:`_require_counts`), and a node id keeps its
+entry's error class; the CLI's JSON readers read the same rule.
 
 All functions are pure and safe to call concurrently.
 """
@@ -34,6 +41,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from types import MappingProxyType
@@ -89,13 +97,46 @@ def _checked(value, *types):
     """``value`` if it is an instance of one of ``types``, else ``TypeError`` naming them.
 
     The package's one type rule.  ``types`` are concrete classes: an
-    ``isinstance`` against an ABC such as ``numbers.Real`` costs about four
-    times as much, which an entry point on a hot path would pay per call.
+    ``isinstance`` against an abstract base class costs about four times as
+    much, which an entry point on a hot path would pay per call.
     """
     if not isinstance(value, types):
         names = " or ".join(t.__name__ for t in types)
         raise TypeError(f"expected a {names}, got {type(value).__name__}")
     return value
+
+
+def _is_int(v, lo, hi) -> bool:
+    """Whether ``v`` is an integer, not a bool, with ``lo <= v < hi``: node ids and counts.
+
+    An integer is a Python ``int`` or a numpy integer, tested by concrete
+    class, as :func:`_checked` tests: an ``isinstance`` against the
+    abstract integer class costs about 1 us, which every edge of a network
+    build would pay twice.  ``hi`` may be ``math.inf``.
+    """
+    return (type(v) is int or isinstance(v, np.integer)) and lo <= v < hi
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number, not a bool: an ``int``, a ``float`` or a numpy number.
+
+    A numpy number is a numpy integer or floating value.  The scalar rule
+    for relaxation values, tolerances and baselines tests concrete classes
+    as :func:`_is_int` does, so a ``fractions.Fraction`` or a
+    ``decimal.Decimal`` is no real number here.
+    """
+    return type(v) in (int, float) or isinstance(v, (np.integer, np.floating))
+
+
+def _require_counts(**counts) -> None:
+    """Raise ``ValueError`` naming the first of ``counts`` that is no nonnegative integer.
+
+    The seeds, sizes and node counts of the public entry points read
+    :func:`_is_int` here, with one message.
+    """
+    for name, value in counts.items():
+        if not _is_int(value, 0, math.inf):
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def value_dataclass(cls=None, *, frozen: bool = True):

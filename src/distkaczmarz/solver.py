@@ -73,7 +73,6 @@ repeated runs give identical results.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import field
 from functools import cached_property
 from typing import Sequence
@@ -81,8 +80,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateEquationError, DimensionError, DivergenceError, InvalidNetworkError
-from .numerics import _checked, _frozen, _real_if_exact, _stack, _vector, as_matrix, as_vector
-from .numerics import orthonormal_basis, value_dataclass
+from .numerics import _checked, _frozen, _is_int, _is_real, _real_if_exact, _require_counts
+from .numerics import _stack, _vector, as_matrix, as_vector, orthonormal_basis, value_dataclass
 from .topology import DagNetwork, TreeNetwork
 
 DIVERGENCE_FACTOR = 1e12
@@ -178,11 +177,6 @@ class LinearSystem:
         return float(np.linalg.norm(self.system_matrix() @ _vector(x, self.ambient_dim) - self.rhs))
 
 
-def _is_real(x) -> bool:
-    """Whether ``x`` is a real number and not a bool, as a scale or a step tolerance must be."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _checked_omega(omega) -> np.ndarray:
     """Relaxation parameters as a float array of any shape; each must be finite and nonnegative."""
     om = np.asarray(omega, dtype=float)
@@ -211,6 +205,10 @@ class RelaxationAssignment:
 
     @classmethod
     def uniform(cls, node_count: int, value: float = 1.0, scale: float = 1.0):
+        """``value`` at each of ``node_count`` nodes; a wrong kind of either is a ``ValueError``."""
+        _require_counts(node_count=node_count)
+        if not _is_real(value):
+            raise ValueError(f"value must be a real number, got {value!r}")
         return cls(np.full(node_count, float(value)), scale)
 
     def effective(self) -> np.ndarray:
@@ -236,7 +234,7 @@ class SolverConfig:
 
     def __post_init__(self):
         it = self.max_iterations
-        if not isinstance(it, numbers.Integral) or isinstance(it, bool) or it < 1:
+        if not _is_int(it, 1, math.inf):
             raise ValueError(f"max_iterations must be a positive integer, got {it!r}")
         tol = self.step_tolerance
         if not (_is_real(tol) and 0.0 < tol < math.inf):
@@ -286,7 +284,12 @@ class SolveReport:
 
 
 def kaczmarz_update(x, a, b, omega: float) -> np.ndarray:
-    """Relaxed Kaczmarz step: x + omega * (b - a*x) / |a|^2 * a; x and a of one length."""
+    """Relaxed Kaczmarz step: x + omega * (b - a*x) / |a|^2 * a; x and a of one length.
+
+    ``omega`` must be a real number (``ValueError`` otherwise).
+    """
+    if not _is_real(omega):
+        raise ValueError(f"omega must be a real number, got {omega!r}")
     av = as_vector(a)
     xv = _vector(x, len(av))
     nrm2 = float(np.vdot(av, av).real)
@@ -306,7 +309,9 @@ def project_affine(x, a, b) -> np.ndarray:
 
 
 def relaxed_p(x, a, omega: float) -> np.ndarray:
-    """(1 - omega) x + omega * project_null(x, a)."""
+    """(1 - omega) x + omega * project_null(x, a); ``omega`` a real number, else ``ValueError``."""
+    if not _is_real(omega):
+        raise ValueError(f"omega must be a real number, got {omega!r}")
     return (1.0 - omega) * as_vector(x) + omega * project_null(x, a)
 
 
@@ -575,10 +580,11 @@ def tree_iterate(
     """One dispersion/pooling pass over a rooted tree from the root's estimate ``x``.
 
     ``x`` is read by the estimate rule of :func:`_estimates`: one finite
-    vector of length d, else a named error.
+    vector of length d, else a named error.  The arguments are checked on
+    every call, from the verdict the network caches; ``validated`` has no
+    effect.
     """
-    if not validated:
-        _require_valid(sys, net, (TreeNetwork,), relax)
+    _require_valid(sys, net, (TreeNetwork,), relax)
     return _kernel(sys, net).vectors(_estimates(sys, 1, [x]), relax.effective())[0]
 
 
@@ -597,10 +603,11 @@ def dag_iterate(
     estimates weighted by the pooling weights along every descent, so
     interior nodes relay without a second update.  ``blocks`` are read by
     the estimate rule of :func:`_estimates`: one finite vector of length d
-    per minimal node, else a named error.
+    per minimal node, else a named error.  The arguments are checked on
+    every call, from the verdict the network caches; ``validated`` has no
+    effect.
     """
-    if not validated:
-        _require_valid(sys, net, (DagNetwork,), relax)
+    _require_valid(sys, net, (DagNetwork,), relax)
     run = _kernel(sys, net)
     return list(run.vectors(_estimates(sys, len(run.sources), blocks), relax.effective()))
 

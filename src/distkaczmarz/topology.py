@@ -28,7 +28,8 @@ and the path counts read the levels too.
 Every entry point checks its network, and a partition route its
 :class:`SubnetworkPartition`, by the package's one type rule
 (:func:`~distkaczmarz.numerics._checked`), and reads node ids, network
-edges and partition members alike, by one predicate (:func:`_is_node`).
+edges and partition members alike, and node counts, by the package's one
+scalar rule (:func:`~distkaczmarz.numerics._is_int`).
 
 Networks are immutable after construction; all queries are read-only.
 Both network types are value classes
@@ -56,9 +57,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AncestryError, ApplicabilityError, CycleError, InvalidNetworkError
-from .errors import PartitionError
-from .numerics import _checked, _frozen, value_dataclass
+from .errors import AncestryError, ApplicabilityError, CycleError, DimensionError
+from .errors import InvalidNetworkError, PartitionError
+from .numerics import _checked, _frozen, _is_int, _require_counts, value_dataclass
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_ENUMERATED_PATHS = 100_000  # path enumerations above this count refuse to start
@@ -123,20 +124,20 @@ def _weight_violations(table: Mapping, groups, what: str) -> list[Violation]:
     return out
 
 
-def _is_node(v, node_count: int) -> bool:
-    """Whether ``v`` is a node id: an integer, not a bool, in ``0 .. node_count - 1``.
-
-    An integer is a Python ``int`` or a numpy integer.  The exact type test
-    comes first: an ``isinstance`` against ``numbers.Integral`` costs about
-    1 us, which every edge of a network build would pay twice.
-    """
-    return (type(v) is int or isinstance(v, np.integer)) and 0 <= v < node_count
+def _node(v, node_count: int) -> int:
+    """``v`` as an ``int`` if it is a node id below ``node_count``, else :class:`DimensionError`."""
+    if not _is_int(v, 0, node_count):
+        raise DimensionError(f"node {v!r} is not in 0..{node_count - 1}")
+    return int(v)
 
 
 def _check_ends(u: int, v: int, node_count: int) -> None:
-    """Raise :class:`InvalidNetworkError` unless edge ``(u, v)`` joins two distinct known nodes."""
-    if not (_is_node(u, node_count) and _is_node(v, node_count)):
-        raise InvalidNetworkError(f"edge ({u}, {v}) references an unknown node")
+    """Raise :class:`InvalidNetworkError` unless edge ``(u, v)`` joins two distinct known nodes.
+
+    Each end is one call of the scalar rule, on every edge of every build.
+    """
+    if not (_is_int(u, 0, node_count) and _is_int(v, 0, node_count)):
+        raise InvalidNetworkError(f"edge ({u!r}, {v!r}) references an unknown node")
     if u == v:
         raise InvalidNetworkError(f"self-loop at node {u}")
 
@@ -417,16 +418,21 @@ class TreeNetwork(_Layout):
 
     _validator = "validate_tree"
 
+    def __post_init__(self):
+        _require_counts(node_count=self.node_count)
+
     @classmethod
     def from_edges(cls, node_count: int, root: int, edges: Iterable) -> "TreeNetwork":
         """Build a tree from ``(parent, child)`` or ``(parent, child, weight)`` tuples.
 
         When every edge out of a parent omits its weight, the children share
         the weight uniformly.  Mixing explicit and omitted weights under one
-        parent is rejected.
+        parent is rejected.  A ``node_count`` that is no nonnegative integer
+        raises ``ValueError`` naming it.
         """
-        if not _is_node(root, node_count):
-            raise InvalidNetworkError(f"root {root} outside [0, {node_count})")
+        _require_counts(node_count=node_count)
+        if not _is_int(root, 0, node_count):
+            raise InvalidNetworkError(f"root {root!r} outside [0, {node_count})")
         parent: dict[int, int] = {}
         given: dict[tuple[int, int], float | None] = {}
         for edge in edges:
@@ -498,8 +504,8 @@ def validate_tree(net: TreeNetwork) -> list[Violation]:
     """
     _checked(net, TreeNetwork)
     out: list[Violation] = []
-    if not _is_node(net.root, net.node_count):
-        out.append(Violation("root", f"root {net.root} outside node range", (net.root,)))
+    if not _is_int(net.root, 0, net.node_count):
+        out.append(Violation("root", f"root {net.root!r} outside node range", (net.root,)))
         return out
     if net.root in net.parent:
         out.append(Violation("root", f"root {net.root} has a parent entry", (net.root,)))
@@ -509,8 +515,11 @@ def validate_tree(net: TreeNetwork) -> list[Violation]:
 
 
 def path_weight(net: TreeNetwork, u: int, v: int) -> float:
-    """Product of edge weights along the unique path from ancestor u down to v."""
-    _checked(net, TreeNetwork)
+    """Product of edge weights along the unique path from ancestor u down to v.
+
+    ``u`` and ``v`` must be node ids of ``net`` (:class:`DimensionError` otherwise).
+    """
+    u, v = _node(u, _checked(net, TreeNetwork).node_count), _node(v, net.node_count)
     if u == v:
         return 1.0
     path = net.path_from_root(v)
@@ -563,13 +572,13 @@ def _cover_violations(net: TreeNetwork, part: SubnetworkPartition) -> list[Viola
     """The cross-group rule: nodes in two groups, then leaves in no group.
 
     The root joins no group, so it is never an uncovered leaf.  Members
-    that are no node id (:func:`_is_node`) are left to :func:`_unknown_nodes`:
+    that are no node id by the scalar rule are left to :func:`_unknown_nodes`:
     a float 4.0 or a ``True`` covers no node.
     """
     out: list[Violation] = []
     seen: dict[int, int] = {}
     for gi, members in enumerate(part.groups):
-        for v in (v for v in members if _is_node(v, net.node_count)):
+        for v in (v for v in members if _is_int(v, 0, net.node_count)):
             if v in seen:
                 out.append(Violation("disjoint", f"node {v} in groups {seen[v]} and {gi}", (v,)))
             seen[v] = gi
@@ -581,12 +590,12 @@ def _cover_violations(net: TreeNetwork, part: SubnetworkPartition) -> list[Viola
 
 
 def _unknown_nodes(net: TreeNetwork, gi: int, members) -> list[Violation]:
-    """A group's members that are no node id (:func:`_is_node`), as violations.
+    """A group's members that are no node id by the scalar rule, as violations.
 
     They come sorted by type name, then ascending within a type, so ids of
     different types are never compared.
     """
-    unknown = [v for v in members if not _is_node(v, net.node_count)]
+    unknown = [v for v in members if not _is_int(v, 0, net.node_count)]
     unknown.sort(key=lambda v: (type(v).__name__, v))
     return [Violation("unknown-node", f"group {gi} references node {v!r}", (v,)) for v in unknown]
 
@@ -623,7 +632,7 @@ def _group_violations(net: TreeNetwork, gi: int, members) -> list[Violation]:
     once, no unique gateway after the condition scans.
     """
     out = _unknown_nodes(net, gi, members)
-    members = frozenset(v for v in members if _is_node(v, net.node_count))
+    members = frozenset(v for v in members if _is_int(v, 0, net.node_count))
     group = _resolve_group(net, gi, members)
     if isinstance(group, Violation) and group.kind != "gateway":
         return out + [group]
@@ -729,6 +738,7 @@ class DagNetwork(_Layout):
     _validator = "validate_dag"
 
     def __post_init__(self):
+        _require_counts(node_count=self.node_count)
         object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
 
     @classmethod
@@ -737,7 +747,10 @@ class DagNetwork(_Layout):
 
         With 2-tuples the dispersion weights are uniform over each node's
         in-edges and the pooling weights uniform over each node's out-edges.
+        A ``node_count`` that is no nonnegative integer raises ``ValueError``
+        naming it.
         """
+        _require_counts(node_count=node_count)
         edge_list: list[tuple[int, int]] = []
         wd_in: dict[tuple[int, int], float | None] = {}
         wp_in: dict[tuple[int, int], float | None] = {}
@@ -934,10 +947,9 @@ def enumerate_updown_paths(net: DagNetwork, m1: int, m2: int) -> list[UpDownPath
     more than :data:`MAX_ENUMERATED_PATHS` raise :class:`ApplicabilityError`.
     """
     minimal = set(_checked(net, DagNetwork).minimal_nodes)
-    if m1 not in minimal:
-        raise ValueError(f"node {m1} is not minimal")
-    if m2 not in minimal:
-        raise ValueError(f"node {m2} is not minimal")
+    for m in (m1, m2):
+        if not (_is_int(m, 0, net.node_count) and m in minimal):
+            raise ValueError(f"node {m!r} is not minimal")
     up1, up2 = _chain_counts(net, [m1]), _chain_counts(net, [m2])
     _require_enumerable(sum(up1[p] * up2[p] for p in net.maximal_nodes), "up-down paths")
     paths: list[UpDownPath] = []

@@ -76,12 +76,12 @@ class TestGenerateSystem:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"k": 0}, "k and d must be at least 1"),
-            ({"d": 0}, "k and d must be at least 1"),
-            ({"k": -1, "d": -1}, "k and d must be at least 1"),
-            ({"seed": -1}, "seed must be nonnegative"),
-            ({"epsilon": float("nan")}, "epsilon must be finite"),
-            ({"epsilon": float("inf")}, "epsilon must be finite"),
+            ({"k": 0}, "^k must be a positive integer, got 0$"),
+            ({"d": 0}, "^d must be a positive integer, got 0$"),
+            ({"k": -1, "d": -1}, "^k must be a positive integer, got -1$"),
+            ({"seed": -1}, "^seed must be a nonnegative integer, got -1$"),
+            ({"epsilon": float("nan")}, "^epsilon must be a finite real number, got nan$"),
+            ({"epsilon": float("inf")}, "^epsilon must be a finite real number, got inf$"),
         ],
     )
     def test_sizes_seed_and_epsilon_checked(self, kind, fields, message):
@@ -265,7 +265,7 @@ class TestOmegaSweep:
             ([(-1,), (3, 4)], "sweep axis 0: node -1 is not in 0..4"),
             ([(2,), ()], "sweep axis 1 drives no node"),
             ([(7,), (3, 4)], "sweep axis 0: node 7 is not in 0..4"),
-            ([(2.0,), (3, 4)], "sweep axis 0: node 2.0 is not an integer node id"),
+            ([(2.0,), (3, 4)], "sweep axis 0: node 2.0 is not in 0..4"),
         ],
     )
     def test_bad_axes_name_the_axis_and_node(self, axes, message):

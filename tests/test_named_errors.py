@@ -9,6 +9,7 @@ import dataclasses
 import inspect
 import math
 import re
+import types
 import typing
 
 import numpy as np
@@ -237,6 +238,78 @@ class TestAnalysisInputs:
             cf.path_sor_factors(system, [], sv.RelaxationAssignment.uniform(2))
 
 
+def _value_classes(hint) -> set[type]:
+    """The package's value classes, its frozen dataclasses, that an annotation names."""
+    if isinstance(hint, type) and not typing.get_args(hint):  # list[X] is a type on 3.10
+        ours = hint.__module__.startswith("distkaczmarz.") and dataclasses.is_dataclass(hint)
+        return {hint} if ours and hint.__dataclass_params__.frozen else set()
+    return set().union(*map(_value_classes, typing.get_args(hint)))
+
+
+def _scalar_kind(hint):
+    """``int`` or ``float`` for an annotation of one of them, alone or with None, else None."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = set(typing.get_args(hint) if union else [hint]) - {type(None)}
+    return kinds.pop() if len(kinds) == 1 and kinds <= {int, float} else None
+
+
+# What the walk of the public API leaves out, by callable or by callable-parameter, and why.
+_EXEMPT = {
+    "SolveReport-iterations_used": "an output record: solve counts the passes it ran",
+    "solve_route": "solve calls it on every run with the counts its kernel holds",
+    "TreeNetwork-root": "the raw constructor keeps any root for validate_tree to report",
+    "AdmissibilityReport": "an output record of check_admissibility",
+    "BlockStructure": "an output record of dag_block_structure",
+    "DichotomyReport": "an output record of eigen_dichotomy_check",
+    "GroupVerdict": "an output record of check_admissibility",
+    "Level": "a schedule's level, built by the network's layout",
+    "LimitRow": "an output record of lsq_limit_study",
+    "ResolvedGroup": "an output record of resolve_groups",
+    "Restriction": "an output record of AffineIteration.restriction",
+    "Schedule": "a network's level schedule, built by its layout",
+    "SweepResult": "an output record of omega_sweep",
+    "UpDownPath": "an output record of enumerate_updown_paths",
+}
+
+
+def _public_callables() -> dict[str, object]:
+    """The public API by name, walked once for every completeness check.
+
+    It is ``distkaczmarz.__all__`` and the non-underscore functions and
+    classes of ``solver``, ``closedform``, ``topology`` and ``experiments``
+    (a class by its constructor), with each class's public classmethods as
+    ``Class.method``; an alias counts once, by its name.
+    """
+    public = {name: getattr(distkaczmarz, name) for name in distkaczmarz.__all__}
+    for module in (sv, cf, tp, ex):
+        for name, obj in vars(module).items():
+            if name.startswith("_"):
+                continue
+            if inspect.isfunction(obj):
+                public[obj.__name__] = obj
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+                public[name] = obj
+                public.update({f"{name}.{m}": getattr(obj, m) for m, f in vars(obj).items()
+                               if isinstance(f, classmethod) and not m.startswith("_")})
+    return public
+
+
+def _annotated_pairs(kind, exempt=True) -> dict[tuple[str, str], object]:
+    """``(callable, parameter): kind(hint)`` for each walked parameter whose ``kind`` is truthy.
+
+    Pairs of :data:`_EXEMPT`, by callable or by callable-parameter, are left
+    out unless ``exempt`` is false.
+    """
+    pairs = {}
+    for name, obj in _public_callables().items():
+        hints = typing.get_type_hints(obj.__init__ if isinstance(obj, type) else obj)
+        for param, hint in hints.items():
+            skip = exempt and (name in _EXEMPT or f"{name}-{param}" in _EXEMPT)
+            if param != "return" and not skip and kind(hint):
+                pairs[name, param] = kind(hint)
+    return pairs
+
+
 def _boundary_cases():
     """``(id, call, error, message)``: each malformed input at the estimate and node-id boundary.
 
@@ -245,9 +318,12 @@ def _boundary_cases():
     NaN and inf entries; block entry points also one block short and one
     too many; node-id entry points -1, V, 2.5 and True; block counts 0, -1
     and one that does not divide the map's side.  Partition routes take a
-    group member that is no node id (4.0, True, "4" and 4.5), a partition
-    its groups given flat, and an assignment a scale that is no number;
-    :func:`_wrong_type_cases` adds one wrong-typed value per value argument.
+    group member that is no node id (4.0, True, "4" and 4.5) and a partition
+    its groups given flat; the iterations take an omega array for the
+    assignment with ``validated=True``.  :func:`_wrong_type_cases` adds one
+    wrong-typed value per value argument and :func:`_scalar_cases` a str, a
+    bool and, for an integer, a non-integral float per integer or real
+    argument.
     """
     tree = ex.binary7_network()
     system, relax = ex.random_tree_system(1, tree, 3), sv.RelaxationAssignment.uniform(7)
@@ -343,19 +419,21 @@ def _boundary_cases():
             cases.append((f"{name}-member-{member!r}", call, PartitionError, message))
     cases.append(("SubnetworkPartition-flat", lambda: tp.SubnetworkPartition([3, 4]),
                   TypeError, "group 0 is not an iterable of node ids: 3"))
-    for scale in (True, "1"):
-        cases.append((f"RelaxationAssignment-scale-{scale!r}",
-                      lambda scale=scale: sv.RelaxationAssignment(np.ones(7), scale),
-                      ValueError, re.escape(f"scale must be a number in (0, 1], got {scale!r}")))
-    return cases + _wrong_type_cases()
+    needs = "^expected a RelaxationAssignment, got ndarray$"  # validated=True skips no check
+    cases.append(("tree_iterate-validated",
+                  lambda: sv.tree_iterate(system, tree, relax.omega, np.zeros(3), validated=True),
+                  TypeError, needs))
+    cases.append(("dag_iterate-validated",
+                  lambda: sv.dag_iterate(dsys, dag, drelax.omega, [np.zeros(3)] * 2, True),
+                  TypeError, needs))
+    return cases + _wrong_type_cases() + _scalar_cases()
 
 
-def _wrong_type_cases():
-    """``<callable>-<param>-type``: each value argument of the public API given a wrong type.
+def _valid_calls():
+    """``callable: (entry point, keyword arguments)``: one valid call of each walked entry point.
 
-    Every case calls one entry point with valid arguments but one, and
-    expects the type rule's ``TypeError``, which names the classes the
-    argument may be and the type it got.
+    binary7 with d = 3 and the figure DAG with d = 3, as in
+    :func:`_boundary_cases`; a case swaps one argument for a bad value.
     """
     tree = ex.binary7_network()
     system, relax = ex.random_tree_system(1, tree, 3), sv.RelaxationAssignment.uniform(7)
@@ -367,7 +445,8 @@ def _wrong_type_cases():
     m1, m2 = dag.minimal_nodes
     tree_call = {"sys": system, "net": tree, "relax": relax}
     dag_call = {"sys": dsys, "net": dag, "relax": drelax}
-    calls = {
+    update = {"x": np.zeros(3), "a": system.rows[0], "b": 1.0, "omega": 1.0}
+    return {
         "solve": (sv.solve, {**tree_call, "config": sv.SolverConfig(max_iterations=2)}),
         "tree_iterate": (sv.tree_iterate, {**tree_call, "x": np.zeros(3)}),
         "dag_iterate": (sv.dag_iterate, {**dag_call, "blocks": [np.zeros(3)] * 2}),
@@ -412,9 +491,46 @@ def _wrong_type_cases():
         "validate_dag": (tp.validate_dag, {"net": dag}),
         "validate_subnetworks": (tp.validate_subnetworks, {"net": tree, "part": part}),
         "validate_tree": (tp.validate_tree, {"net": tree}),
+        "SolverConfig": (sv.SolverConfig, {}),
+        "RelaxationAssignment": (sv.RelaxationAssignment, {"omega": np.ones(7)}),
+        "RelaxationAssignment.uniform": (sv.RelaxationAssignment.uniform, {"node_count": 7}),
+        "TreeNetwork": (tp.TreeNetwork, {"node_count": 3, "root": 0, "parent": {1: 0},
+                                         "edge_weight": {(0, 1): 1.0}}),
+        "TreeNetwork.from_edges": (tp.TreeNetwork.from_edges,
+                                   {"node_count": 3, "root": 0, "edges": [(0, 1), (0, 2)]}),
+        "DagNetwork": (tp.DagNetwork, {"node_count": 2, "edges": [(0, 1)], "w_d": {(0, 1): 1.0},
+                                       "w_p": {(0, 1): 1.0}}),
+        "DagNetwork.from_cover_edges": (tp.DagNetwork.from_cover_edges,
+                                        {"node_count": 2, "edges": [(0, 1)]}),
+        "GeneratorSpec": (ex.GeneratorSpec, {"kind": "uniform", "k": 3, "d": 3, "seed": 0}),
+        "block_infinity_norm": (cf.block_infinity_norm, {"m": np.eye(4), "block_size": 2}),
+        "sampled_block_norm_lower_bound": (cf.sampled_block_norm_lower_bound,
+                                           {"m": np.eye(4), "block_size": 2}),
+        "check_sweep_axes": (ex.check_sweep_axes, {"axes": [[3]], "node_count": 7}),
+        "grid_from_spec": (ex.grid_from_spec, {"spec": "0:1:0.5", "axis_count": 1}),
+        "iteration_budget": (ex.iteration_budget, {"rho": 0.5}),
+        "random_dag": (ex.random_dag, {"seed": 0}),
+        "random_tree": (ex.random_tree, {"seed": 0}),
+        "reproduce": (ex.reproduce, {"experiment_id": "dag-demo", "seed": 0}),
+        "kaczmarz_update": (sv.kaczmarz_update, update),
+        "relaxed_p": (sv.relaxed_p, {k: update[k] for k in ("x", "a", "omega")}),
+        "relaxed_q": (sv.relaxed_q, update),
     }
+
+
+def _wrong_type_cases():
+    """``<callable>-<param>-type``: each value argument of the public API given a wrong type.
+
+    Every case calls one entry point with valid arguments but one, and
+    expects the type rule's ``TypeError``, which names the classes the
+    argument may be and the type it got.
+    """
+    calls = _valid_calls()
+    tree, system, relax = (calls["tree_affine"][1][k] for k in ("net", "sys", "relax"))
+    dag, dsys, drelax = (calls["dag_block_p"][1][k] for k in ("net", "sys", "relax"))
+    bs, it, rows = calls["dag_fixed_point"][1]["bs"], calls["fixed_point"][1]["it"], system.rows
     either = "TreeNetwork or DagNetwork"
-    groups, rows, omega = [{3, 4}, {5, 6}], system.rows, relax.omega
+    groups, omega = [{3, 4}, {5, 6}], relax.omega
     wrong = {  # (callable, parameter): (the classes it needs, a wrong value)
         ("solve", "sys"): ("LinearSystem", rows),
         ("solve", "net"): (either, {}),
@@ -503,6 +619,89 @@ def _wrong_type_cases():
     return cases
 
 
+_SCALAR_VALUES = {"str": "1", "bool": True, "float": 2.5}
+
+
+def _scalar_kinds(hint) -> list[str]:
+    """The bad values an argument of ``hint`` is given: a str and a bool, and a float for an int."""
+    return list(_SCALAR_VALUES)[: 3 if hint is int else 2]
+
+
+def _scalar_cases():
+    """``<callable>-<param>-scalar-<kind>``: each integer and real argument given a str and a bool.
+
+    An integer argument is also given a non-integral float.  Every case
+    calls one entry point with valid arguments but one, and expects the
+    scalar rule's ``ValueError`` naming the parameter and the value's repr;
+    a node id or a block count keeps its entry's error class and message.
+    """
+    calls = _valid_calls()
+    nonnegative, positive = "{p} must be a nonnegative integer", "{p} must be a positive integer"
+    real, node = "{p} must be a real number", (DimensionError, "node {v} is not in 0..6")
+    blocks = (DimensionError, "shape (4, 4) does not split into blocks of size {v}")
+    scale = "{p} must be a number in (0, 1]"
+    expected = {  # (callable, parameter): message, ", got {v}" added, or (error, message)
+        ("SolverConfig", "max_iterations"): positive,
+        ("SolverConfig", "step_tolerance"): "{p} must be a positive finite number",
+        ("RelaxationAssignment", "scale"): scale,
+        ("RelaxationAssignment.uniform", "node_count"): nonnegative,
+        ("RelaxationAssignment.uniform", "value"): real,
+        ("RelaxationAssignment.uniform", "scale"): scale,
+        ("TreeNetwork", "node_count"): nonnegative,
+        ("TreeNetwork.from_edges", "node_count"): nonnegative,
+        ("TreeNetwork.from_edges", "root"): (InvalidNetworkError, "root {v} outside [0, 3)"),
+        ("DagNetwork", "node_count"): nonnegative,
+        ("DagNetwork.from_cover_edges", "node_count"): nonnegative,
+        ("GeneratorSpec", "k"): positive,
+        ("GeneratorSpec", "d"): positive,
+        ("GeneratorSpec", "seed"): nonnegative,
+        ("GeneratorSpec", "epsilon"): "{p} must be a finite real number",
+        ("kaczmarz_update", "omega"): real,
+        ("relaxed_p", "omega"): real,
+        ("relaxed_q", "omega"): real,
+        ("relaxed_projection_matrix", "v"): node,
+        ("relaxed_projection_matrix", "omega"): real,
+        ("path_weight", "u"): node,
+        ("path_weight", "v"): node,
+        ("enumerate_updown_paths", "m1"): (ValueError, "node {v} is not minimal"),
+        ("enumerate_updown_paths", "m2"): (ValueError, "node {v} is not minimal"),
+        ("admissible_upper_bound", "leaf"): (ValueError, "node {v} is not a leaf of this group"),
+        ("block_infinity_norm", "block_size"): blocks,
+        ("sampled_block_norm_lower_bound", "block_size"): blocks,
+        ("sampled_block_norm_lower_bound", "samples"): nonnegative,
+        ("sampled_block_norm_lower_bound", "seed"): nonnegative,
+        ("random_tree", "seed"): nonnegative,
+        ("random_tree", "min_nodes"): nonnegative,
+        ("random_tree", "max_nodes"): nonnegative,
+        ("random_dag", "seed"): nonnegative,
+        ("random_dag", "min_nodes"): nonnegative,
+        ("random_dag", "max_nodes"): nonnegative,
+        ("random_dag", "max_minimal"): nonnegative,
+        ("random_tree_system", "seed"): nonnegative,
+        ("random_tree_system", "dim"): nonnegative,
+        ("iteration_budget", "rho"): real,
+        ("iteration_budget", "target"): real,
+        ("iteration_budget", "cap"): positive,
+        ("grid_from_spec", "axis_count"): nonnegative,
+        ("check_sweep_axes", "node_count"): nonnegative,
+        ("omega_sweep", "baseline"): real,
+        ("compare_structures", "baseline"): real,
+        ("reproduce", "seed"): nonnegative,
+    }
+    pairs = _annotated_pairs(_scalar_kind)
+    cases = []
+    for (name, param), rule in expected.items():
+        error, message = rule if isinstance(rule, tuple) else (ValueError, rule + ", got {v}")
+        call, kwargs = calls[name]
+        for kind in _scalar_kinds(pairs[name, param]):
+            value = _SCALAR_VALUES[kind]
+            text = re.escape(message.format(p=param, v=repr(value)))
+            cases.append((f"{name}-{param}-scalar-{kind}",
+                          lambda call=call, kwargs={**kwargs, param: value}: call(**kwargs),
+                          error, f"^{text}$"))
+    return cases
+
+
 _BOUNDARY = _boundary_cases()
 
 
@@ -515,39 +714,42 @@ def test_every_malformed_input_at_the_boundary_raises_a_named_error(case, capfd)
     assert capfd.readouterr() == ("", "")
 
 
-def _value_classes(hint) -> set[type]:
-    """The package's value classes, its frozen dataclasses, that an annotation names."""
-    if isinstance(hint, type) and not typing.get_args(hint):  # list[X] is a type on 3.10
-        ours = hint.__module__.startswith("distkaczmarz.") and dataclasses.is_dataclass(hint)
-        return {hint} if ours and hint.__dataclass_params__.frozen else set()
-    return set().union(*map(_value_classes, typing.get_args(hint)))
+def _missing_and_stray(suffixes: dict, marker: str) -> tuple[list[str], list[str]]:
+    """Case ids that ``suffixes`` (pair: id endings) wants and the table lacks, then the strays.
 
-
-def _annotated_value_pairs() -> set[tuple[str, str]]:
-    """``(callable, parameter)`` for every parameter of the public API annotated with a value class.
-
-    The public API is ``distkaczmarz.__all__`` (a class by its constructor)
-    and the non-underscore functions of ``solver``, ``closedform``,
-    ``topology`` and ``experiments``; an alias counts once, by its name.
+    A stray is a case whose id holds ``marker`` and that no pair wants.
     """
-    public = [getattr(distkaczmarz, name) for name in distkaczmarz.__all__]
-    for module in (sv, cf, tp, ex):
-        public += [f for name, f in vars(module).items()
-                   if not name.startswith("_") and inspect.isfunction(f)]
-    pairs = set()
-    for obj in public:
-        hints = typing.get_type_hints(obj.__init__ if isinstance(obj, type) else obj)
-        pairs |= {(obj.__name__, param) for param, hint in hints.items()
-                  if param != "return" and _value_classes(hint)}
-    return pairs
+    wanted = {f"{name}-{param}-{end}" for (name, param), ends in suffixes.items() for end in ends}
+    cases = {case[0] for case in _BOUNDARY if marker in case[0]}
+    return sorted(wanted - cases), sorted(cases - wanted)
 
 
 def test_every_value_argument_of_the_public_api_has_a_wrong_type_case():
     """Each annotated pair has a ``<callable>-<param>-type`` boundary case, and no case is stray."""
-    pairs = {f"{name}-{param}-type" for name, param in _annotated_value_pairs()}
-    cases = {case[0] for case in _BOUNDARY if case[0].endswith("-type")}
-    assert sorted(pairs - cases) == [], "annotated value arguments without a wrong-type case"
-    assert sorted(cases - pairs) == [], "wrong-type cases that name no annotated value argument"
+    pairs = _annotated_pairs(_value_classes)
+    missing, stray = _missing_and_stray(dict.fromkeys(pairs, ["type"]), "-type")
+    assert missing == [], "annotated value arguments without a wrong-type case"
+    assert stray == [], "wrong-type cases that name no annotated value argument"
+
+
+def test_every_integer_and_real_argument_of_the_public_api_has_scalar_cases():
+    """Each ``int`` or ``float`` pair has its ``-scalar-<kind>`` cases, and no case is stray.
+
+    An ``int`` pair wants a str, a bool and a float case, a ``float`` pair
+    the first two.
+    """
+    pairs = _annotated_pairs(_scalar_kind)
+    ends = {pair: [f"scalar-{k}" for k in _scalar_kinds(h)] for pair, h in pairs.items()}
+    missing, stray = _missing_and_stray(ends, "-scalar-")
+    assert missing == [], "integer and real arguments without their scalar cases"
+    assert stray == [], "scalar cases that name no integer or real argument"
+
+
+def test_every_exemption_names_a_walked_argument():
+    """No entry of :data:`_EXEMPT` is stale: each names a walked callable or an annotated pair."""
+    walked = _annotated_pairs(lambda hint: True, exempt=False)
+    names = {name for name, _ in walked} | {f"{name}-{param}" for name, param in walked}
+    assert sorted(set(_EXEMPT) - names) == []
 
 
 @pytest.mark.parametrize("member", [4.0, True, "4", 4.5])

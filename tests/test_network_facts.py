@@ -9,9 +9,9 @@ network, a value class, instead of a kernel, so it and its copies and
 pickles compare equal by value.
 
 Two rules ride along: the dichotomy check reads a DAG's block map one block
-per minimal node, and every tree-only entry point given a ``DagNetwork``,
-like every DAG-only one given a ``TreeNetwork``, raises the one
-network-type ``TypeError``.
+per minimal node, on the unit rows the pass reads, and every tree-only
+entry point given a ``DagNetwork``, like every DAG-only one given a
+``TreeNetwork``, raises the one network-type ``TypeError``.
 """
 
 import copy
@@ -151,6 +151,28 @@ def test_the_dichotomy_reads_the_example_dag_at_any_dimension(d):
     bs = cf.dag_block_structure(system, net, sv.RelaxationAssignment.uniform(6))
     report = cf.eigen_dichotomy_check(bs.aggregate, system)
     assert report.holds and report.unit_count == report.nullity == max(0, d - 6)
+
+
+@pytest.mark.parametrize("name", ["binary7", "figure_dag"])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6, 1e9])
+def test_the_dichotomy_does_not_depend_on_the_row_scale(name, scale):
+    """Every row and right-hand side scaled alike leaves B, so the verdict, as at scale 1.
+
+    The pass reads each row as ``a_v / |a_v|``, and the null-space test
+    reads the same unit rows: binary7 at d = 9 and the figure DAG at d = 8,
+    both of nullity 2.
+    """
+    net, d = (ex.binary7_network(), 9) if name == "binary7" else (ex.figure_dag(), 8)
+    system = ex.random_tree_system(0, net, d)
+    relax = sv.RelaxationAssignment.uniform(net.node_count)
+
+    def verdict(sys_):
+        report = cf.eigen_dichotomy_check(cf.dag_block_structure(sys_, net, relax).aggregate, sys_)
+        return report.holds, report.unit_count, report.nullity
+
+    scaled = sv.LinearSystem(system.rows * scale, system.rhs * scale)
+    assert verdict(system) == (True, 2, 2)
+    assert verdict(scaled) == verdict(system)
 
 
 def test_the_dichotomy_names_a_map_that_splits_into_no_blocks(monkeypatch):
